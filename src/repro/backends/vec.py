@@ -1,9 +1,10 @@
 """Vectorised backend: runs translator-generated batch kernels.
 
 The driver implements the gather → generated-kernel → scatter execution
-plan.  Race handling for indirect increments is pluggable
-(:mod:`repro.backends.reduction`), which is exactly how the OpenMP and
-GPU backends below specialise this driver.
+plan, one cache-sized block of lanes at a time
+(:mod:`repro.backends.blocked`).  Race handling for indirect increments
+is pluggable (:mod:`repro.backends.reduction`), which is exactly how the
+OpenMP and GPU backends below specialise this driver.
 
 Particle moves run as a *frontier* loop: every still-moving particle
 advances one hop per round through the generated (predicated) move kernel;
@@ -13,7 +14,7 @@ is the SIMT formulation of OP-PIC's multi-hop move.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
 from ..core.types import AccessMode, MoveStatus
 from .base import Backend
+from .blocked import (BlockedArgs, Slot, blocks, lane_rows, loop_slot,
+                      range_rows)
 from .locality import LocalityAutotuner
 from .plan import PlanCache
 from .reduction import (ReductionStrategy, SegmentedPresorted,
@@ -162,7 +165,9 @@ class VecBackend(Backend):
     # -- opp_par_loop -----------------------------------------------------------
 
     def execute(self, loop: ParLoop) -> Optional[dict]:
-        if loop.n_iter == 0:
+        span = slice(loop.start, loop.end)
+        n = span.stop - span.start
+        if n <= 0:
             return None
         gen = loop.kernel.generated("vec")
         if not gen.vectorized:
@@ -173,161 +178,30 @@ class VecBackend(Backend):
         track = self.locality.enabled and loop.iterset.is_particle_set
         t_start = perf_counter() if track else 0.0
 
-        full = loop.start == 0 and loop.end == loop.iterset.size
-        idx = loop.iter_indices()
-        params: List[np.ndarray] = []
-        writeback: List[Tuple[Arg, np.ndarray, Optional[np.ndarray]]] = []
-        n = idx.size
         sparse_sel = self._sparse_select(loop, fastseg, n)
-        t_gather = t_deposit = 0.0
+        whole_set = fastseg is not None or sparse_sel is not None
+        #: what the whole-set arms did: seconds per phase for the sparse
+        #: autotuner, and the deposit strategy that actually ran
+        acct = {"gather": 0.0, "deposit": 0.0,
+                "strategy": self.strategy_name}
+        slots = [
+            self._whole_set_slot(loop, a, fastseg, sparse_sel, acct)
+            if whole_set and a.kind in (ArgKind.P2C, ArgKind.DOUBLE)
+            and a.access in (AccessMode.READ, AccessMode.INC)
+            else loop_slot(self, loop, span, a, apos)
+            for apos, a in enumerate(loop.args)]
+        max_coll = BlockedArgs(slots, self.strategy).run(
+            gen.fn, n, range_rows(span.start))
 
-        for apos, a in enumerate(loop.args):
-            if a.is_global:
-                if a.access is AccessMode.READ:
-                    params.append(a.dat.data.reshape(1, -1))
-                else:
-                    init = {AccessMode.INC: 0.0, AccessMode.MIN: np.inf,
-                            AccessMode.MAX: -np.inf}[a.access]
-                    buf = np.full((n, a.dat.dim), init,
-                                  dtype=a.dat.data.dtype)
-                    params.append(buf)
-                    writeback.append((a, buf, None))
-                continue
-            if a.kind == ArgKind.DIRECT and a.access is AccessMode.READ \
-                    and full:
-                params.append(a.dat.data)
-                continue
-            if a.access is AccessMode.READ \
-                    and a.kind in (ArgKind.P2C, ArgKind.DOUBLE) \
-                    and (fastseg is not None or sparse_sel is not None):
-                t0 = perf_counter() if sparse_sel is not None else 0.0
-                if sparse_sel is not None \
-                        and sparse_sel["gather"] == "sparse_csr" \
-                        and a.dat.dtype == np.float64:
-                    # Matrix-PIC gather: one CSR SpMM replaces the index
-                    # build + fancy gather (unit weights, so the product
-                    # is bit-identical to data[rows])
-                    buf = self._arg_operator(a).gather(a.dat.data)
-                elif fastseg is not None:
-                    # sorted fast path: the per-particle indirect gather
-                    # is a per-cell broadcast of contiguous segments
-                    # (bit-identical values to data[rows], no index array
-                    # ever built)
-                    counts = fastseg[0]
-                    if a.kind == ArgKind.P2C:
-                        buf = np.repeat(a.dat.data, counts, axis=0)
-                    else:
-                        cell_rows = a.map.values[:, a.map_idx]
-                        buf = np.repeat(a.dat.data[cell_rows], counts,
-                                        axis=0)
-                else:
-                    buf = self.gather(a, idx)
-                if sparse_sel is not None:
-                    t_gather += perf_counter() - t0
-                params.append(buf)
-                continue
-            rows = self.plan.rows(loop, a, idx)   # planned (static) or None
-            if (self.check_unique_writes and a.is_indirect
-                    and a.access in (AccessMode.WRITE, AccessMode.RW)):
-                r = rows if rows is not None else a.gather_indices(idx)
-                r = r[r >= 0]
-                if r.size and np.unique(r).size != r.size:
-                    raise RuntimeError(
-                        f"loop {loop.name!r}: nonunique-write on arg "
-                        f"{apos} (dat {a.dat.name!r}): duplicate indirect "
-                        f"{a.access.name} target rows race under vector "
-                        "execution (declare OPP_INC or make the mapping "
-                        "injective)")
-            if a.access in (AccessMode.READ, AccessMode.RW):
-                buf = (a.dat.data[rows] if rows is not None
-                       else self.gather(a, idx))
-            else:  # WRITE / INC start from a clean buffer
-                buf = np.zeros((n, a.dat.dim), dtype=a.dat.dtype)
-            params.append(buf)
-            if a.access.writes:
-                writeback.append((a, buf, rows))
-
-        # predication evaluates both branch sides; masked-off lanes may
-        # produce invalid intermediates that the np.where discards — the
-        # same thing a SIMT machine does — so FP warnings are suppressed
-        with np.errstate(invalid="ignore", divide="ignore",
-                         over="ignore"):
-            gen.fn(*params)
-
-        max_coll = 0
-        strategy_used = self.strategy_name
-        for a, buf, rows in writeback:
-            if a.is_global:
-                if a.access is AccessMode.INC:
-                    a.dat.data += buf.sum(axis=0)
-                elif a.access is AccessMode.MIN:
-                    np.minimum(a.dat.data, buf.min(axis=0), out=a.dat.data)
-                else:
-                    np.maximum(a.dat.data, buf.max(axis=0), out=a.dat.data)
-                continue
-            if a.kind == ArgKind.DIRECT:
-                if a.access is AccessMode.INC:
-                    if full:
-                        np.add(a.dat.data, buf, out=a.dat.data)
-                    else:
-                        a.dat.data[idx] += buf
-                else:
-                    a.dat.data[idx] = buf
-                continue
-            if a.access is AccessMode.INC \
-                    and a.kind in (ArgKind.P2C, ArgKind.DOUBLE) \
-                    and (fastseg is not None or sparse_sel is not None):
-                t0 = perf_counter() if sparse_sel is not None else 0.0
-                if sparse_sel is not None \
-                        and sparse_sel["deposit"] == "sparse_csr" \
-                        and a.dat.dtype == np.float64:
-                    # Matrix-PIC deposit: target += P.T @ buf — one
-                    # compiled CSC accumulation, no atomics, no per-loop
-                    # sort; same sums as segmented_presorted up to
-                    # floating-point reassociation
-                    if sparse_sel["dead_rows"] is not None:
-                        buf[sparse_sel["dead_rows"]] = 0.0
-                    coll = self._arg_operator(a).deposit(a.dat.data, buf)
-                    strategy_used = "sparse_csr"
-                elif fastseg is not None:
-                    # sorted fast path: per-cell segment sums via the
-                    # cached reduceat boundaries — no per-loop argsort,
-                    # no atomics
-                    counts, _offsets, nonempty, starts = fastseg
-                    if a.kind == ArgKind.P2C:
-                        seg_rows = nonempty
-                    else:
-                        seg_rows = a.map.values[nonempty, a.map_idx]
-                    coll = SegmentedPresorted.apply_segments(
-                        a.dat.data, seg_rows, starts, buf, total=n)
-                    strategy_used = "segmented_presorted"
-                else:
-                    coll = self.scatter(a, idx, buf, strategy=self.strategy)
-                if sparse_sel is not None:
-                    t_deposit += perf_counter() - t0
-                max_coll = max(max_coll, coll)
-                continue
-            if rows is not None:
-                if a.access is AccessMode.INC:
-                    coll = self.strategy.apply(a.dat.data, rows, buf)
-                else:   # WRITE / RW via a static map
-                    a.dat.data[rows] = buf
-                    coll = 0
-            else:
-                coll = self.scatter(a, idx, buf, strategy=self.strategy)
-            max_coll = max(max_coll, coll)
         if track:
             self.locality.note_loop(n, perf_counter() - t_start,
                                     fast=fastseg is not None)
         if sparse_sel is not None and sparse_sel["timing"]:
-            if sparse_sel["gather"] is not None and t_gather > 0.0:
-                self.locality.note_strategy_cost(
-                    loop.name, "gather", sparse_sel["gather"], n, t_gather)
-            if sparse_sel["deposit"] is not None and t_deposit > 0.0:
-                self.locality.note_strategy_cost(
-                    loop.name, "deposit", sparse_sel["deposit"], n,
-                    t_deposit)
-        extras = {"collisions": max_coll, "strategy": strategy_used}
+            for phase in ("gather", "deposit"):
+                if sparse_sel[phase] is not None and acct[phase] > 0.0:
+                    self.locality.note_strategy_cost(
+                        loop.name, phase, sparse_sel[phase], n, acct[phase])
+        extras = {"collisions": max_coll, "strategy": acct["strategy"]}
         if fastseg is not None:
             extras["locality_fast_path"] = True
         if sparse_sel is not None and (sparse_sel["gather"] == "sparse_csr"
@@ -336,6 +210,72 @@ class VecBackend(Backend):
             extras["sparse_operator"] = True
         return extras
 
+    def _whole_set_slot(self, loop: ParLoop, a: Arg, fastseg, sparse_sel,
+                        acct: dict) -> Slot:
+        """A P2C/DOUBLE ``READ`` or ``INC`` argument under the opt-in
+        locality / Matrix-PIC engines.  Their operators (``np.repeat``
+        over per-cell counts, ``P.T @ q``) span the whole set, so the
+        argument gets a range-length buffer: gathered here, or drained by
+        the returned slot's ``final`` after the last block."""
+        timed = sparse_sel is not None
+        sparse = timed and a.dat.dtype == np.float64
+        if a.access is AccessMode.READ:
+            t0 = perf_counter() if timed else 0.0
+            if sparse and sparse_sel["gather"] == "sparse_csr":
+                # Matrix-PIC gather: one CSR SpMM replaces the index
+                # build + fancy gather (unit weights, so the product
+                # is bit-identical to data[rows])
+                buf = self._arg_operator(a).gather(a.dat.data)
+            elif fastseg is not None:
+                # sorted fast path: the per-particle indirect gather
+                # is a per-cell broadcast of contiguous segments
+                # (bit-identical values to data[rows], no index array
+                # ever built)
+                counts = fastseg[0]
+                if a.kind == ArgKind.P2C:
+                    buf = np.repeat(a.dat.data, counts, axis=0)
+                else:
+                    cell_rows = a.map.values[:, a.map_idx]
+                    buf = np.repeat(a.dat.data[cell_rows], counts, axis=0)
+            else:
+                buf = self.gather(a, loop.iter_indices())
+            if timed:
+                acct["gather"] += perf_counter() - t0
+            return Slot(a, whole=buf)
+
+        def deposit(buf: np.ndarray) -> int:
+            t0 = perf_counter() if timed else 0.0
+            if sparse and sparse_sel["deposit"] == "sparse_csr":
+                # Matrix-PIC deposit: target += P.T @ buf — one
+                # compiled CSC accumulation, no atomics, no per-loop
+                # sort; same sums as segmented_presorted up to
+                # floating-point reassociation
+                if sparse_sel["dead_rows"] is not None:
+                    buf[sparse_sel["dead_rows"]] = 0.0
+                coll = self._arg_operator(a).deposit(a.dat.data, buf)
+                acct["strategy"] = "sparse_csr"
+            elif fastseg is not None:
+                # sorted fast path: per-cell segment sums via the
+                # cached reduceat boundaries — no per-loop argsort,
+                # no atomics
+                _counts, _offsets, nonempty, starts = fastseg
+                if a.kind == ArgKind.P2C:
+                    seg_rows = nonempty
+                else:
+                    seg_rows = a.map.values[nonempty, a.map_idx]
+                coll = SegmentedPresorted.apply_segments(
+                    a.dat.data, seg_rows, starts, buf, total=buf.shape[0])
+                acct["strategy"] = "segmented_presorted"
+            else:
+                coll = self.scatter(a, loop.iter_indices(), buf,
+                                    strategy=self.strategy)
+            if timed:
+                acct["deposit"] += perf_counter() - t0
+            return coll
+
+        return Slot(a, whole=np.zeros((loop.n_iter, a.dat.dim),
+                                      dtype=a.dat.dtype), final=deposit)
+
     # -- opp_particle_move --------------------------------------------------------
 
     def execute_move(self, loop: MoveLoop) -> MoveResult:
@@ -343,11 +283,14 @@ class VecBackend(Backend):
         if not gen.vectorized:
             return self._seq.execute_move(loop)
         dep = loop.deposit
-        dep_gen = None
+        dep_gen = dep_args = None
         if dep is not None:
             dep_gen = dep.kernel.generated("vec")
             if not dep_gen.vectorized:
                 return self._seq.execute_move(loop)
+            dep_args = BlockedArgs([Slot(a) for a in dep.args],
+                                   self.strategy)
+        move_args = BlockedArgs([Slot(a) for a in loop.args], self.strategy)
 
         from ..translator.codegen import VecMoveContext
 
@@ -386,38 +329,23 @@ class VecBackend(Backend):
                     if active.size == 0:
                         break
 
-            params: List[np.ndarray] = []
-            writeback: List[Tuple[Arg, np.ndarray, np.ndarray]] = []
-            for a in loop.args:
-                if a.is_global:
-                    params.append(a.dat.data.reshape(1, -1))
-                    continue
-                rows = a.gather_indices(active, cells)
-                if a.access in (AccessMode.READ, AccessMode.RW):
-                    buf = a.dat.data[rows]
-                else:
-                    buf = np.zeros((active.size, a.dat.dim), dtype=a.dat.dtype)
-                params.append(buf)
-                if a.access.writes:
-                    writeback.append((a, buf, rows))
-
-            mctx = VecMoveContext(cells, c2c[cells], hop)
+            # hop-major: this hop's frontier is strip-mined, and the
+            # blocks' verdicts assembled into frontier-length arrays
+            status = np.empty(active.size, dtype=np.int64)
+            next_cell = np.empty(active.size, dtype=np.int64)
+            rows_of = lane_rows(active, cells)
             with np.errstate(invalid="ignore", divide="ignore",
                              over="ignore"):
-                gen.fn(mctx, *params)
+                for lo, hi in blocks(active.size):
+                    bcells = cells[lo:hi]
+                    mctx = VecMoveContext(bcells, c2c[bcells], hop)
+                    gen.fn(mctx, *move_args.stage(rows_of, lo, hi))
+                    move_args.commit()
+                    status[lo:hi] = mctx.status
+                    next_cell[lo:hi] = mctx.next_cell
+            max_coll = max(max_coll, move_args.finish())
             total_hops += active.size
 
-            for a, buf, rows in writeback:
-                if a.access is AccessMode.INC:
-                    if a.kind == ArgKind.DIRECT:
-                        a.dat.data[rows] += buf   # particle rows are unique
-                    else:
-                        coll = self.strategy.apply(a.dat.data, rows, buf)
-                        max_coll = max(max_coll, coll)
-                else:
-                    a.dat.data[rows] = buf
-
-            status = mctx.status
             done = status == int(MoveStatus.MOVE_DONE)
             gone = status == int(MoveStatus.NEED_REMOVE)
             moving = status == int(MoveStatus.NEED_MOVE)
@@ -433,8 +361,9 @@ class VecBackend(Backend):
                 else:                     # "done": settled this round
                     dpart, dcells = active[done], cells[done]
                 if dpart.size:
-                    coll = self._run_move_deposit(dep, dep_gen, dpart,
-                                                  dcells)
+                    # one fused-deposit round over those frontier lanes
+                    coll = dep_args.run(dep_gen.fn, dpart.size,
+                                        lane_rows(dpart, dcells))
                     max_coll = max(max_coll, coll)
 
             p2c[active[done]] = cells[done]
@@ -443,7 +372,7 @@ class VecBackend(Backend):
                 p2c[dead] = -1
                 removed_parts.append(dead)
             active = active[moving]
-            cells = mctx.next_cell[moving]
+            cells = next_cell[moving]
             hop += 1
 
         loop.pset.order.note_relocated(relocated)
@@ -463,36 +392,3 @@ class VecBackend(Backend):
         else:
             result.removed_indices = removed
         return result
-
-    def _run_move_deposit(self, dep, gen, part_idx: np.ndarray,
-                          cells: np.ndarray) -> int:
-        """One fused-deposit round over the given frontier lanes."""
-        params: List[np.ndarray] = []
-        writeback: List[Tuple[Arg, np.ndarray, np.ndarray]] = []
-        for a in dep.args:
-            if a.is_global:
-                params.append(a.dat.data.reshape(1, -1))
-                continue
-            rows = a.gather_indices(part_idx, cells)
-            if a.access in (AccessMode.READ, AccessMode.RW):
-                buf = a.dat.data[rows]
-            else:
-                buf = np.zeros((part_idx.size, a.dat.dim),
-                               dtype=a.dat.dtype)
-            params.append(buf)
-            if a.access.writes:
-                writeback.append((a, buf, rows))
-        with np.errstate(invalid="ignore", divide="ignore",
-                         over="ignore"):
-            gen.fn(*params)
-        max_coll = 0
-        for a, buf, rows in writeback:
-            if a.access is AccessMode.INC:
-                if a.kind == ArgKind.DIRECT:
-                    a.dat.data[rows] += buf   # particle rows are unique
-                else:
-                    coll = self.strategy.apply(a.dat.data, rows, buf)
-                    max_coll = max(max_coll, coll)
-            else:
-                a.dat.data[rows] = buf
-        return max_coll

@@ -13,6 +13,7 @@ Kernels may read global constants registered with
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pickle
@@ -72,6 +73,7 @@ class Kernel:
         self._ir = None          # filled by translator.parser on demand
         self._generated = {}     # backend-name -> compiled vector function
         self.flops_per_elem: Optional[float] = None  # set from IR op counts
+        self._branches: Optional[float] = None       # likewise, see ir()
 
     @property
     def source(self) -> str:
@@ -121,6 +123,12 @@ class Kernel:
             from ..translator.parser import parse_kernel
             self._ir = parse_kernel(self)
             self.flops_per_elem = self._ir.flop_count
+            full = sel = 0
+            for stmt in self._ir.unrolled_body:
+                for node in ast.walk(stmt):
+                    full += isinstance(node, ast.If)
+                    sel += isinstance(node, ast.IfExp)
+            self._branches = full + 0.5 * sel
         return self._ir
 
     def branch_count(self) -> float:
@@ -128,16 +136,14 @@ class Kernel:
         the GPU warp-divergence term of the performance model.  Full
         ``if`` statements count 1 (both paths execute under SIMT
         predication); conditional expressions count 0.5 (they lower to a
-        select)."""
-        try:
-            ir = self.ir()
-        except Exception:
-            return 0.0
-        import ast
-        module = ast.Module(body=ir.unrolled_body, type_ignores=[])
-        full = sum(isinstance(n, ast.If) for n in ast.walk(module))
-        sel = sum(isinstance(n, ast.IfExp) for n in ast.walk(module))
-        return full + 0.5 * sel
+        select).  A static property of the source: counted once, when the
+        IR is parsed (every ``par_loop`` records it)."""
+        if self._branches is None:
+            try:
+                self.ir()
+            except Exception:
+                self._branches = 0.0    # outside the kernel language
+        return self._branches
 
     def generated(self, target: str):
         """Return (building on demand) the generated vector function."""

@@ -72,6 +72,13 @@ class ParLoop:
         self.iterset = iterset
         self.iterate_type = iterate_type
         self.args: List[Arg] = list(args)
+        #: True when some argument increments data through a mapping —
+        #: the pattern that requires scatter arrays / atomics / segmented
+        #: reductions.  Static per declaration; ``end`` reads it on every
+        #: bounds query
+        self.has_indirect_inc = any(a.is_indirect
+                                    and a.access is AccessMode.INC
+                                    for a in self.args)
         if (iterate_type is IterateType.INJECTED
                 and not isinstance(iterset, ParticleSet)):
             raise TypeError("OPP_ITERATE_INJECTED only applies to particle "
@@ -108,14 +115,6 @@ class ParLoop:
         return np.arange(self.start, self.end, dtype=np.int64)
 
     # -- race analysis ---------------------------------------------------------
-
-    @property
-    def has_indirect_inc(self) -> bool:
-        """True when some argument increments data through a mapping —
-        the pattern that requires scatter arrays / atomics / segmented
-        reductions."""
-        return any(a.is_indirect and a.access is AccessMode.INC
-                   for a in self.args)
 
     @property
     def indirect_inc_args(self) -> List[Arg]:

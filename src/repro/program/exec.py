@@ -1,14 +1,14 @@
 """Execution of an optimized :class:`~repro.program.optimizer.Plan`.
 
-The fused-group driver replicates the vec backend's plain gather →
-generated-kernel → scatter execution exactly — same buffer
-initialisation, same writeback branches in the same (loop, arg) order —
-with three additions only a multi-loop view enables:
+The fused-group driver runs the group's concatenated argument list
+through the vec backend's blocked stage → kernel → commit pipeline
+(:mod:`repro.backends.blocked`) — same staging rules, same commit order —
+and only *describes* what a multi-loop view enables, per block:
 
 * **buffer aliasing** for direct producer→consumer chains (`live`): the
   consumer loop reads the producer's output buffer, so the intermediate
   value never round-trips through the dat between loops;
-* **gather hoisting** (`gather_cache`): identical indirect READ gathers
+* **gather hoisting** (`gathers`): identical indirect READ gathers
   across the group's loops are materialised once;
 * **temp elimination**: writebacks of fusion-local ``transient`` dats
   are skipped.
@@ -21,10 +21,9 @@ the node's own context.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
+from ..backends.blocked import BlockedArgs, loop_slot, range_rows
 from ..core.args import ArgKind
 from ..core.context import push_context
 from ..core.loops import execute_parloop
@@ -97,12 +96,12 @@ def _execute_fused(group: Group) -> None:
         return
     start, end = bounds.pop()
     n = end - start
-    iterset = loops[0].iterset
     indirect_inc = any(l.has_indirect_inc for l in loops)
     flops = sum(l.flops() for l in loops)
     nbytes = sum(l.bytes_moved() for l in loops)
     extras = {"fused_loops": len(loops),
               "eliminated_temps": len(group.eliminated_names),
+              "hoisted_gathers": group.hoisted,
               "strategy": getattr(backend, "strategy_name", "")}
     if n <= 0:
         ctx.perf.record_loop(name, n=0, seconds=0.0, flops=0.0, nbytes=0,
@@ -110,125 +109,32 @@ def _execute_fused(group: Group) -> None:
         return
 
     t0 = time.perf_counter()
-    full = start == 0 and end == iterset.size
-    idx = np.arange(start, end, dtype=np.int64)
-
-    params: List[np.ndarray] = []
-    # (arg, buf, rows); rows is None for direct/global/unplanned scatters
-    writeback: List[Tuple] = []
-    live: Dict[int, np.ndarray] = {}          # id(dat) -> producer buffer
-    gather_cache: Dict[Tuple, np.ndarray] = {}
-    hoist_hits = 0
-    check_unique = getattr(backend, "check_unique_writes", False)
-
+    span = slice(start, end)
+    slots = []
+    live: Dict[int, int] = {}       # id(dat) -> slot holding its buffer
+    gathers: Dict[Tuple, int] = {}  # indirect READ gather -> first slot
     for loop in loops:
         for apos, a in enumerate(loop.args):
+            alias, commit = None, True
             if a.is_global:
-                if a.access is AccessMode.READ:
-                    params.append(a.dat.data.reshape(1, -1))
-                else:
-                    init = {AccessMode.INC: 0.0, AccessMode.MIN: np.inf,
-                            AccessMode.MAX: -np.inf}[a.access]
-                    buf = np.full((n, a.dat.dim), init,
-                                  dtype=a.dat.data.dtype)
-                    params.append(buf)
-                    writeback.append((a, buf, None))
-                continue
-            key = id(a.dat)
-            if a.kind == ArgKind.DIRECT:
-                if a.access is AccessMode.READ:
-                    buf = live.get(key)
-                    if buf is None:
-                        if full:
-                            buf = a.dat.data
-                        else:
-                            buf = gather_cache.get(("direct", key))
-                            if buf is None:
-                                buf = a.dat.data[idx]
-                                gather_cache[("direct", key)] = buf
-                            else:
-                                hoist_hits += 1
-                    params.append(buf)
-                    continue
-                if a.access is AccessMode.RW:
-                    buf = live.get(key)
-                    if buf is None:
-                        buf = backend.gather(a, idx)
-                    live[key] = buf
-                else:   # WRITE / INC / MIN / MAX start clean
-                    buf = np.zeros((n, a.dat.dim), dtype=a.dat.dtype)
-                    if a.access is AccessMode.WRITE:
-                        live[key] = buf
-                params.append(buf)
-                writeback.append((a, buf, None))
-                continue
-            # -- indirect ------------------------------------------------------
-            if a.access is AccessMode.READ:
-                gkey = _read_gather_key(a)
-                buf = gather_cache.get(gkey)
-                if buf is None:
-                    buf = backend.gather(a, idx)
-                    gather_cache[gkey] = buf
-                else:
-                    hoist_hits += 1
-                params.append(buf)
-                continue
-            rows = backend.plan.rows(loop, a, idx)
-            if (check_unique
-                    and a.access in (AccessMode.WRITE, AccessMode.RW)):
-                r = rows if rows is not None else a.gather_indices(idx)
-                r = r[r >= 0]
-                if r.size and np.unique(r).size != r.size:
-                    raise RuntimeError(
-                        f"loop {loop.name!r}: nonunique-write on arg "
-                        f"{apos} (dat {a.dat.name!r}): duplicate indirect "
-                        f"{a.access.name} target rows race under vector "
-                        "execution (declare OPP_INC or make the mapping "
-                        "injective)")
-            if a.access is AccessMode.RW:
-                buf = (a.dat.data[rows] if rows is not None
-                       else backend.gather(a, idx))
-            else:
-                buf = np.zeros((n, a.dat.dim), dtype=a.dat.dtype)
-            params.append(buf)
-            writeback.append((a, buf, rows))
-
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        group.gen.fn(*params)
-
-    max_coll = 0
-    for a, buf, rows in writeback:
-        if a.is_global:
-            if a.access is AccessMode.INC:
-                a.dat.data += buf.sum(axis=0)
-            elif a.access is AccessMode.MIN:
-                np.minimum(a.dat.data, buf.min(axis=0), out=a.dat.data)
-            else:
-                np.maximum(a.dat.data, buf.max(axis=0), out=a.dat.data)
-            continue
-        if a.kind == ArgKind.DIRECT:
-            if id(a.dat) in group.eliminated_ids:
-                continue            # fusion-local temp: never materialised
-            if a.access is AccessMode.INC:
-                if full:
-                    np.add(a.dat.data, buf, out=a.dat.data)
-                else:
-                    a.dat.data[idx] += buf
-            else:
-                a.dat.data[idx] = buf
-            continue
-        if rows is not None:
-            if a.access is AccessMode.INC:
-                coll = backend.strategy.apply(a.dat.data, rows, buf)
-            else:
-                a.dat.data[rows] = buf
-                coll = 0
-        else:
-            coll = backend.scatter(a, idx, buf, strategy=backend.strategy)
-        max_coll = max(max_coll, coll)
+                pass
+            elif a.kind == ArgKind.DIRECT:
+                key = id(a.dat)
+                if a.access in (AccessMode.READ, AccessMode.RW):
+                    alias = live.get(key)
+                if a.access in (AccessMode.RW, AccessMode.WRITE):
+                    live[key] = len(slots) if alias is None else alias
+                # fusion-local temps are never materialised
+                commit = key not in group.eliminated_ids
+            elif a.access is AccessMode.READ:
+                first = gathers.setdefault(_read_gather_key(a), len(slots))
+                alias = first if first != len(slots) else None
+            slots.append(loop_slot(backend, loop, span, a, apos,
+                                   alias=alias, commit=commit))
+    max_coll = BlockedArgs(slots, backend.strategy).run(
+        group.gen.fn, n, range_rows(start))
 
     dt = time.perf_counter() - t0
-    extras["hoisted_gathers"] = hoist_hits
     ctx.perf.record_loop(name, n=n, seconds=dt, flops=flops, nbytes=nbytes,
                          indirect_inc=indirect_inc, collisions=max_coll,
                          **extras)

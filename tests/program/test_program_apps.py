@@ -46,9 +46,12 @@ def test_fempic_program_vec_matches():
     fused = run_fempic("vec", "fuse")
     assert fused.parts.size == plain.parts.size
     for attr in ("phi", "ncd", "nw", "ef"):
+        want = getattr(plain, attr).data
+        # absolute floor scaled to the field: exact zeros in one run are
+        # ~1e-18 cancellation residues in the regrouped other
         np.testing.assert_allclose(
-            getattr(fused, attr).data, getattr(plain, attr).data,
-            rtol=1e-9, atol=1e-18, err_msg=attr)
+            getattr(fused, attr).data, want, rtol=1e-9,
+            atol=1e-12 * np.abs(want).max(), err_msg=attr)
     np.testing.assert_allclose(fused.history["field_energy"],
                                plain.history["field_energy"],
                                rtol=1e-9, atol=1e-18)

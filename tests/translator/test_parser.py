@@ -86,6 +86,30 @@ def test_branches_accepted():
     parse_kernel(Kernel(branch_kernel))
 
 
+def select_kernel(a):
+    a[1] = 1.0 if a[0] > 0 else -1.0
+
+
+def test_branch_count_is_counted_once_with_the_ir(monkeypatch):
+    """Every par_loop records the divergence weight; it is a static
+    property of the source, so repeated calls must not re-walk the AST —
+    for untranslatable kernels (weight 0) neither."""
+    import repro.translator.parser as parser
+    parses = []
+    real = parser.parse_kernel
+    monkeypatch.setattr(parser, "parse_kernel",
+                        lambda k: parses.append(k.name) or real(k))
+    full, sel, bad = (Kernel(branch_kernel), Kernel(select_kernel),
+                      Kernel(while_kernel))
+    for _ in range(3):
+        assert full.branch_count() == 1.0
+        assert sel.branch_count() == 0.5
+        assert bad.branch_count() == 0.0
+    assert sorted(parses) == ["branch_kernel", "select_kernel",
+                              "while_kernel"]
+    assert full.flops_per_elem is not None
+
+
 def test_move_kernel_detected():
     ir = parse_kernel(Kernel(move_kernel_ok))
     assert ir.is_move
