@@ -1,5 +1,6 @@
 """Mini-FEM-PIC: electrostatic 3-D unstructured FEM PIC in a duct."""
 from .config import FemPicConfig
-from .simulation import FemPicSimulation, sample_inlet_positions
+from .simulation import FemPicSimulation, inlet_table, sample_inlet_positions
 
-__all__ = ["FemPicConfig", "FemPicSimulation", "sample_inlet_positions"]
+__all__ = ["FemPicConfig", "FemPicSimulation", "inlet_table",
+           "sample_inlet_positions"]

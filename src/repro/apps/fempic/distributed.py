@@ -14,14 +14,13 @@ import time
 from typing import List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             OPP_READ, OPP_RW, OPP_WRITE, Context, arg_dat,
                             arg_gbl, decl_dat, decl_global, decl_map,
                             decl_particle_set, decl_set, par_loop,
                             push_context)
-from repro.fem import DirichletSystem, KSPSolver, build_stiffness, \
+from repro.fem import DirichletSystem, NewtonSystem, build_stiffness, \
     lumped_node_volumes
 from repro.mesh import StructuredOverlay, duct_mesh
 from repro.runtime import (SimComm, build_rank_meshes, mpi_particle_move,
@@ -31,7 +30,8 @@ from repro.runtime.dh import DirectHopGlobalMover
 
 from . import kernels as k
 from .config import FemPicConfig
-from .simulation import declare_fempic_constants, sample_inlet_positions
+from .simulation import declare_fempic_constants, inlet_table, \
+    sample_inlet_positions
 
 __all__ = ["DistributedFemPic"]
 
@@ -39,8 +39,8 @@ __all__ = ["DistributedFemPic"]
 class _Rank:
     """Per-rank DSL declarations (the same calls as the single-node app)."""
 
-    def __init__(self, r: int, cfg: FemPicConfig, gmesh, rank_mesh,
-                 ctx: Optional[Context] = None):
+    def __init__(self, r: int, cfg: FemPicConfig, gmesh, nvol_global,
+                 rank_mesh, ctx: Optional[Context] = None):
         # on a live rebalance the backend context (worker pools, perf
         # counters) is carried over; only the DSL objects are rebuilt
         self.ctx = ctx if ctx is not None \
@@ -69,7 +69,6 @@ class _Rank:
         self.cvol = decl_dat(self.cells, 1, np.float64, gmesh.volumes[cg],
                              "cell_volume")
 
-        nvol_global = lumped_node_volumes(gmesh.points, gmesh.cell2node)
         self.phi = decl_dat(self.nodes, 1, np.float64, None, "node_potential")
         self.nw = decl_dat(self.nodes, 1, np.float64, None, "node_charge")
         self.ncd = decl_dat(self.nodes, 1, np.float64, None, "charge_density")
@@ -88,9 +87,9 @@ class _Rank:
         owned = np.flatnonzero(
             (g2l[faces[:, 0]] >= 0)
             & (g2l[faces[:, 0]] < rank_mesh.n_owned_cells))
-        self.inlet_faces = faces[owned]
-        self.inlet_local_cells = g2l[self.inlet_faces[:, 0]] \
-            if owned.size else np.empty(0, dtype=np.int64)
+        self.inlet = inlet_table(gmesh.points, faces[owned, 2:],
+                                 g2l[faces[owned, 0]],
+                                 gmesh.tags["extent"][2])
 
 
 class DistributedFemPic:
@@ -126,8 +125,10 @@ class DistributedFemPic:
         # constants are global (decl_const) — same values on every rank
         declare_fempic_constants(cfg)
 
+        self.nvol_global = lumped_node_volumes(self.gmesh.points,
+                                               self.gmesh.cell2node)
         self.ranks: List[Optional[_Rank]] = [
-            _Rank(r, cfg, self.gmesh, self.meshes[r])
+            _Rank(r, cfg, self.gmesh, self.nvol_global, self.meshes[r])
             if self.comm.is_local(r) else None
             for r in range(nranks)]
         self.rngs = [np.random.default_rng(cfg.seed + 1000 * r)
@@ -137,6 +138,7 @@ class DistributedFemPic:
         # runs the gathered Newton solve needs it
         self.K = None
         self.dirichlet = None
+        self.newton = None
         self.phi_global = np.zeros(self.gmesh.n_nodes)
         if self.comm.is_local(0):
             self.K = build_stiffness(self.gmesh.points,
@@ -150,6 +152,8 @@ class DistributedFemPic:
                         cfg.wall_potential)])
             order = np.argsort(dn)
             self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
+            self.newton = NewtonSystem(self.dirichlet.k_ff,
+                                       rtol=cfg.ksp_rtol)
             self.phi_global[self.dirichlet.dirichlet_nodes] = \
                 self.dirichlet.dirichlet_values
         self._scatter_phi()
@@ -260,24 +264,19 @@ class DistributedFemPic:
     def inject(self) -> None:
         total_area = self.cfg.inlet_area
         for r, rk in self._local():
-            if rk.inlet_faces.shape[0] == 0:
+            if rk.inlet.cdf.size == 0:
                 rk.parts.begin_injection()
                 rk.parts.end_injection()
                 continue
-            tri = self.gmesh.points[rk.inlet_faces[:, 2:]]
-            area = 0.5 * np.linalg.norm(
-                np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]),
-                axis=1).sum()
-            want = self.cfg.injection_rate * (area / total_area) \
+            want = self.cfg.injection_rate * (rk.inlet.area / total_area) \
                 + self._inject_carry[r]
             count = int(want)
             self._inject_carry[r] = want - count
             rk.parts.begin_injection()
             if count:
                 # sample on this rank's own faces
-                sub = _SubMesh(self.gmesh, rk)
                 pos, cells_local = sample_inlet_positions(
-                    sub, count, self.rngs[r])
+                    rk.inlet, count, self.rngs[r])
                 sl = rk.parts.add_particles(count, cell_indices=cells_local)
                 rk.pos.data[sl] = pos
                 with push_context(rk.ctx):
@@ -348,24 +347,25 @@ class DistributedFemPic:
         if self.comm.is_local(0):
             cfg = self.cfg
             t0 = time.perf_counter()
-            nvol = lumped_node_volumes(self.gmesh.points,
-                                       self.gmesh.cell2node)
+            nvol = self.nvol_global
             phi = self.phi_global
+            free = self.dirichlet.free
+            matvecs = 0
             for _ in range(cfg.newton_iters):
                 boltz = cfg.n0 * np.exp((phi - cfg.phi0) / cfg.kTe) \
                     / cfg.eps0
                 f1 = self.K @ phi - (w * cfg.spwt * cfg.ion_charge
                                      / cfg.eps0 - nvol * boltz)
                 jdiag = nvol * boltz / cfg.kTe
-                a = (self.K + sp.diags(jdiag)).tocsr()
-                free = self.dirichlet.free
-                ksp = KSPSolver(a[free][:, free], pc="jacobi",
-                                rtol=cfg.ksp_rtol)
-                phi[free] += ksp.solve(-f1[free]).x
+                result = self.newton.solve(jdiag[free], -f1[free])
+                phi[free] += result.x
+                matvecs += max(result.iterations, 1)
             dt = time.perf_counter() - t0
+            nnz = self.newton.a.nnz
             self.ranks[0].ctx.perf.record_loop(
-                "Solve", n=self.dirichlet.free.size, seconds=dt,
-                flops=0.0, nbytes=0.0, indirect_inc=False)
+                "Solve", n=free.size, seconds=dt,
+                flops=2.0 * nnz * matvecs, nbytes=12.0 * nnz * matvecs,
+                indirect_inc=False)
         self._scatter_phi()
 
     def compute_electric_field(self) -> None:
@@ -442,7 +442,8 @@ class DistributedFemPic:
                                  c2n=self.gmesh.cell2node)
 
     def _rebuild_rank(self, r: int, rank_mesh, old_rank: _Rank) -> _Rank:
-        return _Rank(r, self.cfg, self.gmesh, rank_mesh, ctx=old_rank.ctx)
+        return _Rank(r, self.cfg, self.gmesh, self.nvol_global, rank_mesh,
+                     ctx=old_rank.ctx)
 
     def _migration_spec(self) -> dict:
         # ef is the only mesh dat read before being recomputed each step;
@@ -485,15 +486,3 @@ class DistributedFemPic:
         self._inject_carry[r] = float(extras["carry"][0])
         if "phi_global" in extras:
             self.phi_global[:] = extras["phi_global"]
-
-
-class _SubMesh:
-    """Minimal mesh facade for :func:`sample_inlet_positions` on a rank:
-    exposes that rank's inlet faces (with *local* cell ids) over the global
-    point coordinates."""
-
-    def __init__(self, gmesh, rank_decl: _Rank):
-        faces = rank_decl.inlet_faces.copy()
-        faces[:, 0] = rank_decl.inlet_local_cells
-        self.points = gmesh.points
-        self.tags = {"inlet_faces": faces, "extent": gmesh.tags["extent"]}

@@ -8,17 +8,17 @@ and are removed at boundary faces.
 """
 from __future__ import annotations
 
-from typing import Optional
+import time
+from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             OPP_READ, OPP_RW, OPP_WRITE, Context, arg_dat,
                             arg_gbl, decl_const, decl_dat, decl_global,
                             decl_map, decl_particle_set, decl_set, par_loop,
                             particle_move, push_context)
-from repro.fem import DirichletSystem, KSPSolver, build_stiffness, \
+from repro.fem import DirichletSystem, NewtonSystem, build_stiffness, \
     lumped_node_volumes
 from repro.mesh import StructuredOverlay, duct_mesh
 from repro.runtime.dh import direct_hop_assign
@@ -27,8 +27,8 @@ from repro.runtime.objcache import get_or_build
 from . import kernels as k
 from .config import FemPicConfig
 
-__all__ = ["FemPicSimulation", "sample_inlet_positions",
-           "declare_fempic_constants"]
+__all__ = ["FemPicSimulation", "InletTable", "inlet_table",
+           "sample_inlet_positions", "declare_fempic_constants"]
 
 
 def declare_fempic_constants(cfg: FemPicConfig) -> None:
@@ -45,32 +45,55 @@ def declare_fempic_constants(cfg: FemPicConfig) -> None:
     decl_const("tol", cfg.move_tolerance)
 
 
-def sample_inlet_positions(mesh, count: int, rng: np.random.Generator):
+class InletTable(NamedTuple):
+    """Sampling table of a set of inlet faces (a pure function of the
+    mesh, so it is cached next to it)."""
+    tri: np.ndarray     #: (nfaces, 3, 3) corner coordinates
+    cells: np.ndarray   #: owning cell of each face
+    cdf: np.ndarray     #: area-weighted cumulative face probabilities
+    area: float         #: total area of the faces
+    nudge: float        #: axial offset that puts a sample inside the duct
+
+
+def inlet_table(points: np.ndarray, face_nodes: np.ndarray,
+                face_cells: np.ndarray, lz: float) -> InletTable:
+    """Table for the faces with corner nodes ``face_nodes (nfaces, 3)``
+    owned by ``face_cells``; an empty face set gives an empty table."""
+    tri = points[face_nodes]
+    areas = 0.5 * np.linalg.norm(
+        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    area = areas.sum()
+    # the CDF ``Generator.choice(p=areas / area)`` would build per call
+    cdf = (areas / area).cumsum()
+    if cdf.size:
+        cdf /= cdf[-1]
+    return InletTable(tri, face_cells, cdf, area, 1e-9 * lz)
+
+
+def sample_inlet_positions(table: InletTable, count: int,
+                           rng: np.random.Generator):
     """Area-weighted random positions on the duct's inlet faces.
 
     Returns ``(positions (n,3), cells (n,))`` — the owning inlet cell of
     each sample.  Randomness lives host-side (as in the reference app's
-    injection distributions); kernels stay deterministic.
+    injection distributions); kernels stay deterministic.  The face draw
+    is what ``rng.choice(nfaces, size=count, p=...)`` does internally, so
+    the RNG stream is the one that call would consume.
     """
-    faces = mesh.tags["inlet_faces"]
-    if faces.shape[0] == 0:
+    if table.cdf.size == 0:
         raise RuntimeError("duct mesh has no inlet faces")
-    tri = mesh.points[faces[:, 2:]]
-    areas = 0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
-    probs = areas / areas.sum()
-    pick = rng.choice(faces.shape[0], size=count, p=probs)
+    pick = table.cdf.searchsorted(rng.random(count), side="right")
     r1 = rng.random(count)
     r2 = rng.random(count)
     flip = r1 + r2 > 1.0
     r1[flip] = 1.0 - r1[flip]
     r2[flip] = 1.0 - r2[flip]
-    t = tri[pick]
+    t = table.tri[pick]
     pos = t[:, 0] + r1[:, None] * (t[:, 1] - t[:, 0]) \
         + r2[:, None] * (t[:, 2] - t[:, 0])
     # nudge inside the duct so the first barycentric test succeeds
-    pos[:, 2] += 1e-9 * mesh.tags["extent"][2]
-    return pos, faces[pick, 0]
+    pos[:, 2] += table.nudge
+    return pos, table.cells[pick]
 
 
 class FemPicSimulation:
@@ -94,6 +117,11 @@ class FemPicSimulation:
                 self._mesh_key,
                 lambda: duct_mesh(cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly,
                                   cfg.lz))
+        faces = self.mesh.tags["inlet_faces"]
+        self.inlet = get_or_build(
+            ("fempic_inlet",) + self._mesh_key,
+            lambda: inlet_table(self.mesh.points, faces[:, 2:], faces[:, 0],
+                                self.mesh.tags["extent"][2]))
         self._declare_constants()
         self._declare_sets_and_data()
         self._setup_field_solver()
@@ -177,6 +205,7 @@ class FemPicSimulation:
             np.full(len(mesh.tags["wall_nodes"]), cfg.wall_potential)])
         order = np.argsort(dn)
         self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
+        self.newton = NewtonSystem(self.dirichlet.k_ff, rtol=cfg.ksp_rtol)
         self.phi.data[:, 0] = 0.0
         self.phi.data[self.dirichlet.dirichlet_nodes, 0] = \
             self.dirichlet.dirichlet_values
@@ -213,7 +242,7 @@ class FemPicSimulation:
         if count == 0:
             self.parts.end_injection()
             return 0
-        pos, cells = sample_inlet_positions(self.mesh, count, self.rng)
+        pos, cells = sample_inlet_positions(self.inlet, count, self.rng)
         sl = self.parts.add_particles(count, cell_indices=cells)
         self.pos.data[sl] = pos
         par_loop(k.init_injected_kernel, "InjectIons", self.parts,
@@ -283,7 +312,8 @@ class FemPicSimulation:
         """Newton iterations on the nonlinear Poisson system; each
         iteration runs the ComputeJMatrix/ComputeF1Vector loops and one
         KSP (CG) solve — the PETSc role."""
-        import time
+        free = self.dirichlet.free
+        nnz = self.newton.a.nnz
         for _ in range(self.cfg.newton_iters):
             self.kphi.data[:, 0] = self.K @ self.phi.data[:, 0]
             par_loop(k.compute_f1_vector_kernel, "ComputeF1Vector",
@@ -299,15 +329,10 @@ class FemPicSimulation:
                      arg_dat(self.phi, OPP_READ),
                      arg_dat(self.nvol, OPP_READ))
             t0 = time.perf_counter()
-            a = (self.K + sp.diags(self.jdiag.data[:, 0])).tocsr()
-            free = self.dirichlet.free
-            a_ff = a[free][:, free]
-            rhs = -self.f1.data[free, 0]
-            ksp = KSPSolver(a_ff, pc="jacobi", rtol=self.cfg.ksp_rtol)
-            result = ksp.solve(rhs)
+            result = self.newton.solve(self.jdiag.data[free, 0],
+                                       -self.f1.data[free, 0])
             self.phi.data[free, 0] += result.x
             dt = time.perf_counter() - t0
-            nnz = a_ff.nnz
             self.ctx.perf.record_loop(
                 "Solve", n=free.size, seconds=dt,
                 flops=2.0 * nnz * max(result.iterations, 1),

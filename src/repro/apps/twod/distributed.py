@@ -55,6 +55,7 @@ class DistributedTwoD:
         # gathered Poisson operator: only the solving rank needs it
         self.K = None
         self.dirichlet = None
+        self.ksp = None
         self.background = None
         if self.comm.is_local(0):
             self.K = build_tri_stiffness(self.gmesh)
@@ -62,6 +63,8 @@ class DistributedTwoD:
             bnodes = self.gmesh.tags["boundary_nodes"]
             self.dirichlet = DirichletSystem(self.K, bnodes,
                                              np.zeros(len(bnodes)))
+            self.ksp = KSPSolver(self.dirichlet.k_ff, pc="jacobi",
+                                 rtol=1e-10)
             self.background = -cfg.qe * cfg.density * node_areas
 
         self.ranks: List[Optional[dict]] = [
@@ -162,8 +165,7 @@ class DistributedTwoD:
                 net = (w * cfg.weight * cfg.qe + self.background) \
                     / cfg.eps0
                 free = self.dirichlet.free
-                sol = KSPSolver(self.dirichlet.k_ff, pc="jacobi",
-                                rtol=1e-10).solve(net[free])
+                sol = self.ksp.solve(net[free])
                 phi = self.dirichlet.full_vector(sol.x)
             for r in range(self.nranks):
                 rm = self.meshes[r]

@@ -88,6 +88,7 @@ class TwoDSheetModel:
         bnodes = mesh.tags["boundary_nodes"]
         self.dirichlet = DirichletSystem(self.K, bnodes,
                                          np.zeros(len(bnodes)))
+        self.ksp = KSPSolver(self.dirichlet.k_ff, pc="jacobi", rtol=1e-10)
         #: background (ion) charge per node, exactly neutralizing the
         #: undisplaced electron population
         self.background = -cfg.qe * cfg.density * self.node_areas
@@ -134,8 +135,7 @@ class TwoDSheetModel:
                + self.background) / cfg.eps0
         free = self.dirichlet.free
         rhs = net[free]
-        sol = KSPSolver(self.dirichlet.k_ff, pc="jacobi",
-                        rtol=1e-10).solve(rhs)
+        sol = self.ksp.solve(rhs)
         self.phi.data[:, 0] = self.dirichlet.full_vector(sol.x)
         par_loop(k.field2d_kernel, "Field2D", self.cells,
                  OPP_ITERATE_ALL,

@@ -9,13 +9,13 @@ matvecs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["KSPSolver", "KSPResult", "jacobi_preconditioner",
-           "ssor_preconditioner"]
+__all__ = ["KSPSolver", "KSPResult", "inverse_diagonal",
+           "jacobi_preconditioner", "ssor_preconditioner"]
 
 
 @dataclass
@@ -26,14 +26,19 @@ class KSPResult:
     converged: bool
 
 
-def jacobi_preconditioner(a: sp.csr_matrix) -> Callable[[np.ndarray],
-                                                        np.ndarray]:
-    """Diagonal (Jacobi) preconditioner ``M⁻¹ r = r / diag(A)``."""
-    d = a.diagonal()
+def inverse_diagonal(d: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / d`` for a Jacobi preconditioner, optionally into ``out``."""
     if (d == 0).any():
         raise ValueError("matrix has zero diagonal entries; Jacobi "
                          "preconditioning is undefined")
-    inv = 1.0 / d
+    return np.divide(1.0, d, out=out)
+
+
+def jacobi_preconditioner(a: sp.csr_matrix) -> Callable[[np.ndarray],
+                                                        np.ndarray]:
+    """Diagonal (Jacobi) preconditioner ``M⁻¹ r = r / diag(A)``."""
+    inv = inverse_diagonal(a.diagonal())
     return lambda r: inv * r
 
 
@@ -63,12 +68,14 @@ class KSPSolver:
     a:
         Symmetric positive-definite sparse matrix.
     pc:
-        ``"jacobi"`` (default), ``"ssor"`` or ``"none"``.
+        ``"jacobi"`` (default), ``"ssor"``, ``"none"``, or a callable
+        ``r -> M⁻¹ r`` owned by the caller.
     rtol, atol, max_it:
         Convergence controls (relative / absolute residual, iteration cap).
     """
 
-    def __init__(self, a: sp.spmatrix, pc: str = "jacobi",
+    def __init__(self, a: sp.spmatrix,
+                 pc: Union[str, Callable[[np.ndarray], np.ndarray]] = "jacobi",
                  rtol: float = 1e-10, atol: float = 1e-50,
                  max_it: Optional[int] = None):
         self.a = a.tocsr()
@@ -77,7 +84,9 @@ class KSPSolver:
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.max_it = max_it or 10 * self.a.shape[0]
-        if pc == "jacobi":
+        if callable(pc):
+            self.pc = pc
+        elif pc == "jacobi":
             self.pc = jacobi_preconditioner(self.a)
         elif pc == "ssor":
             self.pc = ssor_preconditioner(self.a)

@@ -13,8 +13,8 @@ When disabled, :func:`get_or_build` is a transparent pass-through.
 
 Correctness contract: cached values are returned **by reference**, so
 they must be treated as immutable — every consumer copies data out
-(``decl_dat`` copies its initialiser; the FEM solves build new
-operators).  Warm-vs-cold bit-equality of job histories is enforced by
+(``decl_dat`` copies its initialiser; ``NewtonSystem`` copies the
+matrix values whose diagonal it rewrites).  Warm-vs-cold bit-equality of job histories is enforced by
 ``tests/service/test_determinism.py``.
 """
 from __future__ import annotations
