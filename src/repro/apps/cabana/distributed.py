@@ -228,11 +228,10 @@ class DistributedCabana:
                          arg_dat(rk.e, _S["YP"], rk.stencil, OPP_READ),
                          arg_dat(rk.e, _S["ZP"], rk.stencil, OPP_READ))
 
-        evals, bvals = [], []
+        energies = []   # per rank [e, b]: one collective for both
         for rk in self.ranks:
             if rk is None:
-                evals.append(np.zeros(1))
-                bvals.append(np.zeros(1))
+                energies.append(np.zeros(2))
                 continue
             rk.e_energy.data[0] = 0.0
             rk.b_energy.data[0] = 0.0
@@ -243,12 +242,11 @@ class DistributedCabana:
                 par_loop(k.energy_kernel, "EnergyB", rk.cells,
                          OPP_ITERATE_ALL, arg_dat(rk.b, OPP_READ),
                          arg_gbl(rk.b_energy, OPP_INC))
-            evals.append(rk.e_energy.data.copy())
-            bvals.append(rk.b_energy.data.copy())
-        self.history["e_energy"].append(
-            float(self.comm.allreduce(evals, "sum")[0]))
-        self.history["b_energy"].append(
-            float(self.comm.allreduce(bvals, "sum")[0]))
+            energies.append(np.array([rk.e_energy.data[0],
+                                      rk.b_energy.data[0]]))
+        e_energy, b_energy = self.comm.allreduce(energies, "sum")
+        self.history["e_energy"].append(float(e_energy))
+        self.history["b_energy"].append(float(b_energy))
 
     def run(self, n_steps: Optional[int] = None) -> dict:
         steps = n_steps if n_steps is not None else self.cfg.n_steps

@@ -235,19 +235,20 @@ class DistributedTwoD:
             [[rk["pos"], rk["vel"], rk["lc"]] if rk else None
              for rk in self.ranks])
 
-        vals = []
+        vals = []   # per rank [field energy, particles]: one collective
         for rk in self.ranks:
             if rk is None:
-                vals.append(0.0)
+                vals.append(np.zeros(2))
                 continue
             owned = rk["rm"].n_owned_cells
             e2 = (rk["ef"].data[:owned] ** 2).sum(axis=1)
             areas = self.gmesh.areas[rk["rm"].cells_global[:owned]]
-            vals.append(0.5 * self.cfg.eps0 * float((e2 * areas).sum()))
-        self.history["field_energy"].append(
-            float(self.comm.allreduce(vals, "sum")))
-        self.history["n_particles"].append(int(self.comm.allreduce(
-            [rk["parts"].size if rk else 0 for rk in self.ranks], "sum")))
+            vals.append(np.array(
+                [0.5 * self.cfg.eps0 * float((e2 * areas).sum()),
+                 rk["parts"].size]))
+        field_energy, n_particles = self.comm.allreduce(vals, "sum")
+        self.history["field_energy"].append(float(field_energy))
+        self.history["n_particles"].append(int(n_particles))
 
     @property
     def nranks(self) -> int:

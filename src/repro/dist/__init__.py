@@ -4,10 +4,10 @@ The simulated communicator (:class:`repro.runtime.comm.SimComm`) runs
 every rank inside one process; this package provides the second
 implementation of the same rank-transport interface —
 :class:`~repro.dist.proc.ProcTransport` — where each rank is a real OS
-process exchanging length-prefixed frames over
-:mod:`multiprocessing.connection` pipes, with per-operation timeouts,
-dead-rank detection and structured :class:`~repro.dist.transport.
-RankFailure` errors instead of hangs.
+process exchanging length-prefixed frames with its peers over one
+socket per rank pair, with per-operation timeouts, dead-rank detection
+(by the launching process, over a control pipe) and structured
+:class:`~repro.dist.transport.RankFailure` errors instead of hangs.
 
 Because each rank process may use any on-node backend (``seq``, ``vec``,
 ``omp``, ``mp``) for its loops, running N rank processes reproduces the

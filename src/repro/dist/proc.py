@@ -1,17 +1,23 @@
-"""Real OS rank processes over ``multiprocessing.connection``.
+"""Real OS rank processes: a direct rank-to-rank data plane under a
+parent-process control plane.
 
-Topology: a parent-process **router** holds one duplex pipe per rank.
-Rank processes never talk to each other directly — every frame goes
-through the router, which forwards point-to-point traffic, completes
-collectives (reducing contributions in rank order, so floating-point
-results match :class:`~repro.runtime.comm.SimComm` bitwise), and turns a
-dying rank into ``RANK_DOWN`` broadcasts instead of a silent hang.
+Topology: before the ranks start, the launcher creates one
+``socket.socketpair()`` per rank pair and one duplex pipe per rank.
+**Data** — point-to-point frames and collective contributions — moves
+over the pair's socket, rank to rank.  Collectives are completed by the
+ranks themselves: each sends its contribution to every peer, collects
+one from each and reduces the ``nranks`` values in rank order, so
+floating-point results match :class:`~repro.runtime.comm.SimComm`
+bitwise.  The parent **router** keeps the control plane only: hello /
+result / error frames up the pipe, liveness by EOF, and the
+``RANK_DOWN`` broadcast that turns a dying rank into a structured
+failure at its peers instead of a silent hang.
 
 Wire format: each message is one length-prefixed frame —
 
 =======  ======================================================
 header   ``!4sBBiiiq`` = magic ``OPPC``, version, kind, src,
-         dst, tag, body length
+         dst, tag, body length (a collective's op rides in tag)
 body     ``N`` + dtype/shape + raw bytes for numpy payloads,
          ``P`` + pickle for control payloads
 =======  ======================================================
@@ -19,24 +25,34 @@ body     ``N`` + dtype/shape + raw bytes for numpy payloads,
 Fault model (every path ends in a structured
 :class:`~repro.dist.transport.RankFailure`, never a deadlock):
 
-* peer process exits before completing → router broadcasts
-  ``RANK_DOWN``; blocked ``recv``/collectives raise ``rank-dead``;
-* no frame within ``op_timeout`` seconds → ``timeout``;
-* frame body over ``max_frame_bytes`` → ``oversized-frame``, enforced
-  on the sender before any bytes move and again by the router.
+* peer process exits before completing → its sockets reach EOF, which
+  only marks the peer *closed*; the router sees the same EOF on the
+  pipe and broadcasts ``RANK_DOWN`` with the reason, and that is what
+  makes blocked ``send``/``recv``/collectives raise ``rank-dead`` (a
+  raw socket EOF would pre-empt the root cause the router knows);
+* no progress within ``op_timeout`` seconds in any blocking wait,
+  a blocked ``send`` included → ``timeout``;
+* frame body over ``max_frame_bytes`` → ``oversized-frame``, refused on
+  the sender before any bytes move and on the receiver from the header,
+  before the body is buffered;
+* bad magic / version, a frame whose ``src``/``dst`` do not match the
+  socket it arrived on, ranks in different collectives, or a data frame
+  written to the router → ``protocol``.
 
-The router writes to children from dedicated writer threads with
-unbounded queues, so its read loop never blocks on a full pipe — the
-cyclic-buffer deadlock (child blocked sending while router blocked
-sending to it) cannot form.
+Peer sockets are non-blocking and there are no helper threads: a
+``send`` that meets a full socket buffer runs the same progress loop
+``recv`` uses (``select`` over the peer sockets and the router pipe,
+filing every complete frame), so two ranks sending more than a socket
+buffer at each other both finish — the cyclic-buffer deadlock cannot
+form.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import queue
+import select
+import socket
 import struct
-import threading
 import time
 import traceback
 from collections import deque
@@ -47,7 +63,7 @@ from multiprocessing import connection as mpc
 
 import numpy as np
 
-from ..runtime.comm import SimComm
+from ..runtime.comm import SimComm, reduce_in_rank_order
 from .transport import RankFailure
 
 __all__ = ["ProcTransport", "ProcCluster", "FrameError",
@@ -59,16 +75,19 @@ _VERSION = 1
 _HEADER = struct.Struct("!4sBBiiiq")
 
 # frame kinds
-K_HELLO = 0        # child -> router: rank is up
-K_P2P = 1          # payload for another rank (forwarded verbatim)
-K_COLL = 2         # child -> router: collective contribution
-K_COLL_RESULT = 3  # router -> child: completed collective
-K_RESULT = 4       # child -> router: rank finished, body = result
-K_ERROR = 5        # child -> router: rank raised, body = exception
-K_RANK_DOWN = 6    # router -> child: src rank died / was expelled
+K_HELLO = 0        # rank -> router: rank is up
+K_P2P = 1          # rank -> rank: point-to-point payload
+K_COLL = 2         # rank -> rank: collective contribution, op in tag
+K_RESULT = 4       # rank -> router: rank finished, body = result
+K_ERROR = 5        # rank -> router: rank raised, body = exception
+K_RANK_DOWN = 6    # router -> rank: src rank died / was expelled
+
+#: the collective a ``K_COLL`` frame belongs to, carried in its tag
+_COLL_OPS = ("sum", "max", "min", "alltoall", "barrier")
 
 DEFAULT_OP_TIMEOUT = 30.0
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
+_RECV_CHUNK = 64 * 1024
 
 
 class FrameError(ValueError):
@@ -137,8 +156,9 @@ def encode_frame(kind: int, src: int, dst: int, tag: int, obj,
                         len(body)) + body
 
 
-def decode_frame(blob: bytes) -> Tuple[int, int, int, int, object]:
-    """Returns ``(kind, src, dst, tag, payload)``."""
+def _decode_header(blob) -> Tuple[int, int, int, int, int]:
+    """Returns ``(kind, src, dst, tag, body length)`` of the frame that
+    starts ``blob``; all a receiver needs to refuse it unread."""
     if len(blob) < _HEADER.size:
         raise FrameError(f"short frame: {len(blob)} bytes")
     magic, version, kind, src, dst, tag, blen = _HEADER.unpack_from(blob)
@@ -147,11 +167,28 @@ def decode_frame(blob: bytes) -> Tuple[int, int, int, int, object]:
     if version != _VERSION:
         raise FrameError(f"protocol version {version}, expected "
                          f"{_VERSION}")
+    return kind, src, dst, tag, blen
+
+
+def decode_frame(blob: bytes) -> Tuple[int, int, int, int, object]:
+    """Returns ``(kind, src, dst, tag, payload)``."""
+    kind, src, dst, tag, blen = _decode_header(blob)
     body = blob[_HEADER.size:]
     if len(body) != blen:
         raise FrameError(f"length mismatch: header says {blen}, got "
                          f"{len(body)}")
     return kind, src, dst, tag, _decode_body(body)
+
+
+def _recv_control(conn, max_frame_bytes: int) -> Optional[bytes]:
+    """One frame off a control pipe; ``None`` when the other end is gone
+    (EOF, or a reset because it died with frames still unread).  The
+    ``OSError`` left to escape is the pipe's own bad-message-length."""
+    try:
+        return conn.recv_bytes(
+            maxlength=max_frame_bytes + _HEADER.size + 64)
+    except (EOFError, ConnectionError):
+        return None
 
 
 # -- the SPMD transport ------------------------------------------------------------
@@ -162,11 +199,14 @@ class ProcTransport(SimComm):
 
     Inherits the accounting surface (:attr:`stats`, :meth:`swap_stats`)
     from :class:`SimComm` and replaces locality, point-to-point and
-    collectives with wire operations through the router connection.
-    Every blocking wait honours :attr:`op_timeout`.
+    collectives with wire operations: data over ``peers`` (one
+    non-blocking socket per other rank), failure notices from the
+    router over ``conn``.  Every blocking wait honours
+    :attr:`op_timeout`.
     """
 
     def __init__(self, nranks: int, my_rank: int, conn,
+                 peers: Dict[int, socket.socket],
                  op_timeout: float = DEFAULT_OP_TIMEOUT,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME):
         super().__init__(nranks)
@@ -176,11 +216,21 @@ class ProcTransport(SimComm):
         self.op_timeout = float(op_timeout)
         self.max_frame_bytes = int(max_frame_bytes)
         self._conn = conn
+        #: open peer sockets; a peer that closed its end drops out
+        self._peers = dict(peers)
+        for sock in self._peers.values():
+            sock.setblocking(False)
+        self._rank_of = {s: r for r, s in self._peers.items()}
+        #: bytes received from each peer that do not make a frame yet
+        self._inbuf = {r: bytearray() for r in self._peers}
+        self._chunk = memoryview(bytearray(_RECV_CHUNK))
         #: buffered out-of-order P2P frames: (src, tag) -> deque
         self._p2p: Dict[Tuple[int, int], deque] = {}
-        self._coll_results: deque = deque()
+        #: collective contributions in arrival order: src -> (op, value)
+        self._coll = {r: deque() for r in self._peers}
+        #: ranks the router declared down, with its reason
         self._dead: Dict[int, str] = {}
-        self._send_raw(K_HELLO, self.my_rank, -1, 0, None)
+        conn.send_bytes(encode_frame(K_HELLO, my_rank, -1, 0, None))
 
     # -- locality ------------------------------------------------------------------
 
@@ -193,43 +243,114 @@ class ProcTransport(SimComm):
 
     # -- wire plumbing -------------------------------------------------------------
 
-    def _send_raw(self, kind: int, src: int, dst: int, tag: int,
-                  obj) -> None:
-        blob = encode_frame(kind, src, dst, tag, obj,
-                            self.max_frame_bytes)
-        try:
-            self._conn.send_bytes(blob)
-        except (BrokenPipeError, OSError) as exc:
-            raise RankFailure(self.my_rank, "rank-dead",
-                              f"router connection lost: {exc}") from exc
-
-    def _pump_one(self, deadline: float, waiting_for: str) -> None:
-        """Receive and file exactly one frame, or raise on deadline."""
+    def _progress(self, deadline: float, waiting_for: str,
+                  writable: Optional[socket.socket] = None) -> None:
+        """Block until a peer socket or the router pipe has input (or
+        ``writable`` has room) and file every frame that completed."""
         remaining = deadline - time.monotonic()
-        if remaining <= 0 or not self._conn.poll(remaining):
+        readable = room = ()
+        if remaining > 0:
+            readable, room, _ = select.select(
+                [self._conn, *self._rank_of],
+                () if writable is None else [writable], (), remaining)
+        if not readable and not room:
             raise RankFailure(self.my_rank, "timeout",
-                              f"no frame within {self.op_timeout:.1f}s "
+                              f"no progress within {self.op_timeout:.1f}s "
                               f"while waiting for {waiting_for}")
+        for source in readable:
+            if source is self._conn:
+                self._read_router()
+            else:
+                self._read_peer(self._rank_of[source])
+
+    def _read_router(self) -> None:
         try:
-            blob = self._conn.recv_bytes(
-                maxlength=self.max_frame_bytes + _HEADER.size + 64)
-        except EOFError as exc:
-            raise RankFailure(self.my_rank, "rank-dead",
-                              "router closed the connection") from exc
+            blob = _recv_control(self._conn, self.max_frame_bytes)
         except OSError as exc:
             raise RankFailure(self.my_rank, "oversized-frame",
-                              f"incoming frame over "
+                              f"router frame over "
                               f"{self.max_frame_bytes} bytes") from exc
-        kind, src, dst, tag, payload = decode_frame(blob)
-        if kind == K_P2P:
-            self._p2p.setdefault((src, tag), deque()).append(payload)
-        elif kind == K_COLL_RESULT:
-            self._coll_results.append(payload)
-        elif kind == K_RANK_DOWN:
-            self._dead[src] = str(payload)
-        else:
+        if blob is None:
+            raise RankFailure(self.my_rank, "rank-dead",
+                              "router closed the connection")
+        kind, src, _dst, _tag, payload = decode_frame(blob)
+        if kind != K_RANK_DOWN:
             raise RankFailure(self.my_rank, "protocol",
-                              f"unexpected frame kind {kind}")
+                              f"unexpected frame kind {kind} from the "
+                              f"router")
+        self._dead[src] = str(payload)
+
+    def _close_peer(self, rank: int) -> None:
+        """The peer's end is shut: stop watching the socket.  Whether
+        the peer *died*, and why, is the router's call (``_dead``)."""
+        sock = self._peers.pop(rank, None)
+        if sock is not None:
+            del self._rank_of[sock]
+            sock.close()
+
+    def _read_peer(self, rank: int) -> None:
+        """Drain what ``rank``'s socket holds and file complete frames."""
+        sock, buf = self._peers[rank], self._inbuf[rank]
+        while True:
+            try:
+                n = sock.recv_into(self._chunk)
+            except BlockingIOError:
+                break
+            except ConnectionError:  # it exited with our frames unread
+                n = 0
+            if n == 0:
+                self._close_peer(rank)
+                break
+            buf += self._chunk[:n]
+            if n < _RECV_CHUNK:
+                break
+        while len(buf) >= _HEADER.size:
+            try:
+                kind, src, dst, tag, blen = _decode_header(buf)
+                if blen > self.max_frame_bytes:
+                    raise RankFailure(rank, "oversized-frame",
+                                      f"incoming {blen} bytes > limit "
+                                      f"{self.max_frame_bytes}")
+                if blen < 0 or (src, dst) != (rank, self.my_rank) \
+                        or kind not in (K_P2P, K_COLL):
+                    raise FrameError(f"kind {kind} src {src} dst {dst} "
+                                     f"length {blen} on the socket from "
+                                     f"rank {rank}")
+                end = _HEADER.size + blen
+                if len(buf) < end:
+                    return
+                # decoded in place; the views die with the call, which
+                # is what lets the buffer shrink below
+                payload = _decode_body(memoryview(buf)[_HEADER.size:end])
+            except FrameError as exc:
+                raise RankFailure(rank, "protocol", str(exc)) from exc
+            del buf[:end]
+            if kind == K_P2P:
+                self._p2p.setdefault((src, tag), deque()).append(payload)
+            else:
+                self._coll[src].append((tag, payload))
+
+    def _send_frame(self, kind: int, dst: int, tag: int, obj) -> None:
+        """Write one frame to ``dst``, making progress on input whenever
+        its socket buffer is full."""
+        left = memoryview(encode_frame(kind, self.my_rank, dst, tag, obj,
+                                       self.max_frame_bytes))
+        deadline = time.monotonic() + self.op_timeout
+        while left:
+            if dst in self._dead:
+                raise RankFailure(dst, "rank-dead", self._dead[dst])
+            sock = self._peers.get(dst)
+            if sock is None:
+                self._progress(deadline, f"the router's word on rank "
+                               f"{dst}, which closed its socket")
+                continue
+            try:
+                left = left[sock.send(left):]
+            except BlockingIOError:
+                self._progress(deadline, f"room to send to rank {dst}",
+                               writable=sock)
+            except ConnectionError:
+                self._close_peer(dst)
 
     # -- point-to-point ------------------------------------------------------------
 
@@ -241,10 +362,12 @@ class ProcTransport(SimComm):
             raise RankFailure(self.my_rank, "protocol",
                               f"rank {self.my_rank} cannot send as "
                               f"rank {src}")
-        if dst in self._dead:
-            raise RankFailure(dst, "rank-dead", self._dead[dst])
         payload = np.ascontiguousarray(payload)
-        self._send_raw(K_P2P, src, dst, tag, payload)
+        if dst == src:
+            self._p2p.setdefault((src, tag), deque()).append(
+                payload.copy())
+        else:
+            self._send_frame(K_P2P, dst, tag, payload)
         self.stats.record(src, dst, payload.nbytes)
 
     def recv(self, dst: int, src: int, tag: int = 0) -> np.ndarray:
@@ -262,66 +385,77 @@ class ProcTransport(SimComm):
                 return q.popleft()
             if src in self._dead:
                 raise RankFailure(src, "rank-dead", self._dead[src])
-            self._pump_one(deadline,
-                           f"message from rank {src} tag {tag}")
+            self._progress(deadline, f"message from rank {src} tag {tag}")
 
     # -- collectives ---------------------------------------------------------------
 
-    def _collective(self, request: dict):
-        self._send_raw(K_COLL, self.my_rank, -1, 0, request)
+    def _collective(self, op: str, value: np.ndarray) -> List[np.ndarray]:
+        """Send ``value`` to every peer and collect theirs; returns the
+        ``nranks`` contributions in rank order."""
+        self.stats.collectives += 1
+        code = _COLL_OPS.index(op)
+        peers = [r for r in range(self.nranks) if r != self.my_rank]
+        for r in peers:
+            self._send_frame(K_COLL, r, code, value)
+        values = [value] * self.nranks
         deadline = time.monotonic() + self.op_timeout
-        while not self._coll_results:
-            if self._dead:
-                r, why = next(iter(self._dead.items()))
-                raise RankFailure(r, "rank-dead",
-                                  f"peer died inside a collective: "
-                                  f"{why}")
-            self._pump_one(deadline,
-                           f"collective {request.get('op')}")
-        return self._coll_results.popleft()
+        for r in peers:
+            while not self._coll[r]:
+                if self._dead:
+                    down, why = next(iter(self._dead.items()))
+                    raise RankFailure(down, "rank-dead",
+                                      f"peer died inside a collective: "
+                                      f"{why}")
+                self._progress(deadline, f"rank {r} to join {op}")
+            theirs, values[r] = self._coll[r].popleft()
+            if theirs != code:
+                raise RankFailure(
+                    r, "protocol", f"mismatched collectives: rank {r} is "
+                    f"in {_COLL_OPS[theirs]}, rank {self.my_rank} in {op}")
+        return values
 
     def allreduce(self, per_rank_values: Sequence, op: str = "sum"):
         if len(per_rank_values) != self.nranks:
             raise ValueError(f"allreduce needs {self.nranks} values, "
                              f"got {len(per_rank_values)}")
-        self.stats.collectives += 1
-        value = np.asarray(per_rank_values[self.my_rank])
-        return self._collective({"op": "allreduce", "reduce": op,
-                                 "value": value})
+        if op not in ("sum", "max", "min"):
+            raise ValueError(f"unknown allreduce op {op!r}")
+        mine = np.asarray(per_rank_values[self.my_rank])
+        return np.asarray(reduce_in_rank_order(
+            self._collective(op, mine), op))
 
     def alltoall_counts(self, counts: np.ndarray) -> np.ndarray:
         counts = np.asarray(counts)
         if counts.shape != (self.nranks, self.nranks):
             raise ValueError("counts must be (nranks, nranks)")
-        self.stats.collectives += 1
-        return self._collective({"op": "alltoall",
-                                 "row": counts[self.my_rank].copy()})
+        rows = self._collective("alltoall", counts[self.my_rank].copy())
+        return np.stack(rows).T.copy()
 
     def barrier(self) -> None:
-        self.stats.collectives += 1
-        self._collective({"op": "barrier"})
+        self._collective("barrier", np.zeros(0))
 
     def __repr__(self) -> str:
-        return (f"<ProcTransport rank={self.my_rank}/"
-                f"{self.nranks}>")
+        return f"<ProcTransport rank={self.my_rank}/{self.nranks}>"
 
 
 # -- rank-process entry ------------------------------------------------------------
 
 
-def _child_main(entry, rank: int, nranks: int, pipes, opts: dict,
+def _child_main(entry, rank: int, nranks: int, pipes, socks, opts: dict,
                 args: tuple) -> None:
     """Body of every rank process: build the transport, run ``entry``,
     ship the result (or the exception) back, exit."""
-    # drop inherited pipe ends that belong to the router or to siblings,
-    # so a dying sibling produces a clean EOF at the router
+    # drop inherited ends that belong to the router or to siblings, so a
+    # dying rank produces a clean EOF at the router and at its peers
     for r, (parent_end, child_end) in enumerate(pipes):
         parent_end.close()
         if r != rank:
             child_end.close()
+            for sock in socks[r].values():
+                sock.close()
     conn = pipes[rank][1]
     try:
-        transport = ProcTransport(nranks, rank, conn, **opts)
+        transport = ProcTransport(nranks, rank, conn, socks[rank], **opts)
         payload = entry(transport, *args)
         conn.send_bytes(encode_frame(K_RESULT, rank, -1, 0, payload,
                                      transport.max_frame_bytes))
@@ -340,40 +474,13 @@ def _child_main(entry, rank: int, nranks: int, pipes, opts: dict,
     os._exit(0)
 
 
-# -- the router / cluster ----------------------------------------------------------
-
-
-class _Writer:
-    """Per-child writer thread so the router's read loop never blocks on
-    a full pipe (see module docstring)."""
-
-    def __init__(self, conn):
-        self._conn = conn
-        self._q: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            blob = self._q.get()
-            if blob is None:
-                return
-            try:
-                self._conn.send_bytes(blob)
-            except (BrokenPipeError, OSError):
-                pass  # receiver died; the read loop will notice the EOF
-
-    def post(self, blob: bytes) -> None:
-        self._q.put(blob)
-
-    def stop(self) -> None:
-        self._q.put(None)
-        self._thread.join(timeout=5.0)
+# -- the launcher / control plane --------------------------------------------------
 
 
 class ProcCluster:
-    """Launches ``nranks`` rank processes and routes frames between
-    them until every rank returned a result or failed.
+    """Launches ``nranks`` rank processes, wires every pair of them
+    together, and runs their control plane until every rank returned a
+    result or failed.
 
     ``entry(transport, *args)`` runs inside each rank process; its
     return value (any picklable object) becomes that rank's slot in the
@@ -397,27 +504,41 @@ class ProcCluster:
         self._ctx = mp.get_context(start_method)
 
     def run(self) -> List[object]:
-        """Launch, route, reap.  Returns per-rank results; raises the
-        root-cause :class:`RankFailure` if any rank failed."""
+        """Launch, supervise, reap.  Returns per-rank results; raises
+        the root-cause :class:`RankFailure` if any rank failed."""
         ctx = self._ctx
         pipes = [ctx.Pipe(duplex=True) for _ in range(self.nranks)]
+        # socks[r][peer]: rank r's end of the socket it shares with peer
+        socks: List[Dict[int, socket.socket]] = [
+            {} for _ in range(self.nranks)]
+        for a in range(self.nranks):
+            for b in range(a + 1, self.nranks):
+                socks[a][b], socks[b][a] = socket.socketpair()
         opts = {"op_timeout": self.op_timeout,
                 "max_frame_bytes": self.max_frame_bytes}
         procs = [ctx.Process(target=_child_main,
                              args=(self.entry, r, self.nranks, pipes,
-                                   opts, self.args),
+                                   socks, opts, self.args),
                              name=f"rank-{r}")
                  for r in range(self.nranks)]
-        for p in procs:
-            p.start()
-        conns = []
-        for parent_end, child_end in pipes:
-            child_end.close()
-            conns.append(parent_end)
+        conns = [parent_end for parent_end, _child_end in pipes]
+        started = []
         try:
+            try:
+                for p in procs:
+                    p.start()
+                    started.append(p)
+            finally:
+                # the ranks hold their own copies now; ours would keep
+                # a dead rank's sockets from ever reaching EOF
+                for _parent_end, child_end in pipes:
+                    child_end.close()
+                for mine in socks:
+                    for sock in mine.values():
+                        sock.close()
             results, errors = self._route(conns)
         finally:
-            self._reap(procs, conns)
+            self._reap(started, conns)
         if errors:
             # prefer the root cause: a dead/expelled rank over the
             # secondary failures its peers raised when they noticed
@@ -433,163 +554,78 @@ class ProcCluster:
                               f"rank raised {exc!r}") from exc
         return [results[r] for r in range(self.nranks)]
 
-    # -- router --------------------------------------------------------------------
+    # -- control plane -------------------------------------------------------------
 
     def _route(self, conns) -> Tuple[Dict[int, object],
                                      Dict[int, Exception]]:
-        nranks = self.nranks
+        """Read hello / result / error frames and watch for EOF until
+        every rank is accounted for.  Healthy ranks are silent here for
+        as long as they compute, so silence only counts as a hang once
+        a rank has failed: the survivors have been told by then and
+        must finish or fail within ``op_timeout``."""
         rank_of = {id(c): r for r, c in enumerate(conns)}
-        writers = {r: _Writer(c) for r, c in enumerate(conns)}
         results: Dict[int, object] = {}
         errors: Dict[int, Exception] = {}
-        coll_pending: Dict[int, deque] = {r: deque()
-                                          for r in range(nranks)}
-        alive = set(range(nranks))
-        open_ranks = set(range(nranks))
-        try:
-            while open_ranks - set(results) - set(errors):
-                ready = mpc.wait([conns[r] for r in open_ranks],
-                                 timeout=self.op_timeout)
-                if not ready:
-                    stuck = sorted(open_ranks - set(results)
-                                   - set(errors))
-                    raise RankFailure(
-                        stuck[0], "timeout",
-                        f"router saw no traffic for "
-                        f"{self.op_timeout:.1f}s; ranks {stuck} never "
-                        f"completed")
-                for conn in ready:
-                    r = rank_of[id(conn)]
-                    try:
-                        blob = conn.recv_bytes(
-                            maxlength=self.max_frame_bytes
-                            + _HEADER.size + 64)
-                    except EOFError:
-                        open_ranks.discard(r)
-                        if r not in results and r not in errors:
-                            self._expel(r, "process exited without a "
-                                        "result", alive, writers,
-                                        errors)
-                        else:
-                            alive.discard(r)
-                        continue
-                    except OSError:
-                        open_ranks.discard(r)
-                        self._expel(r, "sent a frame over the size "
-                                    "limit", alive, writers, errors,
-                                    kind="oversized-frame")
-                        continue
-                    self._dispatch(r, blob, alive, open_ranks, writers,
-                                   results, errors, coll_pending)
-                self._complete_collectives(alive, results, errors,
-                                           coll_pending, writers)
-        finally:
-            for w in writers.values():
-                w.stop()
+        open_ranks = set(range(self.nranks))   # pipes still read from
+        while open_ranks - set(results) - set(errors):
+            ready = mpc.wait([conns[r] for r in open_ranks],
+                             timeout=self.op_timeout if errors else None)
+            if not ready:
+                stuck = sorted(open_ranks - set(results) - set(errors))
+                raise RankFailure(
+                    stuck[0], "timeout",
+                    f"ranks {stuck} neither finished nor failed within "
+                    f"{self.op_timeout:.1f}s of a peer's failure")
+            for conn in ready:
+                r = rank_of[id(conn)]
+                try:
+                    blob = _recv_control(conn, self.max_frame_bytes)
+                except OSError:
+                    open_ranks.discard(r)
+                    self._expel(r, "sent a frame over the size limit",
+                                open_ranks, conns, errors,
+                                kind="oversized-frame")
+                    continue
+                if blob is None:
+                    open_ranks.discard(r)
+                    if r not in results:
+                        self._expel(r, "process exited without a result",
+                                    open_ranks, conns, errors)
+                    continue
+                try:
+                    kind, _src, _dst, _tag, payload = decode_frame(blob)
+                except FrameError as exc:
+                    kind, payload = None, exc
+                if kind == K_RESULT:
+                    results[r] = payload
+                elif kind == K_ERROR:
+                    exc = payload if isinstance(payload, BaseException) \
+                        else RankFailure(r, "rank-dead", repr(payload))
+                    self._expel(r, f"rank failed: {exc}", open_ranks,
+                                conns, errors, exc=exc)
+                elif kind != K_HELLO:
+                    # data frames travel rank to rank, never through here
+                    open_ranks.discard(r)
+                    self._expel(r, f"protocol violation: {payload}"
+                                if kind is None else f"unexpected frame "
+                                f"kind {kind} at the router", open_ranks,
+                                conns, errors, kind="protocol")
         return results, errors
 
-    def _dispatch(self, r: int, blob: bytes, alive, open_ranks,
-                  writers, results, errors, coll_pending) -> None:
-        try:
-            kind, src, dst, tag, payload = decode_frame(blob)
-        except FrameError as exc:
-            open_ranks.discard(r)
-            self._expel(r, f"protocol violation: {exc}", alive,
-                        writers, errors, kind="protocol")
-            return
-        if kind == K_HELLO:
-            return
-        if kind == K_P2P:
-            if dst in alive:
-                writers[dst].post(blob)
-            return
-        if kind == K_COLL:
-            coll_pending[r].append(payload)
-            return
-        if kind == K_RESULT:
-            results[r] = payload
-            return
-        if kind == K_ERROR:
-            exc = payload if isinstance(payload, BaseException) \
-                else RankFailure(r, "rank-dead", repr(payload))
-            errors[r] = exc
-            alive.discard(r)
-            # fail the peers fast instead of letting them run into
-            # their own timeouts one by one
-            down = encode_frame(K_RANK_DOWN, r, -1, 0,
-                                f"rank failed: {exc}")
-            for peer, w in writers.items():
-                if peer != r and peer in alive:
-                    w.post(down)
-            return
-        open_ranks.discard(r)
-        self._expel(r, f"unexpected frame kind {kind}", alive, writers,
-                    errors, kind="protocol")
-
-    def _expel(self, r: int, why: str, alive, writers, errors,
-               kind: str = "rank-dead") -> None:
-        """Mark a rank failed and tell every survivor so nobody blocks
-        forever waiting for it."""
+    def _expel(self, r: int, why: str, open_ranks, conns, errors,
+               kind: str = "rank-dead",
+               exc: Optional[BaseException] = None) -> None:
+        """Mark a rank failed and tell every other rank still connected,
+        so nobody blocks forever waiting for it."""
         if r in errors:
             return
-        alive.discard(r)
-        errors[r] = RankFailure(r, kind, why)
+        errors[r] = exc if exc is not None else RankFailure(r, kind, why)
         down = encode_frame(K_RANK_DOWN, r, -1, 0, why)
-        for peer, w in writers.items():
-            if peer != r and peer in alive:
-                w.post(down)
-
-    def _complete_collectives(self, alive, results, errors,
-                              coll_pending, writers) -> None:
-        """Pop one pending contribution per participating rank whenever
-        everyone has posted, reduce in rank order, broadcast."""
-        while True:
-            participants = sorted(r for r in alive if r not in results)
-            if not participants or \
-                    any(not coll_pending[r] for r in participants):
-                return
-            reqs = {r: coll_pending[r].popleft() for r in participants}
-            ops = {req["op"] for req in reqs.values()}
-            if len(ops) > 1:
-                for r in participants:
-                    self._expel(r, f"mismatched collectives {ops}",
-                                alive, writers, errors,
-                                kind="protocol")
-                return
-            op = ops.pop()
-            if op == "allreduce":
-                red = {req["reduce"] for req in reqs.values()}.pop()
-                vals = [np.asarray(reqs[r]["value"])
-                        for r in participants]
-                if red == "sum":
-                    out = sum(vals[1:], vals[0].copy())
-                elif red == "max":
-                    out = vals[0].copy()
-                    for a in vals[1:]:
-                        out = np.maximum(out, a)
-                elif red == "min":
-                    out = vals[0].copy()
-                    for a in vals[1:]:
-                        out = np.minimum(out, a)
-                else:
-                    raise RankFailure(participants[0], "protocol",
-                                      f"unknown reduce {red!r}")
-                out = np.asarray(out)
-            elif op == "alltoall":
-                counts = np.zeros((self.nranks, self.nranks),
-                                  dtype=np.int64)
-                for r in participants:
-                    counts[r] = np.asarray(reqs[r]["row"])
-                out = counts.T.copy()
-            elif op == "barrier":
-                out = np.zeros(0)
-            else:
-                raise RankFailure(participants[0], "protocol",
-                                  f"unknown collective {op!r}")
-            blob = encode_frame(K_COLL_RESULT, -1, -1, 0, out,
-                                self.max_frame_bytes)
-            for r in participants:
-                writers[r].post(blob)
+        for peer in open_ranks - {r}:
+            try:
+                conns[peer].send_bytes(down)
+            except OSError:
+                pass  # it is going too; the read loop will see the EOF
 
     def _reap(self, procs, conns) -> None:
         for c in conns:

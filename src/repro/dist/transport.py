@@ -13,7 +13,9 @@ is collected in :class:`Transport`.  Two implementations exist:
     :class:`repro.dist.proc.ProcTransport` — each rank is a real OS
     process (SPMD).  ``my_rank`` is the single resident rank,
     ``local_ranks`` has one entry, and point-to-point/collective calls
-    move frames through a parent-process router.
+    move frames rank to rank over one socket per rank pair; the ranks
+    complete collectives themselves, and the launching process keeps
+    the control plane only (results, liveness, ``RANK_DOWN`` notices).
 
 Algorithm code never branches on the transport kind: it iterates
 ``local_ranks`` and guards sends/recvs with ``is_local``, which makes
@@ -21,9 +23,9 @@ the same loop a full simulation under ``sim`` and one SPMD rank's share
 under ``proc``.
 
 :class:`RankFailure` is the structured error every fault path resolves
-to — a dead peer, an expired per-operation deadline, or an oversized
-frame surface as an exception naming the rank and failure kind, never as
-a hang.
+to — a dead peer, an expired per-operation deadline, an oversized or
+forged frame, ranks in different collectives — surface as an exception
+naming the rank and failure kind, never as a hang.
 """
 from __future__ import annotations
 
@@ -119,8 +121,8 @@ def create_transport(kind: str, nranks: int, **options):
     """Build an in-process transport by name.
 
     ``sim`` returns a ready :class:`SimComm`.  ``proc`` cannot be built
-    free-standing — rank processes and their router come from
-    :class:`repro.dist.proc.ProcCluster` (or, at the application level,
+    free-standing — rank processes, their sockets and their router come
+    from :class:`repro.dist.proc.ProcCluster` (or, at the application level,
     :func:`repro.dist.driver.run_distributed`) — so asking for it here
     raises with that pointer rather than half-working.
     """

@@ -106,6 +106,21 @@ class CommStats:
         return stats
 
 
+def reduce_in_rank_order(values: Sequence, op: str):
+    """Fold one value per rank, left to right.  Every transport reduces
+    through here, which is what makes their results bitwise equal."""
+    arr = [np.asarray(v) for v in values]
+    if op == "sum":
+        return sum(arr[1:], arr[0].copy())
+    if op not in ("max", "min"):
+        raise ValueError(f"unknown allreduce op {op!r}")
+    pick = np.maximum if op == "max" else np.minimum
+    out = arr[0].copy()
+    for a in arr[1:]:
+        out = pick(out, a)
+    return out
+
+
 class SimComm:
     """An in-process communicator over ``nranks`` simulated ranks.
 
@@ -180,20 +195,7 @@ class SimComm:
             raise ValueError(f"allreduce needs {self.nranks} values, got "
                              f"{len(per_rank_values)}")
         self.stats.collectives += 1
-        arr = [np.asarray(v) for v in per_rank_values]
-        if op == "sum":
-            return sum(arr[1:], arr[0].copy())
-        if op == "max":
-            out = arr[0].copy()
-            for a in arr[1:]:
-                out = np.maximum(out, a)
-            return out
-        if op == "min":
-            out = arr[0].copy()
-            for a in arr[1:]:
-                out = np.minimum(out, a)
-            return out
-        raise ValueError(f"unknown allreduce op {op!r}")
+        return reduce_in_rank_order(per_rank_values, op)
 
     def alltoall_counts(self, counts: np.ndarray) -> np.ndarray:
         """``counts[src, dst]`` → per-destination receive counts

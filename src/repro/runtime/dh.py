@@ -4,8 +4,9 @@ Instead of walking cell-to-cell from the old position (multi-hop), DH
 jumps each particle straight to a cell *near* its final position using a
 structured overlay (cell-map), and — in distributed runs — straight to the
 *owning rank* using the overlay's rank-map, with an RMA-based global move
-(any rank may send to any rank; an all-to-all count exchange sizes the
-receives).  A short multi-hop finishes the relocation.
+(any rank may send to any rank; the counts exchange of
+:func:`~repro.runtime.exchange.exchange_packed` sizes the receives).  A
+short multi-hop finishes the relocation.
 
 DH trades bookkeeping memory (the overlay, one copy per node via RMA) for
 fewer hops and fewer neighbour-to-neighbour migration rounds; the paper
@@ -22,14 +23,13 @@ from ..core.maps import Map
 from ..core.sets import ParticleSet
 from ..mesh.overlay import StructuredOverlay
 from .comm import SimComm
-from .exchange import pack_particles, unpack_particles
+from .exchange import exchange_packed, pack_particles, unpack_particles
 from .halo import HaloPlan, RankMesh
 from .rma import RMAWindow
 
 __all__ = ["direct_hop_assign", "DirectHopGlobalMover"]
 
 _TAG_DH_PAYLOAD = 20
-_TAG_DH_CELLS = 21
 
 
 def direct_hop_assign(overlay: StructuredOverlay, pset: ParticleSet,
@@ -52,7 +52,7 @@ def direct_hop_assign(overlay: StructuredOverlay, pset: ParticleSet,
 
 class DirectHopGlobalMover:
     """Distributed DH: rank-map lookups through an RMA window plus the
-    global move (pack → all-to-all counts → unpack), leaving every
+    global move (pack → counts exchange → unpack), leaving every
     particle on its destination rank with a near-final cell guess.
     """
 
@@ -91,8 +91,8 @@ class DirectHopGlobalMover:
         position and set its cell guess; returns per-rank received indices.
         """
         nranks = self.comm.nranks
-        counts = np.zeros((nranks, nranks), dtype=np.int64)
         packed = {}
+        sent_rows = {}
 
         self.cell_window.fence()
         self.rank_window.fence()
@@ -118,37 +118,25 @@ class DirectHopGlobalMover:
                 pset.order.note_relocated(int(idx.size))
             if go.any():
                 rows = np.flatnonzero(go)
+                sent_rows[r] = rows
                 for d in np.unique(dest_rank[rows]):
                     sel = rows[dest_rank[rows] == d]
-                    counts[r, int(d)] = sel.size
                     packed[(r, int(d))] = (
                         pack_particles(exchange_dats[r], sel),
-                        dest_cell_global[sel], sel)
+                        dest_cell_global[sel])
         self.cell_window.fence()
         self.rank_window.fence()
 
         # hole-fill the senders
-        for r in self.comm.local_ranks:
-            sent_rows = [rows for (src, _d), (_b, _c, rows)
-                         in packed.items() if src == r]
-            if sent_rows:
-                psets[r].remove_particles(np.concatenate(sent_rows))
+        for r, rows in sent_rows.items():
+            psets[r].remove_particles(rows)
 
-        recv_counts = self.comm.alltoall_counts(counts)
-        for (r, d), (buf, cells, _rows) in packed.items():
-            self.comm.send(r, d, buf, tag=_TAG_DH_PAYLOAD)
-            self.comm.send(r, d, cells, tag=_TAG_DH_CELLS)
-
+        arrivals, _in_flight = exchange_packed(self.comm, _TAG_DH_PAYLOAD,
+                                               packed)
         received: List[Optional[np.ndarray]] = [None] * nranks
-        for d in self.comm.local_ranks:
-            if recv_counts[d].sum() == 0:
-                continue
+        for d, frames in arrivals.items():
             start = psets[d].size
-            for s in range(nranks):
-                if recv_counts[d, s] == 0:
-                    continue
-                buf = self.comm.recv(d, s, tag=_TAG_DH_PAYLOAD)
-                cells = self.comm.recv(d, s, tag=_TAG_DH_CELLS)
+            for buf, cells in frames:
                 local = self._local_cells(d, cells)
                 sl = psets[d].add_particles(buf.shape[0], cell_indices=local)
                 unpack_particles(exchange_dats[d], sl, buf)

@@ -12,12 +12,18 @@ The flow implemented here is the paper's:
    reference implementation this overlaps with communication;
 4. receivers **unpack** to the end of their dats and *resume the move*
    for just the received particles (``OPP_ITERATE_INJECTED``-style);
-5. repeat until no rank has particles in flight (an allreduce decides).
+5. repeat until no rank has particles in flight.
+
+A round costs one collective and one frame per destination: every rank
+contributes its row of the ``counts[src, dst]`` matrix to a single
+``allreduce``, whose sum is the whole matrix — the receive counts and,
+summed, the particles still in flight — and the destination cells ride
+as the last column of the packed payload.
 """
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +35,10 @@ from ..core.sets import ParticleSet
 from .comm import SimComm
 from .halo import HaloPlan, RankMesh
 
-__all__ = ["pack_particles", "migrate", "mpi_particle_move"]
+__all__ = ["pack_particles", "exchange_packed", "migrate",
+           "mpi_particle_move"]
 
 _TAG_PAYLOAD = 10
-_TAG_CELLS = 11
 
 
 def pack_particles(dats: Sequence[Dat], rows: np.ndarray) -> np.ndarray:
@@ -51,18 +57,50 @@ def unpack_particles(dats: Sequence[Dat], rows: slice,
         col += d.dim
 
 
+def exchange_packed(comm: SimComm, tag: int,
+                    packed: Dict[Tuple[int, int],
+                                 Tuple[np.ndarray, np.ndarray]]):
+    """Deliver ``packed[(src, dst)] = (rows, cells)`` for every local
+    ``src``: one allreduce of the counts matrix, then one frame per
+    destination with ``cells`` as its last float64 column (exact below
+    2**53).  Returns ``(arrivals, in_flight)`` — ``arrivals[dst]`` lists
+    the ``(rows, cells)`` pairs a local ``dst`` received, in source-rank
+    order, and ``in_flight`` counts the particles moved on all ranks.
+    """
+    nranks = comm.nranks
+    rows_of = [np.zeros((nranks, nranks), dtype=np.int64)
+               for _ in range(nranks)]
+    for (src, dst), (buf, _cells) in packed.items():
+        rows_of[src][src, dst] = buf.shape[0]
+    counts = comm.allreduce(rows_of, "sum")
+    for (src, dst), (buf, cells) in packed.items():
+        comm.send(src, dst, np.column_stack([buf, cells]), tag=tag)
+    arrivals: Dict[int, list] = {}
+    for dst in comm.local_ranks:
+        for src in np.flatnonzero(counts[:, dst]):
+            frame = comm.recv(dst, int(src), tag=tag)
+            arrivals.setdefault(dst, []).append(
+                (frame[:, :-1], frame[:, -1].astype(np.int64)))
+    return arrivals, int(counts.sum())
+
+
+class Received(list):
+    """What :func:`migrate` returns: per rank, the indices of the
+    particles it just received (``None`` for none), and in
+    :attr:`in_flight` how many particles moved on all ranks together."""
+
+    in_flight = 0
+
+
 def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
             psets: Sequence[ParticleSet], dats: Sequence[Sequence[Dat]],
-            results: Sequence[Optional[MoveResult]],
-            ) -> List[Optional[np.ndarray]]:
+            results: Sequence[Optional[MoveResult]]) -> Received:
     """One round of pack → hole-fill → exchange → unpack.
 
     ``dats[r]`` lists rank r's particle dats in a consistent order across
     ranks.  Returns, per rank, the indices of newly received particles
     (``None`` when a rank received nothing).
     """
-    nranks = comm.nranks
-    counts = np.zeros((nranks, nranks), dtype=np.int64)
     packed = {}
 
     for r in comm.local_ranks:
@@ -75,7 +113,6 @@ def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
         for d in np.unique(dest_ranks):
             sel = dest_ranks == d
             rows = res.foreign_particles[sel]
-            counts[r, d] = rows.size
             packed[(r, int(d))] = (pack_particles(dats[r], rows),
                                    dest_cells[sel])
 
@@ -89,22 +126,12 @@ def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
         if doomed.size:
             psets[r].remove_particles(doomed)
 
-    recv_counts = comm.alltoall_counts(counts)
-    for (r, d), (buf, cells) in packed.items():
-        comm.send(r, d, buf, tag=_TAG_PAYLOAD)
-        comm.send(r, d, cells, tag=_TAG_CELLS)
-
-    received: List[Optional[np.ndarray]] = [None] * nranks
-    for d in comm.local_ranks:
-        total = int(recv_counts[d].sum())
-        if total == 0:
-            continue
+    arrivals, in_flight = exchange_packed(comm, _TAG_PAYLOAD, packed)
+    received = Received([None] * comm.nranks)
+    received.in_flight = in_flight
+    for d, frames in arrivals.items():
         start = psets[d].size
-        for s in range(nranks):
-            if recv_counts[d, s] == 0:
-                continue
-            buf = comm.recv(d, s, tag=_TAG_PAYLOAD)
-            cells = comm.recv(d, s, tag=_TAG_CELLS)
+        for buf, cells in frames:
             sl = psets[d].add_particles(buf.shape[0], cell_indices=cells)
             unpack_particles(dats[d], sl, buf)
         received[d] = np.arange(start, psets[d].size, dtype=np.int64)
@@ -164,10 +191,8 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
             totals[r].n_removed += res.n_removed
         first = False
 
-        in_flight = comm.allreduce(
-            [0 if res is None else res.n_foreign for res in results], "sum")
         pending = migrate(comm, plan, meshes, psets, exchange_dats, results)
-        if int(in_flight) == 0:
+        if pending.in_flight == 0:
             return totals
     raise RuntimeError(f"distributed move {name!r} did not drain after "
                        f"{max_rounds} migration rounds")
