@@ -1,25 +1,38 @@
-"""CabanaPIC on the OP-PIC DSL: unstructured declaration of a structured
-periodic brick (paper §4: "we implement the application with OP-PIC,
-using unstructured-mesh mappings, solving the same physics as the
-original").
+"""CabanaPIC on the OP-PIC DSL, written once for 1..N ranks:
+unstructured declaration of a structured periodic brick (paper §4: "we
+implement the application with OP-PIC, using unstructured-mesh mappings,
+solving the same physics as the original").
 
 Step order follows the reference app's leapfrog:
 Interpolate → Move_Deposit → AccumulateCurrent → AdvanceB(½) →
 AdvanceE → AdvanceB(½), with per-iteration E/B field energies recorded
 for the validation against :mod:`repro.apps.cabana.reference`.
+
+:class:`CabanaSimulation` is the one-rank case; at N ranks
+(:class:`~repro.apps.cabana.distributed.DistributedCabana`) the brick is
+cut into z slabs (the beams stream along z) and each rank holds its
+owned cells plus a one-deep halo of *stencil* neighbours — the
+interpolator reads diagonal +1 neighbours, so the halo is built from the
+arity-10 stencil map, not just the face map.  Ghost refreshes of E and B
+and the ghost→owner reduction of the current accumulator are timed as
+``Update_Ghosts``, the entry that dominates the paper's multi-GPU
+breakdowns.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_RW,
-                            OPP_WRITE, Context, arg_dat, arg_gbl, decl_dat,
+                            OPP_WRITE, arg_dat, arg_gbl, decl_dat,
                             decl_global, decl_map, decl_particle_set,
-                            decl_set, par_loop, particle_move, push_context)
+                            decl_set, par_loop)
+from repro.core.move import MoveDeposit
 from repro.mesh import STENCIL, HexMesh
+from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
+from repro.runtime.ranked import Rank, RankedApp
 
 from . import kernels as k
 from .config import CabanaConfig
@@ -30,193 +43,215 @@ __all__ = ["CabanaSimulation"]
 _S = STENCIL
 
 
-class CabanaSimulation:
-    """Single-node CabanaPIC with the multi-hop (MH) move."""
+class CabanaSimulation(RankedApp):
+    """CabanaPIC with the multi-hop (MH) move; this class fixes the rank
+    count at one."""
+
+    part_dats = ("pos", "disp", "vel", "w", "pushed")
+    #: e and b integrate across steps; j/interp/acc are rebuilt from
+    #: scratch every step before being read
+    cell_dats = ("e", "b")
+    halo_row = "Update_Ghosts"
 
     def __init__(self, config: Optional[CabanaConfig] = None):
-        self.cfg = cfg = config or CabanaConfig()
-        self.ctx = Context(cfg.backend, **cfg.backend_options)
-        self.mesh = get_or_build(
-            ("cabana_brick", cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly,
-             cfg.lz),
-            lambda: HexMesh(cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly,
-                            cfg.lz))
+        self._build(config or CabanaConfig(), SimComm(1),
+                    "principal_direction")
+
+    def _build(self, cfg: CabanaConfig, comm, partition_method: str) -> None:
+        self.cfg = cfg
         if cfg.pusher != "boris" and cfg.pusher not in k.PUSHERS:
             raise ValueError(f"unknown pusher {cfg.pusher!r}; available: "
                              f"boris, {sorted(k.PUSHERS)}")
+        mesh_key = ("cabana_brick", cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly,
+                    cfg.lz)
+        self.mesh = self.gmesh = get_or_build(
+            mesh_key, lambda: HexMesh(cfg.nx, cfg.ny, cfg.nz, cfg.lx,
+                                      cfg.ly, cfg.lz))
         declare_cabana_constants(cfg)
-        self._declare()
+        # halo from the stencil map so diagonal reads are satisfied
+        self._partition(comm, partition_method, mesh_key,
+                        centroids=self.mesh.centroids,
+                        c2c=self.mesh.stencil_c2c, axis=2,
+                        layers=(cfg.lz, cfg.nz))
         self._initialize_particles()
         self.step_count = 0
-        #: the Program accumulated by run() when cfg.program != "off"
-        self.program = None
         self.history = {"e_energy": [], "b_energy": []}
 
-    def _declare(self) -> None:
-        mesh = self.mesh
-        cfg = self.cfg
-        self.cells = decl_set(mesh.n_cells, "cells")
-        self.parts = decl_particle_set(self.cells, 0, "electrons")
+    def _declare(self, rk: Rank) -> None:
+        mesh, rm = self.mesh, rk.rm
+        rk.cells = decl_set(rm.n_local_cells, "cells")
+        rk.cells.owned_size = rm.n_owned_cells
+        rk.parts = decl_particle_set(rk.cells, 0, "electrons")
 
-        self.stencil = decl_map(self.cells, self.cells, 10,
-                                mesh.stencil_c2c, "cell_stencil")
-        self.faces = decl_map(self.cells, self.cells, 6, mesh.face_c2c,
-                              "cell_faces")
-        self.p2c = decl_map(self.parts, self.cells, 1, None,
-                            "particle_to_cell")
+        g2l = np.full(mesh.n_cells, -1, dtype=np.int64)
+        g2l[rm.cells_global] = np.arange(rm.cells_global.size)
+        faces = mesh.face_c2c[rm.cells_global]
 
-        self.e = decl_dat(self.cells, 3, np.float64, None, "e_field")
-        self.b = decl_dat(self.cells, 3, np.float64, None, "b_field")
-        self.j = decl_dat(self.cells, 3, np.float64, None, "current")
-        self.interp = decl_dat(self.cells, 18, np.float64, None,
-                               "interpolator")
-        self.acc = decl_dat(self.cells, 3, np.float64, None, "accumulator")
+        rk.stencil = decl_map(rk.cells, rk.cells, 10, rm.local_c2c,
+                              "cell_stencil")
+        rk.faces = decl_map(rk.cells, rk.cells, 6,
+                            np.where(faces >= 0, g2l[faces], -1),
+                            "cell_faces")
+        rk.p2c = decl_map(rk.parts, rk.cells, 1, None, "particle_to_cell")
 
-        self.pos = decl_dat(self.parts, 3, np.float64, None, "offsets")
-        self.disp = decl_dat(self.parts, 3, np.float64, None,
-                             "displacement")
-        self.vel = decl_dat(self.parts, 3, np.float64, None, "velocity")
-        self.w = decl_dat(self.parts, 1, np.float64, None, "weight")
-        self.pushed = decl_dat(self.parts, 1, np.float64, None, "push_flag")
+        rk.e = decl_dat(rk.cells, 3, np.float64, None, "e_field")
+        rk.b = decl_dat(rk.cells, 3, np.float64, None, "b_field")
+        rk.j = decl_dat(rk.cells, 3, np.float64, None, "current")
+        rk.interp = decl_dat(rk.cells, 18, np.float64, None,
+                             "interpolator")
+        rk.acc = decl_dat(rk.cells, 3, np.float64, None, "accumulator")
+
+        rk.pos = decl_dat(rk.parts, 3, np.float64, None, "offsets")
+        rk.disp = decl_dat(rk.parts, 3, np.float64, None, "displacement")
+        rk.vel = decl_dat(rk.parts, 3, np.float64, None, "velocity")
+        rk.w = decl_dat(rk.parts, 1, np.float64, None, "weight")
+        rk.pushed = decl_dat(rk.parts, 1, np.float64, None, "push_flag")
         #: per-hop segment current scratch for the fused move path
-        self.seg = decl_dat(self.parts, 3, np.float64, None, "seg_current")
+        #: (written and consumed within one hop, so it never migrates)
+        rk.seg = decl_dat(rk.parts, 3, np.float64, None, "seg_current")
 
-        self.e_energy = decl_global(1, np.float64, name="e_energy")
-        self.b_energy = decl_global(1, np.float64, name="b_energy")
+        rk.e_energy = decl_global(1, np.float64, name="e_energy")
+        rk.b_energy = decl_global(1, np.float64, name="b_energy")
 
     def _initialize_particles(self) -> None:
         cells, offsets, vel = two_stream_initial_state(self.cfg)
-        sl = self.parts.add_particles(len(cells), cell_indices=cells)
-        self.pos.data[sl] = offsets
-        self.vel.data[sl] = vel
-        self.w.data[sl] = self.cfg.weight
-        self.parts.end_injection()
+        owner = self.cell_owner[cells]
+        for rk in self.each_rank():
+            mine = np.flatnonzero(owner == rk.r)
+            g2l = np.full(self.mesh.n_cells, -1, dtype=np.int64)
+            g2l[rk.rm.cells_global] = np.arange(rk.rm.cells_global.size)
+            sl = rk.parts.add_particles(mine.size,
+                                        cell_indices=g2l[cells[mine]])
+            rk.pos.data[sl] = offsets[mine]
+            rk.vel.data[sl] = vel[mine]
+            rk.w.data[sl] = self.cfg.weight
+            rk.parts.end_injection()
 
     # -- kernels -------------------------------------------------------------------
 
     def interpolate(self) -> None:
-        st = self.stencil
-        par_loop(k.interpolate_kernel, "Interpolate", self.cells,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.interp, OPP_WRITE),
-                 arg_dat(self.e, OPP_READ),
-                 arg_dat(self.b, OPP_READ),
-                 arg_dat(self.e, _S["XP"], st, OPP_READ),
-                 arg_dat(self.e, _S["YP"], st, OPP_READ),
-                 arg_dat(self.e, _S["ZP"], st, OPP_READ),
-                 arg_dat(self.e, _S["YPZP"], st, OPP_READ),
-                 arg_dat(self.e, _S["XPZP"], st, OPP_READ),
-                 arg_dat(self.e, _S["XPYP"], st, OPP_READ),
-                 arg_dat(self.b, _S["XP"], st, OPP_READ),
-                 arg_dat(self.b, _S["YP"], st, OPP_READ),
-                 arg_dat(self.b, _S["ZP"], st, OPP_READ))
+        for rk in self.each_rank():
+            st = rk.stencil
+            par_loop(k.interpolate_kernel, "Interpolate", rk.cells,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.interp, OPP_WRITE),
+                     arg_dat(rk.e, OPP_READ),
+                     arg_dat(rk.b, OPP_READ),
+                     arg_dat(rk.e, _S["XP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["YP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["ZP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["YPZP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["XPZP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["XPYP"], st, OPP_READ),
+                     arg_dat(rk.b, _S["XP"], st, OPP_READ),
+                     arg_dat(rk.b, _S["YP"], st, OPP_READ),
+                     arg_dat(rk.b, _S["ZP"], st, OPP_READ))
 
     def push(self) -> None:
         """Run the configured alternative pusher (paper §2) as its own
         particle loop; the fused Move_Deposit then only walks/deposits
         (its Boris block is guarded by the ``pushed`` flag)."""
-        par_loop(k.PUSHERS[self.cfg.pusher], "PushParticles", self.parts,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.pos, OPP_READ),
-                 arg_dat(self.disp, OPP_WRITE),
-                 arg_dat(self.vel, OPP_RW),
-                 arg_dat(self.pushed, OPP_WRITE),
-                 arg_dat(self.interp, self.p2c, OPP_READ))
+        for rk in self.each_rank():
+            par_loop(k.PUSHERS[self.cfg.pusher], "PushParticles", rk.parts,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.pos, OPP_READ),
+                     arg_dat(rk.disp, OPP_WRITE),
+                     arg_dat(rk.vel, OPP_RW),
+                     arg_dat(rk.pushed, OPP_WRITE),
+                     arg_dat(rk.interp, rk.p2c, OPP_READ))
 
-    def move_deposit(self):
-        self.pushed.data[:] = 0.0   # new step: every particle gets pushed
+    @staticmethod
+    def _walk_args(rk: Rank) -> list:
+        return [arg_dat(rk.pos, OPP_RW),
+                arg_dat(rk.disp, OPP_RW),
+                arg_dat(rk.vel, OPP_RW),
+                arg_dat(rk.w, OPP_READ),
+                arg_dat(rk.pushed, OPP_RW),
+                arg_dat(rk.interp, rk.p2c, OPP_READ)]
+
+    def move_deposit(self) -> list:
+        for rk in self.each_rank():
+            rk.pushed.data[:] = 0.0   # new step: every particle gets pushed
         if self.cfg.pusher != "boris":
             self.push()
         if self.cfg.fuse_move:
             # runtime-fused variant: the walk kernel emits each hop's
             # segment current into ``seg`` and the runtime fires the
             # deposit kernel per frontier round against the crossed cell
-            return particle_move(k.move_walk_kernel, "Move_Deposit",
-                                 self.parts, self.faces, self.p2c,
-                                 arg_dat(self.pos, OPP_RW),
-                                 arg_dat(self.disp, OPP_RW),
-                                 arg_dat(self.vel, OPP_RW),
-                                 arg_dat(self.w, OPP_READ),
-                                 arg_dat(self.pushed, OPP_RW),
-                                 arg_dat(self.interp, self.p2c, OPP_READ),
-                                 arg_dat(self.seg, OPP_WRITE),
-                                 deposit_kernel=k.deposit_current_kernel,
-                                 deposit_args=(
-                                     arg_dat(self.seg, OPP_READ),
-                                     arg_dat(self.acc, self.p2c, OPP_INC)),
-                                 deposit_when="hop")
-        return particle_move(k.move_deposit_kernel, "Move_Deposit",
-                             self.parts, self.faces, self.p2c,
-                             arg_dat(self.pos, OPP_RW),
-                             arg_dat(self.disp, OPP_RW),
-                             arg_dat(self.vel, OPP_RW),
-                             arg_dat(self.w, OPP_READ),
-                             arg_dat(self.pushed, OPP_RW),
-                             arg_dat(self.interp, self.p2c, OPP_READ),
-                             arg_dat(self.acc, self.p2c, OPP_INC))
+            return self.move_particles(
+                k.move_walk_kernel, "Move_Deposit", "faces",
+                lambda rk: self._walk_args(rk)
+                + [arg_dat(rk.seg, OPP_WRITE)],
+                lambda rk: MoveDeposit(
+                    k.deposit_current_kernel,
+                    (arg_dat(rk.seg, OPP_READ),
+                     arg_dat(rk.acc, rk.p2c, OPP_INC)), when="hop"))
+        return self.move_particles(
+            k.move_deposit_kernel, "Move_Deposit", "faces",
+            lambda rk: self._walk_args(rk)
+            + [arg_dat(rk.acc, rk.p2c, OPP_INC)])
 
     def accumulate_current(self) -> None:
-        par_loop(k.accumulate_current_kernel, "AccumulateCurrent",
-                 self.cells, OPP_ITERATE_ALL,
-                 arg_dat(self.j, OPP_WRITE),
-                 arg_dat(self.acc, OPP_RW))
+        for rk in self.each_rank():
+            par_loop(k.accumulate_current_kernel, "AccumulateCurrent",
+                     rk.cells, OPP_ITERATE_ALL,
+                     arg_dat(rk.j, OPP_WRITE),
+                     arg_dat(rk.acc, OPP_RW))
 
     def advance_b(self) -> None:
-        st = self.stencil
-        par_loop(k.advance_b_kernel, "AdvanceB", self.cells,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.b, OPP_RW),
-                 arg_dat(self.e, OPP_READ),
-                 arg_dat(self.e, _S["XP"], st, OPP_READ),
-                 arg_dat(self.e, _S["YP"], st, OPP_READ),
-                 arg_dat(self.e, _S["ZP"], st, OPP_READ))
+        for rk in self.each_rank():
+            st = rk.stencil
+            par_loop(k.advance_b_kernel, "AdvanceB", rk.cells,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.b, OPP_RW),
+                     arg_dat(rk.e, OPP_READ),
+                     arg_dat(rk.e, _S["XP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["YP"], st, OPP_READ),
+                     arg_dat(rk.e, _S["ZP"], st, OPP_READ))
 
     def advance_e(self) -> None:
-        st = self.stencil
-        par_loop(k.advance_e_kernel, "AdvanceE", self.cells,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.e, OPP_RW),
-                 arg_dat(self.b, OPP_READ),
-                 arg_dat(self.b, _S["XM"], st, OPP_READ),
-                 arg_dat(self.b, _S["YM"], st, OPP_READ),
-                 arg_dat(self.b, _S["ZM"], st, OPP_READ),
-                 arg_dat(self.j, OPP_READ))
+        for rk in self.each_rank():
+            st = rk.stencil
+            par_loop(k.advance_e_kernel, "AdvanceE", rk.cells,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.e, OPP_RW),
+                     arg_dat(rk.b, OPP_READ),
+                     arg_dat(rk.b, _S["XM"], st, OPP_READ),
+                     arg_dat(rk.b, _S["YM"], st, OPP_READ),
+                     arg_dat(rk.b, _S["ZM"], st, OPP_READ),
+                     arg_dat(rk.j, OPP_READ))
 
-    def energies(self) -> tuple:
-        self.e_energy.data[0] = 0.0
-        self.b_energy.data[0] = 0.0
-        par_loop(k.energy_kernel, "EnergyE", self.cells, OPP_ITERATE_ALL,
-                 arg_dat(self.e, OPP_READ), arg_gbl(self.e_energy, OPP_INC))
-        par_loop(k.energy_kernel, "EnergyB", self.cells, OPP_ITERATE_ALL,
-                 arg_dat(self.b, OPP_READ), arg_gbl(self.b_energy, OPP_INC))
-        return float(self.e_energy.value), float(self.b_energy.value)
+    def energies(self) -> List[Optional[Tuple[float, float]]]:
+        """Each resident rank's share of the (E, B) field energies."""
+        shares: List[Optional[Tuple[float, float]]] = [None] * self.nranks
+        for rk in self.each_rank():
+            rk.e_energy.data[0] = 0.0
+            rk.b_energy.data[0] = 0.0
+            par_loop(k.energy_kernel, "EnergyE", rk.cells, OPP_ITERATE_ALL,
+                     arg_dat(rk.e, OPP_READ), arg_gbl(rk.e_energy, OPP_INC))
+            par_loop(k.energy_kernel, "EnergyB", rk.cells, OPP_ITERATE_ALL,
+                     arg_dat(rk.b, OPP_READ), arg_gbl(rk.b_energy, OPP_INC))
+            shares[rk.r] = (float(rk.e_energy.value),
+                            float(rk.b_energy.value))
+        return shares
 
     # -- main loop -----------------------------------------------------------------
 
     def step(self) -> None:
-        with push_context(self.ctx):
-            self.interpolate()
-            self.move_deposit()
-            self.accumulate_current()
-            self.advance_b()
-            self.advance_e()
-            self.advance_b()
-            ee, be = self.energies()
+        self.push_cells("e", "b")
+        self.interpolate()
+        self.move_deposit()
+        # current deposited into halo cells a particle crossed before it
+        # paused for migration belongs to their owners
+        self.reduce_cells("acc")
+        self.accumulate_current()
+        self.advance_b()
+        self.push_cells("b")
+        self.advance_e()
+        self.push_cells("e")
+        self.advance_b()
+        shares = self.energies()
         self.step_count += 1
-        self.history["e_energy"].append(ee)
-        self.history["b_energy"].append(be)
-
-    def run(self, n_steps: Optional[int] = None) -> dict:
-        steps = n_steps if n_steps is not None else self.cfg.n_steps
-        mode = getattr(self.cfg, "program", "off")
-        if mode != "off":
-            from repro import program as program_mod
-            if self.program is None:
-                self.program = program_mod.Program(mode)
-            with program_mod.record(mode=mode, program=self.program):
-                for _ in range(steps):
-                    self.step()
-        else:
-            for _ in range(steps):
-                self.step()
-        return self.history
+        (ee, be), _ = self.diagnostics(lambda rk: shares[rk.r])
+        self.history["e_energy"].append(float(ee))
+        self.history["b_energy"].append(float(be))

@@ -1,28 +1,38 @@
-"""Mini-FEM-PIC: single-node simulation driver built on the OP-PIC API.
+"""Mini-FEM-PIC on the OP-PIC API, written once for 1..N ranks.
 
 An electrostatic 3-D unstructured FEM PIC in a duct: ions are injected at
 a constant rate from the inlet faces, drift under the self-consistent
 field (nonlinear Poisson with Boltzmann electrons, Newton + KSP), deposit
 charge to mesh nodes through the particle→cell→node double indirection,
 and are removed at boundary faces.
+
+:class:`FemPicSimulation` is the one-rank case of the definition below;
+:class:`~repro.apps.fempic.distributed.DistributedFemPic` runs the same
+declaration and step with the duct cut into slabs along z, the direction
+the ions travel (paper §3.2: flat MPI).  The nonlinear Poisson solve
+gathers the (small) node system to rank 0 — the stand-in for the PETSc
+distributed KSP, its traffic ledgered apart from PIC traffic.
 """
 from __future__ import annotations
 
 import time
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
-                            OPP_READ, OPP_RW, OPP_WRITE, Context, arg_dat,
-                            arg_gbl, decl_const, decl_dat, decl_global,
-                            decl_map, decl_particle_set, decl_set, par_loop,
-                            particle_move, push_context)
+                            OPP_READ, OPP_RW, OPP_WRITE, arg_dat, arg_gbl,
+                            decl_const, decl_dat, decl_global, decl_map,
+                            decl_particle_set, decl_set, par_loop,
+                            push_context)
+from repro.core.move import MoveDeposit
 from repro.fem import DirichletSystem, NewtonSystem, build_stiffness, \
     lumped_node_volumes
 from repro.mesh import StructuredOverlay, duct_mesh
-from repro.runtime.dh import direct_hop_assign
+from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
+from repro.runtime.ranked import Rank, RankedApp
+from repro.util.checkpoint import rng_state_array, set_rng_state
 
 from . import kernels as k
 from .config import FemPicConfig
@@ -55,13 +65,17 @@ class InletTable(NamedTuple):
     nudge: float        #: axial offset that puts a sample inside the duct
 
 
+def _face_areas(tri: np.ndarray) -> np.ndarray:
+    return 0.5 * np.linalg.norm(
+        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+
+
 def inlet_table(points: np.ndarray, face_nodes: np.ndarray,
                 face_cells: np.ndarray, lz: float) -> InletTable:
     """Table for the faces with corner nodes ``face_nodes (nfaces, 3)``
     owned by ``face_cells``; an empty face set gives an empty table."""
     tri = points[face_nodes]
-    areas = 0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    areas = _face_areas(tri)
     area = areas.sum()
     # the CDF ``Generator.choice(p=areas / area)`` would build per call
     cdf = (areas / area).cumsum()
@@ -96,15 +110,30 @@ def sample_inlet_positions(table: InletTable, count: int,
     return pos, table.cells[pick]
 
 
-class FemPicSimulation:
-    """Declares the mesh/particles through the DSL and advances the PIC
-    loop; works unchanged on every backend."""
+class FemPicSimulation(RankedApp):
+    """Declares each rank's mesh and particles through the DSL and
+    advances the PIC loop; works unchanged on every backend and at every
+    rank count (this class fixes it at one)."""
+
+    part_dats = ("pos", "vel", "lc")
+    #: ef is read by CalcPosVel before the step recomputes it; phi is the
+    #: field every restore must bring back.  nw/ncd are rebuilt from the
+    #: particles before anything reads them (and nw's ghost rows must be
+    #: zero when a deposit starts, which a migrated copy would break)
+    cell_dats = ("ef",)
+    node_dats = ("phi",)
 
     def __init__(self, config: Optional[FemPicConfig] = None):
-        self.cfg = config or FemPicConfig()
-        cfg = self.cfg
-        self.rng = np.random.default_rng(cfg.seed)
-        self.ctx = Context(cfg.backend, **cfg.backend_options)
+        self._build(config or FemPicConfig(), SimComm(1),
+                    "principal_direction", None)
+
+    # -- setup -------------------------------------------------------------------
+
+    def _build(self, cfg: FemPicConfig, comm, partition_method: str,
+               ranks_per_node: Optional[int]) -> None:
+        self.cfg = cfg
+        if cfg.move_strategy not in ("mh", "dh"):
+            raise ValueError(f"unknown move strategy {cfg.move_strategy!r}")
         if cfg.mesh_file:
             from repro.mesh.io import load_mesh
             self._mesh_key = ("fempic_mesh_file", str(cfg.mesh_file))
@@ -117,98 +146,130 @@ class FemPicSimulation:
                 self._mesh_key,
                 lambda: duct_mesh(cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly,
                                   cfg.lz))
-        faces = self.mesh.tags["inlet_faces"]
-        self.inlet = get_or_build(
-            ("fempic_inlet",) + self._mesh_key,
-            lambda: inlet_table(self.mesh.points, faces[:, 2:], faces[:, 0],
-                                self.mesh.tags["extent"][2]))
-        self._declare_constants()
-        self._declare_sets_and_data()
+        mesh = self.gmesh = self.mesh
+        # constants are global (decl_const) — same values on every rank
+        declare_fempic_constants(cfg)
+        self.nvol_global = get_or_build(
+            ("fempic_nvol",) + self._mesh_key,
+            lambda: lumped_node_volumes(mesh.points, mesh.cell2node))
+        #: area of the whole inlet; a rank injects its faces' share of it
+        self.inlet_area = get_or_build(
+            ("fempic_inlet_area",) + self._mesh_key,
+            lambda: _face_areas(
+                mesh.points[mesh.tags["inlet_faces"][:, 2:]]).sum())
+        # one injection (and collision) stream per rank; rank 0's is the
+        # single-rank stream, so a partition that leaves the inlet on
+        # rank 0 injects the very same ions
+        self.rngs = [np.random.default_rng(cfg.seed + 1000 * r)
+                     for r in range(comm.nranks)]
+        self._collision_rngs = [
+            np.random.default_rng(cfg.seed + 99 + 1000 * r)
+            for r in range(comm.nranks)] \
+            if cfg.collision_frequency > 0.0 else []
+        self._inject_carry: List[float] = [0.0] * comm.nranks
+        # z layers of the duct; a mesh file's are the planes its nodes lie on
+        nz = np.unique(mesh.points[:, 2]).size - 1 if cfg.mesh_file \
+            else cfg.nz
+        self._partition(comm, partition_method, self._mesh_key,
+                        centroids=mesh.centroids, c2c=mesh.c2c,
+                        c2n=mesh.cell2node, axis=2,
+                        layers=(mesh.tags["extent"][2], nz),
+                        ranks_per_node=ranks_per_node)
         self._setup_field_solver()
-        self.overlay = None
         if cfg.move_strategy == "dh":
-            self.overlay = StructuredOverlay.build(self.mesh,
-                                                   cfg.overlay_bins)
-        elif cfg.move_strategy != "mh":
-            raise ValueError(f"unknown move strategy {cfg.move_strategy!r}")
-        self.collisions = None
-        if cfg.collision_frequency > 0.0:
-            from repro.field.collisions import MCCollisions
-            self.collisions = MCCollisions(self.parts, self.vel,
-                                           cfg.collision_frequency,
-                                           cfg.dt, seed=cfg.seed + 99)
-        self._inject_carry = 0.0
+            self.use_direct_hop(StructuredOverlay.build(mesh,
+                                                        cfg.overlay_bins))
         self.step_count = 0
-        #: the Program accumulated by run() when cfg.program != "off"
-        self.program = None
         self.history = {"n_particles": [], "field_energy": [],
                         "max_phi": [], "injected": [], "removed": []}
 
-    # -- setup -------------------------------------------------------------------
+    @property
+    def rng(self) -> np.random.Generator:
+        """Rank 0's stream: seeding and (with the inlet on rank 0, as
+        the default partition leaves it) all injection draw from it."""
+        return self.rngs[0]
 
-    def _declare_constants(self) -> None:
-        declare_fempic_constants(self.cfg)
+    def _declare(self, rk: Rank) -> None:
+        mesh, rm = self.mesh, rk.rm
+        cg, ng = rm.cells_global, rm.nodes_global
+        rk.cells = decl_set(rm.n_local_cells, "cells")
+        rk.cells.owned_size = rm.n_owned_cells
+        rk.nodes = decl_set(rm.n_local_nodes, "nodes")
+        rk.nodes.owned_size = rm.n_owned_nodes
+        rk.parts = decl_particle_set(rk.cells, 0, "ions")
 
-    def _declare_sets_and_data(self) -> None:
-        mesh = self.mesh
-        self.cells = decl_set(mesh.n_cells, "cells")
-        self.nodes = decl_set(mesh.n_nodes, "nodes")
-        self.parts = decl_particle_set(self.cells, 0, "ions")
+        rk.c2n = decl_map(rk.cells, rk.nodes, 4, rm.local_c2n,
+                          "cell_to_nodes")
+        rk.c2c = decl_map(rk.cells, rk.cells, 4, rm.local_c2c,
+                          "cell_to_cells")
+        rk.p2c = decl_map(rk.parts, rk.cells, 1, None, "particle_to_cell")
 
-        self.c2n = decl_map(self.cells, self.nodes, 4, mesh.cell2node,
-                            "cell_to_nodes")
-        self.c2c = decl_map(self.cells, self.cells, 4, mesh.c2c,
-                            "cell_to_cells")
-        self.p2c = decl_map(self.parts, self.cells, 1, None,
-                            "particle_to_cell")
+        rk.ef = decl_dat(rk.cells, 3, np.float64, None, "electric_field")
+        rk.xform = decl_dat(rk.cells, 12, np.float64, mesh.xforms[cg],
+                            "cell_xform")
+        rk.gradm = decl_dat(rk.cells, 12, np.float64,
+                            mesh.grads.reshape(-1, 12)[cg], "shape_deriv")
+        rk.cvol = decl_dat(rk.cells, 1, np.float64, mesh.volumes[cg],
+                           "cell_volume")
 
-        self.ef = decl_dat(self.cells, 3, np.float64, None, "electric_field")
-        self.xform = decl_dat(self.cells, 12, np.float64, mesh.xforms,
-                              "cell_xform")
-        self.gradm = decl_dat(self.cells, 12, np.float64,
-                              mesh.grads.reshape(-1, 12), "shape_deriv")
-        self.cvol = decl_dat(self.cells, 1, np.float64, mesh.volumes,
-                             "cell_volume")
+        rk.phi = decl_dat(rk.nodes, 1, np.float64, None, "node_potential")
+        rk.nw = decl_dat(rk.nodes, 1, np.float64, None, "node_charge")
+        rk.ncd = decl_dat(rk.nodes, 1, np.float64, None, "charge_density")
+        rk.nvol = decl_dat(rk.nodes, 1, np.float64, self.nvol_global[ng],
+                           "node_volume")
 
-        self.phi = decl_dat(self.nodes, 1, np.float64, None,
-                            "node_potential")
-        self.nw = decl_dat(self.nodes, 1, np.float64, None, "node_charge")
-        self.ncd = decl_dat(self.nodes, 1, np.float64, None,
-                            "charge_density")
-        self.kphi = decl_dat(self.nodes, 1, np.float64, None,
-                             "stiffness_action")
-        self.f1 = decl_dat(self.nodes, 1, np.float64, None, "f1_vector")
-        self.jdiag = decl_dat(self.nodes, 1, np.float64, None, "j_diag")
-        self.nvol = decl_dat(self.nodes, 1, np.float64,
-                             get_or_build(
-                                 ("fempic_nvol",) + self._mesh_key,
-                                 lambda: lumped_node_volumes(
-                                     mesh.points, mesh.cell2node)),
-                             "node_volume")
+        rk.pos = decl_dat(rk.parts, 3, np.float64, None, "position")
+        rk.vel = decl_dat(rk.parts, 3, np.float64, None, "velocity")
+        rk.lc = decl_dat(rk.parts, 4, np.float64, None, "weights")
 
-        self.pos = decl_dat(self.parts, 3, np.float64, None, "position")
-        self.vel = decl_dat(self.parts, 3, np.float64, None, "velocity")
-        self.lc = decl_dat(self.parts, 4, np.float64, None, "weights")
+        rk.energy = decl_global(1, np.float64, name="field_energy")
 
-        self.energy = decl_global(1, np.float64, name="field_energy")
+        def own_inlet():
+            # the inlet faces whose owning cell this rank owns
+            faces = mesh.tags["inlet_faces"]
+            g2l = np.full(mesh.n_cells, -1, dtype=np.int64)
+            g2l[cg] = np.arange(cg.size)
+            local = g2l[faces[:, 0]]
+            mine = np.flatnonzero((local >= 0)
+                                  & (local < rm.n_owned_cells))
+            return inlet_table(mesh.points, faces[mine, 2:], local[mine],
+                               mesh.tags["extent"][2])
+
+        rk.inlet = self._rank_product(rk, "fempic_inlet", own_inlet)
+        rk.collisions = None
+        if self._collision_rngs:
+            from repro.field.collisions import MCCollisions
+            rk.collisions = MCCollisions(
+                rk.parts, rk.vel, self.cfg.collision_frequency,
+                self.cfg.dt, rng=self._collision_rngs[rk.r])
 
     def _setup_field_solver(self) -> None:
-        cfg = self.cfg
-        mesh = self.mesh
-        self.K = get_or_build(
-            ("fempic_stiffness",) + self._mesh_key,
-            lambda: build_stiffness(mesh.points, mesh.cell2node))
-        dn = np.concatenate([mesh.tags["inlet_nodes"],
-                             mesh.tags["wall_nodes"]])
-        dv = np.concatenate([
-            np.full(len(mesh.tags["inlet_nodes"]), cfg.inlet_potential),
-            np.full(len(mesh.tags["wall_nodes"]), cfg.wall_potential)])
-        order = np.argsort(dn)
-        self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
-        self.newton = NewtonSystem(self.dirichlet.k_ff, rtol=cfg.ksp_rtol)
-        self.phi.data[:, 0] = 0.0
-        self.phi.data[self.dirichlet.dirichlet_nodes, 0] = \
-            self.dirichlet.dirichlet_values
+        """Rank 0 holds the Newton system over the whole node vector."""
+        cfg, mesh = self.cfg, self.mesh
+        self.K = self.dirichlet = self.newton = None
+        s = self.solver = self.solver_nodes(mesh.n_nodes, phi=None, nw=None,
+                                            nvol=self.nvol_global)
+        if s is not None:
+            s.kphi = decl_dat(s.nodes, 1, np.float64, None,
+                              "stiffness_action")
+            s.f1 = decl_dat(s.nodes, 1, np.float64, None, "f1_vector")
+            s.jdiag = decl_dat(s.nodes, 1, np.float64, None, "j_diag")
+            self.K = get_or_build(
+                ("fempic_stiffness",) + self._mesh_key,
+                lambda: build_stiffness(mesh.points, mesh.cell2node))
+            dn = np.concatenate([mesh.tags["inlet_nodes"],
+                                 mesh.tags["wall_nodes"]])
+            dv = np.concatenate([
+                np.full(len(mesh.tags["inlet_nodes"]), cfg.inlet_potential),
+                np.full(len(mesh.tags["wall_nodes"]), cfg.wall_potential)])
+            order = np.argsort(dn)
+            self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
+            self.newton = NewtonSystem(self.dirichlet.k_ff,
+                                       rtol=cfg.ksp_rtol)
+            s.phi.data[:, 0] = 0.0
+            s.phi.data[self.dirichlet.dirichlet_nodes, 0] = \
+                self.dirichlet.dirichlet_values
+        self.scatter_nodes(s.phi if s else None, "phi")
 
     def seed_uniform_plasma(self, ppc: int) -> int:
         """Pre-fill the duct with ``ppc`` ions per cell (uniform within
@@ -216,179 +277,235 @@ class FemPicSimulation:
 
         The paper's single-node runs report an *average* of ~70M particles
         in flight; seeding lets benchmarks reach that regime without
-        simulating the fill transient.
+        simulating the fill transient.  The barycentric draws are taken
+        in *global* cell order from rank 0's stream (every process holds
+        a copy of it), so the seeded plasma is the same particle set —
+        and leaves the injection stream at the same position — at every
+        rank count.
         """
         mesh = self.mesh
-        n = mesh.n_cells * ppc
-        cells = np.repeat(np.arange(mesh.n_cells), ppc)
-        lam = self.rng.dirichlet(np.ones(4), size=n)
-        verts = mesh.points[mesh.cell2node[cells]]       # (n, 4, 3)
-        pos = np.einsum("ni,nid->nd", lam, verts)
-        sl = self.parts.add_particles(n, cell_indices=cells)
-        self.pos.data[sl] = pos
-        self.vel.data[sl] = [0.0, 0.0, self.cfg.injection_velocity]
-        self.lc.data[sl] = lam
-        self.parts.end_injection()
-        return n
+        lam_global = self.rng.dirichlet(
+            np.ones(4), size=mesh.n_cells * ppc).reshape(mesh.n_cells,
+                                                         ppc, 4)
+        for rk in self.each_rank():
+            owned = rk.rm.cells_global[: rk.rm.n_owned_cells]
+            n = owned.size * ppc
+            sl = rk.parts.add_particles(
+                n, cell_indices=np.repeat(np.arange(owned.size), ppc))
+            rk.lc.data[sl] = lam_global[owned].reshape(n, 4)
+            verts = np.repeat(mesh.points[mesh.cell2node[owned]], ppc,
+                              axis=0)                      # (n, 4, 3)
+            rk.pos.data[sl] = np.einsum("ni,nid->nd", rk.lc.data[sl], verts)
+            rk.vel.data[sl] = [0.0, 0.0, self.cfg.injection_velocity]
+            rk.parts.end_injection()
+        return mesh.n_cells * ppc
 
     # -- PIC steps ---------------------------------------------------------------
 
-    def inject(self) -> int:
-        """Constant-rate one-stream injection from the inlet faces."""
-        want = self.cfg.injection_rate + self._inject_carry
-        count = int(want)
-        self._inject_carry = want - count
-        self.parts.begin_injection()
-        if count == 0:
-            self.parts.end_injection()
-            return 0
-        pos, cells = sample_inlet_positions(self.inlet, count, self.rng)
-        sl = self.parts.add_particles(count, cell_indices=cells)
-        self.pos.data[sl] = pos
-        par_loop(k.init_injected_kernel, "InjectIons", self.parts,
+    def inject(self) -> List[int]:
+        """Constant-rate one-stream injection: every rank feeds the
+        inlet faces it owns, from its own stream, at its share of the
+        rate.  Returns the count injected per rank."""
+        cfg = self.cfg
+        counts = [0] * self.nranks
+        for rk in self.each_rank():
+            rk.parts.begin_injection()
+            if rk.inlet.cdf.size:
+                want = cfg.injection_rate \
+                    * (rk.inlet.area / self.inlet_area) \
+                    + self._inject_carry[rk.r]
+                counts[rk.r] = count = int(want)
+                self._inject_carry[rk.r] = want - count
+                if count:
+                    self._inject_on(rk, count)
+            rk.parts.end_injection()
+        return counts
+
+    def _inject_on(self, rk: Rank, count: int) -> None:
+        cfg, rng = self.cfg, self.rngs[rk.r]
+        pos, cells = sample_inlet_positions(rk.inlet, count, rng)
+        sl = rk.parts.add_particles(count, cell_indices=cells)
+        rk.pos.data[sl] = pos
+        par_loop(k.init_injected_kernel, "InjectIons", rk.parts,
                  OPP_ITERATE_INJECTED,
-                 arg_dat(self.vel, OPP_WRITE),
-                 arg_dat(self.lc, OPP_WRITE))
-        if self.cfg.injection_temperature > 0.0:
+                 arg_dat(rk.vel, OPP_WRITE),
+                 arg_dat(rk.lc, OPP_WRITE))
+        if cfg.injection_temperature > 0.0:
             # drifting Maxwellian: thermal spread on top of the kernel's
             # cold one-stream drift (host-side draws, like the positions)
-            vth = np.sqrt(self.cfg.injection_temperature
-                          / self.cfg.ion_mass)
-            self.vel.data[sl] += self.rng.normal(0.0, vth, size=(count, 3))
+            vth = np.sqrt(cfg.injection_temperature / cfg.ion_mass)
+            rk.vel.data[sl] += rng.normal(0.0, vth, size=(count, 3))
             # never inject *out* of the duct
-            self.vel.data[sl.start:sl.stop, 2] = np.abs(
-                self.vel.data[sl.start:sl.stop, 2])
-        self.parts.end_injection()
-        return count
+            rk.vel.data[sl.start:sl.stop, 2] = np.abs(
+                rk.vel.data[sl.start:sl.stop, 2])
 
     def calc_pos_vel(self) -> None:
-        par_loop(k.calc_pos_vel_kernel, "CalcPosVel", self.parts,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.ef, self.p2c, OPP_READ),
-                 arg_dat(self.pos, OPP_RW),
-                 arg_dat(self.vel, OPP_RW))
+        for rk in self.each_rank():
+            par_loop(k.calc_pos_vel_kernel, "CalcPosVel", rk.parts,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.ef, rk.p2c, OPP_READ),
+                     arg_dat(rk.pos, OPP_RW),
+                     arg_dat(rk.vel, OPP_RW))
 
-    def _deposit_args(self):
-        return (arg_dat(self.lc, OPP_READ),
-                arg_dat(self.nw, 0, self.c2n, self.p2c, OPP_INC),
-                arg_dat(self.nw, 1, self.c2n, self.p2c, OPP_INC),
-                arg_dat(self.nw, 2, self.c2n, self.p2c, OPP_INC),
-                arg_dat(self.nw, 3, self.c2n, self.p2c, OPP_INC))
+    @staticmethod
+    def _deposit_args(rk: Rank):
+        return (arg_dat(rk.lc, OPP_READ),
+                arg_dat(rk.nw, 0, rk.c2n, rk.p2c, OPP_INC),
+                arg_dat(rk.nw, 1, rk.c2n, rk.p2c, OPP_INC),
+                arg_dat(rk.nw, 2, rk.c2n, rk.p2c, OPP_INC),
+                arg_dat(rk.nw, 3, rk.c2n, rk.p2c, OPP_INC))
 
-    def move(self):
-        if self.overlay is not None:
-            direct_hop_assign(self.overlay, self.parts, self.pos, self.p2c)
-        fused = {}
+    @staticmethod
+    def _reset_node_charge(rk: Rank) -> None:
+        # owned rows only: ghost rows are zero between deposits, the
+        # reduce that completes one leaves them so
+        par_loop(k.reset_node_charge_kernel, "ResetNodeCharge", rk.nodes,
+                 OPP_ITERATE_ALL, arg_dat(rk.nw, OPP_WRITE))
+
+    def move(self) -> list:
+        """Relocate (and migrate) every ion; returns the per-rank move
+        results."""
+        self.direct_hop()
+        deposit = None
         if self.cfg.fuse_move:
             # the deposit lands inside the move, so the accumulator must
             # be reset *before* particles start settling
-            par_loop(k.reset_node_charge_kernel, "ResetNodeCharge",
-                     self.nodes, OPP_ITERATE_ALL,
-                     arg_dat(self.nw, OPP_WRITE))
-            fused = {"deposit_kernel": k.deposit_charge_kernel,
-                     "deposit_args": self._deposit_args(),
-                     "deposit_when": "done"}
-        return particle_move(k.move_kernel, "Move", self.parts, self.c2c,
-                             self.p2c,
-                             arg_dat(self.pos, OPP_READ),
-                             arg_dat(self.lc, OPP_WRITE),
-                             arg_dat(self.xform, self.p2c, OPP_READ),
-                             **fused)
+            for rk in self.each_rank():
+                self._reset_node_charge(rk)
+            deposit = (lambda rk: MoveDeposit(k.deposit_charge_kernel,
+                                              self._deposit_args(rk),
+                                              when="done"))
+        return self.move_particles(
+            k.move_kernel, "Move", "c2c",
+            lambda rk: (arg_dat(rk.pos, OPP_READ),
+                        arg_dat(rk.lc, OPP_WRITE),
+                        arg_dat(rk.xform, rk.p2c, OPP_READ)),
+            deposit)
 
     def deposit(self) -> None:
         if not self.cfg.fuse_move:
-            par_loop(k.reset_node_charge_kernel, "ResetNodeCharge",
-                     self.nodes, OPP_ITERATE_ALL,
-                     arg_dat(self.nw, OPP_WRITE))
-            par_loop(k.deposit_charge_kernel, "DepositCharge", self.parts,
-                     OPP_ITERATE_ALL, *self._deposit_args())
-        par_loop(k.compute_node_charge_density_kernel,
-                 "ComputeNodeChargeDensity", self.nodes, OPP_ITERATE_ALL,
-                 arg_dat(self.ncd, OPP_WRITE),
-                 arg_dat(self.nw, OPP_READ),
-                 arg_dat(self.nvol, OPP_READ))
+            for rk in self.each_rank():
+                self._reset_node_charge(rk)
+                par_loop(k.deposit_charge_kernel, "DepositCharge", rk.parts,
+                         OPP_ITERATE_ALL, *self._deposit_args(rk))
+        self.reduce_nodes("nw")
+        for rk in self.each_rank():
+            par_loop(k.compute_node_charge_density_kernel,
+                     "ComputeNodeChargeDensity", rk.nodes, OPP_ITERATE_ALL,
+                     arg_dat(rk.ncd, OPP_WRITE),
+                     arg_dat(rk.nw, OPP_READ),
+                     arg_dat(rk.nvol, OPP_READ))
 
     def field_solve(self) -> None:
-        """Newton iterations on the nonlinear Poisson system; each
-        iteration runs the ComputeJMatrix/ComputeF1Vector loops and one
-        KSP (CG) solve — the PETSc role."""
+        """Newton iterations on the nonlinear Poisson system, run by
+        rank 0 over the gathered node charge; each iteration runs the
+        ComputeJMatrix/ComputeF1Vector loops and one KSP (CG) solve —
+        the PETSc role."""
+        s = self.solver
+        self.gather_nodes("nw", s.nw if s else None)
+        if s is not None:
+            with push_context(s.ctx):
+                self._newton(s)
+        self.scatter_nodes(s.phi if s else None, "phi")
+
+    def _newton(self, s) -> None:
         free = self.dirichlet.free
         nnz = self.newton.a.nnz
         for _ in range(self.cfg.newton_iters):
-            self.kphi.data[:, 0] = self.K @ self.phi.data[:, 0]
+            s.kphi.data[:, 0] = self.K @ s.phi.data[:, 0]
             par_loop(k.compute_f1_vector_kernel, "ComputeF1Vector",
-                     self.nodes, OPP_ITERATE_ALL,
-                     arg_dat(self.f1, OPP_WRITE),
-                     arg_dat(self.kphi, OPP_READ),
-                     arg_dat(self.nw, OPP_READ),
-                     arg_dat(self.phi, OPP_READ),
-                     arg_dat(self.nvol, OPP_READ))
+                     s.nodes, OPP_ITERATE_ALL,
+                     arg_dat(s.f1, OPP_WRITE),
+                     arg_dat(s.kphi, OPP_READ),
+                     arg_dat(s.nw, OPP_READ),
+                     arg_dat(s.phi, OPP_READ),
+                     arg_dat(s.nvol, OPP_READ))
             par_loop(k.compute_j_matrix_kernel, "ComputeJMatrix",
-                     self.nodes, OPP_ITERATE_ALL,
-                     arg_dat(self.jdiag, OPP_WRITE),
-                     arg_dat(self.phi, OPP_READ),
-                     arg_dat(self.nvol, OPP_READ))
+                     s.nodes, OPP_ITERATE_ALL,
+                     arg_dat(s.jdiag, OPP_WRITE),
+                     arg_dat(s.phi, OPP_READ),
+                     arg_dat(s.nvol, OPP_READ))
             t0 = time.perf_counter()
-            result = self.newton.solve(self.jdiag.data[free, 0],
-                                       -self.f1.data[free, 0])
-            self.phi.data[free, 0] += result.x
+            result = self.newton.solve(s.jdiag.data[free, 0],
+                                       -s.f1.data[free, 0])
+            s.phi.data[free, 0] += result.x
             dt = time.perf_counter() - t0
-            self.ctx.perf.record_loop(
+            s.ctx.perf.record_loop(
                 "Solve", n=free.size, seconds=dt,
                 flops=2.0 * nnz * max(result.iterations, 1),
                 nbytes=12.0 * nnz * max(result.iterations, 1),
                 indirect_inc=False)
 
     def compute_electric_field(self) -> None:
-        par_loop(k.compute_electric_field_kernel, "ComputeElectricField",
-                 self.cells, OPP_ITERATE_ALL,
-                 arg_dat(self.ef, OPP_WRITE),
-                 arg_dat(self.gradm, OPP_READ),
-                 arg_dat(self.phi, 0, self.c2n, OPP_READ),
-                 arg_dat(self.phi, 1, self.c2n, OPP_READ),
-                 arg_dat(self.phi, 2, self.c2n, OPP_READ),
-                 arg_dat(self.phi, 3, self.c2n, OPP_READ))
+        for rk in self.each_rank():
+            par_loop(k.compute_electric_field_kernel,
+                     "ComputeElectricField", rk.cells, OPP_ITERATE_ALL,
+                     arg_dat(rk.ef, OPP_WRITE),
+                     arg_dat(rk.gradm, OPP_READ),
+                     arg_dat(rk.phi, 0, rk.c2n, OPP_READ),
+                     arg_dat(rk.phi, 1, rk.c2n, OPP_READ),
+                     arg_dat(rk.phi, 2, rk.c2n, OPP_READ),
+                     arg_dat(rk.phi, 3, rk.c2n, OPP_READ))
+        # a particle paused in a halo cell before the next move reads
+        # the field there
+        self.push_cells("ef")
 
-    def field_energy(self) -> float:
-        self.energy.data[0] = 0.0
-        par_loop(k.field_energy_kernel, "FieldEnergy", self.cells,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.ef, OPP_READ),
-                 arg_dat(self.cvol, OPP_READ),
-                 arg_gbl(self.energy, OPP_INC))
-        return float(self.energy.value) * self.cfg.eps0
+    def field_energy(self) -> List[Optional[float]]:
+        """Each resident rank's share of the field energy."""
+        shares: List[Optional[float]] = [None] * self.nranks
+        for rk in self.each_rank():
+            rk.energy.data[0] = 0.0
+            par_loop(k.field_energy_kernel, "FieldEnergy", rk.cells,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.ef, OPP_READ),
+                     arg_dat(rk.cvol, OPP_READ),
+                     arg_gbl(rk.energy, OPP_INC))
+            shares[rk.r] = float(rk.energy.value) * self.cfg.eps0
+        return shares
 
     # -- main loop ---------------------------------------------------------------
 
     def step(self) -> None:
-        with push_context(self.ctx):
-            injected = self.inject()
-            if self.collisions is not None:
-                self.collisions.apply()
-            self.calc_pos_vel()
-            res = self.move()
-            self.deposit()
-            self.field_solve()
-            self.compute_electric_field()
-            energy = self.field_energy()
+        injected = self.inject()
+        if self._collision_rngs:
+            for rk in self.each_rank():
+                rk.collisions.apply()
+        self.calc_pos_vel()
+        moved = self.move()
+        self.deposit()
+        self.field_solve()
+        self.compute_electric_field()
+        energy = self.field_energy()
         self.step_count += 1
-        self.history["n_particles"].append(self.parts.size)
-        self.history["field_energy"].append(energy)
-        self.history["max_phi"].append(float(self.phi.data.max()))
-        self.history["injected"].append(injected)
-        self.history["removed"].append(res.n_removed)
+        (total_energy, n, n_injected, n_removed), (max_phi,) = \
+            self.diagnostics(
+                lambda rk: (energy[rk.r], rk.parts.size, injected[rk.r],
+                            moved[rk.r].n_removed),
+                lambda rk: (rk.phi.data.max(),))
+        self.history["n_particles"].append(int(n))
+        self.history["field_energy"].append(float(total_energy))
+        self.history["max_phi"].append(float(max_phi))
+        self.history["injected"].append(int(n_injected))
+        self.history["removed"].append(int(n_removed))
 
-    def run(self, n_steps: Optional[int] = None) -> dict:
-        steps = n_steps if n_steps is not None else self.cfg.n_steps
-        mode = getattr(self.cfg, "program", "off")
-        if mode != "off":
-            from repro import program as program_mod
-            if self.program is None:
-                self.program = program_mod.Program(mode)
-            with program_mod.record(mode=mode, program=self.program):
-                for _ in range(steps):
-                    self.step()
-        else:
-            for _ in range(steps):
-                self.step()
-        return self.history
+    # -- snapshot extras (see repro.elastic.recover) -----------------------------
+
+    def _snapshot_extras(self, r: int) -> dict:
+        extras = {"rng": rng_state_array(self.rngs[r]),
+                  "carry": np.array([self._inject_carry[r]])}
+        if self._collision_rngs:
+            extras["collision_rng"] = rng_state_array(
+                self._collision_rngs[r])
+        if r == 0:
+            # rank 0's persistent Newton initial guess
+            extras["phi_global"] = self.solver.phi.data[:, 0].copy()
+        return extras
+
+    def _restore_extras(self, r: int, extras: dict) -> None:
+        set_rng_state(self.rngs[r], extras["rng"], "snapshot")
+        if self._collision_rngs:
+            set_rng_state(self._collision_rngs[r], extras["collision_rng"],
+                          "snapshot")
+        self._inject_carry[r] = float(extras["carry"][0])
+        if "phi_global" in extras:
+            self.solver.phi.data[:, 0] = extras["phi_global"]

@@ -1,19 +1,27 @@
-"""2-D sheet model: cold-plasma oscillation on a triangular mesh."""
+"""2-D sheet model: cold-plasma oscillation on a triangular mesh,
+written once for 1..N ranks.
+
+:class:`TwoDSheetModel` is the one-rank case; at N ranks
+(:class:`~repro.apps.twod.distributed.DistributedTwoD`) the box is cut
+into x slabs, the deposit is completed by a node-halo reduction,
+particles migrate during the move and rank 0 solves the gathered Poisson
+system (its traffic ledgered apart in ``solve_stats``).
+"""
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_RW,
-                            OPP_WRITE, Context, arg_dat, decl_const,
-                            decl_dat, decl_map, decl_particle_set,
-                            decl_set, par_loop, particle_move,
-                            push_context)
+                            OPP_WRITE, arg_dat, decl_const, decl_dat,
+                            decl_map, decl_particle_set, decl_set, par_loop)
 from repro.fem import DirichletSystem, KSPSolver
 from repro.mesh.tri import TriMesh, square_tri_mesh
+from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
+from repro.runtime.ranked import Rank, RankedApp
 
 from . import kernels as k
 from .config import TwoDConfig
@@ -44,15 +52,21 @@ def lumped_node_areas(mesh: TriMesh) -> np.ndarray:
                               mesh.n_nodes)
 
 
-class TwoDSheetModel:
+class TwoDSheetModel(RankedApp):
     """Electrons over a neutralizing background in a grounded box."""
 
+    #: every mesh field is recomputed before use each step; only the
+    #: particles carry state across steps
+    part_dats = ("pos", "vel", "lc")
+
     def __init__(self, config: Optional[TwoDConfig] = None):
-        self.cfg = cfg = config or TwoDConfig()
-        self.ctx = Context(cfg.backend, **cfg.backend_options)
+        self._build(config or TwoDConfig(), SimComm(1))
+
+    def _build(self, cfg: TwoDConfig, comm) -> None:
+        self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         mesh_key = ("twod_tri", cfg.nx, cfg.ny, cfg.lx, cfg.ly)
-        self.mesh = get_or_build(
+        mesh = self.mesh = self.gmesh = get_or_build(
             mesh_key,
             lambda: square_tri_mesh(cfg.nx, cfg.ny, cfg.lx, cfg.ly))
 
@@ -60,49 +74,63 @@ class TwoDSheetModel:
         decl_const("qm2", cfg.qe / cfg.me)
         decl_const("tol2", cfg.move_tolerance)
 
-        mesh = self.mesh
-        self.cells = decl_set(mesh.n_cells, "tri_cells")
-        self.nodes = decl_set(mesh.n_nodes, "tri_nodes")
-        self.parts = decl_particle_set(self.cells, 0, "electrons2d")
-        self.c2n = decl_map(self.cells, self.nodes, 3, mesh.cell2node,
-                            "tri_c2n")
-        self.c2c = decl_map(self.cells, self.cells, 3, mesh.c2c,
-                            "tri_c2c")
-        self.p2c = decl_map(self.parts, self.cells, 1, None, "tri_p2c")
+        self._partition(
+            comm, "principal_direction", mesh_key,
+            centroids=np.concatenate(
+                [mesh.centroids, np.zeros((mesh.n_cells, 1))], axis=1),
+            c2c=mesh.c2c, c2n=mesh.cell2node, axis=0,
+            layers=(cfg.lx, cfg.nx))
 
-        self.ef = decl_dat(self.cells, 2, np.float64, None, "e_field2d")
-        self.xform = decl_dat(self.cells, 6, np.float64, mesh.xforms,
-                              "tri_xform")
-        self.gradm = decl_dat(self.cells, 6, np.float64,
-                              mesh.grads.reshape(-1, 6), "tri_grads")
-        self.phi = decl_dat(self.nodes, 1, np.float64, None, "phi2d")
-        self.nw = decl_dat(self.nodes, 1, np.float64, None, "weights2d")
-        self.pos = decl_dat(self.parts, 2, np.float64, None, "pos2d")
-        self.vel = decl_dat(self.parts, 2, np.float64, None, "vel2d")
-        self.lc = decl_dat(self.parts, 3, np.float64, None, "lc2d")
-
-        self.K = get_or_build(("twod_stiffness",) + mesh_key,
-                              lambda: build_tri_stiffness(mesh))
-        self.node_areas = get_or_build(("twod_areas",) + mesh_key,
-                                       lambda: lumped_node_areas(mesh))
-        bnodes = mesh.tags["boundary_nodes"]
-        self.dirichlet = DirichletSystem(self.K, bnodes,
-                                         np.zeros(len(bnodes)))
-        self.ksp = KSPSolver(self.dirichlet.k_ff, pc="jacobi", rtol=1e-10)
-        #: background (ion) charge per node, exactly neutralizing the
-        #: undisplaced electron population
-        self.background = -cfg.qe * cfg.density * self.node_areas
+        # the gathered Poisson operator: only the solving rank needs it
+        self.K = self.dirichlet = self.ksp = self.background = None
+        self.solver = self.solver_nodes(mesh.n_nodes, phi=None, nw=None)
+        if self.solver is not None:
+            self.K = get_or_build(("twod_stiffness",) + mesh_key,
+                                  lambda: build_tri_stiffness(mesh))
+            self.node_areas = get_or_build(
+                ("twod_areas",) + mesh_key, lambda: lumped_node_areas(mesh))
+            bnodes = mesh.tags["boundary_nodes"]
+            self.dirichlet = DirichletSystem(self.K, bnodes,
+                                             np.zeros(len(bnodes)))
+            self.ksp = KSPSolver(self.dirichlet.k_ff, pc="jacobi",
+                                 rtol=1e-10)
+            #: background (ion) charge per node, exactly neutralizing
+            #: the undisplaced electron population
+            self.background = -cfg.qe * cfg.density * self.node_areas
 
         self._seed_displaced_slab()
         self.history = {"com_x": [], "field_energy": [],
                         "n_particles": []}
 
+    def _declare(self, rk: Rank) -> None:
+        mesh, rm = self.mesh, rk.rm
+        cg = rm.cells_global
+        rk.cells = decl_set(rm.n_local_cells, "tri_cells")
+        rk.cells.owned_size = rm.n_owned_cells
+        rk.nodes = decl_set(rm.n_local_nodes, "tri_nodes")
+        rk.nodes.owned_size = rm.n_owned_nodes
+        rk.parts = decl_particle_set(rk.cells, 0, "electrons2d")
+        rk.c2n = decl_map(rk.cells, rk.nodes, 3, rm.local_c2n, "tri_c2n")
+        rk.c2c = decl_map(rk.cells, rk.cells, 3, rm.local_c2c, "tri_c2c")
+        rk.p2c = decl_map(rk.parts, rk.cells, 1, None, "tri_p2c")
+
+        rk.ef = decl_dat(rk.cells, 2, np.float64, None, "e_field2d")
+        rk.xform = decl_dat(rk.cells, 6, np.float64, mesh.xforms[cg],
+                            "tri_xform")
+        rk.gradm = decl_dat(rk.cells, 6, np.float64,
+                            mesh.grads.reshape(-1, 6)[cg], "tri_grads")
+        rk.phi = decl_dat(rk.nodes, 1, np.float64, None, "phi2d")
+        rk.nw = decl_dat(rk.nodes, 1, np.float64, None, "weights2d")
+        rk.pos = decl_dat(rk.parts, 2, np.float64, None, "pos2d")
+        rk.vel = decl_dat(rk.parts, 2, np.float64, None, "vel2d")
+        rk.lc = decl_dat(rk.parts, 3, np.float64, None, "lc2d")
+
     def _seed_displaced_slab(self) -> None:
-        cfg = self.cfg
+        cfg, mesh = self.cfg, self.mesh
         n = cfg.n_particles
-        cells = np.repeat(np.arange(self.mesh.n_cells), cfg.ppc)
+        cells = np.repeat(np.arange(mesh.n_cells), cfg.ppc)
         lam = self.rng.dirichlet(np.ones(3), size=n)
-        verts = self.mesh.points[self.mesh.cell2node[cells]]
+        verts = mesh.points[mesh.cell2node[cells]]
         pts = np.einsum("ni,nid->nd", lam, verts)
         # seed the fundamental Langmuir mode: ξ(x) = δ·lx·sin(πx/lx).
         # (A rigid displacement would be screened by the grounded walls;
@@ -112,66 +140,81 @@ class TwoDSheetModel:
             pts[:, 0] + cfg.displacement * cfg.lx
             * np.sin(np.pi * pts[:, 0] / cfg.lx),
             1e-9, cfg.lx - 1e-9)
-        homes = self.mesh.locate(pts, guesses=cells)
-        assert (homes >= 0).all()
-        sl = self.parts.add_particles(n, cell_indices=homes)
-        self.pos.data[sl] = pts
-        self.lc.data[sl] = self.mesh.barycentric(homes, pts)
-        self.parts.end_injection()
+        homes = mesh.locate(pts, guesses=cells)
+        if (homes < 0).any():
+            raise RuntimeError("a seeded electron left the box")
+        lam_home = mesh.barycentric(homes, pts)
+        owner = self.cell_owner[homes]
+        for rk in self.each_rank():
+            g2l = np.full(mesh.n_cells, -1, dtype=np.int64)
+            g2l[rk.rm.cells_global] = np.arange(rk.rm.cells_global.size)
+            mine = np.flatnonzero(owner == rk.r)
+            sl = rk.parts.add_particles(mine.size,
+                                        cell_indices=g2l[homes[mine]])
+            rk.pos.data[sl] = pts[mine]
+            rk.lc.data[sl] = lam_home[mine]
+            rk.parts.end_injection()
 
     # -- step phases -------------------------------------------------------------
 
     def deposit_and_solve(self) -> None:
-        par_loop(k.reset2d_kernel, "Reset2D", self.nodes,
-                 OPP_ITERATE_ALL, arg_dat(self.nw, OPP_WRITE))
-        par_loop(k.deposit2d_kernel, "Deposit2D", self.parts,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.lc, OPP_READ),
-                 arg_dat(self.nw, 0, self.c2n, self.p2c, OPP_INC),
-                 arg_dat(self.nw, 1, self.c2n, self.p2c, OPP_INC),
-                 arg_dat(self.nw, 2, self.c2n, self.p2c, OPP_INC))
-        cfg = self.cfg
-        net = (self.nw.data[:, 0] * cfg.weight * cfg.qe
-               + self.background) / cfg.eps0
-        free = self.dirichlet.free
-        rhs = net[free]
-        sol = self.ksp.solve(rhs)
-        self.phi.data[:, 0] = self.dirichlet.full_vector(sol.x)
-        par_loop(k.field2d_kernel, "Field2D", self.cells,
-                 OPP_ITERATE_ALL,
-                 arg_dat(self.ef, OPP_WRITE),
-                 arg_dat(self.gradm, OPP_READ),
-                 arg_dat(self.phi, 0, self.c2n, OPP_READ),
-                 arg_dat(self.phi, 1, self.c2n, OPP_READ),
-                 arg_dat(self.phi, 2, self.c2n, OPP_READ))
+        for rk in self.each_rank():
+            par_loop(k.reset2d_kernel, "Reset2D", rk.nodes,
+                     OPP_ITERATE_ALL, arg_dat(rk.nw, OPP_WRITE))
+            par_loop(k.deposit2d_kernel, "Deposit2D", rk.parts,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.lc, OPP_READ),
+                     arg_dat(rk.nw, 0, rk.c2n, rk.p2c, OPP_INC),
+                     arg_dat(rk.nw, 1, rk.c2n, rk.p2c, OPP_INC),
+                     arg_dat(rk.nw, 2, rk.c2n, rk.p2c, OPP_INC))
+        self.reduce_nodes("nw")
+        cfg, s = self.cfg, self.solver
+        self.gather_nodes("nw", s.nw if s else None)
+        if s is not None:
+            net = (s.nw.data[:, 0] * cfg.weight * cfg.qe
+                   + self.background) / cfg.eps0
+            sol = self.ksp.solve(net[self.dirichlet.free])
+            s.phi.data[:, 0] = self.dirichlet.full_vector(sol.x)
+        self.scatter_nodes(s.phi if s else None, "phi")
+        for rk in self.each_rank():
+            par_loop(k.field2d_kernel, "Field2D", rk.cells,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.ef, OPP_WRITE),
+                     arg_dat(rk.gradm, OPP_READ),
+                     arg_dat(rk.phi, 0, rk.c2n, OPP_READ),
+                     arg_dat(rk.phi, 1, rk.c2n, OPP_READ),
+                     arg_dat(rk.phi, 2, rk.c2n, OPP_READ))
+        self.push_cells("ef")
 
-    def push_and_move(self):
-        par_loop(k.push2d_kernel, "Push2D", self.parts, OPP_ITERATE_ALL,
-                 arg_dat(self.ef, self.p2c, OPP_READ),
-                 arg_dat(self.pos, OPP_RW),
-                 arg_dat(self.vel, OPP_RW))
-        return particle_move(k.move2d_kernel, "Move2D", self.parts,
-                             self.c2c, self.p2c,
-                             arg_dat(self.pos, OPP_READ),
-                             arg_dat(self.lc, OPP_WRITE),
-                             arg_dat(self.xform, self.p2c, OPP_READ))
+    def push_and_move(self) -> list:
+        for rk in self.each_rank():
+            par_loop(k.push2d_kernel, "Push2D", rk.parts, OPP_ITERATE_ALL,
+                     arg_dat(rk.ef, rk.p2c, OPP_READ),
+                     arg_dat(rk.pos, OPP_RW),
+                     arg_dat(rk.vel, OPP_RW))
+        return self.move_particles(
+            k.move2d_kernel, "Move2D", "c2c",
+            lambda rk: (arg_dat(rk.pos, OPP_READ),
+                        arg_dat(rk.lc, OPP_WRITE),
+                        arg_dat(rk.xform, rk.p2c, OPP_READ)))
 
-    def field_energy(self) -> float:
-        e2 = (self.ef.data ** 2).sum(axis=1)
-        return float(0.5 * self.cfg.eps0 * (e2 * self.mesh.areas).sum())
+    def field_energy(self) -> List[Optional[float]]:
+        """Each resident rank's share: ½ε₀∫E² over the cells it owns."""
+        shares: List[Optional[float]] = [None] * self.nranks
+        for rk in self.each_rank():
+            owned = rk.rm.n_owned_cells
+            e2 = (rk.ef.data[:owned] ** 2).sum(axis=1)
+            areas = self.mesh.areas[rk.rm.cells_global[:owned]]
+            shares[rk.r] = float(0.5 * self.cfg.eps0 * (e2 * areas).sum())
+        return shares
 
     def step(self) -> None:
-        with push_context(self.ctx):
-            self.deposit_and_solve()
-            self.push_and_move()
-        n = self.parts.size
-        self.history["com_x"].append(
-            float(self.pos.data[:n, 0].mean()) if n else np.nan)
-        self.history["field_energy"].append(self.field_energy())
-        self.history["n_particles"].append(n)
-
-    def run(self, n_steps: Optional[int] = None) -> dict:
-        for _ in range(n_steps if n_steps is not None
-                       else self.cfg.n_steps):
-            self.step()
-        return self.history
+        self.deposit_and_solve()
+        self.push_and_move()
+        energy = self.field_energy()
+        (field_energy, n, sum_x), _ = self.diagnostics(
+            lambda rk: (energy[rk.r], rk.parts.size,
+                        rk.pos.data[: rk.parts.size, 0].sum()))
+        self.history["com_x"].append(float(sum_x / n) if n else np.nan)
+        self.history["field_energy"].append(float(field_energy))
+        self.history["n_particles"].append(int(n))

@@ -395,34 +395,39 @@ def _run_twod(args) -> int:
 
 
 def _verify_app(app: str, steps: Optional[int], quiet: bool) -> int:
-    """Run one app's smoke problem under the sanitizer backend."""
-    if app == "fempic":
-        from repro.apps.fempic import FemPicConfig, FemPicSimulation
-        cfg = FemPicConfig.smoke().scaled(backend="sanitizer")
-        if steps:
-            cfg = cfg.scaled(n_steps=steps)
-        sim = FemPicSimulation(cfg)
-    elif app == "cabana":
-        from repro.apps.cabana import CabanaConfig, CabanaSimulation
-        cfg = CabanaConfig.smoke().scaled(backend="sanitizer")
-        if steps:
-            cfg = cfg.scaled(n_steps=steps)
-        sim = CabanaSimulation(cfg)
-    elif app == "advec":
+    """Run one app's smoke problem under the sanitizer backend; the apps
+    written once for every rank count run at one rank and at two."""
+    if app == "advec":
         from repro.apps.advec import AdvecConfig, AdvecSimulation
-        cfg = AdvecConfig(nx=6, ny=6, ppc=2, n_steps=steps or 5,
-                          backend="sanitizer")
-        sim = AdvecSimulation(cfg)
+        sims = [AdvecSimulation(AdvecConfig(nx=6, ny=6, ppc=2,
+                                            n_steps=steps or 5,
+                                            backend="sanitizer"))]
     else:
-        from repro.apps.twod import TwoDConfig, TwoDSheetModel
-        cfg = TwoDConfig(nx=4, ny=4, ppc=2, n_steps=steps or 5,
-                         backend="sanitizer")
-        sim = TwoDSheetModel(cfg)
-    sim.run()
-    backend = sim.ctx.backend
-    if not quiet or backend.violations:
-        print(f"{app}: {backend.report()}")
-    return 1 if backend.violations else 0
+        from repro.apps.cabana import CabanaConfig
+        from repro.apps.cabana.distributed import DistributedCabana
+        from repro.apps.fempic import FemPicConfig
+        from repro.apps.fempic.distributed import DistributedFemPic
+        from repro.apps.twod import DistributedTwoD, TwoDConfig
+        cls, cfg = {
+            "fempic": (DistributedFemPic, FemPicConfig.smoke()),
+            "cabana": (DistributedCabana, CabanaConfig.smoke()),
+            "twod": (DistributedTwoD, TwoDConfig(nx=4, ny=4, ppc=2,
+                                                 n_steps=5)),
+        }[app]
+        cfg = cfg.scaled(backend="sanitizer",
+                         n_steps=steps or cfg.n_steps)
+        sims = [cls(cfg, nranks=nranks) for nranks in (1, 2)]
+    status = 0
+    for sim in sims:
+        sim.run()
+        ranks = getattr(sim, "ranks", [sim])
+        for r, rk in enumerate(ranks):
+            backend = rk.ctx.backend
+            if not quiet or backend.violations:
+                where = f" rank {r}/{len(ranks)}" if len(ranks) > 1 else ""
+                print(f"{app}{where}: {backend.report()}")
+            status |= bool(backend.violations)
+    return status
 
 
 def _run_verify(args) -> int:

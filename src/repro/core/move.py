@@ -277,10 +277,13 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
                   deposit_when: str = "done") -> MoveResult:
     """Declare-and-execute a particle move (the ``opp_particle_move`` call).
 
-    On a single rank this fully relocates every particle (multi-hop walk)
-    and deletes the ones that leave the domain.  Under the distributed
-    runtime the same call additionally migrates particles between ranks;
-    application code does not change.
+    This fully relocates every particle of one rank's set (multi-hop
+    walk) and deletes the ones that leave the domain.  An app written on
+    :class:`repro.runtime.ranked.RankedApp` declares its move once, as
+    ``move_particles``: at one rank that is this call, at N ranks
+    :func:`repro.runtime.exchange.mpi_particle_move`, which runs the same
+    declaration per rank (hooks, program trace, ``execute_moveloop``)
+    and migrates particles between the rounds.
 
     ``deposit_kernel``/``deposit_args`` fuse a deposit into the move
     (see :class:`MoveDeposit`): the backends run it per frontier round —

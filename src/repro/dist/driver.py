@@ -62,11 +62,7 @@ def _build_app(spec: dict, comm):
 
 def _rank_perf(app) -> Dict[int, dict]:
     """Per-resident-rank loop stats as serializable dicts."""
-    out = {}
-    for r, rk in app._local():
-        ctx = rk["ctx"] if isinstance(rk, dict) else rk.ctx
-        out[r] = ctx.perf.to_dict()
-    return out
+    return {r: rk.ctx.perf.to_dict() for r, rk in app._local()}
 
 
 def _close_backends(app) -> None:
@@ -74,8 +70,7 @@ def _close_backends(app) -> None:
     worker pool) — a rank process that exits without this orphans its
     workers, and the orphans keep the launcher's pipes open."""
     for _r, rk in app._local():
-        ctx = rk["ctx"] if isinstance(rk, dict) else rk.ctx
-        close = getattr(ctx.backend, "close", None)
+        close = getattr(rk.ctx.backend, "close", None)
         if close is not None:
             close()
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .migrate import _get, rebalance
+from .migrate import rebalance
 from .monitor import ImbalanceMonitor
 from .policy import RebalancePolicy
 from .recover import write_snapshot
@@ -121,9 +121,8 @@ class ElasticController:
             v = np.zeros(n_cells, dtype=np.float64)
             if comm.is_local(r):
                 rk = app.ranks[r]
-                parts = _get(rk, "parts")
-                p2c = _get(rk, "p2c")
-                gcell = app.meshes[r].cells_global[p2c.p2c[: parts.size]]
+                gcell = app.meshes[r].cells_global[
+                    rk.p2c.p2c[: rk.parts.size]]
                 np.add.at(v, gcell, 1.0)
             per_rank.append(v)
         return np.asarray(comm.allreduce(per_rank, "sum"))
@@ -131,7 +130,7 @@ class ElasticController:
     def _check(self) -> None:
         app = self.app
         busy = self._gather(app.busy_seconds_per_rank())
-        counts = {r: float(_get(app.ranks[r], "parts").size)
+        counts = {r: float(app.ranks[r].parts.size)
                   for r in self.comm.local_ranks}
         parts = self._gather([counts.get(r, 0.0)
                               for r in range(self.comm.nranks)])

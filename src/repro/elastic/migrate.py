@@ -6,9 +6,9 @@ method — typically the incremental ``diffusive`` one), the engine
 1. rebuilds the rank meshes and halo plan for the new ownership (every
    rank derives them deterministically, as at construction);
 2. asks the app to re-declare its per-rank DSL objects against the new
-   local meshes (``_rebuild_rank`` — static dats are re-derived from
-   the global mesh, the backend context is *reused* so worker pools and
-   accumulated perf counters survive);
+   local meshes (``_rebuild_rank`` runs the app's one ``_declare`` —
+   static dats are re-derived from the global mesh, the backend context
+   is *reused* so worker pools and accumulated perf counters survive);
 3. exchanges the owned rows of every *dynamic* mesh dat between old and
    new owners over the transport's p2p ops (send-all-then-recv-all per
    dat, exactly the halo-push discipline), carries per-rank global
@@ -24,18 +24,27 @@ particles keyed by id) after a migration is bit-equal to the state
 before it, which is exactly what the dist-conformance harness's
 ``rebalance`` op verifies against the never-migrated oracle.
 
-The app contract (duck-typed; see ``DistributedFemPic`` for the
-reference implementation):
+The app contract.  The engine is duck-typed (the dist-conformance
+harness drives it with an adapter over a bare world), but an app gets
+all of it by being written on :class:`repro.runtime.ranked.RankedApp`
+and naming what moves:
 
-* attributes ``comm``, ``meshes``, ``plan``, ``ranks``, ``cell_owner``;
-* ``_build_partition(new_owner) -> (meshes, plan)``;
-* ``_rebuild_rank(r, rank_mesh, old_rank) -> rank`` (fresh empty
-  particle set, static dats initialised, context reused);
-* ``_migration_spec() -> dict`` with keys ``cell``/``node``/``part``
-  (dat attribute names), optional ``globals`` (per-rank accumulators to
-  carry) and — when node dats are present — ``c2n`` (the global
-  cell-to-node map, for deriving node ownership);
-* optional ``_post_rebalance()``.
+* class attributes ``cell_dats`` / ``node_dats`` (mesh dats whose values
+  carry into the next step) and ``part_dats`` (what travels with a
+  particle) — ``_migration_spec()`` is derived from them, with ``c2n``
+  (the global cell-to-node map, for deriving node ownership) and, for
+  an adapter, optional ``globals`` (per-rank accumulators to carry);
+* ``_declare(rk)``, the per-rank declaration: ``_rebuild_rank(r,
+  rank_mesh, old_rank)`` calls it on a fresh record (empty particle
+  set, static dats initialised) with ``old_rank.ctx`` reused;
+* inherited as they stand: attributes ``comm``, ``meshes``, ``plan``,
+  ``ranks``, ``cell_owner``; ``_build_partition(new_owner) -> (meshes,
+  plan)``; ``_elastic_partition(weights)`` (slab repartition in whole
+  layers of the extent the app passed to ``_partition``);
+  ``_post_rebalance()`` (rebuilds the DH mover).
+
+A rank record exposes its handles as attributes (``rk.parts``,
+``rk.p2c``, ``rk.ctx`` and every name in the spec).
 """
 from __future__ import annotations
 
@@ -58,12 +67,6 @@ _TAG_CELL_DAT = 70
 _TAG_NODE_DAT = 71
 _TAG_PART_PAYLOAD = 72
 _TAG_PART_CELLS = 73
-
-
-def _get(rank, name: str):
-    """Rank declarations are attribute objects (fempic/cabana) or dicts
-    (twod); resolve a handle name against either."""
-    return rank[name] if isinstance(rank, dict) else getattr(rank, name)
 
 
 def node_owners(c2n: np.ndarray, cell_owner: np.ndarray,
@@ -131,17 +134,17 @@ def _exchange_owned_rows(comm, names, old_ranks, new_ranks,
         for (s, r), rows in pairs.items():
             if s == r:
                 if comm.is_local(s):
-                    src = _get(old_ranks[s], name)
-                    dst = _get(new_ranks[s], name)
+                    src = getattr(old_ranks[s], name)
+                    dst = getattr(new_ranks[s], name)
                     dst.data[new_local[rows]] = src.data[old_local[rows]]
                 continue
             if comm.is_local(s):
-                src = _get(old_ranks[s], name)
+                src = getattr(old_ranks[s], name)
                 comm.send(s, r, src.data[old_local[rows]].copy(), tag=tag)
         for (s, r), rows in pairs.items():
             if s == r or not comm.is_local(r):
                 continue
-            dst = _get(new_ranks[r], name)
+            dst = getattr(new_ranks[r], name)
             dst.data[new_local[rows]] = comm.recv(r, s, tag=tag)
     return moved
 
@@ -163,13 +166,13 @@ def _migrate_particles(comm, names, old_ranks, new_ranks, old_meshes,
 
     for s in comm.local_ranks:
         old = old_ranks[s]
-        parts = _get(old, "parts")
-        p2c = _get(old, "p2c")
+        parts = old.parts
+        p2c = old.p2c
         n = parts.size
         gcell = old_meshes[s].cells_global[p2c.p2c[:n]]
         dest = new_owner[gcell]
         staying[s] = (np.flatnonzero(dest == s), gcell)
-        dats = [_get(old, nm) for nm in names]
+        dats = [getattr(old, nm) for nm in names]
         for d in np.unique(dest):
             d = int(d)
             if d == s:
@@ -187,7 +190,7 @@ def _migrate_particles(comm, names, old_ranks, new_ranks, old_meshes,
     n_moved = int(counts.sum())
     for r in comm.local_ranks:
         new = new_ranks[r]
-        new_parts = _get(new, "parts")
+        new_parts = new.parts
         g2l = np.full(len(new_owner), -1, dtype=np.int64)
         cg = new_meshes[r].cells_global
         g2l[cg] = np.arange(cg.size)
@@ -196,8 +199,8 @@ def _migrate_particles(comm, names, old_ranks, new_ranks, old_meshes,
         sl = new_parts.add_particles(stay_rows.size,
                                      cell_indices=g2l[gcell[stay_rows]])
         for nm in names:
-            _get(new, nm).data[sl] = _get(old, nm).data[stay_rows]
-        new_dats = [_get(new, nm) for nm in names]
+            getattr(new, nm).data[sl] = getattr(old, nm).data[stay_rows]
+        new_dats = [getattr(new, nm) for nm in names]
         for s in range(nranks):
             cnt = int(recv_counts[r, s])
             if cnt == 0:
@@ -214,7 +217,7 @@ def _clear_plan_caches(comm, ranks) -> None:
     # rebuilt sets/maps can reuse CPython ids of the dead ones — drop
     # any backend plan caches keyed on object identity
     for r in comm.local_ranks:
-        ctx = _get(ranks[r], "ctx")
+        ctx = ranks[r].ctx
         cache = getattr(getattr(ctx, "backend", None), "plan", None)
         if cache is not None and hasattr(cache, "_rows"):
             cache.__init__()
@@ -277,8 +280,8 @@ def rebalance(app, new_owner: np.ndarray) -> MigrationReport:
 
     for name in spec.get("globals", ()):
         for r in comm.local_ranks:
-            _get(new_ranks[r], name).data[:] = \
-                _get(old_ranks[r], name).data
+            getattr(new_ranks[r], name).data[:] = \
+                getattr(old_ranks[r], name).data
 
     report.n_particles_moved = _migrate_particles(
         comm, spec.get("part", ()), old_ranks, new_ranks,
@@ -286,7 +289,7 @@ def rebalance(app, new_owner: np.ndarray) -> MigrationReport:
 
     # refresh ghosts of the migrated dats so halo reads after the swap
     # see exactly the owner values they would on a never-migrated run
-    per_rank = (lambda nm: [_get(rk, nm) if rk is not None else None
+    per_rank = (lambda nm: [getattr(rk, nm) if rk is not None else None
                             for rk in new_ranks])
     app.meshes, app.plan = new_meshes, new_plan
     app.ranks, app.cell_owner = new_ranks, new_owner

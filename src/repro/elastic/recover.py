@@ -38,12 +38,13 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..util.checkpoint import restore_state, state_payload
-from .migrate import _get, rebuild_partition
+from .migrate import rebuild_partition
 
 __all__ = ["write_snapshot", "restore_snapshot", "latest_snapshot",
            "snapshot_step_dir", "SNAPSHOT_FORMAT"]
 
-SNAPSHOT_FORMAT = 1
+#: 2: RNG extras are JSON (format 1 pickled them)
+SNAPSHOT_FORMAT = 2
 _MANIFEST = "manifest.json"
 
 
@@ -183,7 +184,7 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
         for r in comm.local_ranks:
             cg = app.meshes[r].cells_global
             for name, g in gcell_dats.items():
-                _get(app.ranks[r], name).data[:] = g[cg]
+                getattr(app.ranks[r], name).data[:] = g[cg]
         node_names = spec.get("node", ())
         if node_names:
             from .migrate import node_owners
@@ -196,7 +197,7 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
             for r in comm.local_ranks:
                 ng = app.meshes[r].nodes_global
                 for name, g in gnode_dats.items():
-                    _get(app.ranks[r], name).data[:] = g[ng]
+                    getattr(app.ranks[r], name).data[:] = g[ng]
         for name in spec.get("globals", ()):
             # fold the dead ranks' partial accumulators in round-robin
             # so allreduce-sum totals are preserved
@@ -204,7 +205,7 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
                 acc = sum(files[rr][f"dat__{name}"]
                           for rr in range(old_nranks)
                           if rr % comm.nranks == r)
-                _get(app.ranks[r], name).data[:] = acc
+                getattr(app.ranks[r], name).data[:] = acc
         _scatter_particles(app, files, spec.get("part", ()), old_meshes)
         for rr in range(old_nranks):
             if comm.is_local(rr):
@@ -246,7 +247,7 @@ def _scatter_particles(app, files, names, old_meshes) -> None:
     dest = np.asarray(app.cell_owner)[gcells]
     for r in comm.local_ranks:
         rk = app.ranks[r]
-        parts = _get(rk, "parts")
+        parts = rk.parts
         parts.size = 0                      # drop construction seeding
         parts.injected_start = 0
         parts.order.invalidate()
@@ -256,5 +257,5 @@ def _scatter_particles(app, files, names, old_meshes) -> None:
         g2l[cg] = np.arange(cg.size)
         sl = parts.add_particles(rows.size, cell_indices=g2l[gcells[rows]])
         for name in names:
-            _get(rk, name).data[sl] = np.concatenate(all_rows[name])[rows]
+            getattr(rk, name).data[sl] = np.concatenate(all_rows[name])[rows]
         parts.end_injection()

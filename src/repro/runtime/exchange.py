@@ -22,15 +22,16 @@ as the last column of the packed payload.
 """
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import tracing
 from ..core.context import Context, push_context
 from ..core.dats import Dat
+from ..core.loops import run_loop_hooks
 from ..core.maps import Map
-from ..core.move import MoveLoop, MoveResult
+from ..core.move import MoveDeposit, MoveLoop, MoveResult, execute_moveloop
 from ..core.sets import ParticleSet
 from .comm import SimComm
 from .halo import HaloPlan, RankMesh
@@ -148,13 +149,21 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
                       args_per_rank: Sequence[Sequence],
                       exchange_dats: Sequence[Sequence[Dat]],
                       max_hops: int = 1000,
-                      max_rounds: int = 64) -> List[MoveResult]:
+                      max_rounds: int = 64,
+                      deposits: Optional[Sequence[Optional[MoveDeposit]]]
+                      = None) -> List[MoveResult]:
     """The full distributed ``opp_particle_move``.
 
     Runs every rank's move loop (halo cells as stop markers), migrates
     particles that crossed rank boundaries, and resumes their walk at the
-    destination until no particle is in flight anywhere.  Per-rank perf is
-    recorded into each rank's context.
+    destination until no particle is in flight anywhere.  ``deposits[r]``
+    fuses rank r's deposit into its move (see :class:`MoveDeposit`).
+
+    Each rank's round is declared and executed the way ``particle_move``
+    does it — loop hooks, the program trace when one is recording,
+    ``execute_moveloop`` for the perf row — so the only things this
+    function adds to the single-rank move are the foreign-cell mask, the
+    deferred removal and the migration between rounds.
     """
     nranks = comm.nranks
     totals = [MoveResult() for _ in range(nranks)]
@@ -168,24 +177,20 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
                 continue
             loop = MoveLoop(kernel, name, psets[r], c2c_maps[r],
                             p2c_maps[r], args_per_rank[r],
-                            max_hops=max_hops, only_indices=pending[r])
+                            max_hops=max_hops, only_indices=pending[r],
+                            deposit=deposits[r] if deposits else None)
             loop.foreign_cell_mask = meshes[r].foreign_cell_mask
             loop.defer_removal = True
-            t0 = time.perf_counter()
-            with push_context(contexts[r]):
-                res = contexts[r].backend.execute_move(loop)
-            dt = time.perf_counter() - t0
-            fpe = loop.kernel.flops_per_elem or 0.0
-            contexts[r].perf.record_loop(
-                name, n=psets[r].size, seconds=dt,
-                flops=fpe * res.total_hops,
-                nbytes=loop.bytes_per_hop() * res.total_hops,
-                indirect_inc=any(a.is_indirect and
-                                 a.access.name == "INC"
-                                 for a in loop.args),
-                hops=res.total_hops, is_move=True,
-                collisions=res.max_collisions,
-                branches=loop.kernel.branch_count())
+            run_loop_hooks(loop)
+            res = None
+            tracer = tracing.current() if tracing.active else None
+            if tracer is not None:
+                # a node of the recorded program, resolved at once: the
+                # migration below needs this round's result
+                res = tracer.defer_move(loop, contexts[r])
+            if res is None:
+                with push_context(contexts[r]):
+                    res = execute_moveloop(loop, contexts[r])
             results[r] = res
             totals[r].total_hops += res.total_hops
             totals[r].n_removed += res.n_removed

@@ -99,15 +99,13 @@ class Client:
         finally:
             self._sock.settimeout(old)
 
-    def watch(self, job_id: str) -> Iterator[dict]:
-        """Yield streamed events until the job reaches a terminal
-        state (the terminal event is yielded last)."""
-        self._send({"op": "watch", "job_id": job_id})
+    def watch(self, job_id: str, since: int = 0) -> Iterator[dict]:
+        """Yield the job's events from sequence number ``since`` (every
+        retained one by default), then live ones, until the job reaches
+        a terminal state (the terminal event is yielded last)."""
+        self._send({"op": "watch", "job_id": job_id, "since": since})
         head = self._recv()
         if not head.get("ok", False):
-            if head.get("event"):     # already terminal: single event
-                yield head
-                return
             raise ServiceError(head)
         old = self._sock.gettimeout()
         self._sock.settimeout(None)

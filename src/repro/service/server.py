@@ -26,7 +26,10 @@ Requests::
     {"op": "submit", "job": {...}}        -> {"ok": true, "job_id": ...}
     {"op": "status", "job_id": ...}       -> {"ok": true, "state": ...}
     {"op": "result", "job_id": ...}       -> blocks until terminal
-    {"op": "watch",  "job_id": ...}       -> stream of event lines
+    {"op": "watch",  "job_id": ...[, "since": N]}
+                                          -> the job's events from
+                                             sequence number N (default
+                                             0: all retained), then live
     {"op": "cancel", "job_id": ...}
     {"op": "stats"} | {"op": "schemas"} | {"op": "ping"}
     {"op": "kill-worker"[, "job_id"|"worker_id"]}   (fault injection)
@@ -36,6 +39,7 @@ Requests::
 from __future__ import annotations
 
 import asyncio
+import collections
 import itertools
 import json
 import threading
@@ -56,6 +60,9 @@ __all__ = ["ServiceServer", "start_server_thread", "ServerThread"]
 DEFAULT_MAX_RESTARTS = 3
 
 TERMINAL = ("done", "failed", "cancelled")
+
+#: events a job keeps for ``watch`` to replay (oldest dropped first)
+MAX_JOB_EVENTS = 4096
 
 
 def _json_default(obj):
@@ -93,6 +100,10 @@ class JobRecord:
     rescues: int = 0
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
     watchers: List[asyncio.Queue] = field(default_factory=list)
+    #: every published event, each carrying its ``seq`` number
+    events: collections.deque = field(
+        default_factory=lambda: collections.deque(maxlen=MAX_JOB_EVENTS))
+    next_seq: int = 0
 
     def public(self) -> dict:
         out = {"job_id": self.job_id, "state": self.state,
@@ -298,6 +309,9 @@ class ServiceServer:
 
     def _publish(self, record: JobRecord, event: dict,
                  terminal: bool = False) -> None:
+        event["seq"] = record.next_seq
+        record.next_seq += 1
+        record.events.append(event)
         for q in record.watchers:
             q.put_nowait(event)
         if terminal:
@@ -480,12 +494,23 @@ class ServiceServer:
         if record is None:
             writer.write(dumps({"ok": False, "error": "unknown job_id"}))
             return
-        if record.state in TERMINAL:
-            writer.write(dumps({"event": record.state,
-                                "job_id": record.job_id}))
+        since = req.get("since", 0)
+        if not isinstance(since, int) or isinstance(since, bool) \
+                or since < 0:
+            writer.write(dumps({"ok": False, "error": "since must be a "
+                                "non-negative integer"}))
             return
+        # replay and subscription happen with no await in between, so no
+        # event falls between the log and the live queue
         q: asyncio.Queue = asyncio.Queue()
-        record.watchers.append(q)
+        if record.state in TERMINAL:
+            # a finished job always ends its stream with the terminal event
+            since = min(since, record.next_seq - 1)
+        else:
+            record.watchers.append(q)
+        for event in record.events:
+            if event["seq"] >= since:
+                q.put_nowait(event)
         writer.write(dumps({"ok": True, "watching": record.job_id,
                             "state": record.state}))
         await writer.drain()

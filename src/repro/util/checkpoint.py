@@ -5,15 +5,19 @@ captures every dat, the particle-to-cell map, the particle set size and
 the RNG state of a simulation object, and restores them bit-exactly so a
 restarted run continues the original trajectory.
 
-Works with any object that exposes its DSL handles as attributes (all
-four single-node apps do) *or* as mapping entries (the distributed twod
-app's per-rank dicts); the dats and maps are discovered automatically.
-The payload/restore helpers are shared with the distributed per-rank
-snapshots of :mod:`repro.elastic.recover`.
+Works with any object that exposes its DSL handles as attributes — a
+single-rank simulation, or one rank record of a distributed app; the
+dats and maps are discovered automatically.  The payload/restore
+helpers are shared with the distributed per-rank snapshots of
+:mod:`repro.elastic.recover`.
+
+RNG state travels as the JSON text of ``bit_generator.state`` — a
+checkpoint file is outside input, and nothing read from one is ever
+unpickled.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+import json
 from pathlib import Path
 from typing import Union
 
@@ -24,18 +28,39 @@ from ..core.maps import Map
 from ..core.sets import ParticleSet, Set
 
 __all__ = ["save_checkpoint", "load_checkpoint", "state_payload",
-           "restore_state", "CHECKPOINT_FORMAT"]
+           "restore_state", "rng_state_array", "set_rng_state",
+           "CHECKPOINT_FORMAT"]
 
-CHECKPOINT_FORMAT = 1
+#: 2: RNG state is JSON (format 1 pickled it)
+CHECKPOINT_FORMAT = 2
 _FORMAT = CHECKPOINT_FORMAT
 
 
+def rng_state_array(rng: np.random.Generator) -> np.ndarray:
+    """A generator's state as uint8 JSON text (an npz-storable array)."""
+    return np.frombuffer(json.dumps(rng.bit_generator.state).encode(),
+                         dtype=np.uint8)
+
+
+def set_rng_state(rng: np.random.Generator, payload,
+                  source: str = "checkpoint") -> None:
+    """Restore what :func:`rng_state_array` stored; anything else —
+    including the pickle bytes of a format-1 file — is a ``ValueError``."""
+    try:
+        state = json.loads(np.asarray(payload, dtype=np.uint8).tobytes())
+        if not isinstance(state, dict):
+            raise TypeError(f"expected an object, got "
+                            f"{type(state).__name__}")
+        rng.bit_generator.state = state
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"{source}: malformed RNG state "
+                         f"({exc})") from None
+
+
 def _handles(sim):
-    """Discover the object's sets, dats and particle maps (the object's
-    DSL handles may be attributes or mapping entries)."""
-    items = sim.items() if isinstance(sim, Mapping) else vars(sim).items()
+    """Discover the object's sets, dats and particle maps."""
     sets, dats, pmaps = {}, {}, {}
-    for name, obj in items:
+    for name, obj in vars(sim).items():
         if isinstance(obj, Dat):
             dats[name] = obj
         elif isinstance(obj, Map) and obj.is_particle_map:
@@ -97,9 +122,7 @@ def save_checkpoint(sim, path: Union[str, Path]) -> Path:
     payload.update(state_payload(sim))
     rng = getattr(sim, "rng", None)
     if rng is not None:
-        import pickle
-        payload["__rng__"] = np.frombuffer(
-            pickle.dumps(rng.bit_generator.state), dtype=np.uint8)
+        payload["__rng__"] = rng_state_array(rng)
     np.savez_compressed(path, **payload)
     return path
 
@@ -115,9 +138,7 @@ def load_checkpoint(sim, path: Union[str, Path]) -> int:
                              f"{_FORMAT})")
         restore_state(sim, data, source=str(path))
         if "__rng__" in data.files and getattr(sim, "rng", None) is not None:
-            import pickle
-            sim.rng.bit_generator.state = pickle.loads(
-                data["__rng__"].tobytes())
+            set_rng_state(sim.rng, data["__rng__"], source=str(path))
         step = int(data["__step__"][0])
     if hasattr(sim, "step_count"):
         sim.step_count = step

@@ -15,7 +15,7 @@ def reference():
     return ref
 
 
-@pytest.mark.parametrize("nranks", [1, 2, 4])
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4])
 def test_matches_reference(reference, nranks):
     dist = DistributedCabana(CFG, nranks=nranks)
     dist.run()
@@ -47,3 +47,30 @@ def test_update_ghosts_in_breakdown(reference):
     names = set(dist.ranks[0].ctx.perf.loops)
     assert {"Interpolate", "Move_Deposit", "AccumulateCurrent", "AdvanceB",
             "AdvanceE", "Update_Ghosts"} <= names
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+@pytest.mark.parametrize("override", [{"fuse_move": True},
+                                      {"pusher": "vay"}])
+def test_config_fields_are_honoured_at_n_ranks(nranks, override):
+    """``fuse_move`` and ``pusher`` used to be read by the single-rank
+    class only: the N-rank run silently used the hand-fused Boris move."""
+    from repro.apps.cabana import CabanaSimulation
+    cfg = CFG.scaled(n_steps=4, **override)
+    single = CabanaSimulation(cfg)
+    single.run()
+    dist = DistributedCabana(cfg, nranks=nranks)
+    dist.run()
+    for key in ("e_energy", "b_energy"):
+        np.testing.assert_allclose(dist.history[key], single.history[key],
+                                   rtol=1e-10, atol=1e-18, err_msg=key)
+    move = dist.ranks[0].ctx.perf.get("Move_Deposit")
+    if "fuse_move" in override:
+        assert move.extras.get("fused_deposit") == "hop"
+    else:
+        assert dist.ranks[0].ctx.perf.get("PushParticles") is not None
+
+
+def test_unknown_pusher_rejected_at_n_ranks():
+    with pytest.raises(ValueError, match="pusher"):
+        DistributedCabana(CFG.scaled(pusher="leapfrog"), nranks=2)

@@ -16,14 +16,99 @@ def single():
     return sim
 
 
+def _assert_matches(dist, single):
+    """What N-rank FemPIC owes the single-rank run: the same history
+    keys, integer series exactly, float series to regrouped-sum
+    accuracy."""
+    assert dist.history.keys() == single.history.keys()
+    for key in ("n_particles", "injected", "removed"):
+        assert dist.history[key] == single.history[key], key
+    for key in ("field_energy", "max_phi"):
+        np.testing.assert_allclose(dist.history[key], single.history[key],
+                                   rtol=1e-10, err_msg=key)
+
+
 @pytest.mark.parametrize("nranks", [1, 2, 3, 4])
 def test_matches_single_rank(single, nranks):
     dist = DistributedFemPic(CFG, nranks=nranks)
     dist.run()
-    np.testing.assert_allclose(dist.history["field_energy"],
-                               single.history["field_energy"], rtol=1e-10)
+    _assert_matches(dist, single)
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_seeded_run_matches_single_rank(nranks):
+    """Seeding draws from rank 0's stream, so the injection that follows
+    continues where the single-rank run's does (it used to restart the
+    stream, and ``n_particles`` drifted from the first step on)."""
+    single = FemPicSimulation(CFG)
+    single.seed_uniform_plasma(5)
+    single.run()
+    dist = DistributedFemPic(CFG, nranks=nranks)
+    assert dist.seed_uniform_plasma(5) == 5 * CFG.n_cells
+    dist.run()
+    _assert_matches(dist, single)
+
+
+def test_injection_count_is_exact_when_face_areas_do_not_sum_to_lx_ly():
+    """On a 5x7 inlet the face areas sum to an ulp under lx*ly; rank 0's
+    share of the rate must still be exactly 1 (it was 1 - ulp, and
+    int(20.0 * share) injected 19)."""
+    cfg = CFG.scaled(nx=5, ny=7, n_steps=3)
+    single = FemPicSimulation(cfg)
+    single.run()
+    dist = DistributedFemPic(cfg, nranks=2)
+    dist.run()
+    assert dist.history["injected"] == single.history["injected"]
     assert dist.history["n_particles"] == single.history["n_particles"]
-    assert sum(dist.history["removed"]) == sum(single.history["removed"])
+
+
+# -- every config field the one-rank run honours, at N ranks -------------------
+
+
+def test_fuse_move_runs_fused_at_two_ranks():
+    from repro.dist.driver import run_distributed
+    plain = run_distributed("fempic", CFG, nranks=2)
+    fused = run_distributed("fempic", CFG.scaled(fuse_move=True), nranks=2)
+    for r in range(2):
+        loops = fused.rank_perf[r].loops
+        assert loops["Move"].extras.get("fused_deposit") == "done"
+        assert "DepositCharge" not in loops
+        assert "DepositCharge" in plain.rank_perf[r].loops
+    assert fused.history["n_particles"] == plain.history["n_particles"]
+    np.testing.assert_allclose(fused.history["field_energy"],
+                               plain.history["field_energy"], rtol=1e-10)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("collision_frequency", 2.0), ("injection_temperature", 0.04)])
+def test_stochastic_fields_are_honoured(single, field, value):
+    """At one rank the streams are the single-rank ones; at two the run
+    at least differs from the run with the field left off."""
+    cfg = CFG.scaled(**{field: value})
+    want = FemPicSimulation(cfg)
+    want.run()
+    one = DistributedFemPic(cfg, nranks=1)
+    one.run()
+    assert one.history == want.history
+    two = DistributedFemPic(cfg, nranks=2)
+    two.run()
+    assert two.history["field_energy"] != single.history["field_energy"]
+    assert np.isfinite(two.history["field_energy"]).all()
+
+
+def test_mesh_file_is_loaded_at_n_ranks(single, tmp_path):
+    from repro.mesh import duct_mesh
+    from repro.mesh.io import save_mesh
+    path = save_mesh(duct_mesh(CFG.nx, CFG.ny, CFG.nz, CFG.lx, CFG.ly,
+                               CFG.lz), tmp_path / "duct.npz")
+    # geometry fields that disagree with the file must not matter
+    dist = DistributedFemPic(CFG.scaled(mesh_file=str(path), nz=3),
+                             nranks=2)
+    dist.run()
+    _assert_matches(dist, single)
+    # the layers a rebalance may not split come from the mesh, not cfg.nz
+    owner = dist._elastic_partition(np.ones(dist.mesh.n_cells))
+    assert np.bincount(owner).tolist() == [72, 72]
 
 
 def test_dh_distributed_matches(single):

@@ -64,7 +64,7 @@ def test_backends_match(backend):
     assert other.history["n_particles"] == ref.history["n_particles"]
 
 
-@pytest.mark.parametrize("nranks", [2, 3])
+@pytest.mark.parametrize("nranks", [1, 2, 3])
 def test_distributed_matches_single(nranks):
     from repro.apps.twod.distributed import DistributedTwoD
     cfg = CFG.scaled(n_steps=15)
@@ -76,6 +76,15 @@ def test_distributed_matches_single(nranks):
     b = np.array(single.history["field_energy"])
     assert np.abs(a - b).max() / b.max() < 1e-12
     assert dist.history["n_particles"] == single.history["n_particles"]
+    np.testing.assert_allclose(dist.history["com_x"],
+                               single.history["com_x"], rtol=1e-12)
+    if nranks == 1:
+        # the one-rank case exchanges nothing at all
+        assert dist.history == single.history
+        assert dist.comm.stats.total_messages == 0
+        assert dist.comm.stats.collectives == 0
+        assert dist.solve_stats.total_bytes == 0
+        return
     # PIC traffic flows (migration + halos); solve ledger is separate
     assert dist.comm.stats.total_messages > 0
     assert dist.solve_stats.total_bytes > 0

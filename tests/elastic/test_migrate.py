@@ -11,7 +11,7 @@ from repro.apps.twod.config import TwoDConfig
 from repro.apps.twod.distributed import DistributedTwoD
 from repro.dist.driver import run_distributed
 from repro.elastic import rebalance
-from repro.elastic.migrate import _get, node_owners
+from repro.elastic.migrate import node_owners
 from repro.runtime import SimComm
 
 
@@ -35,15 +35,15 @@ def _assemble(app):
                 n_nodes)
     for name in spec.get("globals", ()):
         out[f"global:{name}"] = sum(
-            _get(app.ranks[r], name).data.copy()
+            getattr(app.ranks[r], name).data.copy()
             for r in range(comm.nranks))
     cols, gcells = [], []
     for r in range(comm.nranks):
         rk = app.ranks[r]
-        n = _get(rk, "parts").size
+        n = rk.parts.size
         gcells.append(app.meshes[r].cells_global[
-            _get(rk, "p2c").p2c[:n]])
-        dats = [_get(rk, name).data for name in spec.get("part", ())]
+            rk.p2c.p2c[:n]])
+        dats = [getattr(rk, name).data for name in spec.get("part", ())]
         cols.append(np.column_stack(
             [d[:n].reshape(n, int(np.prod(d.shape[1:], dtype=np.int64)))
              for d in dats]))
@@ -58,7 +58,7 @@ def _owned_rows(app, name, pick, n_global):
     g = None
     for r in range(app.comm.nranks):
         ids, n = pick(app.meshes[r])
-        arr = _get(app.ranks[r], name).data
+        arr = getattr(app.ranks[r], name).data
         if g is None:
             g = np.zeros((n_global,) + arr.shape[1:], dtype=arr.dtype)
         g[ids[:n]] = arr[:n]
@@ -106,6 +106,35 @@ def test_cabana_rebalance_preserves_state():
     app = DistributedCabana(CabanaConfig.smoke(), comm=SimComm(3))
     report = _check_rebalance_preserves(app, steps=3)
     assert report.n_particles_moved > 0
+
+
+def test_rebalanced_ranks_do_not_reuse_cached_construction_products():
+    """With the objcache on (a warm service worker), per-rank products
+    are cached against the *construction* partition; a rank mesh built
+    by a rebalance must derive its own."""
+    from repro.runtime import objcache
+    cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
+    objcache.enable()
+    try:
+        app = DistributedFemPic(cfg, comm=SimComm(2))
+        again = DistributedFemPic(cfg, comm=SimComm(2))
+        assert again.ranks[0].inlet is app.ranks[0].inlet     # cache hit
+        app.step()
+        # move every cell but the last z layer onto rank 0: the inlet
+        # cells get new local ids there
+        z = app.mesh.centroids[:, 2]
+        rebalance(app, (z > z.max() - 0.5 * cfg.lz / cfg.nz).astype(int))
+        third = DistributedFemPic(cfg, comm=SimComm(2))
+    finally:
+        objcache.disable()
+    rk = app.ranks[0]
+    assert rk.inlet is not again.ranks[0].inlet
+    owned = rk.rm.cells_global[: rk.rm.n_owned_cells]
+    np.testing.assert_array_equal(
+        np.sort(owned[rk.inlet.cells]),
+        np.sort(app.mesh.tags["inlet_faces"][:, 0]))
+    # and the construction partition's entry still serves new apps
+    assert third.ranks[0].inlet is again.ranks[0].inlet
 
 
 def test_rebalance_same_owner_is_noop():

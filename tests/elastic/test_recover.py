@@ -18,14 +18,13 @@ from repro.apps.twod.distributed import DistributedTwoD
 from repro.dist.driver import run_distributed
 from repro.elastic import (latest_snapshot, restore_snapshot,
                            snapshot_step_dir, write_snapshot)
-from repro.elastic.migrate import _get
 from repro.runtime import SimComm
 
 CFG_FEM = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
 
 
 def _total_particles(app):
-    return sum(_get(app.ranks[r], "parts").size
+    return sum(app.ranks[r].parts.size
                for r in range(app.comm.nranks))
 
 
@@ -58,6 +57,25 @@ def test_manifest_format_mismatch_rejected(tmp_path):
     assert latest_snapshot(tmp_path) is None
     fresh = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
     with pytest.raises(ValueError, match="manifest"):
+        restore_snapshot(fresh, snap)
+
+
+def test_pickled_rng_extra_is_rejected_not_unpickled(tmp_path):
+    """A rank file is outside input: an RNG extra that is not the JSON
+    this version writes (here, format 1's pickle) is a ValueError."""
+    import pickle
+    cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
+    app = DistributedFemPic(cfg, comm=SimComm(2))
+    app.step()
+    snap = write_snapshot(app, 1, tmp_path)
+    rank_file = snap / "rank00000.npz"
+    with np.load(rank_file) as data:
+        payload = {k: data[k] for k in data.files}
+    payload["extra__rng"] = np.frombuffer(
+        pickle.dumps(app.rngs[0].bit_generator.state), dtype=np.uint8)
+    np.savez_compressed(rank_file, **payload)
+    fresh = DistributedFemPic(cfg, comm=SimComm(2))
+    with pytest.raises(ValueError, match="RNG state"):
         restore_snapshot(fresh, snap)
 
 
@@ -97,11 +115,11 @@ def test_same_ranks_restore_is_bit_exact(tmp_path):
                                       err_msg=key)
     for r in range(2):
         np.testing.assert_array_equal(
-            _get(resumed.ranks[r], "phi").data,
-            _get(ref.ranks[r], "phi").data)
+            resumed.ranks[r].phi.data,
+            ref.ranks[r].phi.data)
         np.testing.assert_array_equal(
-            _get(resumed.ranks[r], "pos").data,
-            _get(ref.ranks[r], "pos").data)
+            resumed.ranks[r].pos.data,
+            ref.ranks[r].pos.data)
 
 
 def test_restore_onto_more_ranks_rejected(tmp_path):
@@ -131,8 +149,8 @@ def test_shrink_restore_conserves_particles(tmp_path):
     # every particle landed on the rank that owns its cell
     for r in range(2):
         rk = small.ranks[r]
-        n = _get(rk, "parts").size
-        gcell = small.meshes[r].cells_global[_get(rk, "p2c").p2c[:n]]
+        n = rk.parts.size
+        gcell = small.meshes[r].cells_global[rk.p2c.p2c[:n]]
         assert (np.asarray(small.cell_owner)[gcell] == r).all()
     small.step()
 

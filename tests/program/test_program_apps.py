@@ -90,6 +90,20 @@ def test_vec_programs_fuse_loops():
         assert fused, "expected at least one fused group"
 
 
+@pytest.mark.parametrize("run, flushes, groups, fused", [
+    (run_fempic, 12, [1, 4, 1, 1], 4), (run_cabana, 3, [5], 2)])
+def test_one_rank_step_flushes_where_the_single_rank_step_did(
+        run, flushes, groups, fused):
+    """Recorded from the last commit with a separate single-rank class:
+    written on the rank-count-agnostic base, the one-rank step still
+    hands the optimizer the same flush shapes (no exchange adds a trace
+    node or a host observation)."""
+    prog = run("vec", "fuse", steps=3).program
+    assert prog.n_flushes == flushes
+    assert [len(p.groups) for p in prog.plans] == groups
+    assert sum(g.fused for p in prog.plans for g in p.groups) == fused
+
+
 def test_cabana_program_records_fallback_reasons():
     """AdvanceB's stencil read of freshly advanced E is cross-element
     RAW — the optimizer must refuse that fusion and say why."""

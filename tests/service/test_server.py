@@ -81,6 +81,24 @@ def test_watch_streams_diags_then_terminal(client):
     assert diags[-1]["step"] == 10
 
 
+def test_watch_after_the_job_finished_replays_every_event(client):
+    """``watch`` subscribes to a log, not to the wire: a job that is
+    already done still streams every diag and the terminal event."""
+    job_id = client.submit(dict(TINY, diag_every=2))
+    assert client.result(job_id, timeout=60)["state"] == "done"
+    events = list(client.watch(job_id))
+    assert [e["seq"] for e in events] == list(range(len(events)))
+    assert [e["step"] for e in events if e["event"] == "diag"] \
+        == [2, 4, 6, 8, 10]
+    assert events[-1]["event"] == "done"
+    # from a sequence number on; past the end still ends with `done`
+    tail = list(client.watch(job_id, since=events[-2]["seq"]))
+    assert tail == events[-2:]
+    assert list(client.watch(job_id, since=10 ** 6)) == events[-1:]
+    with pytest.raises(ServiceError):
+        list(client.watch(job_id, since=-1))
+
+
 def test_cancel_running_job(client):
     job_id = client.submit(LONG)
     deadline = time.monotonic() + 30

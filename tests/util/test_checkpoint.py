@@ -106,3 +106,64 @@ def test_format_version_mismatch_rejected(tmp_path):
     fresh = FemPicSimulation(FemPicConfig.smoke())
     with pytest.raises(ValueError, match="format"):
         load_checkpoint(fresh, ckpt)
+
+
+class _Boom:
+    """Unpickling this runs code: the payload a hostile file would carry."""
+
+    fired = False
+
+    def __reduce__(self):
+        return (setattr, (_Boom, "fired", True))
+
+
+def _pickle_payload():
+    import pickle
+    return np.frombuffer(pickle.dumps(_Boom()), dtype=np.uint8)
+
+
+def _rewrite(ckpt, **changes):
+    with np.load(ckpt) as data:
+        payload = {k: data[k] for k in data.files}
+    payload.update(changes)
+    np.savez_compressed(ckpt, **payload)
+
+
+@pytest.mark.parametrize("rng_bytes", [
+    _pickle_payload(),
+    np.frombuffer(b"\xff\xfe not json", dtype=np.uint8),
+    np.frombuffer(b"[1, 2, 3]", dtype=np.uint8),
+    np.frombuffer(b'{"bit_generator": "PCG64", "state": 7}', dtype=np.uint8),
+    np.array([1.5, 2.5])])
+def test_rng_payload_is_parsed_never_unpickled(tmp_path, rng_bytes):
+    sim = FemPicSimulation(FemPicConfig.smoke())
+    ckpt = save_checkpoint(sim, tmp_path / "rng.npz")
+    before = sim.rng.bit_generator.state
+    _rewrite(ckpt, __rng__=rng_bytes)
+    with pytest.raises(ValueError, match="RNG state"):
+        load_checkpoint(sim, ckpt)
+    assert not _Boom.fired
+    assert sim.rng.bit_generator.state == before
+
+
+def test_format_1_file_is_rejected_before_its_rng_is_read(tmp_path):
+    sim = FemPicSimulation(FemPicConfig.smoke())
+    ckpt = save_checkpoint(sim, tmp_path / "old.npz")
+    _rewrite(ckpt, __format__=np.array([1]), __rng__=_pickle_payload())
+    with pytest.raises(ValueError, match="format 1"):
+        load_checkpoint(sim, ckpt)
+    assert not _Boom.fired
+
+
+def test_rng_state_round_trips_as_json(tmp_path):
+    import json
+    sim = FemPicSimulation(FemPicConfig.smoke())
+    sim.rng.random(5)
+    ckpt = save_checkpoint(sim, tmp_path / "json.npz")
+    with np.load(ckpt) as data:       # allow_pickle stays off
+        stored = json.loads(data["__rng__"].tobytes())
+    assert stored == sim.rng.bit_generator.state
+    want = sim.rng.random(3)
+    fresh = FemPicSimulation(FemPicConfig.smoke())
+    load_checkpoint(fresh, ckpt)
+    assert np.array_equal(fresh.rng.random(3), want)
