@@ -20,6 +20,11 @@ Three claims are gated:
   coalesced halo scheduler must strictly lower the message count
   without growing the bytes moved (same fields, one envelope per
   neighbour instead of two), while keeping the physics bit-equal.
+
+Both arms of every comparison run on ``vec``'s **NumPy target**
+(``native.CC = None``): fused groups are NumPy-target code
+(``generate_fused``), so the eager arm must be too, or the ratio would
+compare codegen targets instead of the optimizer.
 """
 from __future__ import annotations
 
@@ -46,6 +51,8 @@ def program_smoke_payload(steps: int = 6, warm: int = 2,
     from repro.apps.cabana.config import CabanaConfig
     from repro.apps.cabana.distributed import DistributedCabana
     from repro.apps.fempic import FemPicConfig, FemPicSimulation
+    from repro.translator import native
+    native.CC = None            # both arms on the NumPy target (see above)
 
     def fempic(backend: str, mode: str):
         cfg = FemPicConfig.smoke().scaled(backend=backend, program=mode)

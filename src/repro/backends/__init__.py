@@ -5,7 +5,9 @@ a backend class driving the same generated kernels differently):
 
 ========= =============================================================
 ``seq``    elemental reference execution (the semantic oracle)
-``vec``    generated NumPy vector code, configurable reduction strategy
+``vec``    generated code: each loop one compiled C call where a C
+           compiler exists (bit-equal to ``seq``), else NumPy vector
+           code with a configurable reduction strategy
 ``omp``    simulated OpenMP: chunked threads + scatter arrays
 ``mp``     true shared-memory multiprocessing: worker pool + shm dats
 ``cuda``   simulated NVIDIA GPU: vector code + safe atomics

@@ -27,7 +27,7 @@ from ..core.args import Arg, ArgKind
 from ..core.types import AccessMode
 
 __all__ = ["BLOCK", "Slot", "BlockedArgs", "blocks", "loop_slot",
-           "range_rows", "lane_rows"]
+           "range_rows", "lane_rows", "reduce_init"]
 
 #: lanes per block (an 8192-lane float64 temporary is 64 KB: a kernel's
 #: working set stays in L2).  Chosen from the sweep recorded in
@@ -37,8 +37,16 @@ __all__ = ["BLOCK", "Slot", "BlockedArgs", "blocks", "loop_slot",
 #: reaches it; tests monkeypatch it
 BLOCK = 8192
 
-_REDUCE_INIT = {AccessMode.INC: 0.0, AccessMode.MIN: np.inf,
-                AccessMode.MAX: -np.inf}
+
+def reduce_init(access: AccessMode, dtype: np.dtype):
+    """Identity a global reduction's range-length buffer starts from, in
+    the global's own dtype (``inf`` cast to int64 is INT64_MIN)."""
+    if access is AccessMode.INC:
+        return 0
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        return info.max if access is AccessMode.MIN else info.min
+    return np.inf if access is AccessMode.MIN else -np.inf
 
 
 def blocks(n: int) -> Iterator[Tuple[int, int]]:
@@ -103,8 +111,9 @@ def loop_slot(backend, loop, span: slice, a: Arg, apos: int,
     if a.is_global:
         if a.access is AccessMode.READ:
             return Slot(a)
+        dtype = a.dat.data.dtype
         buf = np.full((span.stop - span.start, a.dat.dim),
-                      _REDUCE_INIT[a.access], dtype=a.dat.data.dtype)
+                      reduce_init(a.access, dtype), dtype=dtype)
         return Slot(a, whole=buf, final=_reduce_global(a))
     rows = (backend.plan.rows(loop, a, span)
             if a.kind == ArgKind.INDIRECT else None)

@@ -48,6 +48,7 @@ from ..core.kernel import CONST, kernel_ref
 from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
 from ..core.types import AccessMode
+from .blocked import reduce_init
 from .vec import VecBackend
 
 __all__ = ["MpBackend"]
@@ -165,8 +166,10 @@ def _run_parloop_chunk(msg: dict, attached: dict) -> dict:
             if d["access"] == "READ":
                 params.append(d["data"].reshape(1, -1))
                 continue
-            init = {"INC": 0.0, "MIN": np.inf, "MAX": -np.inf}[d["access"]]
-            buf = np.full((n, d["dim"]), init, dtype=d["data"].dtype)
+            buf = np.full((n, d["dim"]),
+                          reduce_init(AccessMode[d["access"]],
+                                      d["data"].dtype),
+                          dtype=d["data"].dtype)
             params.append(buf)
             writeback.append((d, buf, None))
             continue

@@ -1,6 +1,10 @@
-"""Vectorised backend: runs translator-generated batch kernels.
+"""Generated-code backend: runs what the translator generates.
 
-The driver implements the gather → generated-kernel → scatter execution
+Plain ``vec`` first asks :mod:`repro.translator.native` for the loop's
+compiled C function (one call per launch, ``seq``'s algorithm); the rest
+of this module is the NumPy target's driver, which runs every loop the
+native tier declines and everything on the subclasses.  That driver
+implements the gather → generated-kernel → scatter execution
 plan, one cache-sized block of lanes at a time
 (:mod:`repro.backends.blocked`).  Race handling for indirect increments
 is pluggable (:mod:`repro.backends.reduction`), which is exactly how the
@@ -22,6 +26,7 @@ from ..core.args import Arg, ArgKind
 from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
 from ..core.types import AccessMode, MoveStatus
+from ..translator import native
 from .base import Backend
 from .blocked import (BlockedArgs, Slot, blocks, lane_rows, loop_slot,
                       range_rows)
@@ -36,7 +41,8 @@ __all__ = ["VecBackend"]
 
 
 class VecBackend(Backend):
-    """Generated-code backend with a configurable reduction strategy."""
+    """Generated-code backend: native loops where they exist, else the
+    NumPy target with a configurable reduction strategy."""
 
     name = "vec"
 
@@ -162,6 +168,24 @@ class VecBackend(Backend):
                                        seconds=seconds, indirect_inc=False,
                                        locality_sort=True)
 
+    # -- the native tier --------------------------------------------------------
+
+    def _numpy_only(self) -> Optional[str]:
+        """Why this backend keeps the NumPy target (None = plain ``vec``,
+        whose loops run as compiled C where they can).  The reduction
+        strategies, the locality and Matrix-PIC engines and the
+        ``omp``/device subclasses are mechanisms *of* the NumPy target;
+        the native loop is ``seq``'s algorithm and models none of them."""
+        if type(self) is not VecBackend:
+            return "backend subclass models its own reduction strategy"
+        if self.strategy_name != "atomics":
+            return f"reduction strategy {self.strategy_name!r} is forced"
+        if self.locality.enabled or self.locality.sparse != "never":
+            return "the locality / sparse-operator engine is on"
+        if self.check_unique_writes:
+            return "check_unique_writes inspects staged target rows"
+        return None
+
     # -- opp_par_loop -----------------------------------------------------------
 
     def execute(self, loop: ParLoop) -> Optional[dict]:
@@ -169,6 +193,17 @@ class VecBackend(Backend):
         n = span.stop - span.start
         if n <= 0:
             return None
+        declined = self._numpy_only()
+        if declined is None:
+            extras, declined = native.par_loop(loop)
+            if extras is not None:
+                return extras
+        extras = self._execute_numpy(loop, span, n)
+        if type(self) is VecBackend:
+            extras["fallback"] = declined
+        return extras
+
+    def _execute_numpy(self, loop: ParLoop, span: slice, n: int) -> dict:
         gen = loop.kernel.generated("vec")
         if not gen.vectorized:
             self._seq.execute(loop)
@@ -279,6 +314,17 @@ class VecBackend(Backend):
     # -- opp_particle_move --------------------------------------------------------
 
     def execute_move(self, loop: MoveLoop) -> MoveResult:
+        declined = self._numpy_only()
+        if declined is None:
+            walked, declined = native.particle_move(loop)
+            if walked is not None:
+                return self._move_result(loop, *walked)
+        result = self._execute_move_numpy(loop)
+        if type(self) is VecBackend:
+            result.extras["fallback"] = declined
+        return result
+
+    def _execute_move_numpy(self, loop: MoveLoop) -> MoveResult:
         gen = loop.kernel.generated("vec")
         if not gen.vectorized:
             return self._seq.execute_move(loop)
@@ -303,7 +349,6 @@ class VecBackend(Backend):
         active = idx[alive]
         cells = p2c[active].copy()
 
-        result = MoveResult()
         removed_parts: List[np.ndarray] = []
         foreign_parts: List[np.ndarray] = []
         foreign_cells: List[np.ndarray] = []
@@ -375,17 +420,26 @@ class VecBackend(Backend):
             cells = next_cell[moving]
             hop += 1
 
+        empty = np.empty(0, dtype=np.int64)
+        return self._move_result(
+            loop, np.concatenate(removed_parts) if removed_parts else empty,
+            np.concatenate(foreign_parts) if foreign_parts else empty,
+            np.concatenate(foreign_cells) if foreign_cells else empty,
+            total_hops, relocated, max_coll)
+
+    @staticmethod
+    def _move_result(loop: MoveLoop, removed: np.ndarray,
+                     foreign_particles: np.ndarray,
+                     foreign_cells: np.ndarray, total_hops: int,
+                     relocated: int, max_coll: int) -> MoveResult:
+        """What follows the walk on either target: order bookkeeping and
+        the (possibly deferred) deletion of the removed particles."""
         loop.pset.order.note_relocated(relocated)
+        result = MoveResult()
         result.total_hops = total_hops
         result.max_collisions = max_coll
-        result.foreign_particles = (np.concatenate(foreign_parts)
-                                    if foreign_parts
-                                    else np.empty(0, dtype=np.int64))
-        result.foreign_cells = (np.concatenate(foreign_cells)
-                                if foreign_cells
-                                else np.empty(0, dtype=np.int64))
-        removed = (np.concatenate(removed_parts) if removed_parts
-                   else np.empty(0, dtype=np.int64))
+        result.foreign_particles = foreign_particles
+        result.foreign_cells = foreign_cells
         result.n_removed = int(removed.size)
         if removed.size and not loop.defer_removal:
             loop.pset.remove_particles(removed)

@@ -459,6 +459,14 @@ def _run_verify(args) -> int:
             print(f"conformance: {report['cases']} cases x "
                   f"{len(report['backends'])} backend(s) "
                   f"({report['executions']} executions) all match seq")
+            tier = report["native"]
+            if "vec" in report["backends"]:
+                print(f"  native vec: {tier['exact_cases']} case(s) "
+                      "bit-equal to seq (rtol = atol = 0), "
+                      f"{tier['inexact_cases']} with a named inexact op, "
+                      f"{tier['declined_cases']} declined")
+                for reason, count in sorted(tier["declined"].items()):
+                    print(f"    declined in {count} case(s): {reason}")
     if args.program:
         from repro.verify import ConformanceFailure, run_program_conformance
         progress = None if args.quiet else print

@@ -48,6 +48,15 @@ class ConstRegistry:
     def __setattr__(self, name: str, value) -> None:
         self._values[name] = value
 
+    def values(self, names) -> list:
+        """Current values of several constants, in order (the native
+        launcher's per-launch table)."""
+        try:
+            return [self._values[name] for name in names]
+        except KeyError as exc:
+            raise AttributeError(f"undeclared constant {exc.args[0]!r}; "
+                                 "call decl_const first") from None
+
     def clear(self) -> None:
         self._values.clear()
 
@@ -71,7 +80,7 @@ class Kernel:
         self._arity_ok: set = set()  # argument counts already validated
         self._source: Optional[str] = None
         self._ir = None          # filled by translator.parser on demand
-        self._generated = {}     # backend-name -> compiled vector function
+        self._generated = {}     # codegen target -> translation product
         self.flops_per_elem: Optional[float] = None  # set from IR op counts
         self._branches: Optional[float] = None       # likewise, see ir()
 
@@ -146,7 +155,10 @@ class Kernel:
         return self._branches
 
     def generated(self, target: str):
-        """Return (building on demand) the generated vector function."""
+        """Return (building on demand) the translation product for a
+        codegen target: ``"vec"`` the generated NumPy batch function,
+        ``"c"`` the native target's record of this kernel (its C source
+        and this process's compiled loops)."""
         if target not in self._generated:
             from ..translator.codegen import generate
             self._generated[target] = generate(self, target)

@@ -121,9 +121,25 @@ class GeneratedKernel:
         return f"<GeneratedKernel {self.fn.__name__} ({mode})>"
 
 
-def generate(kernel, target: str = "vec") -> GeneratedKernel:
-    """Translate ``kernel`` for ``target`` ("vec" is the only vector target;
-    any kernel outside the subset yields an elemental-loop fallback)."""
+#: the codegen targets :func:`generate` knows
+TARGETS = ("vec", "c")
+
+
+def generate(kernel, target: str = "vec"):
+    """Translate ``kernel`` for ``target``.
+
+    ``"vec"`` is the NumPy target: a :class:`GeneratedKernel` over
+    ``(n, dim)`` batch arrays (any kernel outside the subset yields an
+    elemental-loop fallback).  ``"c"`` is the native target's per-kernel
+    record, :class:`repro.translator.cgen.CKernel`; its loop functions
+    are generated per call site.
+    """
+    if target == "c":
+        from .cgen import CKernel
+        return CKernel(kernel)
+    if target != "vec":
+        raise ValueError(f"unknown codegen target {target!r}; known "
+                         f"targets: {TARGETS}")
     try:
         ir = kernel.ir()
         src = _emit(ir)

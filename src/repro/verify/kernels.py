@@ -12,10 +12,13 @@ here.
 """
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "k_direct_axpy", "k_direct_write", "k_direct_inc", "k_mesh_gather",
     "k_mesh_inc", "k_p2c_gather", "k_p2c_inc", "k_p2c_inc_b",
-    "k_double_deposit", "k_gbl_reduce", "k_war_gather_mark", "k_walk",
+    "k_double_deposit", "k_gbl_reduce", "k_gbl_int_minmax",
+    "k_np_transcendental", "k_war_gather_mark", "k_walk",
     "k_clamp_inc",
     "k_clamp_gather", "k_node_gather", "k_walk_geom",
 ]
@@ -80,6 +83,21 @@ def k_gbl_reduce(w, s, mn, mx):
     s[0] += w[0]
     mn[0] = min(mn[0], w[0])
     mx[0] = max(mx[0], w[1])
+
+
+def k_gbl_int_minmax(pid, mn, mx):
+    """Integer global MIN + MAX: a reduction identity must come from the
+    global's own dtype (an ``inf`` seed cast to int64 is INT64_MIN)."""
+    mn[0] = min(mn[0], pid[0])
+    mx[0] = max(mx[0], pid[0] - 3)
+
+
+def k_np_transcendental(w, out):
+    """Transcendentals spelled ``np.*``: elementally these call NumPy's
+    own routines, which round differently from the libm functions the C
+    target (and ``math.*``) use — the one op held to a tolerance there."""
+    out[0] = out[0] + np.exp(-abs(w[0]))
+    out[1] = out[1] * 0.5 + np.log(abs(w[1]) + 1.5)
 
 
 def k_clamp_inc(w, left, right):

@@ -8,6 +8,9 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_WRITE,
                             push_context)
 
 
+pytestmark = pytest.mark.usefixtures("numpy_target")
+
+
 def gather_kernel(out, a, b):
     out[0] = a[0] + b[0]
 

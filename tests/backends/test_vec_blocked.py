@@ -25,6 +25,9 @@ from repro.verify.conformance import (OP_NAMES, PROGRAM_OP_NAMES,
                                       run_conformance,
                                       run_program_conformance)
 
+pytestmark = pytest.mark.usefixtures("numpy_target")
+
+
 SMALL = 7               # odd, so block edges align with nothing structural
 ONE_BLOCK = 1 << 40
 

@@ -46,6 +46,27 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="module")
+def scratch_native_cache(tmp_path_factory):
+    """Build a module's randomly generated loops into a throw-away
+    directory instead of the user's shared-object cache; yields whether
+    the native tier is there at all."""
+    from repro.translator import native
+    saved = native.CACHE
+    native.CACHE = str(tmp_path_factory.mktemp("oppic-cache"))
+    yield native.compiler() is not None
+    native.CACHE = saved
+
+
+@pytest.fixture
+def numpy_target(monkeypatch):
+    """Pin ``vec`` to its NumPy codegen target (no native launch), for
+    the tests that exist to exercise that target's mechanisms: blocks,
+    plans, reduction strategies, fused program groups."""
+    from repro.translator import native
+    monkeypatch.setattr(native, "CC", None)
+
+
 def pytest_addoption(parser):
     parser.addoption("--slow", action="store_true", default=False,
                      help="run slow tests")

@@ -32,7 +32,7 @@ def test_exact_dat_accounting():
     assert rep.overlay == 0          # MH run: no DH bookkeeping
 
 
-def test_plan_cache_counted():
+def test_plan_cache_counted(numpy_target):
     sim = FemPicSimulation(FemPicConfig.smoke())
     sim.run(2)                       # vec backend builds mesh-loop plans
     rep = memory_report(sim)

@@ -1,14 +1,17 @@
 """Move-kernel fuzzing: random branch trees ending in move-control calls
-must behave identically under elemental MoveContext semantics and the
-generated masked status-array writes."""
+must behave identically under elemental MoveContext semantics, the
+generated masked status-array writes, and the compiled C walk."""
 import textwrap
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import (OPP_INC, OPP_READ, Context, arg_dat, decl_dat,
+                            decl_map, decl_particle_set, decl_set,
+                            push_context)
 from repro.core.kernel import Kernel
-from repro.core.move import MoveContext
+from repro.core.move import MoveContext, MoveLoop
 from repro.core.types import MoveStatus
 from repro.translator.codegen import VecMoveContext, generate
 
@@ -59,10 +62,36 @@ def move_kernels(draw):
     return f"def fuzz_move(move, p, acc):\n{body}\n"
 
 
+def _one_hop_walk(backend_name, kernel, cells, c2c_cells, p, acc):
+    """``kernel`` as a real ``particle_move`` of exactly one hop: every
+    neighbour a particle can step to is a foreign cell, where the walk
+    pauses.  Returns everything the move decided."""
+    n_real = c2c_cells.shape[0]
+    ctx = Context(backend_name)
+    with push_context(ctx):
+        cset = decl_set(2 * n_real)
+        parts = decl_particle_set(cset, cells.size)
+        to_foreign = np.where(c2c_cells >= 0, c2c_cells + n_real, -1)
+        c2c = decl_map(cset, cset, ARITY, np.vstack([to_foreign,
+                                                     to_foreign]))
+        p2c = decl_map(parts, cset, 1, cells.reshape(-1, 1))
+        pd = decl_dat(parts, 2, np.float64, p)
+        ad = decl_dat(parts, 1, np.float64, acc)
+        loop = MoveLoop(kernel, "fuzz_move", parts, c2c, p2c,
+                        [arg_dat(pd, OPP_READ), arg_dat(ad, OPP_INC)])
+        loop.foreign_cell_mask = np.arange(2 * n_real) >= n_real
+        loop.defer_removal = True
+        res = ctx.backend.execute_move(loop)
+        return {"p2c": p2c.p2c.copy(), "acc": ad.data.copy(),
+                "removed": res.removed_indices, "hops": res.total_hops,
+                "foreign": res.foreign_particles,
+                "foreign_cells": res.foreign_cells}, res.extras
+
+
 @settings(max_examples=50, deadline=None)
 @given(src=move_kernels(), seed=st.integers(0, 2**16),
        n=st.integers(1, 30))
-def test_random_move_kernels_agree(src, seed, n):
+def test_random_move_kernels_agree(scratch_native_cache, src, seed, n):
     ns = {}
     exec(compile(src, "<fuzz-move>", "exec"), ns)
     fn = ns["fuzz_move"]
@@ -99,3 +128,14 @@ def test_random_move_kernels_agree(src, seed, n):
     np.testing.assert_array_equal(v.status, e_status, err_msg=src)
     np.testing.assert_array_equal(v_next, e_next, err_msg=src)
     np.testing.assert_allclose(v_acc, e_acc, rtol=1e-12, err_msg=src)
+
+    # the C column: a real one-hop move, on a third of the examples
+    # (each is a fresh ≈ 55 ms compile; see test_fuzz.py)
+    if scratch_native_cache and seed % 3 == 0:
+        c2c_cells = rng.integers(-1, 6, size=(6, ARITY))
+        want, _ = _one_hop_walk("seq", kernel, cells, c2c_cells, p, acc)
+        got, extras = _one_hop_walk("vec", kernel, cells, c2c_cells, p, acc)
+        assert "fallback" not in extras, src
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key],
+                                          err_msg=f"{key}\n{src}")

@@ -9,12 +9,13 @@ import pytest
 
 from repro.core.args import ArgKind
 from repro.core.types import AccessMode
-from repro.verify.conformance import (DEFAULT_BACKENDS, Case,
-                                      ConformanceFailure, OP_NAMES, OPS,
-                                      _build_world, _conformance_backend,
-                                      compare_states, generate_case,
-                                      run_case, run_conformance,
-                                      shrink_case)
+from repro.translator import native
+from repro.verify.conformance import (DEFAULT_BACKENDS, NATIVE_INEXACT_OPS,
+                                      Case, ConformanceFailure, OP_NAMES,
+                                      OPS, _build_world, _case_fails,
+                                      _conformance_backend, compare_states,
+                                      generate_case, native_tally, run_case,
+                                      run_conformance, shrink_case)
 
 pytestmark = pytest.mark.conformance
 
@@ -118,17 +119,63 @@ def test_two_set_shared_dat_op_sums_both_sets():
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_single_op_conforms(backend_name, op):
+    """``vec`` here is the native tier where a compiler exists: held to
+    rtol = atol = 0 on every op it accepts (see ``_case_fails``)."""
     oracle = _conformance_backend("seq")
     backend = _conformance_backend(backend_name)
     try:
         for seed in (0, 1):
             case = generate_case(seed).replace(program=(op,))
-            mismatches = compare_states(run_case(case, oracle),
-                                        run_case(case, backend))
+            mismatches = _case_fails(case, oracle, backend)
             assert not mismatches, f"{op} on {backend_name}: {mismatches}"
     finally:
         if hasattr(backend, "close"):
             backend.close()
+
+
+@pytest.mark.parametrize("op", OP_NAMES)
+def test_single_op_conforms_on_the_numpy_target(op, numpy_target):
+    oracle, vec = _conformance_backend("seq"), _conformance_backend("vec")
+    for seed in (0, 1):
+        case = generate_case(seed).replace(program=(op,))
+        assert not _case_fails(case, oracle, vec), op
+
+
+needs_cc = pytest.mark.skipif(native.compiler() is None,
+                              reason="no C compiler")
+
+
+@needs_cc
+def test_native_tier_accepts_the_whole_descriptor_catalog():
+    """Zero declines for the ArgKind x AccessMode catalog proper; the
+    forced-strategy ops decline by rule, with the reason recorded."""
+    oracle, vec = _conformance_backend("seq"), _conformance_backend("vec")
+    for op in OP_NAMES:
+        log = native_tally()
+        case = generate_case(2).replace(program=(op,))
+        assert not _case_fails(case, oracle, vec, log), op
+        if op.endswith("_sparse"):
+            assert log["declined_cases"] == 1, op
+            assert all("forced" in r for r in log["declined"]), op
+        else:
+            assert log["declined"] == {}, (op, log)
+            assert log["inexact_cases"] == (op in NATIVE_INEXACT_OPS), op
+
+
+@needs_cc
+def test_native_sweep_is_bit_equal_to_seq(request):
+    """Random programs with the forced-strategy ops un-forced, so every
+    loop is the tier's: all cases at zero tolerance, none declined."""
+    n = int(request.config.getoption("--conformance-cases"))
+    oracle, vec = _conformance_backend("seq"), _conformance_backend("vec")
+    log = native_tally()
+    for seed in range(n):
+        case = generate_case(seed)
+        case = case.replace(program=tuple(
+            op[:-len("_sparse")] if op.endswith("_sparse") else op
+            for op in case.program if op not in NATIVE_INEXACT_OPS))
+        assert not _case_fails(case, oracle, vec, log), case.signature()
+    assert log["exact_cases"] == n and log["declined"] == {}
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
