@@ -1,0 +1,207 @@
+"""What one warm launch costs: microseconds per ``par_loop`` /
+``particle_move`` call from a call site that has run before, on loops so
+small (8 elements) that the kernel's own work is noise.
+
+A call site is declared, validated and bound on its first launch
+(DESIGN.md §3, "declaration vs launch"); this bench times what is left
+afterwards, written the way an application writes it (the ``arg_dat``
+descriptors are built at every call), for 1 / 3 / 6-argument direct,
+indirect and double-indirect loops and a one-hop move, on ``seq``, on
+plain ``vec`` (the native tier) and on ``vec`` pinned to its NumPy target.
+
+The table (also ``results/launch_cost.txt``) is this host's reading and
+gates nothing.  The exit code is a **count**: over 100 warm launches of
+every site, nothing that belongs to a declaration may run again —
+``Arg.validate_against``, ``Kernel.check_arity``, and on the native tier
+``cgen.signature``, ``Kernel.generated`` and ``native._launcher`` are
+called 0 times.
+
+    PYTHONPATH=src python benchmarks/bench_launch.py
+"""
+import sys
+import time
+
+import numpy as np
+
+try:
+    from .common import write_result
+except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
+    from common import write_result
+
+N = 8                   # elements / particles per set
+WARM = 100              # launches the zero-call gate counts over
+REPEATS, LAUNCHES = 7, 200
+
+
+def k1(a):
+    a[0] += 1.0
+
+
+def k3(a, b, c):
+    c[0] += a[0] * b[0]
+
+
+def k6(a, b, c, d, e, f):
+    f[0] += a[0] * b[0] + c[0] * d[0] + e[0]
+
+
+def hop_once(move, pos):
+    if move.hop == 0 and pos[0] > 0.5:
+        move.move_to(move.c2c[0])
+    else:
+        move.done()
+
+
+KERNELS = {1: k1, 3: k3, 6: k6}
+
+
+def build_sites():
+    """``{label: launch()}`` over one small world declared under the
+    active context; each label is one call site."""
+    from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, arg_dat,
+                                decl_dat, decl_map, decl_particle_set,
+                                decl_set, par_loop, particle_move)
+    rng = np.random.default_rng(0)
+    cells, nodes = decl_set(N, "cells"), decl_set(N + 3, "nodes")
+    parts = decl_particle_set(cells, N, "parts")
+    c2n = decl_map(cells, nodes, 4, rng.integers(0, N + 3, (N, 4)), "c2n")
+    c2c = decl_map(cells, cells, 2, rng.integers(0, N, (N, 2)), "c2c")
+    p2c = decl_map(parts, cells, 1, rng.integers(0, N, (N, 1)), "p2c")
+    on = {"direct": [decl_dat(cells, 1, np.float64, name=f"c{i}")
+                     for i in range(6)],
+          "indirect": [decl_dat(nodes, 1, np.float64, name=f"n{i}")
+                       for i in range(6)]}
+    on["double"] = on["indirect"]
+    pos = decl_dat(parts, 1, np.float64, np.linspace(0.0, 1.0, N), "pos")
+
+    def args_of(kind, nargs):
+        def build():
+            out = []
+            for i, dat in enumerate(on[kind][:nargs]):
+                access = OPP_INC if i == nargs - 1 else OPP_READ
+                if kind == "direct":
+                    out.append(arg_dat(dat, access))
+                elif kind == "indirect":
+                    out.append(arg_dat(dat, i % 4, c2n, access))
+                else:
+                    out.append(arg_dat(dat, i % 4, c2n, p2c, access))
+            return out
+        return build
+
+    sites = {}
+    for kind in ("direct", "indirect", "double"):
+        iterset = parts if kind == "double" else cells
+        for nargs, kernel in KERNELS.items():
+            name, build = f"{kind}{nargs}", args_of(kind, nargs)
+            sites[f"{kind}, {nargs} arg"] = (
+                lambda kernel=kernel, name=name, iterset=iterset,
+                build=build: par_loop(kernel, name, iterset,
+                                      OPP_ITERATE_ALL, *build()))
+    sites["move, one hop"] = lambda: particle_move(
+        hop_once, "hop", parts, c2c, p2c, arg_dat(pos, OPP_READ))
+    return sites
+
+
+class CallCounts:
+    """Count calls of the declaration-time functions while active."""
+
+    def __init__(self):
+        from repro.core.args import Arg
+        from repro.core.kernel import Kernel
+        from repro.translator import cgen, native
+        self.targets = [(Arg, "validate_against"), (Kernel, "check_arity"),
+                        (cgen, "signature"), (Kernel, "generated"),
+                        (native, "_launcher")]
+        self.calls = {}
+
+    def __enter__(self):
+        self.saved = []
+        for owner, attr in self.targets:
+            real = getattr(owner, attr)
+            label = f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+            self.calls[label] = 0
+
+            def counting(*args, _real=real, _label=label, **kwargs):
+                self.calls[_label] += 1
+                return _real(*args, **kwargs)
+
+            self.saved.append((owner, attr, real))
+            setattr(owner, attr, counting)
+        return self
+
+    def __exit__(self, *exc):
+        for owner, attr, real in self.saved:
+            setattr(owner, attr, real)
+
+
+def measure(backend: str, pin_numpy: bool):
+    """``({label: µs per warm launch}, {function: calls in WARM warm
+    launches of every site})`` on a fresh context."""
+    from repro.core.api import Context, push_context
+    from repro.translator import native
+    saved = native.CC
+    if pin_numpy:
+        native.CC = None
+    try:
+        with push_context(Context(backend)):
+            sites = build_sites()
+            for launch in sites.values():       # declare, build, bind
+                for _ in range(3):
+                    launch()
+            with CallCounts() as counts:
+                for launch in sites.values():
+                    for _ in range(WARM):
+                        launch()
+            cost = {}
+            for label, launch in sites.items():
+                samples = []
+                for _ in range(REPEATS):
+                    t0 = time.perf_counter()
+                    for _ in range(LAUNCHES):
+                        launch()
+                    samples.append((time.perf_counter() - t0) / LAUNCHES)
+                cost[label] = 1e6 * min(samples)
+            return cost, counts.calls
+    finally:
+        native.CC = saved
+
+
+def main() -> int:
+    from repro.translator import native
+    legs = [("seq", "seq", False), ("vec numpy", "vec", True)]
+    if native.compiler() is not None:
+        legs.insert(1, ("vec native", "vec", False))
+    results = {leg: measure(backend, pin) for leg, backend, pin in legs}
+
+    labels = list(next(iter(results.values()))[0])
+    lines = [f"Warm launch cost, microseconds per call ({N}-element sets; "
+             f"best of {REPEATS} x {LAUNCHES} launches)",
+             f"{'call site':<18}" + "".join(f"{leg:>12}" for leg in results)]
+    for label in labels:
+        lines.append(f"{label:<18}" + "".join(
+            f"{results[leg][0][label]:>12.1f}" for leg in results))
+    if "vec native" not in results:
+        lines.append("(no C compiler: the native column is absent)")
+    lines.append("")
+    lines.append(f"declaration-time calls in {WARM} warm launches of every "
+                 "site (gate: all 0)")
+
+    failed = []
+    for leg, (_cost, calls) in results.items():
+        # the NumPy target fetches its generated batch function from the
+        # kernel record on every launch; that is its launch path
+        gated = {name: n for name, n in calls.items()
+                 if leg == "vec native" or name in ("Arg.validate_against",
+                                                    "Kernel.check_arity")}
+        lines.append(f"{leg:<12}" + "  ".join(f"{name}={n}"
+                                              for name, n in gated.items()))
+        failed += [f"{leg}: {name} called {n} times"
+                   for name, n in gated.items() if n]
+    write_result("launch_cost", "\n".join(lines))
+    for line in failed:
+        print("FAIL", line, file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    raise SystemExit(main())

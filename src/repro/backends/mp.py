@@ -102,11 +102,6 @@ def _worker_kernel(ref: Tuple[str, str]):
     return kern.generated("vec")
 
 
-def _apply_consts(snapshot: dict) -> None:
-    CONST._values.clear()
-    CONST._values.update(snapshot)
-
-
 def _arg_rows(attached: dict, d: dict, idx: np.ndarray,
               cells: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Target rows for one argument chunk (None = direct slice access)."""
@@ -153,7 +148,7 @@ def _worker_inc(d: dict, target: np.ndarray, rows: np.ndarray,
 
 def _run_parloop_chunk(msg: dict, attached: dict) -> dict:
     gen = _worker_kernel(msg["kernel"])
-    _apply_consts(msg["const"])
+    CONST.restore(msg["const"])
     lo, hi = msg["lo"], msg["hi"]
     n = hi - lo
     idx = np.arange(lo, hi, dtype=np.int64)
@@ -263,7 +258,7 @@ def _run_move_chunk(msg: dict, attached: dict) -> dict:
     gen = _worker_kernel(msg["kernel"])
     if not gen.is_move:
         raise _Unresolvable(f"{msg['kernel']}: not a move kernel")
-    _apply_consts(msg["const"])
+    CONST.restore(msg["const"])
     from ..translator.codegen import VecMoveContext
 
     scatters = _zero_scatters(attached, msg["scatters"])

@@ -42,7 +42,7 @@ class SeqBackend(Backend):
             else:  # DOUBLE
                 views.append(("double", a.dat.data,
                               (a.p2c.p2c, a.map.values), a.map_idx))
-        for i in range(loop.start, loop.end):
+        for i in range(*loop.bounds()):
             params = []
             for kind, data, mapping, midx in views:
                 if kind == "gbl":

@@ -189,16 +189,16 @@ class VecBackend(Backend):
     # -- opp_par_loop -----------------------------------------------------------
 
     def execute(self, loop: ParLoop) -> Optional[dict]:
-        span = slice(loop.start, loop.end)
-        n = span.stop - span.start
+        start, end = loop.bounds()
+        n = end - start
         if n <= 0:
             return None
         declined = self._numpy_only()
         if declined is None:
-            extras, declined = native.par_loop(loop)
+            extras, declined = native.par_loop(loop, start, end)
             if extras is not None:
                 return extras
-        extras = self._execute_numpy(loop, span, n)
+        extras = self._execute_numpy(loop, slice(start, end), n)
         if type(self) is VecBackend:
             extras["fallback"] = declined
         return extras

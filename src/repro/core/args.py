@@ -37,7 +37,15 @@ class ArgKind:
 
 
 class Arg:
-    """One kernel argument: a dat (or global) plus addressing and access."""
+    """One kernel argument: a dat (or global) plus addressing and access.
+
+    An immutable description: loop declarations are shared between
+    launches and keyed by :attr:`key`, so nothing may change an ``Arg``
+    after it is built.
+    """
+
+    __slots__ = ("dat", "access", "map", "map_idx", "p2c", "kind",
+                 "is_indirect", "is_global", "key")
 
     def __init__(self, dat, access: AccessMode, *, map_: Optional[Map] = None,
                  map_idx: Optional[int] = None, p2c: Optional[Map] = None):
@@ -48,6 +56,11 @@ class Arg:
         self.map = map_
         self.map_idx = map_idx
         self.p2c = p2c
+        #: what a call site's memo compares: the objects themselves
+        #: (hashed by identity and kept alive by the key) and how they
+        #: are addressed (the access mode by its value: a ``str`` hashes
+        #: in C, an ``Enum`` member in Python)
+        self.key = (dat, access._value_, map_, map_idx, p2c)
 
         if isinstance(dat, Global):
             if map_ is not None or p2c is not None:
@@ -63,6 +76,9 @@ class Arg:
             self.kind = ArgKind.INDIRECT
         else:
             self.kind = ArgKind.DIRECT
+        self.is_global = self.kind == ArgKind.GLOBAL
+        self.is_indirect = self.kind in (ArgKind.INDIRECT, ArgKind.P2C,
+                                         ArgKind.DOUBLE)
 
         if self.map is not None:
             if self.map.is_particle_map:
@@ -76,14 +92,6 @@ class Arg:
                                  f"{self.map.arity}")
 
     # -- addressing -----------------------------------------------------------
-
-    @property
-    def is_indirect(self) -> bool:
-        return self.kind in (ArgKind.INDIRECT, ArgKind.P2C, ArgKind.DOUBLE)
-
-    @property
-    def is_global(self) -> bool:
-        return self.kind == ArgKind.GLOBAL
 
     def validate_against(self, iterset: Set) -> None:
         """Check this argument is addressable from loops over ``iterset``."""

@@ -11,9 +11,17 @@ from typing import Optional
 
 __all__ = ["Context", "get_context", "set_backend", "push_context"]
 
+#: most loop call sites one context remembers.  An application has tens;
+#: the process-wide default context also sees every throw-away loop a
+#: test or script declares under it, so a full memo is emptied wholesale
+#: (live sites re-declare on their next launch) instead of growing for
+#: the life of the process
+MAX_SITES = 256
+
 
 class Context:
-    """Holds the active backend instance and the perf recorder."""
+    """Holds the active backend instance, the perf recorder and the
+    declarations of the loop call sites launched under it."""
 
     def __init__(self, backend: str = "seq", **backend_options):
         from ..backends import make_backend
@@ -21,11 +29,24 @@ class Context:
         self.backend = make_backend(backend, **backend_options)
         from ..perf.timers import PerfRecorder
         self.perf: PerfRecorder = PerfRecorder()
+        #: call-site key -> the validated declaration (``ParLoop`` or
+        #: the static half of a move) and whatever the backend bound to
+        #: it.  Owned here so a site dies with the simulation, rank or
+        #: solver context that launched it; the keys hold their kernels,
+        #: sets, dats and maps strongly, so no id is reused under a live
+        #: entry
+        self.sites: dict = {}
 
     def set_backend(self, backend: str, **backend_options) -> None:
         from ..backends import make_backend
         self.backend_name = backend
         self.backend = make_backend(backend, **backend_options)
+        self.sites.clear()      # bindings belong to the old backend
+
+    def remember_site(self, key: tuple, declaration) -> None:
+        if len(self.sites) >= MAX_SITES:
+            self.sites.clear()
+        self.sites[key] = declaration
 
     def __repr__(self) -> str:
         return f"<Context backend={self.backend_name!r}>"

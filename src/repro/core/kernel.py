@@ -63,6 +63,11 @@ class ConstRegistry:
     def snapshot(self) -> dict:
         return dict(self._values)
 
+    def restore(self, snapshot: dict) -> None:
+        """Make the registry hold exactly what :meth:`snapshot` returned."""
+        self._values.clear()
+        self._values.update(snapshot)
+
 
 #: Process-wide constant registry used by application kernels.
 CONST = ConstRegistry()

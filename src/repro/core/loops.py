@@ -9,7 +9,7 @@ counters used by the roofline/breakdown benchmarks.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,14 @@ def run_loop_hooks(loop) -> None:
 
 
 class ParLoop:
-    """Backend-independent description of a parallel loop over a set."""
+    """Backend-independent description of a parallel loop over a set.
+
+    A declaration is validated once and then shared by every launch from
+    its call site (and by loop hooks and the program trace, which must
+    treat it as read-only): it records only what the call site fixes.
+    What a launch may find changed — the iteration bounds, array
+    addresses, set sizes — is read when the loop runs.
+    """
 
     def __init__(self, kernel: Kernel, name: str, iterset: Set,
                  iterate_type: IterateType, args: Sequence[Arg]):
@@ -74,8 +81,7 @@ class ParLoop:
         self.args: List[Arg] = list(args)
         #: True when some argument increments data through a mapping —
         #: the pattern that requires scatter arrays / atomics / segmented
-        #: reductions.  Static per declaration; ``end`` reads it on every
-        #: bounds query
+        #: reductions, and the loops that also run over the exec halo
         self.has_indirect_inc = any(a.is_indirect
                                     and a.access is AccessMode.INC
                                     for a in self.args)
@@ -86,33 +92,52 @@ class ParLoop:
         for a in self.args:
             a.validate_against(iterset)
         self.kernel.check_arity(len(self.args), loop_name=name)
+        #: modelled bytes one iteration transfers (paper's counter model:
+        #: each argument streams ``dim*itemsize`` once per direction;
+        #: indirect addressing additionally streams the map entries)
+        self.bytes_per_iter = _bytes_per_iter(self.args)
+        #: the kernel's divergent-branch weight and flop count per
+        #: element (both 0 for a kernel outside the kernel language)
+        self.branches = self.kernel.branch_count()
+        self.flops_per_elem = float(self.kernel.flops_per_elem or 0.0)
+        #: what the backend's compiled tier bound to this declaration,
+        #: by launch variant (see :mod:`repro.translator.native`)
+        self.bindings: dict = {}
 
     # -- iteration domain ------------------------------------------------------
 
+    def bounds(self) -> Tuple[int, int]:
+        """``(start, end)`` of this launch's iteration range.
+
+        Owner-compute: halo elements are updated by exchanges, not loops
+        — except that loops incrementing through a mapping also run
+        redundantly over the exec halo (paper §3.2.1: "data races ... are
+        handled with redundant computations over MPI halos"), which
+        completes every owned target element locally.
+        """
+        iterset = self.iterset
+        start = (iterset.injected_start
+                 if self.iterate_type is IterateType.INJECTED else 0)
+        if self.has_indirect_inc and iterset.exec_halo_size:
+            return start, min(iterset.owned_size + iterset.exec_halo_size,
+                              iterset.size)
+        return start, iterset.owned_size
+
     @property
     def start(self) -> int:
-        if self.iterate_type is IterateType.INJECTED:
-            return self.iterset.injected_start
-        return 0
+        return self.bounds()[0]
 
     @property
     def end(self) -> int:
-        # owner-compute: halo elements are updated by exchanges, not
-        # loops — except that loops incrementing through a mapping also
-        # run redundantly over the exec halo (paper §3.2.1: "data races
-        # ... are handled with redundant computations over MPI halos"),
-        # which completes every owned target element locally
-        if self.has_indirect_inc and self.iterset.exec_halo_size:
-            return min(self.iterset.owned_size
-                       + self.iterset.exec_halo_size, self.iterset.size)
-        return self.iterset.owned_size
+        return self.bounds()[1]
 
     @property
     def n_iter(self) -> int:
-        return max(self.end - self.start, 0)
+        start, end = self.bounds()
+        return max(end - start, 0)
 
     def iter_indices(self) -> np.ndarray:
-        return np.arange(self.start, self.end, dtype=np.int64)
+        return np.arange(*self.bounds(), dtype=np.int64)
 
     # -- race analysis ---------------------------------------------------------
 
@@ -124,37 +149,30 @@ class ParLoop:
     # -- data-movement model ---------------------------------------------------
 
     def bytes_moved(self) -> int:
-        """Modelled bytes transferred per execution (paper's counter model:
-        each argument streams ``n*dim*itemsize`` once per direction)."""
-        n = self.n_iter
-        total = 0
-        for a in self.args:
-            if a.is_global:
-                continue
-            per = a.dat.nbytes_per_elem
-            directions = (1 if a.access in (AccessMode.READ, AccessMode.WRITE)
-                          else 2)
-            # indirect addressing additionally streams the map entries
-            if a.kind in (ArgKind.INDIRECT, ArgKind.DOUBLE):
-                total += n * 8
-            if a.kind in (ArgKind.P2C, ArgKind.DOUBLE):
-                total += n * 8
-            total += n * per * directions
-        return total
+        """Modelled bytes transferred per execution."""
+        return self.n_iter * self.bytes_per_iter
 
     def flops(self) -> float:
-        fpe = self.kernel.flops_per_elem
-        if fpe is None:
-            try:
-                self.kernel.ir()
-                fpe = self.kernel.flops_per_elem
-            except Exception:
-                fpe = 0.0
-        return float(fpe or 0.0) * self.n_iter
+        return self.flops_per_elem * self.n_iter
 
     def __repr__(self) -> str:
         return (f"<ParLoop {self.name!r} over {self.iterset.name!r} "
                 f"n={self.n_iter} args={len(self.args)}>")
+
+
+def _bytes_per_iter(args: Sequence[Arg]) -> int:
+    total = 0
+    for a in args:
+        if a.is_global:
+            continue
+        directions = (1 if a.access in (AccessMode.READ, AccessMode.WRITE)
+                      else 2)
+        if a.kind in (ArgKind.INDIRECT, ArgKind.DOUBLE):
+            total += 8
+        if a.kind in (ArgKind.P2C, ArgKind.DOUBLE):
+            total += 8
+        total += a.dat.nbytes_per_elem * directions
+    return total
 
 
 def execute_parloop(loop: ParLoop, ctx) -> None:
@@ -166,9 +184,11 @@ def execute_parloop(loop: ParLoop, ctx) -> None:
     t0 = time.perf_counter()
     extras = ctx.backend.execute(loop) or {}
     dt = time.perf_counter() - t0
-    extras.setdefault("branches", loop.kernel.branch_count())
-    ctx.perf.record_loop(loop.name, n=loop.n_iter, seconds=dt,
-                         flops=loop.flops(), nbytes=loop.bytes_moved(),
+    n = loop.n_iter
+    extras.setdefault("branches", loop.branches)
+    ctx.perf.record_loop(loop.name, n=n, seconds=dt,
+                         flops=loop.flops_per_elem * n,
+                         nbytes=loop.bytes_per_iter * n,
                          indirect_inc=loop.has_indirect_inc, **extras)
 
 
@@ -181,10 +201,19 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
     concerns.  Under an active program trace the declaration is deferred
     instead: it joins the pending loop graph and executes (possibly fused
     with its neighbours) when host code next observes its data.
+
+    The call site is declared once per context: the first call validates
+    the descriptors and remembers the :class:`ParLoop`; a repeated call
+    with the same kernel, set and argument descriptors launches that
+    declaration again.
     """
-    loop = ParLoop(kernel, name, iterset, iterate_type, args)
-    run_loop_hooks(loop)
     ctx = get_context()
+    key = (kernel, name, iterset, iterate_type, *[a.key for a in args])
+    loop = ctx.sites.get(key)
+    if loop is None:
+        loop = ParLoop(kernel, name, iterset, iterate_type, args)
+        ctx.remember_site(key, loop)
+    run_loop_hooks(loop)
     if tracing.active:
         tracer = tracing.current()
         if tracer is not None and tracer.defer_parloop(loop, ctx):

@@ -28,12 +28,14 @@ from . import tracing
 from .args import Arg
 from .context import get_context
 from .kernel import Kernel, as_kernel
+from .loops import run_loop_hooks
 from .maps import Map
 from .sets import ParticleSet
 from .types import AccessMode, MoveStatus
 
-__all__ = ["MoveContext", "MoveDeposit", "MoveLoop", "particle_move",
-           "MoveResult", "execute_moveloop", "deposit_fusion_conflict"]
+__all__ = ["MoveContext", "MoveDeposit", "MoveDecl", "MoveLoop",
+           "declare_move", "particle_move", "MoveResult", "execute_moveloop",
+           "deposit_fusion_conflict"]
 
 #: Safety bound on hops per particle per move call; a well-posed PIC step
 #: moves particles at most a few cells, so hitting this indicates a bug.
@@ -150,13 +152,16 @@ def deposit_fusion_conflict(args: Sequence[Arg],
     return None
 
 
-class MoveLoop:
-    """Backend-independent description of a particle-move loop."""
+class MoveDecl:
+    """The static half of a particle move: everything its call site fixes
+    — kernel, sets, maps, argument descriptors, the fused deposit and its
+    legality.  Validated once, then shared by every launch from the site
+    (each a :class:`MoveLoop`) and read-only from then on.
+    """
 
     def __init__(self, kernel: Kernel, name: str, pset: ParticleSet,
                  c2c_map: Map, p2c_map: Map, args: Sequence[Arg],
                  max_hops: int = DEFAULT_MAX_HOPS,
-                 only_indices: Optional[np.ndarray] = None,
                  deposit: Optional[MoveDeposit] = None):
         self.kernel = as_kernel(kernel)
         self.name = name
@@ -165,15 +170,6 @@ class MoveLoop:
         self.p2c_map = p2c_map
         self.args: List[Arg] = list(args)
         self.max_hops = int(max_hops)
-        #: restrict the move to these particle indices (used when resuming
-        #: the move for particles just received from another rank)
-        self.only_indices = only_indices
-        #: boolean mask over cells marking halo/foreign cells; particles
-        #: entering such a cell pause for migration (set by the runtime)
-        self.foreign_cell_mask: Optional[np.ndarray] = None
-        #: if set, particles finishing in a removed state are *not* deleted
-        #: by the backend (the runtime batches deletion with migration)
-        self.defer_removal = False
         #: optional fused deposit executed per frontier round
         self.deposit = deposit
 
@@ -194,14 +190,67 @@ class MoveLoop:
                 raise ValueError("global reductions inside a move kernel "
                                  "are not supported; reduce in a separate "
                                  "opp_par_loop after the move")
+        inc_args = self.args
         if deposit is not None:
             reason = deposit_fusion_conflict(deposit.args, pset)
             if reason is not None:
                 raise ValueError(reason)
             deposit.kernel.check_arity(len(deposit.args),
                                        loop_name=f"{name}:deposit")
+            inc_args = self.args + deposit.args
         # +1: the elemental move kernel receives the MoveContext first
         self.kernel.check_arity(len(self.args) + 1, loop_name=name)
+        self.has_indirect_inc = any(a.is_indirect
+                                    and a.access is AccessMode.INC
+                                    for a in inc_args)
+        #: modelled bytes per hop: the p2c entry, the c2c row, and each
+        #: argument's row once per direction
+        self.hop_bytes = 8 + 8 * c2c_map.arity + sum(
+            a.dat.nbytes_per_elem
+            * (1 if a.access in (AccessMode.READ, AccessMode.WRITE) else 2)
+            for a in self.args if not a.is_global)
+        #: what the backend's compiled tier bound to this declaration,
+        #: by launch variant (see :mod:`repro.translator.native`)
+        self.bindings: dict = {}
+
+
+class MoveLoop:
+    """One launch of a particle move: the fields of its shared
+    declaration (``kernel``, ``pset``, ``args``, ``deposit`` … — read
+    only) plus the state of this launch alone.
+
+    Constructing one directly declares the move afresh;
+    :func:`declare_move` reuses the call site's declaration.
+    """
+
+    def __init__(self, kernel: Kernel, name: str, pset: ParticleSet,
+                 c2c_map: Map, p2c_map: Map, args: Sequence[Arg],
+                 max_hops: int = DEFAULT_MAX_HOPS,
+                 only_indices: Optional[np.ndarray] = None,
+                 deposit: Optional[MoveDeposit] = None):
+        self._begin(MoveDecl(kernel, name, pset, c2c_map, p2c_map, args,
+                             max_hops, deposit), only_indices)
+
+    @classmethod
+    def of(cls, decl: MoveDecl,
+           only_indices: Optional[np.ndarray] = None) -> "MoveLoop":
+        """A new launch of an existing declaration."""
+        loop = cls.__new__(cls)
+        loop._begin(decl, only_indices)
+        return loop
+
+    def _begin(self, decl: MoveDecl, only_indices) -> None:
+        vars(self).update(vars(decl))
+        self.decl = decl
+        #: restrict the move to these particle indices (used when resuming
+        #: the move for particles just received from another rank)
+        self.only_indices = only_indices
+        #: boolean mask over cells marking halo/foreign cells; particles
+        #: entering such a cell pause for migration (set by the runtime)
+        self.foreign_cell_mask: Optional[np.ndarray] = None
+        #: if set, particles finishing in a removed state are *not* deleted
+        #: by the backend (the runtime batches deletion with migration)
+        self.defer_removal = False
 
     def iter_indices(self) -> np.ndarray:
         if self.only_indices is not None:
@@ -209,17 +258,29 @@ class MoveLoop:
         return np.arange(self.pset.size, dtype=np.int64)
 
     def bytes_per_hop(self) -> int:
-        total = 8 + 8 * self.c2c_map.arity   # p2c read + c2c row
-        for a in self.args:
-            if a.is_global:
-                continue
-            per = a.dat.nbytes_per_elem
-            total += per * (1 if a.access in (AccessMode.READ,
-                                              AccessMode.WRITE) else 2)
-        return total
+        return self.hop_bytes
 
     def __repr__(self) -> str:
         return f"<MoveLoop {self.name!r} over {self.pset.name!r}>"
+
+
+def declare_move(ctx, kernel, name: str, pset: ParticleSet, c2c_map: Map,
+                 p2c_map: Map, args: Sequence[Arg], max_hops: int,
+                 deposit: Optional[MoveDeposit] = None,
+                 only_indices: Optional[np.ndarray] = None) -> MoveLoop:
+    """A new launch of a move call site, which ``ctx`` declares once (as
+    ``par_loop`` does its sites): the first call validates and remembers
+    the :class:`MoveDecl`, a repeated one only makes the launch object."""
+    key = (kernel, name, pset, c2c_map, p2c_map, max_hops,
+           *[a.key for a in args])
+    if deposit is not None:
+        key += (deposit.kernel, deposit.when, *[a.key for a in deposit.args])
+    decl = ctx.sites.get(key)
+    if decl is None:
+        decl = MoveDecl(kernel, name, pset, c2c_map, p2c_map, args,
+                        max_hops, deposit)
+        ctx.remember_site(key, decl)
+    return MoveLoop.of(decl, only_indices)
 
 
 def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
@@ -229,21 +290,16 @@ def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     optimizer's deferred-flush executor so both record identical
     counters.
     """
-    deposit = loop.deposit
     t0 = time.perf_counter()
     result = ctx.backend.execute_move(loop)
     dt = time.perf_counter() - t0
-    n = loop.pset.size
-    fpe = loop.kernel.flops_per_elem or 0.0
-    inc_args = list(loop.args) + (list(deposit.args) if deposit else [])
-    if deposit is not None:
-        result.extras.setdefault("fused_deposit", deposit.when)
-    ctx.perf.record_loop(loop.name, n=n, seconds=dt,
-                         flops=fpe * result.total_hops,
-                         nbytes=loop.bytes_per_hop() * result.total_hops,
-                         indirect_inc=any(a.is_indirect and
-                                          a.access is AccessMode.INC
-                                          for a in inc_args),
+    if loop.deposit is not None:
+        result.extras.setdefault("fused_deposit", loop.deposit.when)
+    ctx.perf.record_loop(loop.name, n=loop.pset.size, seconds=dt,
+                         flops=((loop.kernel.flops_per_elem or 0.0)
+                                * result.total_hops),
+                         nbytes=loop.hop_bytes * result.total_hops,
+                         indirect_inc=loop.has_indirect_inc,
                          hops=result.total_hops, is_move=True,
                          collisions=result.max_collisions,
                          branches=loop.kernel.branch_count(),
@@ -298,11 +354,10 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
     if deposit_kernel is not None:
         deposit = MoveDeposit(deposit_kernel, deposit_args,
                               when=deposit_when)
-    loop = MoveLoop(kernel, name, pset, c2c_map, p2c_map, args,
-                    max_hops=max_hops, deposit=deposit)
-    from .loops import run_loop_hooks
-    run_loop_hooks(loop)
     ctx = get_context()
+    loop = declare_move(ctx, kernel, name, pset, c2c_map, p2c_map, args,
+                        max_hops, deposit)
+    run_loop_hooks(loop)
     if tracing.active:
         tracer = tracing.current()
         if tracer is not None:

@@ -215,9 +215,12 @@ def _migrate_particles(comm, names, old_ranks, new_ranks, old_meshes,
 
 def _clear_plan_caches(comm, ranks) -> None:
     # rebuilt sets/maps can reuse CPython ids of the dead ones — drop
-    # any backend plan caches keyed on object identity
+    # any backend plan caches keyed on object identity, and the call
+    # sites declared on the old rank's objects (their keys would keep
+    # those objects alive)
     for r in comm.local_ranks:
         ctx = ranks[r].ctx
+        ctx.sites.clear()
         cache = getattr(getattr(ctx, "backend", None), "plan", None)
         if cache is not None and hasattr(cache, "_rows"):
             cache.__init__()

@@ -31,7 +31,8 @@ from ..core.context import Context, push_context
 from ..core.dats import Dat
 from ..core.loops import run_loop_hooks
 from ..core.maps import Map
-from ..core.move import MoveDeposit, MoveLoop, MoveResult, execute_moveloop
+from ..core.move import (MoveDeposit, MoveResult, declare_move,
+                         execute_moveloop)
 from ..core.sets import ParticleSet
 from .comm import SimComm
 from .halo import HaloPlan, RankMesh
@@ -175,10 +176,10 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
         for r in comm.local_ranks:
             if not first and pending[r] is None:
                 continue
-            loop = MoveLoop(kernel, name, psets[r], c2c_maps[r],
-                            p2c_maps[r], args_per_rank[r],
-                            max_hops=max_hops, only_indices=pending[r],
-                            deposit=deposits[r] if deposits else None)
+            loop = declare_move(contexts[r], kernel, name, psets[r],
+                                c2c_maps[r], p2c_maps[r], args_per_rank[r],
+                                max_hops, deposits[r] if deposits else None,
+                                only_indices=pending[r])
             loop.foreign_cell_mask = meshes[r].foreign_cell_mask
             loop.defer_removal = True
             run_loop_hooks(loop)

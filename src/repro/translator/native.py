@@ -5,10 +5,12 @@ module turns it into a callable once per machine and calls it once per
 launch: host ``cc`` → shared object in a per-user cache directory →
 ``ctypes``.  The object's key hashes the kernel source, the descriptor
 signature, the emitter's own source, the compiler's version line and the
-flags, so a warm launch runs neither the emitter nor the compiler; loaded
-handles and bound functions are memoised per process, array addresses are
-read again on every launch (particle dats grow, ``adopt_raw`` swaps
-buffers).
+flags, so a warm process runs neither the emitter nor the compiler; loaded
+handles and bound functions are memoised per process.  What a launch
+derives from the loop's descriptors is kept on the declaration (a
+:class:`_Binding`), so a repeated launch from a call site only reads what
+may have changed: each array object (particle dats grow, ``adopt_raw``
+swaps buffers), each row count, the ``CONST`` values.
 
 Nothing here raises for a loop it cannot serve: :func:`par_loop` and
 :func:`particle_move` return ``(None, reason)`` and the caller stays on
@@ -219,14 +221,6 @@ class _Launcher:
         self.consts = tuple(consts)
         self.Table = c_double * max(len(self.consts), 1)
 
-    def table(self):
-        """The launch's constant table, read from the registry now (None
-        when a value is not a numeric scalar)."""
-        try:
-            return self.Table(*CONST.values(self.consts))
-        except TypeError:
-            return None
-
 
 def _source_key(kernel) -> tuple:
     return (kernel.name, kernel.source, kernel.generated("c").literals)
@@ -269,32 +263,103 @@ def _addr(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-def _bind(objs: list) -> Optional[list]:
-    """``pointer, rows`` of every array slot, or None when one of them is
-    not a C-contiguous buffer."""
-    argv = []
-    for o in objs:
-        if type(o) is Global:
-            arr, rows = o.data, o.dim
-        else:
-            arr = o.raw
-            rows = o.from_set.size if type(o) is Map else o.set.size
-        if not arr.flags.c_contiguous:
+_INT64 = np.dtype(np.int64).char
+
+
+class _Binding:
+    """What the native launches of one declaration share: its launcher
+    and, per ``(pointer, rows)`` slot of the generated function, the
+    object behind it and the array it last held with that array's
+    address.  Holding the array is what makes "same object, same address"
+    true (``ndarray.resize`` refuses while a reference exists)."""
+
+    __slots__ = ("launcher", "slots", "held", "argv", "values", "table")
+
+    def __init__(self, launcher: _Launcher, objs: list):
+        self.launcher = launcher
+        #: per slot: the object, the set whose size is its row count
+        #: (None for a ``Global``: always ``dim`` rows), and the dtype
+        #: char and trailing shape the generated code assumes
+        self.slots = []
+        self.argv = []
+        for o in objs:
+            if type(o) is Global:
+                self.slots.append((o, None, o.dtype.char, ()))
+                self.argv += [0, o.dim]
+            elif type(o) is Map:
+                self.slots.append((o, o.from_set, _INT64, (o.arity,)))
+                self.argv += [0, 0]
+            else:
+                self.slots.append((o, o.set, o.dtype.char, (o.dim,)))
+                self.argv += [0, 0]
+        self.held = [None] * len(objs)
+        self.values = self.table = None
+
+    def refresh(self) -> Optional[list]:
+        """The function's slot arguments as of now: row counts are read
+        again (particle sets grow and shrink every step), an address only
+        when the array is not the one held (a grown particle dat,
+        ``adopt_raw``).  None when a new array is not a C-contiguous
+        buffer of the dtype and row shape the loop was generated for."""
+        argv, held = self.argv, self.held
+        for k, (o, rows_of, char, trailing) in enumerate(self.slots):
+            if rows_of is None:
+                arr = o.data
+            else:
+                arr = o.raw
+                argv[2 * k + 1] = rows_of.size
+            if arr is not held[k]:
+                if not (arr.flags.c_contiguous and arr.dtype.char == char
+                        and arr.shape[1:] == trailing):
+                    return None
+                held[k] = arr
+                argv[2 * k] = _addr(arr)
+        return argv
+
+    def constants(self):
+        """The ``CONST`` table of this launch (None when a value is not a
+        numeric scalar): the table of the previous launch while the
+        registry still holds the values it was built from.  ``==`` does
+        not tell ``-0.0`` from ``0.0``, so a table with a zero in it is
+        built again."""
+        values = CONST.values(self.launcher.consts)
+        try:
+            if values != self.values or 0.0 in values:
+                self.table = self.launcher.Table(*values)
+                self.values = values
+        except (TypeError, ValueError):     # e.g. a string, an array
             return None
-        argv.append(_addr(arr))
-        argv.append(rows)
-    return argv
+        return self.table
 
 
-_UNBOUND = ("an argument array is not C-contiguous or a CONST value is "
-            "not a numeric scalar")
+_UNBOUND = ("an argument array is not a C-contiguous buffer of its dat's "
+            "dtype and dim, or a CONST value is not a numeric scalar")
 
 
-def par_loop(loop) -> Tuple[Optional[dict], Optional[str]]:
-    """Run ``loop`` as one native call → ``(perf extras, None)``, or
-    ``(None, reason)`` when it stays on the NumPy target."""
-    if compiler() is None:
-        return None, _no_cc
+def _arguments(loop, variant, derive: Callable):
+    """``(binding, slot arguments)`` of a declared loop's native function
+    (``loop.bindings`` is its declaration's, shared by every launch) with
+    every slot current, or ``(None, reason)``.  ``derive(loop, variant)``
+    returns ``(launcher, objs)`` or ``(None, reason)``; it runs on the
+    first launch, and again when an array stopped fitting the binding —
+    the loop's dats are then read from scratch, and decline if they
+    must."""
+    binding = loop.bindings.get(variant)
+    argv = None if binding is None else binding.refresh()
+    if argv is None:
+        loop.bindings.pop(variant, None)
+        launcher, objs = derive(loop, variant)
+        if launcher is None:
+            return None, objs
+        binding = _Binding(launcher, objs)
+        argv = binding.refresh()
+        if argv is None:
+            return None, _UNBOUND
+        loop.bindings[variant] = binding
+    return binding, argv
+
+
+def _derive_par_loop(loop, _variant=None):
     kernel = loop.kernel
     ck = kernel.generated("c")
     objs: list = []
@@ -307,30 +372,38 @@ def par_loop(loop) -> Tuple[Optional[dict], Optional[str]]:
         return _Launcher(lib, [c_int64, c_int64], len(objs), 2, ck.consts)
 
     launcher, reason = _launcher([ck], sig, make)
-    if launcher is None:
-        return None, reason
-    argv, table = _bind(objs), launcher.table()
-    if argv is None or table is None:
+    return launcher, (objs if launcher is not None else reason)
+
+
+_Out2 = c_int64 * 2
+_Out7 = c_int64 * 7
+
+
+def par_loop(loop, start: int, end: int
+             ) -> Tuple[Optional[dict], Optional[str]]:
+    """Run ``loop`` over ``[start, end)`` as one native call → ``(perf
+    extras, None)``, or ``(None, reason)`` when it stays on the NumPy
+    target."""
+    if not CC and compiler() is None:
+        return None, _no_cc
+    binding, argv = _arguments(loop, None, _derive_par_loop)
+    if binding is None:
+        return None, argv
+    table = binding.constants()
+    if table is None:
         return None, _UNBOUND
-    out = (c_int64 * 2)()
-    if launcher.fn(loop.start, loop.end, *argv, table, out):
+    out = _Out2()
+    if binding.launcher.fn(start, end, *argv, table, out):
         raise IndexError(f"loop {loop.name!r}: iteration {out[1]} addresses "
                          "a row outside its dat or map")
     return {"collisions": out[0], "strategy": "in_place"}, None
 
 
-def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
-    """Run a move loop as one native call → ``((removed, foreign
-    particles, foreign cells, total hops, relocated, collisions), None)``
-    with the lists in particle order as ``seq`` returns them, or ``(None,
-    reason)`` as :func:`par_loop`."""
-    if compiler() is None:
-        return None, _no_cc
+def _derive_move(loop, has_foreign: bool):
     kernel, dep = loop.kernel, loop.deposit
     cks = [kernel.generated("c")]
     objs = [loop.p2c_map, loop.c2c_map]
     sig = cgen.signature(loop.args, objs)
-    foreign = loop.foreign_cell_mask
     arity = loop.c2c_map.arity
     fused = None
     if dep is not None:
@@ -340,36 +413,48 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
     def make() -> _Launcher:
         _check_dtypes(sig, fused[1] if fused else ())
         key = ("particle_move", _source_key(kernel), sig, arity,
-               foreign is not None,
+               has_foreign,
                fused and (_source_key(dep.kernel),) + fused[1:])
         lib = _library(kernel.name, key, lambda: cgen.emit_move(
-            kernel, sig, len(objs), arity, foreign is not None, fused))
+            kernel, sig, len(objs), arity, has_foreign, fused))
         consts = sorted(set().union(*(ck.consts for ck in cks)))
         return _Launcher(lib, [c_int64, c_void_p, c_int64, c_void_p],
                          len(objs), 5, consts)
 
-    launcher, reason = _launcher(cks, (sig, arity, foreign is not None,
-                                       fused), make)
-    if launcher is None:
-        return None, reason
-    argv, table = _bind(objs), launcher.table()
+    launcher, reason = _launcher(cks, (sig, arity, has_foreign, fused),
+                                 make)
+    return launcher, (objs if launcher is not None else reason)
+
+
+def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
+    """Run a move loop as one native call → ``((removed, foreign
+    particles, foreign cells, total hops, relocated, collisions), None)``
+    with the lists in particle order as ``seq`` returns them, or ``(None,
+    reason)`` as :func:`par_loop`.  The generated function differs with
+    and without a foreign-cell mask, so a declaration binds each."""
+    if not CC and compiler() is None:
+        return None, _no_cc
+    foreign = loop.foreign_cell_mask
+    has_foreign = foreign is not None
+    binding, argv = _arguments(loop, has_foreign, _derive_move)
+    if binding is None:
+        return None, argv
+    table = binding.constants()
+    if table is None or (has_foreign and not (
+            foreign.dtype == np.bool_ and foreign.flags.c_contiguous
+            and foreign.size >= loop.c2c_map.from_set.size)):
+        return None, _UNBOUND
     index = loop.only_indices
     if index is not None:
         index = np.ascontiguousarray(index, dtype=np.int64)
-    if foreign is not None and not (
-            foreign.dtype == np.bool_ and foreign.flags.c_contiguous
-            and foreign.size >= loop.c2c_map.from_set.size):
-        argv = None
-    if argv is None or table is None:
-        return None, _UNBOUND
     count = loop.pset.size if index is None else index.size
     lists = np.empty((3, max(count, 1)), dtype=np.int64)
     base, row = _addr(lists), lists.strides[0]
-    out = (c_int64 * 7)()
-    err = launcher.fn(count, None if index is None else _addr(index),
-                      loop.max_hops,
-                      None if foreign is None else _addr(foreign),
-                      *argv, table, base, base + row, base + 2 * row, out)
+    out = _Out7()
+    err = binding.launcher.fn(
+        count, None if index is None else _addr(index), loop.max_hops,
+        _addr(foreign) if has_foreign else None,
+        *argv, table, base, base + row, base + 2 * row, out)
     n_removed, n_foreign, hops, relocated, coll, over, bad = out
     if err:
         raise IndexError(f"move loop {loop.name!r}: particle {bad} addresses "

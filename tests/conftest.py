@@ -25,9 +25,7 @@ from repro.core.kernel import CONST
 def _isolate_constants():
     saved = CONST.snapshot()
     yield
-    CONST.clear()
-    for k, v in saved.items():
-        CONST.declare(k, v)
+    CONST.restore(saved)
 
 
 def _seed_for(nodeid: str) -> int:
