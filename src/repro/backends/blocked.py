@@ -9,13 +9,13 @@ and commits its write-backs before the next block starts — keeps a
 step's temporaries cache-resident, the way the paper's generated
 OpenMP/CUDA code keeps an element's intermediates in registers.
 
-One pipeline serves ``par_loop`` (:meth:`VecBackend.execute`), every hop
-of ``particle_move`` and its fused deposit, and the program optimizer's
-fused groups; a range no longer than one block is simply the one-block
-case.  Blocks commit in ascending lane order.  Arguments that must see
-the whole range — global reductions, the opt-in sorted-segment and
-Matrix-PIC operators — carry a range-length ``whole`` buffer that blocks
-take slices of and that is drained once after the last block.
+One pipeline serves ``par_loop`` (:meth:`VecBackend.execute`) and every
+hop of ``particle_move`` and its fused deposit; a range no longer than
+one block is simply the one-block case.  Blocks commit in ascending lane
+order.  Arguments that must see the whole range — global reductions, the
+opt-in sorted-segment and Matrix-PIC operators — carry a range-length
+``whole`` buffer that blocks take slices of and that is drained once
+after the last block.
 """
 from __future__ import annotations
 
@@ -59,18 +59,15 @@ class Slot:
     """How one kernel parameter is staged and committed.
 
     ``rows`` are planned target rows for the whole range (sliced per
-    block); ``alias`` names an earlier slot whose block buffer this
-    parameter shares (fused producer→consumer chains, hoisted gathers);
-    ``whole`` is a range-length buffer blocks take slices of, drained
-    after the last block by ``final(whole) -> collisions``.  A global
-    ``READ`` is the same ``(1, dim)`` constant for every block.
+    block); ``whole`` is a range-length buffer blocks take slices of,
+    drained after the last block by ``final(whole) -> collisions``.  A
+    global ``READ`` is the same ``(1, dim)`` constant for every block.
     """
 
-    __slots__ = ("arg", "data", "const", "rows", "alias", "commit", "whole",
-                 "final", "hits")
+    __slots__ = ("arg", "data", "const", "rows", "commit", "whole", "final",
+                 "hits")
 
     def __init__(self, arg: Arg, rows: Optional[np.ndarray] = None,
-                 alias: Optional[int] = None, commit: bool = True,
                  whole: Optional[np.ndarray] = None,
                  final: Optional[Callable[[np.ndarray], int]] = None):
         self.arg = arg
@@ -78,8 +75,7 @@ class Slot:
         self.const = (self.data.reshape(1, -1) if arg.is_global
                       and arg.access is AccessMode.READ else None)
         self.rows = rows
-        self.alias = alias
-        self.commit = commit and arg.access.writes and whole is None
+        self.commit = arg.access.writes and whole is None
         self.whole = whole
         self.final = final
         self.hits: Optional[np.ndarray] = None
@@ -98,8 +94,7 @@ def _reduce_global(arg: Arg) -> Callable[[np.ndarray], int]:
     return final
 
 
-def loop_slot(backend, loop, span: slice, a: Arg, apos: int,
-              alias: Optional[int] = None, commit: bool = True) -> Slot:
+def loop_slot(backend, loop, span: slice, a: Arg, apos: int) -> Slot:
     """Default staging of one ``par_loop`` argument over the iteration
     range ``span``.
 
@@ -128,7 +123,7 @@ def loop_slot(backend, loop, span: slice, a: Arg, apos: int,
                 f"{a.access.name} target rows race under vector "
                 "execution (declare OPP_INC or make the mapping "
                 "injective)")
-    return Slot(a, rows=rows, alias=alias, commit=commit)
+    return Slot(a, rows=rows)
 
 
 def range_rows(start: int) -> Callable:
@@ -174,15 +169,10 @@ class BlockedArgs:
             if s.whole is not None:
                 params.append(s.whole[lo:hi])
                 continue
-            if s.alias is not None and not s.commit:
-                params.append(params[s.alias])
-                continue
             a = s.arg
             rows = (s.rows[lo:hi] if s.rows is not None
                     else rows_of(a, lo, hi))
-            if s.alias is not None:
-                buf = params[s.alias]
-            elif a.access is AccessMode.READ:
+            if a.access is AccessMode.READ:
                 buf = s.data[rows]
             elif a.access is AccessMode.RW:
                 buf = s.data[rows]

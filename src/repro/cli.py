@@ -69,11 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="fuse the charge deposit into the particle move")
     fp.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
-                    "as a loop graph and execute it with fusion, gather "
-                    "hoisting and temp elimination")
+                    "as a loop graph, rewrite move + deposit loop into "
+                    "one fused move and coalesce halo pushes")
     fp.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (fused groups, "
-                    "hoisted gathers, fallbacks) after the run")
+                    help="print the optimizer's plan (rewrites, "
+                    "coalesced pushes, refusals) after the run")
     fp.add_argument("--mesh-file", default=None)
     fp.add_argument("--vtk", default=None, metavar="DIR",
                     help="write mesh+particle VTK files here at the end")
@@ -97,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "move+deposit path")
     cb.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
-                    "as a loop graph and execute it with fusion, gather "
-                    "hoisting and temp elimination")
+                    "as a loop graph, rewrite move + deposit loop into "
+                    "one fused move and coalesce halo pushes")
     cb.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (fused groups, "
-                    "hoisted gathers, fallbacks) after the run")
+                    help="print the optimizer's plan (rewrites, "
+                    "coalesced pushes, refusals) after the run")
     cb.add_argument("--validate", action="store_true",
                     help="also run the structured reference and compare")
     _add_dist_flags(cb)
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--program", action="store_true",
                     help="run the program-optimizer conformance sweep "
                     "(op sequences replayed through the recorder with "
-                    "fusion on vs the eager loop-by-loop seq oracle)")
+                    "its rewrites on vs their eager replay)")
     vf.add_argument("--transport", default="sim",
                     choices=["sim", "proc"],
                     help="rank transport for --dist-conformance")
@@ -481,9 +481,9 @@ def _run_verify(args) -> int:
         if not args.quiet:
             print(f"program conformance: {report['cases']} cases "
                   f"({report['executions']} executions, "
-                  f"{report['fused_groups']} fused groups, "
-                  f"{report['fallbacks']} fallbacks) all bit-equal to "
-                  "the eager seq oracle")
+                  f"{report['rewrites']} move+deposit rewrites, "
+                  f"{report['fallbacks']} refused) all match their "
+                  "eager replay (seq bit-equal, vec rtol 1e-9)")
     if args.dist_conformance:
         from repro.verify import (DistConformanceFailure,
                                   run_dist_conformance)

@@ -44,11 +44,6 @@ class Dat:
         self.dim = int(dim)
         self.dtype = dtype_of(dtype)
         self.name = name or f"dat_on_{dset.name}"
-        #: scratch flag: contents need not survive past the loops that
-        #: produce and consume them within one step — the program
-        #: optimizer may keep a transient dat fusion-local and skip its
-        #: writeback entirely (temporary elimination)
-        self.transient = False
 
         cap = dset.capacity if isinstance(dset, ParticleSet) else dset.size
         self._raw = np.zeros((cap, self.dim), dtype=self.dtype)

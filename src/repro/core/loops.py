@@ -199,8 +199,8 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
     The loop runs on whatever backend the active context holds; the calling
     code is identical for all of them — that is the DSL's separation of
     concerns.  Under an active program trace the declaration is deferred
-    instead: it joins the pending loop graph and executes (possibly fused
-    with its neighbours) when host code next observes its data.
+    instead: it joins the pending loop graph and executes when host code
+    next observes its data.
 
     The call site is declared once per context: the first call validates
     the descriptors and remembers the :class:`ParLoop`; a repeated call

@@ -5,15 +5,12 @@ Public surface:
 * :func:`repro.program.record` — trace a span of DSL calls lazily;
 * :class:`repro.program.Program` — the accumulated optimization record
   (``explain()``, ``fallback_reasons``, per-flush plans);
-* the IR/analysis internals live in :mod:`~repro.program.graph`,
-  :mod:`~repro.program.deps`, :mod:`~repro.program.optimizer` and
-  :mod:`~repro.program.exec`.
+* the IR and the passes live in :mod:`~repro.program.graph`,
+  :mod:`~repro.program.optimizer` and :mod:`~repro.program.exec`.
 """
-from .deps import fusion_conflict, summarize_args
 from .graph import ExchangeNode, LoopNode, MoveNode
 from .optimizer import Group, Plan, build_plan
 from .record import Program, Tracer, record
 
 __all__ = ["record", "Program", "Tracer", "build_plan", "Plan", "Group",
-           "LoopNode", "MoveNode", "ExchangeNode", "fusion_conflict",
-           "summarize_args"]
+           "LoopNode", "MoveNode", "ExchangeNode"]

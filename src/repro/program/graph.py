@@ -13,8 +13,8 @@ Each deferred runtime call becomes one node: a ``par_loop`` a
   node reads or writes; the tracer flushes when host code touches any of
   them, and
 * a structural ``signature`` — object identities plus access metadata,
-  *excluding* sizes — under which optimization decisions (grouping,
-  fused code, rewrites) are stable and therefore cacheable.
+  *excluding* sizes — that names a flush's shape (``Program.executed``
+  counts flushes per shape).
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ def arg_signature(a) -> Tuple:
     return (id(a.dat), a.kind, a.access.name,
             id(a.map) if a.map is not None else 0,
             a.map_idx if a.map_idx is not None else -1,
-            id(a.p2c) if a.p2c is not None else 0,
-            bool(getattr(a.dat, "transient", False)))
+            id(a.p2c) if a.p2c is not None else 0)
 
 
 def _arg_touched(args, out: set) -> None:
@@ -84,6 +83,10 @@ class MoveNode:
         self.loop = loop
         self.ctx = ctx
         self.result: Optional[MoveResult] = None
+        #: set by the move+deposit rewrite: it absorbed a deposit loop,
+        #: or why it refused the one that followed
+        self.rewritten = False
+        self.reason: Optional[str] = None
         touched = {id(loop.pset), id(loop.p2c_map), id(loop.c2c_map)}
         for dat in loop.pset.dats:
             touched.add(id(dat))

@@ -16,9 +16,8 @@ result's attributes), at ``prog.flush()``, and at context-manager exit.
 Laziness is therefore invisible to correct host code: every read sees
 exactly the state the eager program would have produced.
 
-One plan is built per flush *shape* (the signature of the pending node
-list); fused kernels are compiled once per distinct group and cached on
-the :class:`Program`, so steady-state steps pay set arithmetic only.
+Each flush is planned (:func:`~repro.program.optimizer.build_plan`) and
+counted under its *shape*, the signature of the pending node list.
 """
 from __future__ import annotations
 
@@ -36,18 +35,14 @@ _MODES = ("off", "fuse")
 
 
 class Program:
-    """Accumulated record of every optimized flush of a trace.
-
-    ``gen_cache`` persists fused-kernel compilations across flushes and
-    across :func:`record` invocations that share the Program.
-    """
+    """Accumulated record of every optimized flush of a trace, across
+    every :func:`record` invocation that shares the Program."""
 
     def __init__(self, mode: str = "fuse"):
         if mode not in _MODES:
             raise ValueError(f"program mode must be one of {_MODES}, "
                              f"got {mode!r}")
         self.mode = mode
-        self.gen_cache: Dict = {}
         #: plan-signature -> [Plan, flush count]
         self.executed: Dict[Tuple, List] = {}
         self.n_flushes = 0
@@ -76,12 +71,9 @@ class Program:
 
     @property
     def fallback_reasons(self) -> Dict[str, str]:
-        """Group/pair name -> why it executed loop-by-loop."""
+        """``"move|loop"`` -> why the move did not absorb that loop."""
         out: Dict[str, str] = {}
         for plan in self.plans:
-            for g in plan.groups:
-                if g.kind == "loops" and len(g.nodes) > 1 and not g.fused:
-                    out.setdefault(g.name, g.reason or "unknown")
             for left, right, reason in plan.skips:
                 out.setdefault(f"{left}|{right}", reason)
         return out
@@ -109,19 +101,8 @@ class Program:
                                      f"{len(g.nodes)} pushes ({fields})")
                     else:
                         lines.append(f"  exch  {g.name}")
-                elif len(g.nodes) == 1:
-                    lines.append(f"  loop  {g.name}")
-                elif g.fused:
-                    detail = f"fused {len(g.nodes)} loops"
-                    if g.hoisted:
-                        detail += f", hoisted {g.hoisted} gathers"
-                    if g.eliminated_names:
-                        detail += (", eliminated temps: "
-                                   + ", ".join(g.eliminated_names))
-                    lines.append(f"  fuse  {g.name}: {detail}")
                 else:
-                    lines.append(f"  group {g.name}: loop-by-loop "
-                                 f"({g.reason})")
+                    lines.append(f"  loop  {g.name}")
             for left, right, reason in plan.skips:
                 lines.append(f"  skip  {left} | {right}: {reason}")
             for rw in plan.rewrites:
@@ -197,7 +178,7 @@ class Tracer:
         try:
             nodes, self.nodes = self.nodes, []
             self.pending_ids = set()
-            plan = build_plan(nodes, self.mode, self.program.gen_cache)
+            plan = build_plan(nodes, self.mode)
             execute_plan(plan)
             self.program.note(plan)
         finally:
@@ -208,8 +189,8 @@ class record:
     """Context manager activating a program trace (see module docstring).
 
     ``mode="off"`` is a no-op passthrough so call sites can be wired
-    unconditionally; ``program=`` threads one :class:`Program` (and its
-    kernel cache) through several recording spans.
+    unconditionally; ``program=`` threads one :class:`Program` through
+    several recording spans.
     """
 
     def __init__(self, mode: str = "fuse",

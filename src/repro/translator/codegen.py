@@ -30,8 +30,7 @@ from ..core.kernel import CONST
 from .ir import KernelIR
 from .parser import KernelLanguageError, parse_kernel
 
-__all__ = ["GeneratedKernel", "generate", "generate_fused",
-           "VecMoveContext"]
+__all__ = ["GeneratedKernel", "generate", "VecMoveContext"]
 
 _CALL_MAP = {
     "sqrt": "np.sqrt", "exp": "np.exp", "log": "np.log", "sin": "np.sin",
@@ -407,16 +406,12 @@ class _Emitter:
             raise KernelLanguageError(f"unknown move method {method!r}")
 
 
-def _emit(ir: KernelIR, n_param: Optional[str] = None) -> str:
+def _emit(ir: KernelIR) -> str:
     em = _Emitter(ir)
     params = ", ".join(ir.params)
     header = f"def {ir.name}__vec({params}):"
-    # batch length: first 2-D data parameter, or the move context; fused
-    # kernels override the source since their first slot may be a (1, d)
-    # global-read view rather than an (n, d) batch array
-    if n_param is not None:
-        em.out(f"_n_shape = ({n_param}.shape[0],)")
-    elif ir.is_move:
+    # batch length: first 2-D data parameter, or the move context
+    if ir.is_move:
         em.out("_n_shape = move.cell.shape")
     elif ir.data_params:
         em.out(f"_n_shape = ({ir.data_params[0]}.shape[0],)")
@@ -427,130 +422,6 @@ def _emit(ir: KernelIR, n_param: Optional[str] = None) -> str:
     if not em.lines:
         em.out("pass")
     return header + "\n" + "\n".join(em.lines) + "\n"
-
-
-# -- fused generation --------------------------------------------------------------
-
-
-class _Renamer(ast.NodeTransformer):
-    """Rename a kernel's parameters and locally-assigned names so several
-    kernel bodies can share one merged function scope."""
-
-    def __init__(self, mapping: Dict[str, str]):
-        self.mapping = mapping
-
-    def visit_Name(self, node: ast.Name):
-        new = self.mapping.get(node.id)
-        if new is not None:
-            return ast.copy_location(ast.Name(id=new, ctx=node.ctx), node)
-        return node
-
-
-def _assigned_names(body: List[ast.stmt]) -> set:
-    """Names bound by plain/augmented/annotated assignment in a body."""
-    names = set()
-    module = ast.Module(body=body, type_ignores=[])
-    for node in ast.walk(module):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            continue
-        for t in targets:
-            if isinstance(t, ast.Name):
-                names.add(t.id)
-    return names
-
-
-def generate_fused(name: str, kernels, n_param_index: int) -> GeneratedKernel:
-    """Translate several par-loop kernels into ONE vector function.
-
-    The fused function takes the concatenation of every kernel's slot
-    arrays, in (loop, arg) declaration order; slot ``i`` of loop ``k`` is
-    bound to parameter ``_L{k}_{orig_name}``.  Bodies are concatenated in
-    loop order, so intra-group sequencing is preserved statement-for-
-    statement; cross-loop dataflow happens through the driver aliasing
-    slot *arrays* (never through renamed names, which stay loop-local).
-
-    ``n_param_index`` selects the flattened slot whose leading axis is the
-    batch length (the caller must pick a slot it passes as ``(n, d)``).
-
-    Raises :class:`KernelLanguageError` when any member kernel is outside
-    the vectorisable subset or the kernels' module-scope names collide
-    with different values — the optimizer treats that as a per-group
-    fallback reason.
-    """
-    import copy
-
-    merged_params: List[str] = []
-    merged_body: List[ast.stmt] = []
-    free_names: List[str] = []
-    flops = 0.0
-    first_ast = None
-    for k, kernel in enumerate(kernels):
-        ir = kernel.ir()             # may raise KernelLanguageError
-        if ir.is_move:
-            raise KernelLanguageError(
-                f"kernel {ir.name!r}: move kernels cannot join a fused "
-                "par-loop body")
-        if first_ast is None:
-            first_ast = ir.func_ast
-        mapping = {p: f"_L{k}_{p}" for p in ir.params}
-        for local in _assigned_names(ir.unrolled_body):
-            mapping.setdefault(local, f"_L{k}_{local}")
-        renamer = _Renamer(mapping)
-        for stmt in ir.unrolled_body:
-            merged_body.append(renamer.visit(copy.deepcopy(stmt)))
-        merged_params.extend(mapping[p] for p in ir.params)
-        for fname in ir.free_names:
-            if fname not in free_names:
-                free_names.append(fname)
-        flops += ir.flop_count
-
-    if not 0 <= n_param_index < len(merged_params):
-        raise KernelLanguageError(
-            f"fused kernel {name!r}: no batch-shaped slot to size the "
-            "lane masks from")
-    fused_ir = KernelIR(name=name, params=merged_params,
-                        func_ast=first_ast, unrolled_body=merged_body,
-                        is_move=False, flop_count=flops,
-                        free_names=free_names)
-    src = _emit(fused_ir, n_param=merged_params[n_param_index])
-
-    ns: Dict[str, object] = {
-        "np": np,
-        "CONST": CONST,
-        "_take": _take,
-        "_to_int": lambda x: np.asarray(x).astype(np.int64),
-        "_to_float": lambda x: np.asarray(x).astype(np.float64),
-    }
-    for kernel in kernels:
-        fn_globals = getattr(kernel.fn, "__globals__", {})
-        closure_names = {}
-        if kernel.fn.__closure__:
-            closure_names = dict(zip(kernel.fn.__code__.co_freevars,
-                                     (c.cell_contents
-                                      for c in kernel.fn.__closure__)))
-        for fname in kernel.ir().free_names:
-            if fname in ("np", "CONST", "_take", "_to_int", "_to_float"):
-                continue
-            if fname in closure_names:
-                value = closure_names[fname]
-            elif fname in fn_globals:
-                value = fn_globals[fname]
-            else:
-                raise KernelLanguageError(
-                    f"kernel {kernel.name!r} reads unresolvable name "
-                    f"{fname!r}")
-            if fname in ns and ns[fname] is not value:
-                raise KernelLanguageError(
-                    f"fused kernel {name!r}: free name {fname!r} resolves "
-                    "to different values across member kernels")
-            ns[fname] = value
-    code = compile(src, f"<generated-fused:{name}>", "exec")
-    exec(code, ns)  # noqa: S102 - generated from our own emitter
-    return GeneratedKernel(ns[f"{name}__vec"], src, True, False)
 
 
 def _compile(kernel, ir: KernelIR, src: str,

@@ -135,18 +135,15 @@ def generate_case(seed: int) -> Case:
 
 def generate_program_case(seed: int) -> Case:
     """Like :func:`generate_case` but drawn from the program-optimizer
-    catalog; every third case is forced to contain the
-    fusion-illegal WAR pair so the sweep always exercises fallback."""
+    catalog."""
     rng = np.random.default_rng(seed)
     n_cells = int(rng.integers(4, 11))
     n_nodes = int(rng.integers(4, 10))
     arity = int(rng.integers(2, 5))
     n_parts = int(rng.integers(8, 73))
     length = int(rng.integers(3, 8))
-    program = list(rng.choice(PROGRAM_OP_NAMES, size=length))
-    if seed % 3 == 0:
-        program.append("war_indirect_pair")
-    return Case(seed, n_cells, n_nodes, arity, n_parts, tuple(program))
+    program = tuple(rng.choice(PROGRAM_OP_NAMES, size=length))
+    return Case(seed, n_cells, n_nodes, arity, n_parts, program)
 
 
 # -- world construction --------------------------------------------------------
@@ -213,12 +210,6 @@ def _build_world(case: Case) -> dict:
                               np.ones((n_parts_b, 2)), "out_b")
     world["pid_b"] = decl_dat(parts_b, 1, np.int64,
                               np.arange(n_parts_b), "pid_b")
-    # transient scratch for the program-optimizer temp-elimination op;
-    # zero-initialised (no rng draws), excluded from state snapshots
-    # because an eliminated temp legitimately never reaches memory
-    scratch = decl_dat(parts, 2, np.float64, None, "scratch")
-    scratch.transient = True
-    world["scratch"] = scratch
     return world
 
 
@@ -304,12 +295,15 @@ def _op_np_transcendental(w: dict) -> None:
              arg_dat(w["w"], OPP_READ), arg_dat(w["out"], OPP_RW))
 
 
+def _walk(w: dict):
+    return particle_move(K.k_walk, "c_move", w["parts"], w["c2c"],
+                         w["p2c"],
+                         arg_dat(w["pos"], OPP_READ),
+                         arg_dat(w["cell_hits"], w["p2c"], OPP_INC))
+
+
 def _op_move(w: dict) -> None:
-    res = particle_move(K.k_walk, "c_move", w["parts"], w["c2c"],
-                        w["p2c"],
-                        arg_dat(w["pos"], OPP_READ),
-                        arg_dat(w["cell_hits"], w["p2c"], OPP_INC))
-    w["n_removed"] += res.n_removed
+    w["n_removed"] += _walk(w).n_removed
 
 
 def _op_two_set_shared_inc(w: dict) -> None:
@@ -351,35 +345,13 @@ def _op_two_set_shared_inc_sparse(w: dict) -> None:
         _op_two_set_shared_inc(w)
 
 
-def _op_war_indirect_pair(w: dict) -> None:
-    """Forced-fusion-illegal pair: a p2c gather of ``cell_acc``
-    immediately followed by a p2c scatter-add into the same dat — an
-    indirect WAR the optimizer keeps conservatively illegal.  The
-    program sweep asserts this pair always falls back loop-by-loop
-    with the WAR reason recorded.  Both loops carry an indirect INC so
-    their halo bounds match and the WAR legality rule (not the bounds
-    compatibility check) is what splits them."""
-    par_loop(K.k_war_gather_mark, "c_war_read", w["parts"],
-             OPP_ITERATE_ALL,
-             arg_dat(w["cell_acc"], w["p2c"], OPP_READ),
-             arg_dat(w["out"], OPP_RW),
-             arg_dat(w["cell_hits"], w["p2c"], OPP_INC))
-    par_loop(K.k_p2c_inc, "c_war_inc", w["parts"], OPP_ITERATE_ALL,
-             arg_dat(w["w"], OPP_READ),
-             arg_dat(w["cell_acc"], w["p2c"], OPP_INC))
-
-
-def _op_temp_chain(w: dict) -> None:
-    """Producer→consumer through a transient scratch dat — the fusion +
-    temp-elimination target: fused, the scratch never hits memory."""
-    par_loop(K.k_direct_write, "c_temp_produce", w["parts"],
-             OPP_ITERATE_ALL,
-             arg_dat(w["w"], OPP_READ),
-             arg_dat(w["scratch"], OPP_WRITE))
-    par_loop(K.k_direct_axpy, "c_temp_consume", w["parts"],
-             OPP_ITERATE_ALL,
-             arg_dat(w["scratch"], OPP_READ),
-             arg_dat(w["out"], OPP_RW))
+def _op_move_deposit(w: dict) -> None:
+    """A bare move, then a deposit over the moved particles, the move's
+    result read only after both are declared — the pattern the program
+    optimizer rewrites into one move with a ``done`` deposit."""
+    res = _walk(w)
+    _op_p2c_inc(w)
+    w["n_removed"] += res.n_removed
 
 
 OPS: Dict[str, Callable[[dict], None]] = {
@@ -408,13 +380,11 @@ OP_NAMES = tuple(sorted(OPS))
 
 #: Catalog for the program-optimizer sweep.  The ``_sparse`` ops are
 #: excluded: ``_forced_strategy`` brackets op *submission*, which under
-#: deferral no longer brackets execution.  Two extra ops target the
-#: optimizer specifically: a guaranteed-illegal indirect-WAR pair and a
-#: transient producer→consumer chain.
+#: deferral no longer brackets execution.  One extra op gives the
+#: move+deposit rewrite its pattern.
 PROGRAM_OPS: Dict[str, Callable[[dict], None]] = {
     name: fn for name, fn in OPS.items() if not name.endswith("_sparse")}
-PROGRAM_OPS["war_indirect_pair"] = _op_war_indirect_pair
-PROGRAM_OPS["temp_chain"] = _op_temp_chain
+PROGRAM_OPS["move_deposit"] = _op_move_deposit
 PROGRAM_OP_NAMES = tuple(sorted(PROGRAM_OPS))
 
 
@@ -661,11 +631,6 @@ def run_conformance(n_cases: int = 60, seed: int = 0,
 
 # -- program-optimizer conformance ---------------------------------------------
 
-#: The reason :mod:`repro.program.deps` records for the forced WAR pair;
-#: the sweep asserts it appears whenever ``war_indirect_pair`` ran.
-_WAR_REASON = "indirect write on 'cell_acc'"
-
-
 def _program_fails(rtol: float, atol: float):
     """Build a shrink-compatible ``fails`` comparing the eager replay
     against the optimized replay on the *same* backend."""
@@ -676,20 +641,6 @@ def _program_fails(rtol: float, atol: float):
     return fails
 
 
-@contextmanager
-def _numpy_target():
-    """Pin ``vec`` to its NumPy codegen target: the optimizer's fused
-    groups are NumPy-target code, and the sweep compares them with the
-    eager replay of the *same* target."""
-    from ..translator import native
-    saved, native.CC = native.CC, None
-    try:
-        yield
-    finally:
-        native.CC = saved
-
-
-@_numpy_target()
 def run_program_conformance(n_cases: int = 40, seed: int = 0,
                             progress: Optional[Callable[[str], None]]
                             = None, shrink: bool = True) -> dict:
@@ -697,18 +648,15 @@ def run_program_conformance(n_cases: int = 40, seed: int = 0,
 
     Every case runs through ``record(mode="fuse")`` on seq and on vec,
     each compared against its own eager baseline: **bit-exactly** on seq
-    (deferral, fusion, temp elimination and gather hoisting must be
-    invisible there), and at the standard conformance tolerances on vec
-    — the move+deposit rewrite legitimately reorders scatter
-    accumulation, exactly like the hand-fused move path it replaces.
-    Cases containing the forced WAR pair additionally assert the
-    optimizer refused the fusion for the recorded reason.  Raises
-    :class:`ConformanceFailure` (with a shrunk minimal case) on the
-    first divergence.
+    (deferral and exchange coalescing must be invisible there), and at
+    the standard conformance tolerances on vec — the move+deposit
+    rewrite legitimately reorders scatter accumulation, exactly like the
+    hand-fused move path it replaces.  Raises :class:`ConformanceFailure`
+    (with a shrunk minimal case) on the first divergence.
     """
     oracle = _conformance_backend("seq")
     vec = _conformance_backend("vec")
-    checked = fused_groups = 0
+    checked = rewrites = 0
     fallbacks: set = set()
     for i in range(n_cases):
         case = generate_program_case(seed + i)
@@ -734,20 +682,9 @@ def run_program_conformance(n_cases: int = 40, seed: int = 0,
                 raise ConformanceFailure(f"{name}+program", case,
                                          shrunk, mismatches, repro)
             checked += 1
-            reasons = prog.fallback_reasons
-            fallbacks.update(reasons)
-            for plan in prog.plans:
-                fused_groups += sum(1 for g in plan.groups
-                                    if g.kind == "loops" and g.fused)
-            if ("war_indirect_pair" in case.program
-                    and not any(_WAR_REASON in r
-                                for r in reasons.values())):
-                raise ConformanceFailure(
-                    f"{name}+program", case, case,
-                    [f"forced WAR pair ran but no fallback mentioning "
-                     f"{_WAR_REASON!r} was recorded; got: "
-                     f"{sorted(reasons.values())}"], repro)
+            fallbacks.update(prog.fallback_reasons)
+            rewrites += sum(len(plan.rewrites) for plan in prog.plans)
         if progress is not None and (i + 1) % 10 == 0:
             progress(f"program conformance: {i + 1}/{n_cases} cases ok")
     return {"cases": n_cases, "executions": checked,
-            "fused_groups": fused_groups, "fallbacks": len(fallbacks)}
+            "rewrites": rewrites, "fallbacks": len(fallbacks)}

@@ -18,9 +18,8 @@ __all__ = [
     "k_direct_axpy", "k_direct_write", "k_direct_inc", "k_mesh_gather",
     "k_mesh_inc", "k_p2c_gather", "k_p2c_inc", "k_p2c_inc_b",
     "k_double_deposit", "k_gbl_reduce", "k_gbl_int_minmax",
-    "k_np_transcendental", "k_war_gather_mark", "k_walk",
-    "k_clamp_inc",
-    "k_clamp_gather", "k_node_gather", "k_walk_geom",
+    "k_np_transcendental", "k_walk", "k_clamp_inc", "k_clamp_gather",
+    "k_node_gather", "k_walk_geom",
 ]
 
 
@@ -121,17 +120,6 @@ def k_node_gather(na, out):
     ghosts."""
     out[0] = out[0] + 0.2 * na[0]
     out[1] = out[1] + na[1]
-
-
-def k_war_gather_mark(c, out, hits):
-    """Indirect READ of the cell accumulator plus an indirect INC of the
-    hit counter in one loop.  Paired with :func:`k_p2c_inc` it forms an
-    indirect WAR on the accumulator between two loops that are otherwise
-    fusion-compatible (both carry an indirect INC, so halo bounds
-    match) — the program optimizer's forced-fallback case."""
-    out[0] = out[0] + 0.1 * c[0]
-    out[1] = out[1] - 0.5 * c[0]
-    hits[0] += 1
 
 
 def k_walk(move, p, hits):

@@ -18,9 +18,9 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             par_loop, push_context)
 from repro.core.move import MoveDeposit, MoveLoop, execute_moveloop
 from repro.verify import kernels as K
-from repro.verify.conformance import (OP_NAMES, PROGRAM_OP_NAMES,
-                                      PROGRAM_OPS, _build_world,
-                                      _conformance_backend, compare_states,
+from repro.verify.conformance import (OP_NAMES, PROGRAM_OPS, _build_world,
+                                      _conformance_backend,
+                                      _run_case_traced, compare_states,
                                       generate_case, run_case,
                                       run_conformance,
                                       run_program_conformance)
@@ -109,17 +109,18 @@ def test_integer_valued_data_is_bit_equal(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_groups_match_one_block(monkeypatch, seed):
-    """``--program fuse`` runs on the same pipeline: producer→consumer
-    buffers, hoisted gathers and eliminated temps are per block."""
+    """``--program fuse`` runs on the same pipeline: the move the
+    optimizer gave the following deposit loop fires it per block."""
     case = generate_case(seed).replace(
-        n_parts=61, program=("temp_chain", "direct_axpy", "direct_write",
-                             "p2c_gather", "p2c_gather", "double_deposit",
+        n_parts=61, program=("direct_axpy", "move_deposit", "p2c_gather",
                              "gbl_reduce"))
-    assert set(case.program) <= set(PROGRAM_OP_NAMES)
-    one, small = one_and_small(
-        monkeypatch, lambda: run_case(case, make_backend("vec"),
-                                      program_mode="fuse", ops=PROGRAM_OPS))
+    runs = one_and_small(
+        monkeypatch, lambda: _run_case_traced(case, make_backend("vec"),
+                                              "fuse", PROGRAM_OPS)[:2])
+    (one, prog), (small, _) = runs
     assert compare_states(one, small, rtol=1e-9, atol=1e-12) == []
+    assert [g.name for p in prog.plans for g in p.groups if g.fused] \
+        == ["c_move"]
 
 
 # -- par_loops: windows, collisions, the duplicate-write check ---------------------
@@ -322,7 +323,7 @@ def test_conformance_sweep_small_block(monkeypatch, request):
     summary = run_conformance(n_cases=n, seed=0, backends=("vec", "omp"))
     assert summary["executions"] == 2 * n
     report = run_program_conformance(n_cases=n, seed=0)
-    assert report["fused_groups"] > 0
+    assert report["rewrites"] > 0
 
 
 def _app(name, backend):

@@ -60,7 +60,7 @@ def scratch_native_cache(tmp_path_factory):
 def numpy_target(monkeypatch):
     """Pin ``vec`` to its NumPy codegen target (no native launch), for
     the tests that exist to exercise that target's mechanisms: blocks,
-    plans, reduction strategies, fused program groups."""
+    plans, reduction strategies."""
     from repro.translator import native
     monkeypatch.setattr(native, "CC", None)
 

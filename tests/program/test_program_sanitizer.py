@@ -1,8 +1,7 @@
-"""Sanitizer × program optimizer: deferring and optimizing a program
-must not hide descriptor races.  The sanitizer backend never takes the
-fused-execution path (only ``vec`` does), so at flush time every loop
-replays through shadow execution with its *original* per-loop access
-descriptors — a mis-declared kernel is caught exactly as it is eagerly.
+"""Sanitizer × program optimizer: deferring a program must not hide
+descriptor races.  At flush time every loop replays through shadow
+execution with its own access descriptors — a mis-declared kernel is
+caught exactly as it is eagerly.
 """
 import numpy as np
 
@@ -40,17 +39,14 @@ def test_clean_program_stays_clean():
                      arg_dat(y, OPP_READ), arg_dat(x, OPP_WRITE))
     assert ctx.backend.violations == []
     assert prog.n_flushes == 1
-    # the sanitizer executes loop-by-loop, with a recorded reason
-    assert any("sanitizer" in r
-               for r in prog.fallback_reasons.values())
 
 
-def test_fused_program_still_reports_races():
+def test_deferred_program_still_reports_races():
     ctx = Context("sanitizer")
     s, x, y = _world(ctx)
     with push_context(ctx):
         with program.record(mode="fuse"):
-            # a fusable-looking pair: the second loop is mis-declared
+            # a producer→consumer pair: the second loop is mis-declared
             par_loop(k_ok, "Ok", s, OPP_ITERATE_ALL,
                      arg_dat(x, OPP_READ), arg_dat(y, OPP_WRITE))
             par_loop(k_bad_write_to_read, "Bad", s, OPP_ITERATE_ALL,
