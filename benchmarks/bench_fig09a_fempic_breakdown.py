@@ -100,7 +100,7 @@ def test_fig09a_breakdown(measured, benchmark):
 
 def main(argv=None) -> int:
     """Script mode for CI: ``--smoke --json`` runs the real-backend
-    comparison (seq / vec / mp) and emits the machine-readable payload
+    comparison (seq / vec) and emits the machine-readable payload
     that ``benchmarks/check_regression.py`` gates on."""
     import argparse
     import json
@@ -109,12 +109,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Mini-FEM-PIC breakdown benchmark (fig 9a)")
     parser.add_argument("--smoke", action="store_true",
-                        help="small seq/vec/mp comparison run")
+                        help="small seq/vec comparison run")
     parser.add_argument("--json", action="store_true",
                         help="print the payload as JSON on stdout")
     parser.add_argument("--out", default=None,
                         help="also write the JSON payload to this path")
-    parser.add_argument("--nworkers", type=int, default=4)
     parser.add_argument("--ppc", type=int, default=150)
     parser.add_argument("--steps", type=int, default=2)
     args = parser.parse_args(argv)
@@ -122,16 +121,13 @@ def main(argv=None) -> int:
     if not args.smoke:
         parser.error("only --smoke mode is runnable from the CLI; the "
                      "full benchmark runs under pytest")
-    payload = fempic_smoke_payload(nworkers=args.nworkers, ppc=args.ppc,
-                                   steps=args.steps)
+    payload = fempic_smoke_payload(ppc=args.ppc, steps=args.steps)
     if args.out:
         write_json("fempic_smoke", payload, out=args.out)
     if args.json:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    ok = (payload["metrics"]["allclose_mp_vs_seq"]
-          and payload["metrics"]["allclose_vec_vs_seq"])
-    return 0 if ok else 1
+    return 0 if payload["metrics"]["allclose_vec_vs_seq"] else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,7 @@
 Runs the three validation oracles (Landau damping, the multi-species
 two-beam instability, the electromagnetic CabanaPIC two-stream) through
 ``repro.validate.run_physics_gates`` on the vec backend, re-measures
-the multi-species growth rate on the ``mp`` backend, and emits a JSON
+the multi-species growth rate on the ``omp`` backend, and emits a JSON
 payload whose boolean gates the CI physics job pins with
 ``check_regression.py``:
 
@@ -12,7 +12,7 @@ payload whose boolean gates the CI physics job pins with
   app inside its factor-2 band — see ``docs/validation.md``);
 * every conservation ledger (energy drift, charge, momentum, particle
   count) holds;
-* the measured rate is the *same number* (rtol 1e-9) on vec and mp —
+* the measured rate is the *same number* (rtol 1e-9) on vec and omp —
   cross-backend physics identity, not just per-backend correctness.
 
 Script mode (what CI runs)::
@@ -42,22 +42,22 @@ def physics_payload(profile: str = "ci") -> dict:
     t_landau, landau = _timed_gate("landau", profile=profile)
     t_multi, multi = _timed_gate("multispecies", profile=profile)
     t_two, two = _timed_gate("twostream", profile=profile)
-    t_multi_mp, multi_mp = _timed_gate("multispecies", backend="mp",
-                                       profile=profile)
+    t_multi_omp, multi_omp = _timed_gate("multispecies", backend="omp",
+                                         profile=profile)
 
     rate_vec = multi.gates[0].measured
-    rate_mp = multi_mp.gates[0].measured
+    rate_omp = multi_omp.gates[0].measured
     by_name = {g.name: g for g in landau.gates}
     return {
         "bench": "physics",
         "config": {"profile": profile,
                    "apps": ["landau", "multispecies", "twostream"],
-                   "identity_backends": ["vec", "mp"]},
+                   "identity_backends": ["vec", "omp"]},
         "seconds": {
             "landau": t_landau,
             "multispecies": t_multi,
             "twostream": t_two,
-            "multispecies_mp": t_multi_mp,
+            "multispecies_omp": t_multi_omp,
         },
         "metrics": {
             "landau_rate_in_gate": by_name["damping_2g"].ok,
@@ -69,8 +69,8 @@ def physics_payload(profile: str = "ci") -> dict:
             "multispecies_rate_rel_error": multi.gates[0].rel_error,
             "twostream_rate_in_band": two.gates[0].ok,
             "twostream_rate_measured": two.gates[0].measured,
-            "rates_identical_vec_mp":
-                bool(np.isclose(rate_vec, rate_mp, rtol=1e-9)),
+            "rates_identical_vec_omp":
+                bool(np.isclose(rate_vec, rate_omp, rtol=1e-9)),
         },
         #: metrics check_regression.py gates on (direction-aware)
         "gates": [
@@ -80,7 +80,7 @@ def physics_payload(profile: str = "ci") -> dict:
             {"metric": "multispecies_rate_in_gate", "direction": "bool"},
             {"metric": "multispecies_ledger_ok", "direction": "bool"},
             {"metric": "twostream_rate_in_band", "direction": "bool"},
-            {"metric": "rates_identical_vec_mp", "direction": "bool"},
+            {"metric": "rates_identical_vec_omp", "direction": "bool"},
         ],
     }
 
@@ -107,7 +107,7 @@ def main() -> int:
           f"ledger ok={m['multispecies_ledger_ok']}")
     print(f"twostream: in band={m['twostream_rate_in_band']} "
           f"(2γ = {m['twostream_rate_measured']:.3f})")
-    print(f"vec/mp rate identity: {m['rates_identical_vec_mp']}")
+    print(f"vec/omp rate identity: {m['rates_identical_vec_omp']}")
     print(f"payload written to {path}")
     ok = all(m[g["metric"]] for g in payload["gates"])
     return 0 if ok else 1

@@ -15,10 +15,10 @@ direction is good:
 * ``"lower"`` — regression when current > baseline * (1 + tolerance);
 * ``"min_ratio"`` — the ratio of two dotted-path keys of the *current*
   payload (``numerator`` / ``denominator``, e.g.
-  ``seconds.deposit_segmented`` over ``seconds.deposit_sparse``) must be
-  at least ``min`` · (1 - tolerance).  Unlike the relative directions
-  this is an absolute floor on a self-normalising quantity — the 2×
-  sparse-vs-segmented speedup gate — so it never drifts with the
+  ``metrics.cold_median_seconds`` over ``metrics.warm_median_seconds``)
+  must be at least ``min`` · (1 - tolerance).  Unlike the relative
+  directions this is an absolute floor on a self-normalising quantity —
+  the service's 1.5× warm-over-cold gate — so it never drifts with the
   baseline's own numbers.  Per-gate ``tolerance`` defaults to 0 here
   (the threshold already encodes the headroom).
 
@@ -46,7 +46,7 @@ from pathlib import Path
 
 
 def lookup_path(payload: dict, dotted: str):
-    """Resolve a dotted key path (``seconds.deposit_sparse``) or None."""
+    """Resolve a dotted key path (``metrics.warm_median_seconds``) or None."""
     cur = payload
     for part in dotted.split("."):
         if not isinstance(cur, dict) or part not in cur:
@@ -179,8 +179,9 @@ def main(argv=None) -> int:
     parser.add_argument("--min-ratio", action="append", default=[],
                         type=parse_min_ratio, metavar="NUM/DEN=MIN",
                         help="extra ratio floor on the current payload, "
-                             "e.g. seconds.deposit_segmented/"
-                             "seconds.deposit_sparse=2.0 (repeatable)")
+                             "e.g. metrics.cold_median_seconds/"
+                             "metrics.warm_median_seconds=1.5 "
+                             "(repeatable)")
     parser.add_argument("--max-value", action="append", default=[],
                         type=parse_max_value, metavar="PATH=MAX",
                         help="extra absolute ceiling on a dotted-path "

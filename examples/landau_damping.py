@@ -61,6 +61,6 @@ if __name__ == "__main__":
                         help="time steps (default 200; small values "
                         "give a quick smoke run)")
     parser.add_argument("--backend", default="vec",
-                        help="DSL backend (seq, vec, omp, mp)")
+                        help="DSL backend (seq, vec, omp, cuda, hip, xe)")
     args = parser.parse_args()
     main(args.steps, args.backend)

@@ -75,12 +75,8 @@ def main():
     decl_const("dt", 1.0)
     decl_const("vx", 0.9)
 
-    for backend in ("seq", "vec", "omp", "mp", "cuda", "hip"):
-        # "mp" runs chunks on real worker processes over shared memory;
-        # min_chunk=1 lets this toy problem exercise that path too
-        opts = ({"nworkers": 2, "min_chunk": 1} if backend == "mp"
-                else {})
-        set_backend(backend, **opts)
+    for backend in ("seq", "vec", "omp", "cuda", "hip"):
+        set_backend(backend)
         (cells, nodes, parts, cn, cc, p2c,
          npot, cavg, ncharge, w, pos) = build()
 

@@ -42,7 +42,7 @@ class CabanaConfig:
     move_tolerance: float = 0.0
     #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
     #: records the step as a loop graph and executes it optimized
-    #: (loop fusion, gather hoisting, coalesced halo pushes)
+    #: (move+deposit rewrite, coalesced halo pushes)
     program: str = "off"
 
     @property

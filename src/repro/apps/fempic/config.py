@@ -58,7 +58,7 @@ class FemPicConfig:
     fuse_move: bool = False
     #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
     #: records the step as a loop graph and executes it optimized
-    #: (loop fusion, gather hoisting, move+deposit rewrite)
+    #: (move+deposit rewrite, coalesced halo pushes)
     program: str = "off"
 
     @property

@@ -9,7 +9,6 @@ a backend class driving the same generated kernels differently):
            compiler exists (bit-equal to ``seq``), else NumPy vector
            code with a configurable reduction strategy
 ``omp``    simulated OpenMP: chunked threads + scatter arrays
-``mp``     true shared-memory multiprocessing: worker pool + shm dats
 ``cuda``   simulated NVIDIA GPU: vector code + safe atomics
 ``hip``    simulated AMD GPU: vector code + unsafe atomics / seg. red.
 ``xe``     simulated Intel GPU (Data Center Max): the future-work target
@@ -19,14 +18,13 @@ from __future__ import annotations
 
 from .base import Backend
 from .device import DeviceBackend
-from .mp import MpBackend
 from .omp import OmpBackend
 from .seq import SeqBackend
 from .vec import VecBackend
 
 __all__ = ["Backend", "SeqBackend", "VecBackend", "OmpBackend",
-           "MpBackend", "DeviceBackend", "make_backend",
-           "available_backends", "register_backend"]
+           "DeviceBackend", "make_backend", "available_backends",
+           "register_backend"]
 
 def _make_sanitizer(**kw):
     # deferred import: repro.verify imports from repro.backends
@@ -38,7 +36,6 @@ _REGISTRY = {
     "seq": lambda **kw: SeqBackend(**kw),
     "vec": lambda **kw: VecBackend(**kw),
     "omp": lambda **kw: OmpBackend(**kw),
-    "mp": lambda **kw: MpBackend(**kw),
     "cuda": lambda **kw: DeviceBackend(kind="cuda", **kw),
     "hip": lambda **kw: DeviceBackend(kind="hip", **kw),
     # the paper's future work: "extend the code-generation to produce

@@ -12,12 +12,8 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-import numpy as np
-
-from ..core.args import Arg, ArgKind
 from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
-from ..core.types import AccessMode
 
 __all__ = ["Backend"]
 
@@ -29,7 +25,7 @@ class Backend(abc.ABC):
     name = "abstract"
 
     #: constructor options the conformance harness uses for this backend
-    #: (small pools / chunk sizes so the parallel machinery engages on
+    #: (e.g. a thread count that makes chunk boundaries fall inside the
     #: mini-meshes); subclasses override as needed
     conformance_options: dict = {}
 
@@ -40,54 +36,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def execute_move(self, loop: MoveLoop) -> MoveResult:
         """Run a particle-move loop; returns the migration summary."""
-
-    # -- shared helpers --------------------------------------------------------
-
-    @staticmethod
-    def gather(arg: Arg, idx: np.ndarray,
-               cells: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gather an argument's rows for the given iteration indices.
-
-        Returns a *copy* for indirect arguments (that is what a gather is)
-        and a view for direct ones.
-        """
-        if arg.is_global:
-            return arg.dat.data
-        if arg.kind == ArgKind.DIRECT:
-            return arg.dat.data[idx]
-        rows = arg.gather_indices(idx, cells)
-        return arg.dat.data[rows]
-
-    @staticmethod
-    def scatter(arg: Arg, idx: np.ndarray, values: np.ndarray,
-                cells: Optional[np.ndarray] = None,
-                strategy=None) -> int:
-        """Write back kernel results for one argument batch.
-
-        ``strategy`` is a race-handling strategy from
-        :mod:`repro.backends.reduction` used for indirect ``INC``; direct
-        writes need no strategy (particle rows are unique).  Returns the
-        maximum collision count observed (0 when not applicable), feeding
-        the atomic-serialization model.
-        """
-        if arg.is_global or not arg.access.writes:
-            return 0
-        if arg.kind == ArgKind.DIRECT:
-            arg.dat.data[idx] = values
-            return 0
-        rows = arg.gather_indices(idx, cells)
-        if arg.access is AccessMode.INC:
-            from .reduction import AtomicAdd
-            strat = strategy or AtomicAdd()
-            return strat.apply(arg.dat.data, rows, values)
-        if arg.access in (AccessMode.WRITE, AccessMode.RW):
-            # Safe only when rows are unique (e.g. particle-indirect writes
-            # after sorting); unordered duplicates would race.  numpy's
-            # fancy-store keeps last-writer-wins which matches the
-            # "unsafe" semantics; we assert uniqueness in debug runs.
-            arg.dat.data[rows] = values
-            return 0
-        return 0
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"

@@ -12,10 +12,9 @@ OpenMP/CUDA code keeps an element's intermediates in registers.
 One pipeline serves ``par_loop`` (:meth:`VecBackend.execute`) and every
 hop of ``particle_move`` and its fused deposit; a range no longer than
 one block is simply the one-block case.  Blocks commit in ascending lane
-order.  Arguments that must see the whole range — global reductions, the
-opt-in sorted-segment and Matrix-PIC operators — carry a range-length
-``whole`` buffer that blocks take slices of and that is drained once
-after the last block.
+order.  Arguments that must see the whole range — global reductions —
+carry a range-length ``whole`` buffer that blocks take slices of and
+that is drained once after the last block.
 """
 from __future__ import annotations
 

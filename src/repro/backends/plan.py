@@ -8,12 +8,7 @@ contiguous row-index array the gather/scatter needs, so steady-state
 executions of a mesh loop skip the per-call index arithmetic.
 
 Particle-mapped arguments (``p2c`` / double indirection) are *not*
-planned: the particle-to-cell map changes every move.  The exception is
-a *cell-sorted* particle set (tracked by
-:class:`~repro.core.particles.ParticleOrder`): its per-cell segment
-offsets — the ``np.add.reduceat`` boundaries of the sort-aware fast
-path — are cached here, keyed on the order's mutation state, so every
-loop between two re-sorts reuses one ``bincount``/``cumsum``.
+planned: the particle-to-cell map changes every move.
 """
 from __future__ import annotations
 
@@ -59,12 +54,6 @@ class PlanCache:
         self._rows: Dict[Tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-        #: id(pset) -> (order.state, (counts, offsets, nonempty, starts))
-        self._segments: Dict[int, Tuple] = {}
-        self.segment_hits = 0
-        self.segment_misses = 0
-        #: (id(p2c_map), id(map) or None, map_idx) -> CsrOperator
-        self._sparse_ops: Dict[Tuple, object] = {}
 
     @staticmethod
     def _key(loop: ParLoop, arg: Arg) -> Optional[Tuple]:
@@ -90,58 +79,10 @@ class PlanCache:
             self.hits += 1
         return rows
 
-    def segments(self, pset) -> Tuple[np.ndarray, np.ndarray,
-                                      np.ndarray, np.ndarray]:
-        """Per-cell segment layout of a cell-sorted particle set.
-
-        Returns ``(counts, offsets, nonempty, starts)``: particles per
-        cell, the prefix-sum particle offset of every cell (length
-        ``ncells + 1``), the indices of non-empty cells, and the particle
-        index each non-empty cell's segment begins at (the ``reduceat``
-        boundaries).  Cached per order-mutation state — the caller must
-        have established ``pset.order.is_valid()``.
-        """
-        state = pset.order.state
-        ent = self._segments.get(id(pset))
-        if ent is not None and ent[0] == state:
-            self.segment_hits += 1
-            return ent[1]
-        self.segment_misses += 1
-        p2c = pset.p2c_map.p2c
-        counts = np.bincount(p2c, minlength=pset.cells_set.size)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        nonempty = np.flatnonzero(counts)
-        starts = offsets[nonempty]
-        seg = (counts, offsets, nonempty, starts)
-        self._segments[id(pset)] = (state, seg)
-        return seg
-
-    def sparse_operator(self, p2c_map, map_=None, map_idx=None):
-        """The maintained Matrix-PIC operator for a (p2c, mesh-map) pair.
-
-        Created on first request and *refreshed* (incrementally, off the
-        order tracker's dirty counters) on every access, so callers always
-        see an operator consistent with the live particle state.  The
-        plan itself is handed down so a cell-sorted set assembles ``P.T``
-        straight from the cached segment offsets.
-        """
-        from .sparse_ops import CsrOperator
-        key = (id(p2c_map), id(map_) if map_ is not None else None, map_idx)
-        op = self._sparse_ops.get(key)
-        if op is None:
-            op = CsrOperator(p2c_map, map_=map_, map_idx=map_idx)
-            self._sparse_ops[key] = op
-        op.refresh(plan=self)
-        return op
-
     def clear(self) -> None:
         self._rows.clear()
         self.hits = 0
         self.misses = 0
-        self._segments.clear()
-        self.segment_hits = 0
-        self.segment_misses = 0
-        self._sparse_ops.clear()
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -26,8 +26,8 @@ import abc
 import numpy as np
 
 __all__ = ["ReductionStrategy", "AtomicAdd", "UnsafeAtomicAdd",
-           "SegmentedReduction", "SegmentedPresorted", "ScatterArrays",
-           "Coloring", "SparseCsr", "make_strategy"]
+           "SegmentedReduction", "ScatterArrays", "Coloring",
+           "make_strategy"]
 
 
 def _max_collisions(rows: np.ndarray) -> int:
@@ -107,77 +107,6 @@ class SegmentedReduction(ReductionStrategy):
         return _max_collisions(rows)
 
 
-class SegmentedPresorted(ReductionStrategy):
-    """Segmented reduction for *already cell-sorted* particles.
-
-    When the particle set is cell-sorted (tracked by
-    :class:`~repro.core.particles.ParticleOrder`), every target's
-    contributions arrive in contiguous runs, so the per-loop stable
-    argsort of :class:`SegmentedReduction` is pure overhead: segment
-    boundaries are either handed in (the plan's cached ``reduceat``
-    offsets) or recovered from the run structure in O(n), then one
-    ``np.add.reduceat`` plus one scatter finishes the job.
-
-    Correct for arbitrary ``rows`` too (distinct runs of the same key
-    resolve through ``np.add.at``), just without the speedup.
-    """
-
-    name = "segmented_presorted"
-
-    def apply(self, target, rows, values, starts=None):
-        if rows.size == 0:
-            return 0
-        vals = np.asarray(values)
-        if starts is None:
-            starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(rows)) + 1))
-        return self.apply_segments(target, rows[starts], starts, vals,
-                                   total=rows.size)
-
-    @staticmethod
-    def apply_segments(target, seg_rows, starts, values,
-                       total=None) -> int:
-        """Reduce run segments of ``values`` (bounded by ``starts``) and
-        add them onto ``target[seg_rows]``; returns max collisions."""
-        if seg_rows.size == 0:
-            return 0
-        if total is None:
-            total = values.shape[0]
-        seg_sums = np.add.reduceat(values, starts, axis=0)
-        np.add.at(target, seg_rows, seg_sums)
-        lens = np.diff(np.append(starts, total))
-        return int(np.bincount(seg_rows, weights=lens).max())
-
-
-class SparseCsr(ReductionStrategy):
-    """Matrix-PIC deposit: lower the scatter to ``P.T @ values``.
-
-    A one-nnz-per-row CSR operator ``P`` (rows = loop iterations,
-    cols = target elements) assembles in O(1) extra work — ``indptr`` is
-    ``arange`` and ``indices`` *is* the row vector — and the increment
-    runs as one compiled sparse-times-dense product instead of the
-    per-element ufunc dispatch of ``np.add.at``.  Hot particle loops
-    bypass this stateless form entirely: the vec/mp drivers keep an
-    incrementally-maintained :class:`~repro.backends.sparse_ops.CsrOperator`
-    per (particle set, map) behind the plan cache.
-
-    Float sums reassociate exactly like ``segmented_presorted`` (allclose
-    to ``seq``); integer data takes the exact ``np.add.at`` path and stays
-    bit-equal.  Requires :mod:`scipy.sparse` — construction fails with
-    :class:`~repro.backends.sparse_ops.SparseUnavailable` otherwise.
-    """
-
-    name = "sparse_csr"
-
-    def __init__(self):
-        from .sparse_ops import _require_scipy
-        _require_scipy()
-
-    def apply(self, target, rows, values):
-        from .sparse_ops import sparse_deposit
-        return sparse_deposit(target, rows, np.asarray(values))
-
-
 class ScatterArrays(ReductionStrategy):
     """Thread-private scatter arrays (Figure 2(b)) for CPU threading.
 
@@ -242,10 +171,8 @@ _STRATEGIES = {
     "atomics": AtomicAdd,
     "unsafe_atomics": UnsafeAtomicAdd,
     "segmented_reduction": SegmentedReduction,
-    "segmented_presorted": SegmentedPresorted,
     "scatter_arrays": ScatterArrays,
     "coloring": Coloring,
-    "sparse_csr": SparseCsr,
 }
 
 

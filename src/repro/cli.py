@@ -4,7 +4,7 @@ The paper's artifact runs applications as ``<app_binary> <config_file>``;
 the equivalent here::
 
     python -m repro fempic [config.cfg] [--steps N] [--backend vec] ...
-    python -m repro fempic --ranks 4 --transport proc --backend mp ...
+    python -m repro fempic --ranks 4 --transport proc --backend omp ...
     python -m repro cabana [config.cfg] [--ppc N] ...
     python -m repro mesh --nx 4 --ny 4 --nz 12 --out duct.dat
 
@@ -60,10 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("config", nargs="?", help="key=value config file")
     fp.add_argument("--steps", type=int, default=None)
     fp.add_argument("--backend", default=None,
-                    choices=["seq", "vec", "omp", "mp", "cuda", "hip",
-                             "xe"])
-    fp.add_argument("--nworkers", type=int, default=None, metavar="N",
-                    help="worker processes for --backend mp")
+                    choices=["seq", "vec", "omp", "cuda", "hip", "xe"])
     fp.add_argument("--move", default=None, choices=["mh", "dh"])
     fp.add_argument("--fuse-move", action="store_true", default=None,
                     help="fuse the charge deposit into the particle move")
@@ -85,10 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--steps", type=int, default=None)
     cb.add_argument("--ppc", type=int, default=None)
     cb.add_argument("--backend", default=None,
-                    choices=["seq", "vec", "omp", "mp", "cuda", "hip",
-                             "xe"])
-    cb.add_argument("--nworkers", type=int, default=None, metavar="N",
-                    help="worker processes for --backend mp")
+                    choices=["seq", "vec", "omp", "cuda", "hip", "xe"])
     cb.add_argument("--pusher", default=None,
                     choices=["boris", "velocity_verlet", "vay",
                              "higuera_cary"])
@@ -148,11 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--backends", nargs="+", default=None,
                     metavar="NAME",
                     help="backends to check against the seq oracle "
-                    "(default: vec omp mp)")
+                    "(default: vec omp)")
     vf.add_argument("--strategy", default=None, metavar="NAME",
                     help="force this reduction strategy on every "
                     "backend under test during --conformance "
-                    "(e.g. sparse_csr); the seq oracle is never forced")
+                    "(e.g. coloring); the seq oracle is never forced")
     vf.add_argument("--no-shrink", action="store_true",
                     help="report the first failing case without "
                     "minimising it")
@@ -165,11 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "all"],
                     help="which oracle app to gate (default: all)")
     va.add_argument("--backend", default="vec",
-                    choices=["seq", "vec", "omp", "mp", "cuda", "hip",
-                             "xe"])
-    va.add_argument("--strategy", default="default",
-                    help="reduction-strategy option set (default, "
-                    "sparse_csr, locality_always)")
+                    choices=["seq", "vec", "omp", "cuda", "hip", "xe"])
     va.add_argument("--transport", default=None,
                     choices=["sim", "proc"],
                     help="route the twostream gate through the "
@@ -188,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--pool-ranks", type=int, default=2, metavar="N",
                     help="warm worker processes in the shared pool")
     sv.add_argument("--backend", default=None,
-                    choices=["seq", "vec", "omp", "mp"],
+                    choices=["seq", "vec", "omp"],
                     help="default on-node backend for jobs that do not "
                     "request one")
     sv.add_argument("--smoke", action="store_true",
@@ -216,13 +206,6 @@ def _overlay(cfg, args, fields) -> object:
     overrides = {dst: getattr(args, src)
                  for src, dst in fields.items()
                  if getattr(args, src, None) is not None}
-    if getattr(args, "nworkers", None) is not None:
-        backend = overrides.get("backend", cfg.backend)
-        if backend != "mp":
-            raise SystemExit(
-                f"error: --nworkers applies to --backend mp, not {backend!r}")
-        overrides["backend_options"] = dict(cfg.backend_options,
-                                            nworkers=args.nworkers)
     return cfg.scaled(**overrides) if overrides else cfg
 
 
@@ -444,12 +427,13 @@ def _run_verify(args) -> int:
             status |= _verify_app(app, args.steps, args.quiet)
     if args.conformance:
         from repro.verify import ConformanceFailure, run_conformance
+        from repro.verify.conformance import DEFAULT_BACKENDS
         progress = None if args.quiet else print
         try:
             report = run_conformance(
                 n_cases=args.cases, seed=args.seed,
                 backends=tuple(args.backends) if args.backends else
-                ("vec", "omp", "mp"),
+                DEFAULT_BACKENDS,
                 progress=progress, shrink=not args.no_shrink,
                 strategy=args.strategy)
         except ConformanceFailure as failure:
@@ -517,7 +501,7 @@ def _run_validate(args) -> int:
             continue      # transports only apply to the dist-capable app
         report = run_physics_gates(
             app, backend=args.backend, transport=args.transport,
-            strategy=args.strategy, profile=args.profile)
+            profile=args.profile)
         if args.json:
             print(json.dumps(report.to_dict()))
         elif not args.quiet or not report.ok:

@@ -84,38 +84,16 @@ class Dat:
     def nbytes_per_elem(self) -> int:
         return self.dim * self.dtype.itemsize
 
-    # -- backing-buffer exposure (shared-memory backends) ---------------------
-
     @property
     def raw(self) -> np.ndarray:
         """The full ``(capacity, dim)`` backing array, holes included.
 
-        Shared-memory backends place this buffer in an OS shared segment
-        so worker processes read it zero-copy; everyone else should use
-        :attr:`data`.
+        The native tier binds this buffer's address once per call site;
+        everyone else should use :attr:`data`.
         """
         if tracing.active:
             tracing.touch(self)
         return self._raw
-
-    def adopt_raw(self, buffer: np.ndarray) -> None:
-        """Swap the backing storage for ``buffer`` (same shape/dtype).
-
-        Current contents are copied into ``buffer`` first, so the swap is
-        invisible to readers.  Used by the ``mp`` backend to migrate a
-        dat into a ``multiprocessing.shared_memory`` segment; after a
-        capacity grow (which allocates a fresh private array) the backend
-        simply adopts again.
-        """
-        if buffer.shape != self._raw.shape or buffer.dtype != self.dtype:
-            raise ValueError(
-                f"dat {self.name!r}: adopted buffer {buffer.shape}/"
-                f"{buffer.dtype} does not match backing array "
-                f"{self._raw.shape}/{self.dtype}")
-        if tracing.active:
-            tracing.touch(self)
-        buffer[:] = self._raw
-        self._raw = buffer
 
     def fill(self, value) -> None:
         if tracing.active:

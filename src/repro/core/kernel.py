@@ -14,15 +14,11 @@ Kernels may read global constants registered with
 from __future__ import annotations
 
 import ast
-import importlib
 import inspect
-import pickle
-import sys
 import textwrap
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
-__all__ = ["Kernel", "ConstRegistry", "CONST", "kernel_ref",
-           "kernel_from_ref"]
+__all__ = ["Kernel", "ConstRegistry", "CONST"]
 
 
 class ConstRegistry:
@@ -172,60 +168,8 @@ class Kernel:
     def __call__(self, *args, **kwargs):
         return self.fn(*args, **kwargs)
 
-    # -- pickling ------------------------------------------------------------
-
-    def ref(self) -> Optional[Tuple[str, str]]:
-        """``(module, qualname)`` reference of the wrapped function, or
-        ``None`` when the function is not importable by name (lambdas,
-        closures, REPL definitions).  A reference is what crosses process
-        boundaries: the receiving side re-imports the module and rebuilds
-        the translation artefacts locally."""
-        return kernel_ref(self.fn)
-
-    def __reduce__(self):
-        ref = self.ref()
-        if ref is None:
-            raise pickle.PicklingError(
-                f"kernel {self.name!r} wraps a function that cannot be "
-                "resolved by (module, qualname) import; define it at "
-                "module level to use it across processes")
-        return (kernel_from_ref, (ref[0], ref[1], self.name))
-
     def __repr__(self) -> str:
         return f"<Kernel {self.name!r}>"
-
-
-def kernel_ref(fn) -> Optional[Tuple[str, str]]:
-    """``(module, qualname)`` if ``fn`` is reachable by importing its
-    module, else ``None``."""
-    mod = getattr(fn, "__module__", None)
-    qual = getattr(fn, "__qualname__", None)
-    if not mod or not qual or "." in qual:
-        return None
-    module = sys.modules.get(mod)
-    if module is None or getattr(module, qual, None) is not fn:
-        return None
-    return (mod, qual)
-
-
-def kernel_from_ref(module: str, qualname: str,
-                    name: Optional[str] = None) -> "Kernel":
-    """Rebuild a kernel from its import reference (worker-side unpickle).
-
-    The per-function kernel cache makes this idempotent, so translation
-    runs once per process no matter how many loops ship the same kernel.
-    """
-    mod = sys.modules.get(module)
-    if mod is None:
-        mod = importlib.import_module(module)
-    fn = getattr(mod, qualname, None)
-    if fn is None:
-        raise ImportError(
-            f"cannot resolve kernel {qualname!r} in module {module!r}")
-    kern = as_kernel(fn)
-    if name:
-        kern.name = name
-    return kern
 
 
 def as_kernel(fn_or_kernel) -> Kernel:

@@ -107,19 +107,6 @@ class Map:
             tracing.touch(self)
         return self._raw
 
-    def adopt_raw(self, buffer: np.ndarray) -> None:
-        """Swap the backing storage for ``buffer`` (same shape/dtype),
-        copying current contents in — see :meth:`repro.core.dats.Dat.adopt_raw`."""
-        if buffer.shape != self._raw.shape or buffer.dtype != self._raw.dtype:
-            raise ValueError(
-                f"map {self.name!r}: adopted buffer {buffer.shape}/"
-                f"{buffer.dtype} does not match backing array "
-                f"{self._raw.shape}/{self._raw.dtype}")
-        if tracing.active:
-            tracing.touch(self)
-        buffer[:] = self._raw
-        self._raw = buffer
-
     def _grow(self, new_capacity: int) -> None:
         grown = np.full((new_capacity, self.arity), -1, dtype=np.int64)
         grown[: self._raw.shape[0]] = self._raw

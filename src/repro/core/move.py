@@ -92,7 +92,7 @@ class MoveResult:
         #: worst per-hop collision depth on indirect-INC scatters
         self.max_collisions: int = 0
         #: backend-specific perf extras merged into the loop record
-        #: (e.g. per-worker wall seconds from the ``mp`` backend)
+        #: (e.g. the native tier's strategy or a fallback reason)
         self.extras: dict = {}
 
     @property

@@ -7,9 +7,10 @@ are provided here and compared by ``benchmarks/bench_ablation_sorting.py``.
 
 :class:`ParticleOrder` is the incremental side of the same story: instead
 of treating a sort as a one-shot utility, every particle set tracks *how
-cell-sorted it still is* across moves, hole-fills and injections, so the
-locality engine (:mod:`repro.backends.locality`) can amortise re-sorts
-against the gather/deposit savings a sorted order buys.
+cell-sorted it still is* across moves, hole-fills and injections.  It is
+the ``core``-side hook for memory-order work: a periodic re-sort that
+lives here, not in a backend, permutes the data ``seq`` sees too, so
+every backend stays comparable to the oracle.
 """
 from __future__ import annotations
 

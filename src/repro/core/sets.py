@@ -96,7 +96,7 @@ class ParticleSet(Set):
         self.p2c_map: Optional["Map"] = None
         #: indices flagged for removal during the current move loop
         self._remove_flags: Optional[np.ndarray] = None
-        #: incremental cell-sortedness tracker (the locality engine)
+        #: incremental cell-sortedness tracker (ParticleOrder)
         from .particles import ParticleOrder     # deferred: avoids cycle
         self.order = ParticleOrder(self)
 

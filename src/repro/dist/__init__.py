@@ -10,9 +10,9 @@ socket per rank pair, with per-operation timeouts, dead-rank detection
 :class:`~repro.dist.transport.RankFailure` errors instead of hangs.
 
 Because each rank process may use any on-node backend (``seq``, ``vec``,
-``omp``, ``mp``) for its loops, running N rank processes reproduces the
-paper's MPI+X configurations (distributed memory across ranks, shared
-memory within each).
+``omp``, ``cuda``, ``hip``, ``xe``) for its loops, running N rank
+processes reproduces the paper's MPI+X configurations (distributed
+memory across ranks, an on-node target within each).
 """
 from .driver import DistResult, run_distributed
 from .proc import ProcCluster, ProcTransport

@@ -7,7 +7,7 @@ the benchmarks share: the same application code
 :class:`~repro.apps.twod.distributed.DistributedTwoD`) runs either as an
 in-process simulation (``transport="sim"``) or as N real rank processes
 (``transport="proc"``), each rank free to use any on-node backend
-(``seq``/``vec``/``omp``/``mp`` — the MPI+X matrix).
+(``seq``/``vec``/``omp``/``cuda``/``hip``/``xe`` — the MPI+X matrix).
 
 Under ``proc`` every rank ships its history, its :class:`CommStats`
 ledgers and its per-loop :class:`PerfRecorder` back to the launcher,
@@ -65,16 +65,6 @@ def _rank_perf(app) -> Dict[int, dict]:
     return {r: rk.ctx.perf.to_dict() for r, rk in app._local()}
 
 
-def _close_backends(app) -> None:
-    """Shut down any rank backend holding OS resources (the mp backend's
-    worker pool) — a rank process that exits without this orphans its
-    workers, and the orphans keep the launcher's pipes open."""
-    for _r, rk in app._local():
-        close = getattr(rk.ctx.backend, "close", None)
-        if close is not None:
-            close()
-
-
 def _elastic_active(spec: dict) -> bool:
     return bool((spec.get("rebalance") or "never") != "never"
                 or spec.get("checkpoint_every") or spec.get("recover")
@@ -117,10 +107,7 @@ def _rank_entry(transport, spec: dict) -> dict:
     app = _build_app(spec, transport)
     if spec.get("seed_ppc"):
         app.seed_uniform_plasma(int(spec["seed_ppc"]))
-    try:
-        history, elastic = _run_app(app, spec)
-    finally:
-        _close_backends(app)
+    history, elastic = _run_app(app, spec)
     wall = time.perf_counter() - t0
     solve_stats = getattr(app, "solve_stats", None)
     return {"rank": transport.my_rank,
@@ -178,27 +165,24 @@ class DistResult:
     def rank_load_imbalance(self) -> float:
         """max/mean busy seconds across ranks (1.0 = perfect balance;
         the quantity online rebalancing drives down)."""
-        busy = [s for s in self.busy_seconds_per_rank() if s > 0.0]
-        if not busy:
-            return 0.0
-        return max(busy) * len(busy) / sum(busy)
+        return _imbalance(self.busy_seconds_per_rank())
 
     def loop_imbalance(self) -> Dict[str, float]:
-        """Per-loop cross-rank imbalance, via
-        :attr:`~repro.perf.timers.LoopStats.load_imbalance` with one
-        'worker' per rank."""
-        from ..perf.timers import LoopStats
+        """Per-loop max/mean seconds across the ranks that ran it."""
         names = sorted({name for rec in self.rank_perf.values()
                         for name in rec.loops})
-        out = {}
-        for name in names:
-            st = LoopStats(name)
-            st.worker_seconds = [
-                self.rank_perf[r].loops[name].seconds
-                if r in self.rank_perf and name in self.rank_perf[r].loops
-                else 0.0 for r in range(self.nranks)]
-            out[name] = st.load_imbalance
-        return out
+        return {name: _imbalance([rec.loops[name].seconds
+                                  for rec in self.rank_perf.values()
+                                  if name in rec.loops])
+                for name in names}
+
+
+def _imbalance(seconds: List[float]) -> float:
+    """max/mean of the non-zero entries (0.0 when there are none)."""
+    busy = [s for s in seconds if s > 0.0]
+    if not busy:
+        return 0.0
+    return max(busy) * len(busy) / sum(busy)
 
 
 def _histories_agree(a: dict, b: dict) -> bool:
@@ -258,10 +242,7 @@ def run_distributed(app: str = "fempic", config=None, nranks: int = 2,
         instance = _build_app(spec, comm)
         if seed_ppc:
             instance.seed_uniform_plasma(int(seed_ppc))
-        try:
-            history, elastic = _run_app(instance, spec)
-        finally:
-            _close_backends(instance)
+        history, elastic = _run_app(instance, spec)
         wall = time.perf_counter() - t0
         solve_stats = getattr(instance, "solve_stats", None)
         return DistResult(

@@ -4,9 +4,8 @@ Three cooperating pieces turn the static distributed runtime of
 PRs 3-4 into an elastic one:
 
 * :mod:`monitor` / :mod:`policy` — measure per-rank busy seconds and
-  particle counts each step and decide, from EWMA cost estimates (the
-  same discipline as the locality autotuner), when a repartition's
-  projected gain amortises its migration cost;
+  particle counts each step and decide, from EWMA cost estimates, when
+  a repartition's projected gain amortises its migration cost;
 * :mod:`migrate` — the live migration protocol: given a new
   ``cell_owner``, exchange owned mesh rows, per-rank globals and
   particles over the existing transport ops, rebuild halo plans in

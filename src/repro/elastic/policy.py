@@ -1,8 +1,7 @@
 """The rebalance trigger policy.
 
-Mirrors the cost-model discipline of
-:class:`~repro.backends.locality.LocalityAutotuner`: keep EWMA estimates
-of what a migration costs (measured wall seconds of past migrations,
+:class:`RebalancePolicy` is the system's only EWMA cost policy: it keeps
+EWMA estimates of what a migration costs (measured wall seconds of past migrations,
 allreduce-maxed so every rank sees the same number) and of how long a
 repartition's benefit lives (the observed interval between rebalances),
 and trigger only when

@@ -29,9 +29,6 @@ class LoopStats:
     indirect_inc: bool = False
     is_move: bool = False
     extras: dict = field(default_factory=dict)
-    #: accumulated busy seconds per parallel worker (shared-memory
-    #: backends report one entry per worker per call; index = worker id)
-    worker_seconds: List[float] = field(default_factory=list)
 
     @property
     def arithmetic_intensity(self) -> float:
@@ -42,15 +39,6 @@ class LoopStats:
     def mean_seconds(self) -> float:
         return self.seconds / self.calls if self.calls else 0.0
 
-    @property
-    def load_imbalance(self) -> float:
-        """max/mean busy time across workers (1.0 = perfect balance;
-        0.0 when the loop never ran on a worker pool)."""
-        busy = [s for s in self.worker_seconds if s > 0.0]
-        if not busy:
-            return 0.0
-        return max(busy) * len(busy) / sum(busy)
-
     def to_dict(self) -> dict:
         """JSON/pickle-friendly snapshot (rank processes ship these back
         to the launcher)."""
@@ -59,8 +47,7 @@ class LoopStats:
                 "flops": self.flops, "nbytes": self.nbytes,
                 "hops": self.hops, "max_collisions": self.max_collisions,
                 "indirect_inc": self.indirect_inc, "is_move": self.is_move,
-                "extras": dict(self.extras),
-                "worker_seconds": list(self.worker_seconds)}
+                "extras": dict(self.extras)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LoopStats":
@@ -79,12 +66,6 @@ class LoopStats:
                                   other.max_collisions)
         self.indirect_inc = self.indirect_inc or other.indirect_inc
         self.is_move = self.is_move or other.is_move
-        if len(self.worker_seconds) < len(other.worker_seconds):
-            self.worker_seconds.extend(
-                [0.0] * (len(other.worker_seconds)
-                         - len(self.worker_seconds)))
-        for i, s in enumerate(other.worker_seconds):
-            self.worker_seconds[i] += float(s)
         self.extras.update(other.extras)
         return self
 
@@ -102,7 +83,7 @@ class PerfRecorder:
                     flops: float = 0.0, nbytes: float = 0.0,
                     indirect_inc: bool = False, hops: int = 0,
                     is_move: bool = False, collisions: int = 0,
-                    worker_seconds=None, **extras) -> None:
+                    **extras) -> None:
         if not self.enabled:
             return
         if self.trace is not None:
@@ -121,14 +102,6 @@ class PerfRecorder:
         st.max_collisions = max(st.max_collisions, collisions)
         st.indirect_inc = st.indirect_inc or indirect_inc
         st.is_move = st.is_move or is_move
-        if worker_seconds:
-            # roll up per-worker busy time across calls (pad if a later
-            # call used more workers than an earlier one)
-            if len(st.worker_seconds) < len(worker_seconds):
-                st.worker_seconds.extend(
-                    [0.0] * (len(worker_seconds) - len(st.worker_seconds)))
-            for i, s in enumerate(worker_seconds):
-                st.worker_seconds[i] += float(s)
         for k, v in extras.items():
             st.extras[k] = v
 

@@ -113,8 +113,8 @@ class DirectHopGlobalMover:
                 idx = np.flatnonzero(stay)
                 p2c_maps[r].p2c[idx] = self._local_cells(
                     r, dest_cell_global[idx])
-                # direct map write: bump the order tracker so cached
-                # segment offsets / sparse operators refresh
+                # direct map write: bump the order tracker so it stops
+                # claiming the set is cell-sorted
                 pset.order.note_relocated(int(idx.size))
             if go.any():
                 rows = np.flatnonzero(go)

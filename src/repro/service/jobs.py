@@ -43,7 +43,7 @@ __all__ = ["JobSpec", "JobValidationError", "validate_job", "build_sim",
 
 #: on-node backends a tenant may request (accelerator names are declared
 #: in the DSL but not servable on a shared CPU pool)
-SERVICE_BACKENDS = ("seq", "vec", "omp", "mp")
+SERVICE_BACKENDS = ("seq", "vec", "omp")
 
 MAX_PRIORITY = 10
 

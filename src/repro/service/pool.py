@@ -87,13 +87,6 @@ def _send(conn, kind: int, worker_id: int, tag: int, payload,
                                  max_frame_bytes))
 
 
-def _close_backend(sim) -> None:
-    backend = getattr(getattr(sim, "ctx", None), "backend", None)
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 def _check_control(conn, worker_id: int, tag: int) -> None:
     """Between-steps control poll; raises to unwind the step loop."""
     while conn.poll(0):
@@ -115,7 +108,6 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
     job_id = payload["job_id"]
     spec: JobSpec = payload["spec"]
     ckpt = payload.get("checkpoint")
-    sim = None
     try:
         t0 = time.perf_counter()
         if ckpt is not None:
@@ -169,9 +161,6 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
                    "traceback": traceback.format_exc()})
         except Exception:
             pass
-    finally:
-        if sim is not None:
-            _close_backend(sim)
 
 
 def _worker_main(worker_id: int, conn) -> None:

@@ -9,8 +9,8 @@ flags, so a warm process runs neither the emitter nor the compiler; loaded
 handles and bound functions are memoised per process.  What a launch
 derives from the loop's descriptors is kept on the declaration (a
 :class:`_Binding`), so a repeated launch from a call site only reads what
-may have changed: each array object (particle dats grow, ``adopt_raw``
-swaps buffers), each row count, the ``CONST`` values.
+may have changed: each array object (a particle dat that grows past
+its capacity gets a new buffer), each row count, the ``CONST`` values.
 
 Nothing here raises for a loop it cannot serve: :func:`par_loop` and
 :func:`particle_move` return ``(None, reason)`` and the caller stays on
@@ -298,8 +298,8 @@ class _Binding:
     def refresh(self) -> Optional[list]:
         """The function's slot arguments as of now: row counts are read
         again (particle sets grow and shrink every step), an address only
-        when the array is not the one held (a grown particle dat,
-        ``adopt_raw``).  None when a new array is not a C-contiguous
+        when the array is not the one held (a particle dat grown past its
+        capacity).  None when a new array is not a C-contiguous
         buffer of the dtype and row shape the loop was generated for."""
         argv, held = self.argv, self.held
         for k, (o, rows_of, char, trailing) in enumerate(self.slots):

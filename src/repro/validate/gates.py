@@ -1,9 +1,9 @@
 """Physics gate driver: run an oracle app and check closed-form theory.
 
-``run_physics_gates(app, backend, transport, strategy, profile)`` runs
-one validation app on one backend × strategy (× transport for the
-distributed app) combination and returns a :class:`GateReport` whose
-gates compare *measured* physics against kinetic theory:
+``run_physics_gates(app, backend, transport, profile)`` runs one
+validation app on one backend (× transport for the distributed app) and
+returns a :class:`GateReport` whose gates compare *measured* physics
+against kinetic theory:
 
 * ``landau`` — 1-D Maxwellian plasma, fundamental mode at kλD = 0.5.
   Gates: mode-energy damping rate vs the exact kinetic root ``2γ``,
@@ -34,19 +34,9 @@ from repro.field.theory import (landau_damping_rate, landau_frequency,
 from .ledger import ConservationLedger
 from .measure import measure_damping, measure_growth
 
-__all__ = ["GATE_APPS", "STRATEGY_OPTIONS", "GateResult", "GateReport",
-           "run_physics_gates"]
+__all__ = ["GATE_APPS", "GateResult", "GateReport", "run_physics_gates"]
 
 GATE_APPS = ("landau", "twostream", "multispecies")
-
-#: reduction-strategy axis swept by the physics CI job: the named
-#: backend option sets that change how generated loops execute without
-#: being allowed to change any physics.
-STRATEGY_OPTIONS: Dict[str, dict] = {
-    "default": {},
-    "sparse_csr": {"strategy": "sparse_csr"},
-    "locality_always": {"locality": "always"},
-}
 
 #: per-app resolution/tolerance profiles.  ``ci`` is sized for the CI
 #: physics job (seconds on vec, <1 min on seq); ``full`` is the
@@ -115,7 +105,6 @@ class GateReport:
 
     app: str
     backend: str
-    strategy: str
     profile: str
     transport: Optional[str] = None
     gates: List[GateResult] = field(default_factory=list)
@@ -141,13 +130,13 @@ class GateReport:
 
     def to_dict(self) -> dict:
         return {"app": self.app, "backend": self.backend,
-                "strategy": self.strategy, "profile": self.profile,
+                "profile": self.profile,
                 "transport": self.transport, "ok": self.ok,
                 "gates": [g.to_dict() for g in self.gates],
                 "ledger": self.ledger.to_dict()}
 
     def summary(self) -> str:
-        where = f"{self.app} on {self.backend}/{self.strategy}"
+        where = f"{self.app} on {self.backend}"
         if self.transport:
             where += f" transport={self.transport}"
         lines = [f"physics gates: {where} (profile {self.profile})"]
@@ -157,18 +146,9 @@ class GateReport:
         return "\n".join(lines)
 
 
-def _backend_options(strategy: str) -> dict:
-    try:
-        return dict(STRATEGY_OPTIONS[strategy])
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one"
-                         f" of {tuple(STRATEGY_OPTIONS)}") from None
-
-
-def _electrostatic_history(config, backend: str, strategy: str):
+def _electrostatic_history(config, backend: str):
     from repro.apps.landau import ElectrostaticSimulation
-    sim = ElectrostaticSimulation(config.scaled(
-        backend=backend, backend_options=_backend_options(strategy)))
+    sim = ElectrostaticSimulation(config.scaled(backend=backend))
     sim.run()
     return sim.times(), sim.history
 
@@ -189,8 +169,7 @@ def _run_landau(report: GateReport, prof: dict) -> GateReport:
     from repro.apps.landau import landau_config
     cfg = landau_config(nz=prof["nz"], ppc=prof["ppc"],
                         n_steps=prof["n_steps"])
-    t, history = _electrostatic_history(cfg, report.backend,
-                                        report.strategy)
+    t, history = _electrostatic_history(cfg, report.backend)
     fit = measure_damping(t, history["mode_energy"])
     k = cfg.k1
     report.gate("damping_2g", fit.rate, 2.0 * landau_damping_rate(k),
@@ -205,8 +184,7 @@ def _run_multispecies(report: GateReport, prof: dict) -> GateReport:
     from repro.apps.landau import two_beam_config
     cfg = two_beam_config(nz=prof["nz"], ppc=prof["ppc"],
                           n_steps=prof["n_steps"])
-    t, history = _electrostatic_history(cfg, report.backend,
-                                        report.strategy)
+    t, history = _electrostatic_history(cfg, report.backend)
     fit = measure_growth(t, history["mode_energy"])
     v0 = abs(cfg.species[0].drift)
     gamma = two_stream_growth_rate(cfg.k1, v0, cfg.plasma_frequency)
@@ -224,8 +202,7 @@ def _run_twostream(report: GateReport, prof: dict) -> GateReport:
     cfg = CabanaConfig(
         nx=2, ny=2, nz=prof["nz"], lx=0.2, ly=0.2, lz=lz,
         ppc=prof["ppc"], v0=v0, perturbation=5e-3, mode=1,
-        n_steps=prof["n_steps"], cfl=0.4, backend=report.backend,
-        backend_options=_backend_options(report.strategy))
+        n_steps=prof["n_steps"], cfl=0.4, backend=report.backend)
     if report.transport is None:
         sim = CabanaSimulation(cfg)
         sim.run()
@@ -252,14 +229,13 @@ _RUNNERS = {"landau": _run_landau, "multispecies": _run_multispecies,
 
 def run_physics_gates(app: str, backend: str = "vec",
                       transport: Optional[str] = None,
-                      strategy: str = "default",
                       profile: str = "ci") -> GateReport:
     """Run the physics gates of one validation app.
 
     ``transport`` (``"sim"`` or ``"proc"``) routes the run through the
     distributed driver and is only meaningful for ``twostream`` — the
     electrostatic oracles are single-domain by design (their FFT field
-    solve is global), so they sweep backend × strategy instead.
+    solve is global), so they sweep backends only.
     """
     if app not in GATE_APPS:
         raise ValueError(f"unknown gate app {app!r}; expected one of"
@@ -275,6 +251,6 @@ def run_physics_gates(app: str, backend: str = "vec",
     except KeyError:
         raise ValueError(f"unknown profile {profile!r}; expected one"
                          f" of {tuple(PROFILES)}") from None
-    report = GateReport(app=app, backend=backend, strategy=strategy,
-                        profile=profile, transport=transport)
+    report = GateReport(app=app, backend=backend, profile=profile,
+                        transport=transport)
     return _RUNNERS[app](report, prof)

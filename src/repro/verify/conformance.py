@@ -24,13 +24,11 @@ Determinism: every case is fully derived from its integer seed via
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backends import MpBackend, OmpBackend, SeqBackend, VecBackend, \
-    make_backend
+from ..backends import OmpBackend, SeqBackend, VecBackend, make_backend
 from ..core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_MAX, OPP_MIN,
                         OPP_READ, OPP_RW, OPP_WRITE, Context, arg_dat,
                         arg_gbl, decl_dat, decl_global, decl_map,
@@ -43,15 +41,15 @@ __all__ = ["Case", "ConformanceFailure", "generate_case", "run_case",
            "generate_program_case", "run_program_conformance",
            "OP_NAMES", "PROGRAM_OP_NAMES", "DEFAULT_BACKENDS"]
 
-#: Backends checked against the oracle by default — the paper's four
-#: CPU-side targets minus ``seq`` itself.
-DEFAULT_BACKENDS = ("vec", "omp", "mp")
+#: Backends checked against the oracle by default — the CPU-side
+#: targets minus ``seq`` itself.
+DEFAULT_BACKENDS = ("vec", "omp")
 
 #: Per-backend constructor options for conformance runs, preferring the
-#: class attribute each backend declares (small pools / chunk sizes so
-#: the parallel machinery actually engages on mini-meshes).
+#: class attribute each backend declares (e.g. an odd thread count so
+#: chunk boundaries fall inside the mini-meshes).
 _BACKEND_CLASSES = {"seq": SeqBackend, "vec": VecBackend,
-                    "omp": OmpBackend, "mp": MpBackend}
+                    "omp": OmpBackend}
 
 
 def _conformance_backend(name: str, strategy: Optional[str] = None):
@@ -60,36 +58,6 @@ def _conformance_backend(name: str, strategy: Optional[str] = None):
     if strategy is not None and name != "seq":
         opts["strategy"] = strategy
     return make_backend(name, **opts)
-
-
-@contextmanager
-def _forced_strategy(name: str):
-    """Temporarily force one reduction strategy on the active backend.
-
-    Lets single program ops draw a specific strategy (the fuzzer's way
-    of exercising ``sparse_csr`` inside otherwise-random programs) while
-    the rest of the program runs on the backend's configured one.  A
-    no-op on backends without a strategy (the seq oracle) and when the
-    strategy cannot be built (scipy missing) — the op still runs, just
-    un-forced, so seeds stay comparable across environments.
-    """
-    from ..backends.reduction import make_strategy
-    from ..core.context import get_context
-    backend = get_context().backend
-    if not hasattr(backend, "strategy"):
-        yield
-        return
-    try:
-        forced = make_strategy(name)
-    except Exception:
-        yield
-        return
-    old_strategy, old_name = backend.strategy, backend.strategy_name
-    backend.strategy, backend.strategy_name = forced, name
-    try:
-        yield
-    finally:
-        backend.strategy, backend.strategy_name = old_strategy, old_name
 
 
 class Case:
@@ -325,26 +293,6 @@ def _op_two_set_shared_inc(w: dict) -> None:
              arg_dat(w["out_b"], OPP_RW))
 
 
-def _op_p2c_inc_sparse(w: dict) -> None:
-    with _forced_strategy("sparse_csr"):
-        _op_p2c_inc(w)
-
-
-def _op_double_deposit_sparse(w: dict) -> None:
-    with _forced_strategy("sparse_csr"):
-        _op_double_deposit(w)
-
-
-def _op_p2c_gather_sparse(w: dict) -> None:
-    with _forced_strategy("sparse_csr"):
-        _op_p2c_gather(w)
-
-
-def _op_two_set_shared_inc_sparse(w: dict) -> None:
-    with _forced_strategy("sparse_csr"):
-        _op_two_set_shared_inc(w)
-
-
 def _op_move_deposit(w: dict) -> None:
     """A bare move, then a deposit over the moved particles, the move's
     result read only after both are declared — the pattern the program
@@ -367,24 +315,15 @@ OPS: Dict[str, Callable[[dict], None]] = {
     "gbl_int_minmax": _op_gbl_int_minmax,
     "np_transcendental": _op_np_transcendental,
     "move": _op_move,
-    # Matrix-PIC ops: the same loops lowered through the sparse operator
-    # (deposits as P.T @ q, gathers as P @ E) inside random programs
-    "p2c_inc_sparse": _op_p2c_inc_sparse,
-    "double_deposit_sparse": _op_double_deposit_sparse,
-    "p2c_gather_sparse": _op_p2c_gather_sparse,
-    # multi-species ops: two particle sets sharing one cell accumulator
+    # multi-species op: two particle sets sharing one cell accumulator
     "two_set_shared_inc": _op_two_set_shared_inc,
-    "two_set_shared_inc_sparse": _op_two_set_shared_inc_sparse,
 }
 OP_NAMES = tuple(sorted(OPS))
 
-#: Catalog for the program-optimizer sweep.  The ``_sparse`` ops are
-#: excluded: ``_forced_strategy`` brackets op *submission*, which under
-#: deferral no longer brackets execution.  One extra op gives the
+#: Catalog for the program-optimizer sweep: one extra op gives the
 #: move+deposit rewrite its pattern.
-PROGRAM_OPS: Dict[str, Callable[[dict], None]] = {
-    name: fn for name, fn in OPS.items() if not name.endswith("_sparse")}
-PROGRAM_OPS["move_deposit"] = _op_move_deposit
+PROGRAM_OPS: Dict[str, Callable[[dict], None]] = dict(
+    OPS, move_deposit=_op_move_deposit)
 PROGRAM_OP_NAMES = tuple(sorted(PROGRAM_OPS))
 
 
@@ -588,10 +527,9 @@ def run_conformance(n_cases: int = 60, seed: int = 0,
                     strategy: Optional[str] = None) -> dict:
     """Sweep ``n_cases`` generated cases over every backend.
 
-    Backend instances (and in particular the ``mp`` worker pool) are
-    created once and reused across the sweep.  ``strategy`` forces one
-    reduction strategy on every backend under test (the CI sparse sweep
-    runs ``strategy="sparse_csr"``) — the seq oracle is never forced.
+    Backend instances are created once and reused across the sweep.
+    ``strategy`` forces one reduction strategy on every backend under
+    test (e.g. ``strategy="coloring"``) — the seq oracle is never forced.
     Raises :class:`ConformanceFailure` — with a shrunk minimal case — on
     the first divergence; returns a summary dict when everything agrees.
     Its ``native`` entry counts plain ``vec``'s cases: held to zero
@@ -602,28 +540,21 @@ def run_conformance(n_cases: int = 60, seed: int = 0,
                   for name in backends]
     checked = 0
     native_log = native_tally()
-    try:
-        for i in range(n_cases):
-            case = generate_case(seed + i)
-            for name, backend in under_test:
-                mismatches = _case_fails(case, oracle, backend, native_log)
-                if mismatches:
-                    shrunk = case
-                    if shrink:
-                        shrunk, shrunk_mismatches = shrink_case(
-                            case, oracle, backend)
-                        if shrunk_mismatches:
-                            mismatches = shrunk_mismatches
-                    raise ConformanceFailure(name, case, shrunk,
-                                             mismatches)
-                checked += 1
-            if progress is not None and (i + 1) % 25 == 0:
-                progress(f"conformance: {i + 1}/{n_cases} cases ok")
-    finally:
-        for _, backend in under_test:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+    for i in range(n_cases):
+        case = generate_case(seed + i)
+        for name, backend in under_test:
+            mismatches = _case_fails(case, oracle, backend, native_log)
+            if mismatches:
+                shrunk = case
+                if shrink:
+                    shrunk, shrunk_mismatches = shrink_case(
+                        case, oracle, backend)
+                    if shrunk_mismatches:
+                        mismatches = shrunk_mismatches
+                raise ConformanceFailure(name, case, shrunk, mismatches)
+            checked += 1
+        if progress is not None and (i + 1) % 25 == 0:
+            progress(f"conformance: {i + 1}/{n_cases} cases ok")
     return {"cases": n_cases, "backends": list(backends),
             "executions": checked, "strategy": strategy,
             "native": native_log}

@@ -1,9 +1,8 @@
 """Elemental kernels used by the differential conformance harness.
 
-These live at module level (not closures) so the ``mp`` backend can ship
-them to worker processes by ``(module, qualname)`` reference, and each
-sticks to translator-supported constructs so the generated-code backends
-exercise their real vectorised paths rather than the seq fallback.
+Each sticks to translator-supported constructs so the generated-code
+backends exercise their real compiled and vectorised paths rather than
+the seq fallback.
 
 Every kernel here is *correctly* declared — the conformance harness
 checks that all backends agree on clean programs.  Deliberately

@@ -57,7 +57,7 @@ def test_field_energy_positive_and_finite(baseline):
     assert np.isfinite(e).all()
 
 
-@pytest.mark.parametrize("backend", ["vec", "omp", "cuda", "hip", "mp"])
+@pytest.mark.parametrize("backend", ["vec", "omp", "cuda", "hip"])
 def test_backends_match_seq(baseline, backend):
     sim = FemPicSimulation(FemPicConfig.smoke().scaled(backend=backend,
                                                        n_steps=10))

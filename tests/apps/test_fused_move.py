@@ -8,8 +8,7 @@ import pytest
 from repro.apps.cabana import CabanaConfig, CabanaSimulation
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
 
-BACKENDS = [("seq", {}), ("vec", {}),
-            ("mp", {"nworkers": 2, "min_chunk": 16})]
+BACKENDS = [("seq", {}), ("vec", {})]
 
 
 def run_fempic(backend, options, fused, steps=4):

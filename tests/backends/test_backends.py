@@ -11,7 +11,7 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_RW,
                             decl_particle_set, decl_set, par_loop,
                             particle_move, push_context)
 
-OTHERS = ["vec", "omp", "cuda", "hip", "mp"]
+OTHERS = ["vec", "omp", "cuda", "hip"]
 
 
 def saxpy_kernel(x, y):
@@ -145,24 +145,17 @@ def int_minmax_kernel(v, mn, mx):
     mx[0] = max(mx[0], v[0])
 
 
-@pytest.mark.parametrize("backend", ["seq", "vec", "omp", "mp"])
+@pytest.mark.parametrize("backend", ["seq", "vec", "omp"])
 def test_integer_global_min_max(backend, numpy_target):
     """An int64 global MIN used to come back as INT64_MIN: the NumPy
     target seeded its reduction buffer with ``inf`` whatever the dtype."""
     from repro.core.api import OPP_MAX, OPP_MIN, arg_gbl, decl_global
-    opts = {"nworkers": 2, "min_chunk": 16} if backend == "mp" else {}
-    ctx = Context(backend, **opts)
-    try:
-        with push_context(ctx):
-            s = decl_set(64)
-            v = decl_dat(s, 1, np.int64, np.arange(10, 74))
-            mn = decl_global(1, np.int64, [100])
-            mx = decl_global(1, np.int64, [-100])
-            par_loop(int_minmax_kernel, "int_minmax", s, OPP_ITERATE_ALL,
-                     arg_dat(v, OPP_READ), arg_gbl(mn, OPP_MIN),
-                     arg_gbl(mx, OPP_MAX))
-            assert (mn.data[0], mx.data[0]) == (10, 73)
-    finally:
-        close = getattr(ctx.backend, "close", None)
-        if close is not None:
-            close()
+    with push_context(Context(backend)):
+        s = decl_set(64)
+        v = decl_dat(s, 1, np.int64, np.arange(10, 74))
+        mn = decl_global(1, np.int64, [100])
+        mx = decl_global(1, np.int64, [-100])
+        par_loop(int_minmax_kernel, "int_minmax", s, OPP_ITERATE_ALL,
+                 arg_dat(v, OPP_READ), arg_gbl(mn, OPP_MIN),
+                 arg_gbl(mx, OPP_MAX))
+        assert (mn.data[0], mx.data[0]) == (10, 73)

@@ -1,176 +1,19 @@
-"""The particle-locality engine: autotuner policy, cached segment
-layouts, the pre-sorted segmented reduction, and the vec fast path.
+"""Particle locality: sorting particles by cell is invisible to the loops.
 
-Bit-identity assertions use *integer-valued* float data throughout:
-``np.add.reduceat`` on SIMD NumPy builds reassociates segment sums, so
-the pre-sorted fast path is only bitwise-reproducible when every partial
-sum is exact (integers under ~2^53 are).  General float data is checked
-with ``allclose`` instead — the same contract the race-handling
-strategies already document.
+``sort_particles_by_cell`` only permutes storage, so a gather + deposit
+loop must produce the same cell sums and the same per-particle values on
+a sorted and an unsorted set, and every backend must match ``seq`` on a
+sorted one.  Bit-identity assertions use *integer-valued* float data:
+every partial sum is then exact, so no accumulation order can show up as
+a bit difference.
 """
 import numpy as np
 import pytest
 
-from repro.backends.locality import LocalityAutotuner
-from repro.backends.plan import PlanCache
-from repro.backends.reduction import SegmentedPresorted, make_strategy
 from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_RW,
                             Context, arg_dat, decl_dat, decl_map,
                             decl_particle_set, decl_set, par_loop,
                             push_context, sort_particles_by_cell)
-
-# -- autotuner policy ---------------------------------------------------------
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        LocalityAutotuner(mode="sometimes")
-
-
-def test_never_mode_is_off():
-    t = LocalityAutotuner(mode="never")
-    assert not t.enabled
-    assert not t.should_sort(10_000)
-
-
-def test_always_mode_sorts_above_min_size():
-    t = LocalityAutotuner(mode="always", min_particles=64)
-    assert t.should_sort(64)
-    assert not t.should_sort(63)     # bookkeeping outweighs any win
-
-
-def test_auto_bootstraps_optimistically():
-    t = LocalityAutotuner(mode="auto")
-    assert t.should_sort(1000)       # nothing measured yet: sort and learn
-
-
-def test_auto_skips_when_sort_cost_dominates():
-    t = LocalityAutotuner(mode="auto")
-    t.note_sort(1000, seconds=1.0)           # sort_pp = 1e-3
-    t.note_loop(1000, seconds=1e-4, fast=False)   # slow_pp = 1e-7
-    t.note_loop(1000, seconds=5e-5, fast=True)    # fast_pp = 5e-8
-    assert not t.should_sort(1000)   # gain 5e-8*n << cost 1e-3*n
-    assert t.n_skips == 1
-
-
-def test_auto_sorts_when_gain_dominates():
-    t = LocalityAutotuner(mode="auto")
-    t.note_sort(1000, seconds=1e-5)          # sort_pp = 1e-8
-    t.note_loop(1000, seconds=1.0, fast=False)    # slow_pp = 1e-3
-    t.note_loop(1000, seconds=1e-4, fast=True)    # fast_pp = 1e-7
-    assert t.should_sort(1000)
-    assert t.n_skips == 0
-
-
-def test_loops_between_sorts_tracks_amortisation_window():
-    t = LocalityAutotuner(mode="auto", alpha=1.0)
-    t.note_sort(100, 1e-3)
-    for _ in range(5):
-        t.note_loop(100, 1e-4, fast=True)
-    t.note_sort(100, 1e-3)
-    assert t.loops_between_sorts == pytest.approx(5.0)
-
-
-# -- cached segment layouts ---------------------------------------------------
-
-
-def make_sorted_world(cell_ids):
-    cells = decl_set(int(max(cell_ids)) + 1)
-    p = decl_particle_set(cells, len(cell_ids))
-    m = decl_map(p, cells, 1, np.asarray(cell_ids).reshape(-1, 1))
-    sort_particles_by_cell(p)
-    assert p.order.is_valid()
-    return cells, p, m
-
-
-def test_segment_layout_shapes_and_offsets():
-    cells, p, m = make_sorted_world([2, 0, 2, 0, 0])
-    plan = PlanCache()
-    counts, offsets, nonempty, starts = plan.segments(p)
-    assert counts.tolist() == [3, 0, 2]
-    assert offsets.tolist() == [0, 3, 3, 5]
-    assert nonempty.tolist() == [0, 2]
-    assert starts.tolist() == [0, 3]
-
-
-def test_segments_cached_per_order_state():
-    _, p, _ = make_sorted_world([1, 0, 1, 0])
-    plan = PlanCache()
-    plan.segments(p)
-    assert (plan.segment_misses, plan.segment_hits) == (1, 0)
-    plan.segments(p)
-    assert (plan.segment_misses, plan.segment_hits) == (1, 1)
-    # any mutation (even one that keeps the set sorted) changes the key
-    p.order.note_relocated(0)
-    plan.segments(p)
-    assert plan.segment_misses == 2
-
-
-def test_clear_drops_segment_cache():
-    _, p, _ = make_sorted_world([0, 1])
-    plan = PlanCache()
-    plan.segments(p)
-    plan.clear()
-    assert plan.segment_hits == plan.segment_misses == 0
-    plan.segments(p)
-    assert plan.segment_misses == 1
-
-
-# -- the pre-sorted segmented reduction ---------------------------------------
-
-
-def test_presorted_registered():
-    assert isinstance(make_strategy("segmented_presorted"),
-                      SegmentedPresorted)
-
-
-def test_presorted_matches_add_at_on_sorted_rows(rng):
-    rows = np.sort(rng.integers(0, 12, size=200))
-    vals = rng.normal(size=(200, 3))
-    want = np.zeros((12, 3))
-    np.add.at(want, rows, vals)
-    got = np.zeros((12, 3))
-    coll = SegmentedPresorted().apply(got, rows, vals)
-    assert np.allclose(got, want)
-    assert coll == int(np.bincount(rows).max())
-
-
-def test_presorted_bit_equal_on_integer_values(rng):
-    rows = np.sort(rng.integers(0, 9, size=300))
-    vals = rng.integers(-8, 8, size=(300, 2)).astype(np.float64)
-    want = np.zeros((9, 2))
-    np.add.at(want, rows, vals)
-    got = np.zeros((9, 2))
-    SegmentedPresorted().apply(got, rows, vals)
-    assert np.array_equal(got, want)
-
-
-def test_presorted_with_explicit_starts():
-    rows = np.array([0, 0, 3, 3, 3, 5])
-    vals = np.ones((6, 1))
-    starts = np.array([0, 2, 5])
-    out = np.zeros((6, 1))
-    SegmentedPresorted().apply(out, rows, vals, starts=starts)
-    assert out[:, 0].tolist() == [2.0, 0.0, 0.0, 3.0, 0.0, 1.0]
-
-
-def test_presorted_correct_on_unsorted_rows_too():
-    """Distinct runs of the same key resolve through np.add.at."""
-    rows = np.array([1, 1, 0, 1, 1])
-    vals = np.ones((5, 1))
-    out = np.zeros((3, 1))
-    SegmentedPresorted().apply(out, rows, vals)
-    assert out[:, 0].tolist() == [1.0, 4.0, 0.0]
-
-
-def test_presorted_empty_is_noop():
-    out = np.zeros((4, 1))
-    assert SegmentedPresorted().apply(out, np.empty(0, np.int64),
-                                      np.empty((0, 1))) == 0
-    assert not out.any()
-
-
-# -- the vec fast path --------------------------------------------------------
 
 
 def gather_deposit_kernel(e, w, acc):
@@ -184,8 +27,6 @@ def build_loop_world(rng, n_parts=600, n_cells=24, sort=False):
     parts = decl_particle_set(cells, n_parts)
     p2c = decl_map(parts, cells, 1,
                    rng.integers(0, n_cells, size=(n_parts, 1)))
-    # integer-valued floats: every partial sum is exact, so reduceat
-    # reassociation cannot produce bit differences
     e = decl_dat(cells, 1, np.float64,
                  rng.integers(-4, 5, size=n_cells).astype(np.float64))
     w = decl_dat(parts, 1, np.float64,
@@ -198,79 +39,39 @@ def build_loop_world(rng, n_parts=600, n_cells=24, sort=False):
 
 def run_gather_deposit(backend, rng_seed, sort, **options):
     rng = np.random.default_rng(rng_seed)
-    ctx = Context(backend, **options)
-    try:
-        with push_context(ctx):
-            parts, p2c, e, w, acc = build_loop_world(rng, sort=sort)
-            par_loop(gather_deposit_kernel, "GatherDeposit", parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(e, p2c, OPP_READ),
-                     arg_dat(w, OPP_RW),
-                     arg_dat(acc, p2c, OPP_INC))
-        stats = ctx.perf.get("GatherDeposit")
-        # pair every particle value with its cell so sorted and unsorted
-        # runs compare positionally-independently
-        pairs = sorted(zip(p2c.p2c.tolist(), w.data[:, 0].tolist()))
-        return acc.data.copy(), pairs, stats
-    finally:
-        close = getattr(ctx.backend, "close", None)
-        if close:
-            close()
-
-
-def test_vec_fast_path_engages_and_matches_seq_bitwise():
-    acc_seq, pairs_seq, _ = run_gather_deposit("seq", 42, sort=True)
-    acc_vec, pairs_vec, st = run_gather_deposit("vec", 42, sort=True,
-                                                locality="always")
-    assert st.extras.get("locality_fast_path") is True
-    assert st.extras.get("strategy") == "segmented_presorted"
-    assert np.array_equal(acc_vec, acc_seq)
-    assert pairs_vec == pairs_seq
-
-
-def test_vec_default_locality_is_off():
-    _, _, st = run_gather_deposit("vec", 42, sort=True)
-    assert "locality_fast_path" not in st.extras
-
-
-def test_vec_always_sorts_unsorted_input_and_records_pseudo_loop():
-    rng = np.random.default_rng(3)
-    ctx = Context("vec", locality="always")
-    with push_context(ctx):
-        parts, p2c, e, w, acc = build_loop_world(rng, sort=False)
+    with push_context(Context(backend, **options)):
+        parts, p2c, e, w, acc = build_loop_world(rng, sort=sort)
         par_loop(gather_deposit_kernel, "GatherDeposit", parts,
                  OPP_ITERATE_ALL,
                  arg_dat(e, p2c, OPP_READ),
                  arg_dat(w, OPP_RW),
                  arg_dat(acc, p2c, OPP_INC))
-    assert parts.order.is_valid()        # the engine sorted the set
-    assert ctx.perf.get("SortParticles") is not None
-    assert ctx.backend.locality.n_sorts == 1
+    # pair every particle value with its cell so sorted and unsorted
+    # runs compare independently of storage order
+    pairs = sorted(zip(p2c.p2c.tolist(), w.data[:, 0].tolist()))
+    return acc.data.copy(), pairs
 
 
 @pytest.mark.parametrize("backend,options", [
     ("seq", {}),
     ("vec", {}),
-    ("vec", {"locality": "always"}),
-    ("mp", {"nworkers": 2, "min_chunk": 16}),
 ])
 def test_sorted_vs_unsorted_bit_identical(backend, options):
-    """The ISSUE's conformance clause: on integer-valued data, sorting
-    the particles first must not change a single INC deposit bit."""
-    acc_u, pairs_u, _ = run_gather_deposit(backend, 1234, False, **options)
-    acc_s, pairs_s, _ = run_gather_deposit(backend, 1234, True, **options)
+    """On integer-valued data, sorting the particles first must not
+    change a single INC deposit bit."""
+    acc_u, pairs_u = run_gather_deposit(backend, 1234, False, **options)
+    acc_s, pairs_s = run_gather_deposit(backend, 1234, True, **options)
     assert np.array_equal(acc_s, acc_u)
     assert pairs_s == pairs_u
 
 
 @pytest.mark.parametrize("backend,options", [
     ("vec", {}),
-    ("vec", {"locality": "always"}),
-    ("mp", {"nworkers": 2, "min_chunk": 16}),
+    ("omp", {}),
 ])
 def test_backends_match_seq_bitwise_on_sorted_integer_data(backend,
                                                            options):
-    acc_seq, pairs_seq, _ = run_gather_deposit("seq", 77, sort=True)
-    acc, pairs, _ = run_gather_deposit(backend, 77, sort=True, **options)
+    acc_seq, pairs_seq = run_gather_deposit("seq", 77, sort=True)
+    acc, pairs = run_gather_deposit(backend, 77, sort=True, **options)
     assert np.array_equal(acc, acc_seq)
     assert pairs == pairs_seq

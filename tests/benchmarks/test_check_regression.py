@@ -1,7 +1,7 @@
 """Unit tests for the benchmark regression gate itself.
 
 ``check_regression.py`` guards every perf claim in CI, so its own
-direction logic (bool/equal/higher/lower and the ratio floor the sparse
+direction logic (bool/equal/higher/lower and the ratio floor the service
 gate rides on) needs pinning too.
 """
 import json

@@ -154,13 +154,18 @@ def test_particle_dat_reallocated_by_growth(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_adopt_raw_between_launches(backend):
+    """Growth past capacity makes every particle dat and ``p2c`` adopt a
+    new raw buffer; writes through the new buffers must reach later
+    launches."""
     def scenario(run):
         w = run(World)
         run(w.push)
-        for dat in (w.x, w.w, w.p2c):
-            dat.adopt_raw(np.empty_like(dat.raw))
+        held = [(o, o.raw) for o in (w.x, w.v, w.p2c)]
+        run(w.grow, 40)
+        assert all(o.raw is not before for o, before in held)
         run(w.push)
         w.x.data[:, 0] += 1.0
+        w.p2c.p2c[:] = (w.p2c.p2c + 1) % 6
         run(w.push)
         return w.state()
 

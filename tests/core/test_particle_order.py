@@ -157,3 +157,14 @@ def test_state_key_distinguishes_mutation_states():
     assert s0 != s1
     sort_particles_by_cell(p)
     assert p.order.state not in (s0, s1)
+
+
+def test_zero_relocation_changes_the_state_key_but_keeps_sorted():
+    """Any hooked mutation re-keys what was derived from the order, even
+    one that leaves the set sorted."""
+    _, p, _, _ = make([1, 0, 1, 0])
+    sort_particles_by_cell(p)
+    s0 = p.order.state
+    p.order.note_relocated(0)
+    assert p.order.state != s0
+    assert p.order.is_valid()

@@ -70,13 +70,18 @@ def test_fempic_dh_proc_counts_rma(fem_sim2):
     assert proc.stats.rma_bytes == sim.stats.rma_bytes
 
 
-def test_mpi_plus_x_proc_ranks_run_mp_backend(fem_sim2):
-    """True MPI+X: each rank process runs the shared-memory mp backend
-    on-node; physics must match the plain run bit for bit."""
-    cfg = CFG_FEM.scaled(backend="mp",
-                         backend_options={"nworkers": 2, "min_chunk": 1})
+def test_mpi_plus_x_proc_ranks_run_omp_backend(fem_sim2):
+    """True MPI+X: each rank process runs the omp backend (thread-private
+    scatter arrays) on-node; the histories must equal the simulated
+    ranks' bit for bit and the plain run's up to reassociation."""
+    cfg = CFG_FEM.scaled(backend="omp")
     proc = run_distributed("fempic", cfg, nranks=2, transport="proc")
-    _assert_histories_equal(proc.history, fem_sim2.history)
+    sim = run_distributed("fempic", cfg, nranks=2, transport="sim")
+    _assert_histories_equal(proc.history, sim.history)
+    np.testing.assert_allclose(proc.history["field_energy"],
+                               fem_sim2.history["field_energy"],
+                               rtol=1e-12)
+    assert proc.history["n_particles"] == fem_sim2.history["n_particles"]
 
 
 def test_dist_result_perf_merge(fem_sim2):

@@ -41,9 +41,6 @@ def cold_history(payload: dict) -> dict:
     spec = jobs.validate_job(dict(payload))
     sim, history = jobs.build_sim(spec)
     jobs.run_steps(spec, sim, history, 0, spec.n_steps)
-    close = getattr(getattr(sim.ctx, "backend", None), "close", None)
-    if close:
-        close()
     return json.loads(json.dumps(history, default=_json_default))
 
 

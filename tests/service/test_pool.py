@@ -9,6 +9,10 @@ from repro.service.pool import (PK_CKPT, PK_DIAG, PK_DONE, PK_DOWN,
 
 ADVEC = {"app": "advec",
          "params": {"nx": 6, "ny": 6, "ppc": 2, "n_steps": 10}}
+#: a job that is still running when the test interrupts it 0.2 s in: with
+#: the compiled loops a few thousand steps finish in about that time
+LONG = {"app": "advec",
+        "params": {"nx": 8, "ny": 8, "ppc": 4, "n_steps": jobs.MAX_STEPS}}
 
 
 @pytest.fixture
@@ -87,9 +91,7 @@ def test_resume_from_checkpoint_on_other_worker_is_bit_equal(pool):
 
 
 def test_preempt_yields_checkpoint_and_worker_goes_idle(pool):
-    long = jobs.validate_job(
-        {"app": "advec",
-         "params": {"nx": 8, "ny": 8, "ppc": 4, "n_steps": 5000}})
+    long = jobs.validate_job(LONG)
     wid = pool.idle_workers()[0].worker_id
     pool.assign(wid, "long", long, None, tag=3)
     time.sleep(0.2)
@@ -101,15 +103,13 @@ def test_preempt_yields_checkpoint_and_worker_goes_idle(pool):
             if e.kind == PK_YIELD:
                 yielded = e.payload
     assert yielded["reason"] == "preempted"
-    assert 0 < yielded["step"] < 5000
+    assert 0 < yielded["step"] < jobs.MAX_STEPS
     assert yielded["checkpoint"]["step"] == yielded["step"]
     assert pool.workers[wid].state == "idle"
 
 
 def test_kill_worker_surfaces_down_and_respawn(pool):
-    spec = jobs.validate_job(
-        {"app": "advec",
-         "params": {"nx": 8, "ny": 8, "ppc": 4, "n_steps": 5000}})
+    spec = jobs.validate_job(LONG)
     wid = pool.idle_workers()[0].worker_id
     pool.assign(wid, "doomed", spec, None, tag=4)
     time.sleep(0.2)

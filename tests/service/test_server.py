@@ -49,6 +49,17 @@ def test_submit_rejects_bad_jobs_with_structured_errors(client):
         client.submit({"app": "no-such-app", "params": {}})
 
 
+def test_retired_backend_is_a_structured_rejection(client):
+    """A job asking for a backend outside the servable set is refused on
+    the wire with the servable backends named, before any worker runs."""
+    with pytest.raises(ServiceError) as err:
+        client.submit({"app": "advec", "params": {"backend": "mp"}})
+    [entry] = err.value.response["errors"]
+    assert entry["field"] == "params.backend"
+    assert "'mp' not servable" in entry["error"]
+    assert "('seq', 'vec', 'omp')" in entry["error"]
+
+
 def test_submit_run_result_lifecycle(client):
     job_id = client.submit(dict(TINY, tenant="alice"))
     res = client.result(job_id, timeout=60)

@@ -68,6 +68,24 @@ def test_unknown_command_rejected():
         main(["warpx"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fempic", "--backend", "mp"],
+    ["cabana", "--backend", "mp"],
+    # argparse expands unambiguous prefixes, so "--nwork" reached the
+    # retired worker-count flag as surely as its full name did
+    ["fempic", "--nwork", "2"],
+    ["cabana", "--backend", "vec", "--nwork", "2"],
+    ["validate", "--strategy", "default"],
+    ["serve", "--backend", "mp"],
+])
+def test_retired_backend_and_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'mp'" in err or "unrecognized arguments" in err
+
+
 def test_module_entrypoint(tmp_path):
     import subprocess
     import sys

@@ -1,8 +1,7 @@
 """Gate driver machinery (fast; full gate runs are physics-marked)."""
 import pytest
 
-from repro.validate import (GATE_APPS, STRATEGY_OPTIONS, GateReport,
-                            run_physics_gates)
+from repro.validate import GATE_APPS, GateReport, run_physics_gates
 from repro.validate.gates import PROFILES
 
 
@@ -10,13 +9,10 @@ def test_gate_apps_and_profiles_cover_each_other():
     assert set(GATE_APPS) == {"landau", "twostream", "multispecies"}
     for profile, apps in PROFILES.items():
         assert set(apps) == set(GATE_APPS), profile
-    assert set(STRATEGY_OPTIONS) == {"default", "sparse_csr",
-                                     "locality_always"}
 
 
 def test_gate_result_bounds():
-    report = GateReport(app="landau", backend="vec",
-                        strategy="default", profile="ci")
+    report = GateReport(app="landau", backend="vec", profile="ci")
     ok = report.gate("rate", measured=1.05, expected=1.0, rel_tol=0.10)
     assert ok.ok and ok.rel_error == pytest.approx(0.05)
     bad = report.gate("rate2", measured=1.5, expected=1.0, rel_tol=0.10)
@@ -31,8 +27,7 @@ def test_gate_result_bounds():
 
 
 def test_gate_band_handles_negative_expected():
-    report = GateReport(app="x", backend="vec", strategy="default",
-                        profile="ci")
+    report = GateReport(app="x", backend="vec", profile="ci")
     g = report.gate("damping", measured=-0.3, expected=-0.31,
                     rel_tol=0.2)
     assert g.lo < g.hi and g.ok
@@ -47,5 +42,3 @@ def test_run_physics_gates_rejects_bad_args():
         run_physics_gates("twostream", transport="tcp")
     with pytest.raises(ValueError, match="profile"):
         run_physics_gates("landau", profile="nightly")
-    with pytest.raises(ValueError, match="strategy"):
-        run_physics_gates("landau", strategy="csr")

@@ -4,8 +4,8 @@ Everything here is ``physics``-marked (run with ``--physics``): each
 test runs a full instability/damping history, so the module is minutes
 of work — it is the CI physics job, not part of the default suite.
 The sweep axes mirror the paper's claim: the *same* DSL app must
-produce correct physics on every backend × strategy combination, and
-the distributed transports must not change it either.
+produce correct physics on every backend, and the distributed
+transports must not change it either.
 """
 import numpy as np
 import pytest
@@ -14,27 +14,18 @@ from repro.validate import run_physics_gates
 
 pytestmark = pytest.mark.physics
 
-BACKEND_MATRIX = [
-    ("vec", "default"),
-    ("vec", "sparse_csr"),
-    ("vec", "locality_always"),
-    ("omp", "default"),
-    ("mp", "default"),
-    ("mp", "sparse_csr"),
-]
+BACKENDS = ["vec", "omp"]
 
 
-@pytest.mark.parametrize("backend,strategy", BACKEND_MATRIX)
-def test_landau_gate(backend, strategy):
-    report = run_physics_gates("landau", backend=backend,
-                               strategy=strategy)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_landau_gate(backend):
+    report = run_physics_gates("landau", backend=backend)
     assert report.ok, report.summary()
 
 
-@pytest.mark.parametrize("backend,strategy", BACKEND_MATRIX)
-def test_multispecies_gate(backend, strategy):
-    report = run_physics_gates("multispecies", backend=backend,
-                               strategy=strategy)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_multispecies_gate(backend):
+    report = run_physics_gates("multispecies", backend=backend)
     assert report.ok, report.summary()
 
 
@@ -56,11 +47,9 @@ def test_rates_identical_across_backends():
     must be the same number everywhere, because the histories are
     allclose at 1e-9 across backends."""
     rates = {}
-    for backend, strategy in [("vec", "default"), ("omp", "default"),
-                              ("mp", "sparse_csr")]:
-        report = run_physics_gates("multispecies", backend=backend,
-                                   strategy=strategy)
-        rates[(backend, strategy)] = report.gates[0].measured
+    for backend in BACKENDS:
+        report = run_physics_gates("multispecies", backend=backend)
+        rates[backend] = report.gates[0].measured
     values = list(rates.values())
     assert np.allclose(values, values[0], rtol=1e-9), rates
 

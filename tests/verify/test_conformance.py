@@ -123,14 +123,10 @@ def test_single_op_conforms(backend_name, op):
     rtol = atol = 0 on every op it accepts (see ``_case_fails``)."""
     oracle = _conformance_backend("seq")
     backend = _conformance_backend(backend_name)
-    try:
-        for seed in (0, 1):
-            case = generate_case(seed).replace(program=(op,))
-            mismatches = _case_fails(case, oracle, backend)
-            assert not mismatches, f"{op} on {backend_name}: {mismatches}"
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
+    for seed in (0, 1):
+        case = generate_case(seed).replace(program=(op,))
+        mismatches = _case_fails(case, oracle, backend)
+        assert not mismatches, f"{op} on {backend_name}: {mismatches}"
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
@@ -147,33 +143,27 @@ needs_cc = pytest.mark.skipif(native.compiler() is None,
 
 @needs_cc
 def test_native_tier_accepts_the_whole_descriptor_catalog():
-    """Zero declines for the ArgKind x AccessMode catalog proper; the
-    forced-strategy ops decline by rule, with the reason recorded."""
+    """Zero declines for the whole ArgKind x AccessMode catalog."""
     oracle, vec = _conformance_backend("seq"), _conformance_backend("vec")
     for op in OP_NAMES:
         log = native_tally()
         case = generate_case(2).replace(program=(op,))
         assert not _case_fails(case, oracle, vec, log), op
-        if op.endswith("_sparse"):
-            assert log["declined_cases"] == 1, op
-            assert all("forced" in r for r in log["declined"]), op
-        else:
-            assert log["declined"] == {}, (op, log)
-            assert log["inexact_cases"] == (op in NATIVE_INEXACT_OPS), op
+        assert log["declined"] == {}, (op, log)
+        assert log["inexact_cases"] == (op in NATIVE_INEXACT_OPS), op
 
 
 @needs_cc
 def test_native_sweep_is_bit_equal_to_seq(request):
-    """Random programs with the forced-strategy ops un-forced, so every
-    loop is the tier's: all cases at zero tolerance, none declined."""
+    """Random programs without the named-inexact ops: every loop is the
+    tier's, all cases at zero tolerance, none declined."""
     n = int(request.config.getoption("--conformance-cases"))
     oracle, vec = _conformance_backend("seq"), _conformance_backend("vec")
     log = native_tally()
     for seed in range(n):
         case = generate_case(seed)
         case = case.replace(program=tuple(
-            op[:-len("_sparse")] if op.endswith("_sparse") else op
-            for op in case.program if op not in NATIVE_INEXACT_OPS))
+            op for op in case.program if op not in NATIVE_INEXACT_OPS))
         assert not _case_fails(case, oracle, vec, log), case.signature()
     assert log["exact_cases"] == n and log["declined"] == {}
 
@@ -184,17 +174,13 @@ def test_move_with_removals_and_hole_filling(backend_name):
     compaction; survivor state must match the oracle keyed by pid."""
     oracle = _conformance_backend("seq")
     backend = _conformance_backend(backend_name)
-    try:
-        case = generate_case(9).replace(
-            n_parts=64, program=("move", "p2c_inc", "move",
-                                 "double_deposit", "move"))
-        expected = run_case(case, oracle)
-        got = run_case(case, backend)
-        assert expected["n_removed"][0] > 0, "case must remove particles"
-        assert compare_states(expected, got) == []
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
+    case = generate_case(9).replace(
+        n_parts=64, program=("move", "p2c_inc", "move", "double_deposit",
+                             "move"))
+    expected = run_case(case, oracle)
+    got = run_case(case, backend)
+    assert expected["n_removed"][0] > 0, "case must remove particles"
+    assert compare_states(expected, got) == []
 
 
 # -- the randomized sweep ------------------------------------------------------
