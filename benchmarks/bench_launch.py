@@ -8,13 +8,17 @@ afterwards, written the way an application writes it (the ``arg_dat``
 descriptors are built at every call), for 1 / 3 / 6-argument direct,
 indirect and double-indirect loops and a one-hop move, on ``seq``, on
 plain ``vec`` (the native tier) and on ``vec`` pinned to its NumPy target.
+A last row times a warm ``KSPSolver.solve`` on the Newton system of the
+``fempic_dispatch`` rung (``FemPicConfig().scaled(seed=1)``, 108 free
+nodes), as the C call and on the NumPy target.
 
 The table (also ``results/launch_cost.txt``) is this host's reading and
 gates nothing.  The exit code is a **count**: over 100 warm launches of
 every site, nothing that belongs to a declaration may run again —
 ``Arg.validate_against``, ``Kernel.check_arity``, and on the native tier
 ``cgen.signature``, ``Kernel.generated`` and ``native._launcher`` are
-called 0 times.
+called 0 times; over 100 warm solves ``native.compiler``,
+``native._library`` and the solver's CSR validation are called 0 times.
 
     PYTHONPATH=src python benchmarks/bench_launch.py
 """
@@ -102,16 +106,31 @@ def build_sites():
     return sites
 
 
-class CallCounts:
-    """Count calls of the declaration-time functions while active."""
+def launch_targets():
+    """What a warm launch must not call again."""
+    from repro.core.args import Arg
+    from repro.core.kernel import Kernel
+    from repro.translator import cgen, native
+    return [(Arg, "validate_against"), (Kernel, "check_arity"),
+            (cgen, "signature"), (Kernel, "generated"),
+            (native, "_launcher")]
 
-    def __init__(self):
-        from repro.core.args import Arg
-        from repro.core.kernel import Kernel
-        from repro.translator import cgen, native
-        self.targets = [(Arg, "validate_against"), (Kernel, "check_arity"),
-                        (cgen, "signature"), (Kernel, "generated"),
-                        (native, "_launcher")]
+
+def solve_targets():
+    """What a warm solve must not call again: the compiler probe, the
+    build cache and the CSR validation of a (re)binding."""
+    from repro.fem import solver
+    from repro.translator import native
+    return [(native, "compiler"), (native, "_library"),
+            (solver, "_csr_problem")]
+
+
+class CallCounts:
+    """Count calls of ``targets``, ``[(owner, attribute)]``, while
+    active."""
+
+    def __init__(self, targets):
+        self.targets = targets
         self.calls = {}
 
     def __enter__(self):
@@ -148,7 +167,7 @@ def measure(backend: str, pin_numpy: bool):
             for launch in sites.values():       # declare, build, bind
                 for _ in range(3):
                     launch()
-            with CallCounts() as counts:
+            with CallCounts(launch_targets()) as counts:
                 for launch in sites.values():
                     for _ in range(WARM):
                         launch()
@@ -166,12 +185,55 @@ def measure(backend: str, pin_numpy: bool):
         native.CC = saved
 
 
+def newton_system():
+    """The ``fempic_dispatch`` rung's solver after three steps, with the
+    diagonal and right-hand side of its last Newton iteration."""
+    from repro.apps.fempic.config import FemPicConfig
+    from repro.apps.fempic.simulation import FemPicSimulation
+    sim = FemPicSimulation(FemPicConfig().scaled(seed=1))
+    last, real = [], sim.newton.solve
+
+    def recording(shift, rhs):
+        last.append(rhs)
+        return real(shift, rhs)
+
+    sim.newton.solve = recording
+    sim.run(3)
+    return sim.newton.ksp, last[-1]
+
+
+def measure_solve(ksp, rhs, pin_numpy: bool):
+    """``(µs per warm solve, {function: calls in WARM warm solves})``."""
+    from repro.translator import native
+    saved = native.CC
+    if pin_numpy:
+        native.CC = None
+    try:
+        for _ in range(3):
+            ksp.solve(rhs)
+        with CallCounts(solve_targets()) as counts:
+            for _ in range(WARM):
+                ksp.solve(rhs)
+        samples = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            for _ in range(LAUNCHES):
+                ksp.solve(rhs)
+            samples.append((time.perf_counter() - t0) / LAUNCHES)
+        return 1e6 * min(samples), counts.calls
+    finally:
+        native.CC = saved
+
+
 def main() -> int:
     from repro.translator import native
     legs = [("seq", "seq", False), ("vec numpy", "vec", True)]
     if native.compiler() is not None:
         legs.insert(1, ("vec native", "vec", False))
     results = {leg: measure(backend, pin) for leg, backend, pin in legs}
+    ksp, rhs = newton_system()
+    solves = {leg: measure_solve(ksp, rhs, pin)
+              for leg, _backend, pin in legs if leg != "seq"}
 
     labels = list(next(iter(results.values()))[0])
     lines = [f"Warm launch cost, microseconds per call ({N}-element sets; "
@@ -180,6 +242,8 @@ def main() -> int:
     for label in labels:
         lines.append(f"{label:<18}" + "".join(
             f"{results[leg][0][label]:>12.1f}" for leg in results))
+    lines.append(f"{'KSP solve, n=' + str(rhs.size):<18}{'':>12}" + "".join(
+        f"{solves[leg][0]:>12.1f}" for leg in results if leg != "seq"))
     if "vec native" not in results:
         lines.append("(no C compiler: the native column is absent)")
     lines.append("")
@@ -197,6 +261,14 @@ def main() -> int:
                                               for name, n in gated.items()))
         failed += [f"{leg}: {name} called {n} times"
                    for name, n in gated.items() if n]
+    lines.append("")
+    lines.append(f"compiler / build / validation calls in {WARM} warm "
+                 "solves (gate: all 0)")
+    for leg, (_cost, calls) in solves.items():
+        lines.append(f"{leg:<12}" + "  ".join(f"{name}={n}"
+                                              for name, n in calls.items()))
+        failed += [f"{leg} solve: {name} called {n} times"
+                   for name, n in calls.items() if n]
     write_result("launch_cost", "\n".join(lines))
     for line in failed:
         print("FAIL", line, file=sys.stderr)

@@ -43,13 +43,12 @@ class NewtonSystem:
                                shape=k_ff.shape)
         self.diag_pos = np.flatnonzero(on_diag[keep])
         self.kdiag = self.a.data[self.diag_pos]
-        inv = self._inv_diag = np.empty(n)
-        self.ksp = KSPSolver(self.a, pc=lambda r: inv * r, rtol=rtol)
+        self.ksp = KSPSolver(self.a, pc="jacobi", rtol=rtol)
 
     def solve(self, shift: np.ndarray, rhs: np.ndarray) -> KSPResult:
         """Jacobi-preconditioned CG solve with ``shift`` added to the
         diagonal of ``k_ff``."""
         diag = self.kdiag + shift
-        inverse_diagonal(diag, out=self._inv_diag)
+        inverse_diagonal(diag, out=self.ksp.inv_diag)
         self.a.data[self.diag_pos] = diag
         return self.ksp.solve(rhs)

@@ -12,6 +12,9 @@ derives from the loop's descriptors is kept on the declaration (a
 may have changed: each array object (a particle dat that grows past
 its capacity gets a new buffer), each row count, the ``CONST`` values.
 
+:func:`library` builds and loads a fixed C source through the same cache
+(the KSP solve of :mod:`repro.fem.solver`).
+
 Nothing here raises for a loop it cannot serve: :func:`par_loop` and
 :func:`particle_move` return ``(None, reason)`` and the caller stays on
 the NumPy target.  There is no switch; what decides is whether a compiler
@@ -39,8 +42,8 @@ from ..core.maps import Map
 from . import cgen
 from .parser import KernelLanguageError
 
-__all__ = ["CC", "CACHE", "FLAGS", "compiler", "cache_dir", "par_loop",
-           "particle_move"]
+__all__ = ["CC", "CACHE", "FLAGS", "compiler", "cache_dir", "library",
+           "address", "par_loop", "particle_move"]
 
 #: no ``-ffast-math`` and no contraction: the generated loop must round
 #: exactly like the elemental Python it was translated from; no
@@ -207,6 +210,19 @@ def _library(name: str, key: tuple, emit: Callable[[], str]) -> ctypes.CDLL:
     return lib
 
 
+def library(name: str, source: str
+            ) -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
+    """A fixed C ``source`` built and loaded as a generated loop is (same
+    cache, flags and seal check) → ``(library, None)``, or ``(None,
+    reason)`` when there is no compiler or the build is declined."""
+    if not CC and compiler() is None:
+        return None, _no_cc
+    try:
+        return _library(name, ("source", source), lambda: source), None
+    except _Declined as exc:
+        return None, str(exc)
+
+
 class _Launcher:
     """One loop's bound C function and the ``CONST`` names it reads."""
 
@@ -256,7 +272,8 @@ def _check_dtypes(*sigs) -> None:
 # -- launch -----------------------------------------------------------------------
 
 
-def _addr(a: np.ndarray) -> int:
+def address(a: np.ndarray) -> int:
+    """The address of ``a``'s first element, for a ``c_void_p`` slot."""
     try:        # four times cheaper than ``a.ctypes.data``
         return addressof(c_char.from_buffer(a))
     except (TypeError, ValueError, BufferError):   # empty or read-only
@@ -313,7 +330,7 @@ class _Binding:
                         and arr.shape[1:] == trailing):
                     return None
                 held[k] = arr
-                argv[2 * k] = _addr(arr)
+                argv[2 * k] = address(arr)
         return argv
 
     def constants(self):
@@ -449,11 +466,11 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
         index = np.ascontiguousarray(index, dtype=np.int64)
     count = loop.pset.size if index is None else index.size
     lists = np.empty((3, max(count, 1)), dtype=np.int64)
-    base, row = _addr(lists), lists.strides[0]
+    base, row = address(lists), lists.strides[0]
     out = _Out7()
     err = binding.launcher.fn(
-        count, None if index is None else _addr(index), loop.max_hops,
-        _addr(foreign) if has_foreign else None,
+        count, None if index is None else address(index), loop.max_hops,
+        address(foreign) if has_foreign else None,
         *argv, table, base, base + row, base + 2 * row, out)
     n_removed, n_foreign, hops, relocated, coll, over, bad = out
     if err:

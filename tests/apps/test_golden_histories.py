@@ -11,6 +11,15 @@ the ``*/seq`` digests; the recorded ``*/vec`` digests are those of the
 NumPy target (``native.CC`` pinned to ``None``) and keep the fall-back
 path from drifting.  The ``*/vec/{2,3}r`` entries are recorded from the
 native tier (per-rank summation order differs from the NumPy target's).
+
+The ``field_energy`` digests of ten ``fempic*`` and ``twod*`` entries
+(``fempic``, ``-dh``, ``-fused``, ``-seeded`` on ``seq``; ``-seeded`` and
+``-thermal`` on ``vec``; all four ``twod``) were re-recorded when the KSP
+solve stopped summing through BLAS ``ddot``, whose blocked order depends
+on the CPU kernel: its dot products and norms are now sequential sums,
+bit-equal between the compiled solve and the NumPy one.  The old solver
+is kept as an oracle in ``tests/fem/test_against_blas_cg.py``; every
+other series, and every ``cabana*`` digest, is unchanged.
 """
 import hashlib
 import json

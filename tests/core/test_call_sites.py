@@ -497,12 +497,13 @@ def test_move_launch_state_is_not_shared_between_launches(backend):
 
 GOLDEN = Path(__file__).parents[1] / "apps" / "golden_histories.json"
 #: 2 ranks, 6 steps, recorded at the parent of the call-site memo (plain
-#: ``vec`` on the native tier; ``sim`` and ``proc`` agreed)
+#: ``vec`` on the native tier; ``sim`` and ``proc`` agreed); ``field_energy``
+#: re-recorded when the KSP solve's reductions became sequential sums
 FEMPIC_2R = {
     "n_particles":
         "231767104b3b539626d804f95536be2f530a4246a00f2c6768c310e16ecbac7a",
     "field_energy":
-        "8aa68e907f9e54921781db70d0ebcc24504b8a90949c8e4e4dd3b8b32d675ae8",
+        "531ea12bcad83e57d83fb3f83297d89539ec61d57707c6d6426fdc6fe663cb0d",
     "max_phi":
         "179754f17e6df9821769a12e48fe4150cfb2ec9e2f3ff88a8e956a5b6c147ef7",
     "injected":

@@ -66,6 +66,16 @@ def test_zero_diagonal_rejected(world):
         system.solve(shift, np.ones(ds.free.size))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_shift_rejected(world, bad):
+    _, ds = world
+    system = NewtonSystem(ds.k_ff)
+    shift = np.ones(ds.free.size)
+    shift[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        system.solve(shift, np.ones(ds.free.size))
+
+
 def test_pattern_without_diagonal_entry_rejected():
     a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
                                 [1.0, 0.0, 1.0],
