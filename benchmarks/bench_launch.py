@@ -10,7 +10,10 @@ indirect and double-indirect loops and a one-hop move, on ``seq``, on
 plain ``vec`` (the native tier) and on ``vec`` pinned to its NumPy target.
 A last row times a warm ``KSPSolver.solve`` on the Newton system of the
 ``fempic_dispatch`` rung (``FemPicConfig().scaled(seed=1)``, 108 free
-nodes), as the C call and on the NumPy target.
+nodes), as the C call and on the NumPy target.  A "hole fill" line times
+``ParticleSet.remove_particles`` of 2 430 sorted rows from a 100 000-ion
+set with FemPIC's particle dats, on fresh (cache-cold) arrays, median
+of 30.
 
 The table (also ``results/launch_cost.txt``) is this host's reading and
 gates nothing.  The exit code is a **count**: over 100 warm launches of
@@ -18,7 +21,9 @@ every site, nothing that belongs to a declaration may run again —
 ``Arg.validate_against``, ``Kernel.check_arity``, and on the native tier
 ``cgen.signature``, ``Kernel.generated`` and ``native._launcher`` are
 called 0 times; over 100 warm solves ``native.compiler``,
-``native._library`` and the solver's CSR validation are called 0 times.
+``native._library`` and the solver's CSR validation are called 0 times;
+over 100 removals of sorted indices ``np.unique`` and ``np.setdiff1d``
+are called 0 times.
 
     PYTHONPATH=src python benchmarks/bench_launch.py
 """
@@ -35,6 +40,8 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
 N = 8                   # elements / particles per set
 WARM = 100              # launches the zero-call gate counts over
 REPEATS, LAUNCHES = 7, 200
+# hole fill: a FemPIC-sized removal (≈ 2.4 % of the ions in one step)
+HOLE_N, HOLE_K, HOLE_CELLS, HOLE_REPEATS = 100_000, 2_430, 1152, 30
 
 
 def k1(a):
@@ -225,6 +232,43 @@ def measure_solve(ksp, rhs, pin_numpy: bool):
         native.CC = saved
 
 
+def hole_fill_world(seed: int):
+    """A fresh ``HOLE_N``-ion set with FemPIC's particle dats (position,
+    velocity, weights, the particle-to-cell map) and ``HOLE_K`` sorted
+    removal indices, as a move hands them over."""
+    from repro.core.api import (decl_dat, decl_map, decl_particle_set,
+                                decl_set)
+    rng = np.random.default_rng(seed)
+    cells = decl_set(HOLE_CELLS, "cells")
+    ions = decl_particle_set(cells, HOLE_N, "ions")
+    for dim, name in ((3, "position"), (3, "velocity"), (4, "weights")):
+        decl_dat(ions, dim, np.float64, rng.random((HOLE_N, dim)), name)
+    decl_map(ions, cells, 1, rng.integers(0, HOLE_CELLS, (HOLE_N, 1)),
+             "particle_to_cell")
+    return ions, np.sort(rng.choice(HOLE_N, HOLE_K, replace=False))
+
+
+def measure_hole_fill():
+    """``(µs per remove_particles, {function: calls in WARM sorted
+    removals})``: the median over ``HOLE_REPEATS`` fresh (cache-cold)
+    sets, then the count on one set."""
+    samples = []
+    for seed in range(HOLE_REPEATS):
+        ions, kill = hole_fill_world(seed)
+        t0 = time.perf_counter()
+        ions.remove_particles(kill)
+        samples.append(time.perf_counter() - t0)
+    ions, _ = hole_fill_world(HOLE_REPEATS)
+    rng = np.random.default_rng(0)
+    per = HOLE_K // 10
+    kills = [np.sort(rng.choice(HOLE_N - per * i, per, replace=False))
+             for i in range(WARM)]
+    with CallCounts([(np, "unique"), (np, "setdiff1d")]) as counts:
+        for kill in kills:
+            ions.remove_particles(kill)
+    return 1e6 * float(np.median(samples)), counts.calls
+
+
 def main() -> int:
     from repro.translator import native
     legs = [("seq", "seq", False), ("vec numpy", "vec", True)]
@@ -234,6 +278,7 @@ def main() -> int:
     ksp, rhs = newton_system()
     solves = {leg: measure_solve(ksp, rhs, pin)
               for leg, _backend, pin in legs if leg != "seq"}
+    hole_us, hole_calls = measure_hole_fill()
 
     labels = list(next(iter(results.values()))[0])
     lines = [f"Warm launch cost, microseconds per call ({N}-element sets; "
@@ -246,6 +291,9 @@ def main() -> int:
         f"{solves[leg][0]:>12.1f}" for leg in results if leg != "seq"))
     if "vec native" not in results:
         lines.append("(no C compiler: the native column is absent)")
+    lines.append(f"hole fill: {hole_us:.0f} us per remove_particles of "
+                 f"{HOLE_K} of {HOLE_N} ions (FemPIC's dats, fresh arrays, "
+                 f"median of {HOLE_REPEATS})")
     lines.append("")
     lines.append(f"declaration-time calls in {WARM} warm launches of every "
                  "site (gate: all 0)")
@@ -269,6 +317,12 @@ def main() -> int:
                                               for name, n in calls.items()))
         failed += [f"{leg} solve: {name} called {n} times"
                    for name, n in calls.items() if n]
+    lines.append("")
+    lines.append(f"calls in {WARM} sorted removals (gate: all 0)")
+    lines.append("hole fill   " + "  ".join(f"{name}={n}" for name, n
+                                            in hole_calls.items()))
+    failed += [f"hole fill: {name} called {n} times"
+               for name, n in hole_calls.items() if n]
     write_result("launch_cost", "\n".join(lines))
     for line in failed:
         print("FAIL", line, file=sys.stderr)

@@ -174,46 +174,67 @@ class ParticleSet(Set):
 
     # -- removal / hole filling ----------------------------------------------
 
+    def _copy_rows(self, dst, src) -> None:
+        """``raw[dst] = raw[src]`` for every array of the set: each dat,
+        then the ``p2c`` map.  A C-contiguous array is copied as one
+        opaque byte row per particle (the bytes move unchanged, NaN
+        payloads and ``-0.0`` included), which is a plain 1-D gather
+        instead of a 2-D fancy copy."""
+        arrays = [dat._raw for dat in self.dats]
+        if self.p2c_map is not None:
+            arrays.append(self.p2c_map._raw)
+        for raw in arrays:
+            if raw.flags.c_contiguous:
+                raw = raw.view(np.dtype((np.void, raw.strides[0]))) \
+                    .reshape(-1)
+            raw[dst] = raw[src]
+
     def remove_particles(self, indices: np.ndarray) -> None:
         """Delete the given particle indices with tail hole-filling.
 
         This is the hole-filling routine of OP-PIC's multi-hop exchange: data
         from the end of each dat is shifted into the holes so the live region
         stays contiguous.  Order of surviving particles is not preserved
-        (exactly as in the reference implementation).
+        (exactly as in the reference implementation): the ascending holes
+        take the ascending surviving tail rows.
+
+        Every move hands in strictly increasing indices (the walk lists
+        removals in particle order), which are used as they are; anything
+        else is sorted and de-duplicated first.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         if indices.size == 0:
             return
-        indices = np.unique(indices)
-        if indices.size and (indices[0] < 0 or indices[-1] >= self.size):
+        if not (indices[1:] > indices[:-1]).all():
+            indices = np.sort(indices)
+            keep = np.empty(indices.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(indices[1:], indices[:-1], out=keep[1:])
+            indices = indices[keep]
+        size = self.size
+        if indices[0] < 0 or indices[-1] >= size:
             raise IndexError("particle removal index out of range")
-        new_size = self.size - indices.size
+        new_size = size - indices.size
         # Holes below new_size are filled from surviving tail particles.
-        holes = indices[indices < new_size]
-        tail = np.arange(new_size, self.size, dtype=np.int64)
-        dead_in_tail = indices[indices >= new_size]
-        movers = np.setdiff1d(tail, dead_in_tail, assume_unique=True)
-        assert movers.size == holes.size
-        for dat in self.dats:
-            dat._raw[holes] = dat._raw[movers]
-        if self.p2c_map is not None:
-            self.p2c_map._raw[holes] = self.p2c_map._raw[movers]
+        n_holes = int(np.searchsorted(indices, new_size))
+        if n_holes:
+            dead = np.zeros(indices.size, dtype=bool)
+            dead[indices[n_holes:] - new_size] = True
+            movers = np.flatnonzero(~dead)
+            movers += new_size
+            self._copy_rows(indices[:n_holes], movers)
         self.size = new_size
         self.injected_start = min(self.injected_start, new_size)
         # pure tail removal keeps a sorted order sorted; filled holes may
         # not (the mover comes from the highest cells)
-        self.order.note_holes_filled(int(holes.size))
+        self.order.note_holes_filled(n_holes)
 
     def compact_reorder(self, order: np.ndarray) -> None:
         """Permute live particles into ``order`` (used by particle sorting)."""
         order = np.asarray(order, dtype=np.int64)
         if order.shape != (self.size,):
             raise ValueError("reorder permutation must cover the live region")
-        for dat in self.dats:
-            dat._raw[: self.size] = dat._raw[order]
-        if self.p2c_map is not None:
-            self.p2c_map._raw[: self.size] = self.p2c_map._raw[order]
+        self._copy_rows(slice(0, self.size), order)
         self.order.invalidate()
 
     def __repr__(self) -> str:

@@ -41,16 +41,16 @@ Fault model (every path ends in a structured
 
 Peer sockets are non-blocking and there are no helper threads: a
 ``send`` that meets a full socket buffer runs the same progress loop
-``recv`` uses (``select`` over the peer sockets and the router pipe,
-filing every complete frame), so two ranks sending more than a socket
-buffer at each other both finish — the cyclic-buffer deadlock cannot
-form.
+``recv`` uses (one ``selectors`` selector over the peer sockets and the
+router pipe, filing every complete frame), so two ranks sending more
+than a socket buffer at each other both finish — the cyclic-buffer
+deadlock cannot form.
 """
 from __future__ import annotations
 
 import os
 import pickle
-import select
+import selectors
 import socket
 import struct
 import time
@@ -221,6 +221,12 @@ class ProcTransport(SimComm):
         for sock in self._peers.values():
             sock.setblocking(False)
         self._rank_of = {s: r for r, s in self._peers.items()}
+        #: one selector for the transport's life (no fd-number ceiling,
+        #: unlike ``select``): the router pipe and every open peer, read
+        #: interest always, write interest only while a send is blocked
+        self._sel = selectors.DefaultSelector()
+        for source in (conn, *self._rank_of):
+            self._sel.register(source, selectors.EVENT_READ)
         #: bytes received from each peer that do not make a frame yet
         self._inbuf = {r: bytearray() for r in self._peers}
         self._chunk = memoryview(bytearray(_RECV_CHUNK))
@@ -248,20 +254,27 @@ class ProcTransport(SimComm):
         """Block until a peer socket or the router pipe has input (or
         ``writable`` has room) and file every frame that completed."""
         remaining = deadline - time.monotonic()
-        readable = room = ()
+        events = []
         if remaining > 0:
-            readable, room, _ = select.select(
-                [self._conn, *self._rank_of],
-                () if writable is None else [writable], (), remaining)
-        if not readable and not room:
+            if writable is not None:
+                self._sel.modify(writable, selectors.EVENT_READ
+                                 | selectors.EVENT_WRITE)
+            try:
+                events = self._sel.select(remaining)
+            finally:
+                if writable is not None:
+                    self._sel.modify(writable, selectors.EVENT_READ)
+        if not events:
             raise RankFailure(self.my_rank, "timeout",
                               f"no progress within {self.op_timeout:.1f}s "
                               f"while waiting for {waiting_for}")
-        for source in readable:
-            if source is self._conn:
+        for key, mask in events:
+            if not mask & selectors.EVENT_READ:
+                continue
+            if key.fileobj is self._conn:
                 self._read_router()
             else:
-                self._read_peer(self._rank_of[source])
+                self._read_peer(self._rank_of[key.fileobj])
 
     def _read_router(self) -> None:
         try:
@@ -286,6 +299,7 @@ class ProcTransport(SimComm):
         sock = self._peers.pop(rank, None)
         if sock is not None:
             del self._rank_of[sock]
+            self._sel.unregister(sock)
             sock.close()
 
     def _read_peer(self, rank: int) -> None:

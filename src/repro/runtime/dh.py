@@ -5,7 +5,7 @@ jumps each particle straight to a cell *near* its final position using a
 structured overlay (cell-map), and — in distributed runs — straight to the
 *owning rank* using the overlay's rank-map, with an RMA-based global move
 (any rank may send to any rank; the counts exchange of
-:func:`~repro.runtime.exchange.exchange_packed` sizes the receives).  A
+:func:`~repro.runtime.exchange.send_packed` sizes the receives).  A
 short multi-hop finishes the relocation.
 
 DH trades bookkeeping memory (the overlay, one copy per node via RMA) for
@@ -23,7 +23,8 @@ from ..core.maps import Map
 from ..core.sets import ParticleSet
 from ..mesh.overlay import StructuredOverlay
 from .comm import SimComm
-from .exchange import exchange_packed, pack_particles, unpack_particles
+from .exchange import (pack_particles, recv_packed, send_packed,
+                       unpack_particles)
 from .halo import HaloPlan, RankMesh
 from .rma import RMAWindow
 
@@ -127,12 +128,12 @@ class DirectHopGlobalMover:
         self.cell_window.fence()
         self.rank_window.fence()
 
-        # hole-fill the senders
+        counts = send_packed(self.comm, _TAG_DH_PAYLOAD, packed)
+        # hole-fill the senders while the frames fly
         for r, rows in sent_rows.items():
             psets[r].remove_particles(rows)
 
-        arrivals, _in_flight = exchange_packed(self.comm, _TAG_DH_PAYLOAD,
-                                               packed)
+        arrivals = recv_packed(self.comm, _TAG_DH_PAYLOAD, counts)
         received: List[Optional[np.ndarray]] = [None] * nranks
         for d, frames in arrivals.items():
             start = psets[d].size

@@ -8,8 +8,10 @@ The flow implemented here is the paper's:
 2. flagged particles' dat rows are **packed** into one buffer per
    destination rank (fewer, larger MPI messages);
 3. packing leaves **holes** in the particle dats, filled by shifting data
-   from the end of each dat (``ParticleSet.remove_particles``) — in the
-   reference implementation this overlaps with communication;
+   from the end of each dat (``ParticleSet.remove_particles``) between
+   the send half (:func:`send_packed`) and the receive half
+   (:func:`recv_packed`) of the exchange, so the refill overlaps the
+   wire as in the reference implementation;
 4. receivers **unpack** to the end of their dats and *resume the move*
    for just the received particles (``OPP_ITERATE_INJECTED``-style);
 5. repeat until no rank has particles in flight.
@@ -37,7 +39,7 @@ from ..core.sets import ParticleSet
 from .comm import SimComm
 from .halo import HaloPlan, RankMesh
 
-__all__ = ["pack_particles", "exchange_packed", "migrate",
+__all__ = ["pack_particles", "send_packed", "recv_packed", "migrate",
            "mpi_particle_move"]
 
 _TAG_PAYLOAD = 10
@@ -59,15 +61,16 @@ def unpack_particles(dats: Sequence[Dat], rows: slice,
         col += d.dim
 
 
-def exchange_packed(comm: SimComm, tag: int,
-                    packed: Dict[Tuple[int, int],
-                                 Tuple[np.ndarray, np.ndarray]]):
-    """Deliver ``packed[(src, dst)] = (rows, cells)`` for every local
-    ``src``: one allreduce of the counts matrix, then one frame per
-    destination with ``cells`` as its last float64 column (exact below
-    2**53).  Returns ``(arrivals, in_flight)`` — ``arrivals[dst]`` lists
-    the ``(rows, cells)`` pairs a local ``dst`` received, in source-rank
-    order, and ``in_flight`` counts the particles moved on all ranks.
+def send_packed(comm: SimComm, tag: int,
+                packed: Dict[Tuple[int, int],
+                             Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Send half of a packed exchange: ``packed[(src, dst)] = (rows,
+    cells)`` for every local ``src`` goes out as one allreduce of the
+    counts matrix, then one frame per destination with ``cells`` as its
+    last float64 column (exact below 2**53).  Returns the summed
+    ``counts[src, dst]`` matrix :func:`recv_packed` sizes the receives
+    from (``counts.sum()`` is the particles moved on all ranks); the
+    caller fills its holes in between, while the frames fly.
     """
     nranks = comm.nranks
     rows_of = [np.zeros((nranks, nranks), dtype=np.int64)
@@ -77,13 +80,21 @@ def exchange_packed(comm: SimComm, tag: int,
     counts = comm.allreduce(rows_of, "sum")
     for (src, dst), (buf, cells) in packed.items():
         comm.send(src, dst, np.column_stack([buf, cells]), tag=tag)
+    return counts
+
+
+def recv_packed(comm: SimComm, tag: int,
+                counts: np.ndarray) -> Dict[int, list]:
+    """Receive half of a packed exchange: ``arrivals[dst]`` lists the
+    ``(rows, cells)`` pairs a local ``dst`` received, in source-rank
+    order."""
     arrivals: Dict[int, list] = {}
     for dst in comm.local_ranks:
         for src in np.flatnonzero(counts[:, dst]):
             frame = comm.recv(dst, int(src), tag=tag)
             arrivals.setdefault(dst, []).append(
                 (frame[:, :-1], frame[:, -1].astype(np.int64)))
-    return arrivals, int(counts.sum())
+    return arrivals
 
 
 class Received(list):
@@ -97,7 +108,7 @@ class Received(list):
 def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
             psets: Sequence[ParticleSet], dats: Sequence[Sequence[Dat]],
             results: Sequence[Optional[MoveResult]]) -> Received:
-    """One round of pack → hole-fill → exchange → unpack.
+    """One round of pack → send → hole-fill → receive → unpack.
 
     ``dats[r]`` lists rank r's particle dats in a consistent order across
     ranks.  Returns, per rank, the indices of newly received particles
@@ -118,7 +129,9 @@ def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
             packed[(r, int(d))] = (pack_particles(dats[r], rows),
                                    dest_cells[sel])
 
-    # hole filling: deferred removals + everything packed out
+    counts = send_packed(comm, _TAG_PAYLOAD, packed)
+    # hole filling while the frames fly: deferred removals + everything
+    # packed out
     for r in comm.local_ranks:
         res = results[r]
         if res is None:
@@ -128,9 +141,9 @@ def migrate(comm: SimComm, plan: HaloPlan, meshes: Sequence[RankMesh],
         if doomed.size:
             psets[r].remove_particles(doomed)
 
-    arrivals, in_flight = exchange_packed(comm, _TAG_PAYLOAD, packed)
+    arrivals = recv_packed(comm, _TAG_PAYLOAD, counts)
     received = Received([None] * comm.nranks)
-    received.in_flight = in_flight
+    received.in_flight = int(counts.sum())
     for d, frames in arrivals.items():
         start = psets[d].size
         for buf, cells in frames:

@@ -128,3 +128,180 @@ def test_remove_particles_preserves_survivor_multiset(n, frac, seed):
     p.remove_particles(kill)
     assert p.size == len(survivors)
     assert sorted(d.data[:, 0].astype(int).tolist()) == survivors
+
+
+# -- the hole filler against its earlier form ------------------------------
+
+def oracle_remove(p, indices):
+    """The earlier ``remove_particles``: ``np.unique``, ``np.setdiff1d``
+    and 2-D fancy row copies.  The new one must match it byte for byte."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size == 0:
+        return
+    indices = np.unique(indices)
+    if indices.size and (indices[0] < 0 or indices[-1] >= p.size):
+        raise IndexError("particle removal index out of range")
+    new_size = p.size - indices.size
+    holes = indices[indices < new_size]
+    tail = np.arange(new_size, p.size, dtype=np.int64)
+    movers = np.setdiff1d(tail, indices[indices >= new_size],
+                          assume_unique=True)
+    for dat in p.dats:
+        dat._raw[holes] = dat._raw[movers]
+    if p.p2c_map is not None:
+        p.p2c_map._raw[holes] = p.p2c_map._raw[movers]
+    p.size = new_size
+    p.injected_start = min(p.injected_start, new_size)
+    p.order.note_holes_filled(int(holes.size))
+
+
+def oracle_reorder(p, order):
+    """The earlier ``compact_reorder``."""
+    order = np.asarray(order, dtype=np.int64)
+    for dat in p.dats:
+        dat._raw[: p.size] = dat._raw[order]
+    if p.p2c_map is not None:
+        p.p2c_map._raw[: p.size] = p.p2c_map._raw[order]
+    p.order.invalidate()
+
+
+def random_bits(rng, shape, dtype):
+    """Arbitrary bit patterns: NaNs with payloads, infinities,
+    subnormals and ``-0.0`` for float64."""
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=shape, dtype=np.int64, endpoint=True)
+    return bits.view(dtype)
+
+
+def build(layout, n, grow, injected, with_p2c, seed):
+    """A particle set of ``n`` live rows (capacity past ``n + grow``) with
+    one dat per ``(dtype, dim)`` of ``layout`` filled with random bits,
+    the first float64 row holding a NaN payload and ``-0.0``."""
+    rng = np.random.default_rng(seed)
+    cells = decl_set(7)
+    p = decl_particle_set(cells, 0)
+    dats = [decl_dat(p, dim, dtype, name=f"d{i}")
+            for i, (dtype, dim) in enumerate(layout)]
+    if with_p2c:
+        decl_map(p, cells, 1, None, "p2c")
+    p.add_particles(n + grow)
+    for dat in dats:
+        dat._raw[...] = random_bits(rng, dat._raw.shape, dat.dtype)
+        if dat.dtype == np.float64:
+            dat._raw[0, 0] = np.int64(0x7FF0_0000_DEAD_BEEF).view(np.float64)
+            dat._raw[-1, -1] = -0.0
+    if with_p2c:
+        p.p2c_map._raw[...] = rng.integers(-1, 7, p.p2c_map._raw.shape)
+    p.size = n
+    p.injected_start = min(injected, n)
+    return p
+
+
+def state(p):
+    """Everything hole filling may change, as bytes and counters."""
+    arrays = [d._raw.tobytes() for d in p.dats]
+    if p.p2c_map is not None:
+        arrays.append(p.p2c_map._raw.tobytes())
+    order = {k: v for k, v in vars(p.order).items() if k != "_pset"}
+    return arrays, p.size, p.injected_start, order
+
+
+def removal_indices(kind, n, rng):
+    k = int(rng.integers(1, n + 1))
+    if kind == "empty":
+        return np.zeros(0, dtype=np.int64)
+    if kind == "all":
+        return np.arange(n)
+    if kind == "tail":
+        return np.arange(n - k, n)
+    if kind == "holes":          # every removed row below the new size
+        k = int(rng.integers(1, n // 2 + 1)) if n > 1 else 0
+        return np.sort(rng.choice(n - k, k, replace=False))
+    if kind == "sorted":
+        return np.sort(rng.choice(n, k, replace=False))
+    if kind == "unsorted":
+        return rng.permutation(rng.choice(n, k, replace=False))
+    assert kind == "duplicated"
+    return rng.integers(0, n, size=k + 2)
+
+
+LAYOUT = st.lists(st.tuples(st.sampled_from([np.float64, np.int64]),
+                            st.integers(1, 4)), min_size=1, max_size=4)
+KINDS = ["sorted", "unsorted", "duplicated", "empty", "all", "tail",
+         "holes"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=LAYOUT, n=st.integers(1, 60), grow=st.integers(0, 20),
+       injected=st.integers(0, 80), with_p2c=st.booleans(),
+       kind=st.sampled_from(KINDS), as_list=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_remove_particles_byte_equal_to_oracle(layout, n, grow, injected,
+                                               with_p2c, kind, as_list,
+                                               seed):
+    new = build(layout, n, grow, injected, with_p2c, seed)
+    old = build(layout, n, grow, injected, with_p2c, seed)
+    assert state(new) == state(old)
+    indices = removal_indices(kind, n, np.random.default_rng(seed))
+    if as_list:
+        indices = indices.tolist()
+    new.remove_particles(indices)
+    oracle_remove(old, indices)
+    assert state(new) == state(old)
+
+
+def test_remove_particles_with_a_non_contiguous_dat():
+    """An array that is not C-contiguous takes plain fancy indexing."""
+    sets = []
+    for _ in range(2):
+        p = build([(np.float64, 3), (np.int64, 2)], 40, 0, 40, True, 5)
+        p.dats[0]._raw = np.asfortranarray(p.dats[0]._raw)
+        assert not p.dats[0]._raw.flags.c_contiguous
+        sets.append(p)
+    kill = [3, 39, 0, 17, 17, 30]
+    sets[0].remove_particles(kill)
+    oracle_remove(sets[1], kill)
+    assert state(sets[0]) == state(sets[1])
+
+
+@pytest.mark.parametrize("bad", [[-1], [3, -2, 5], [40], [0, 41, 2],
+                                 [39, 40], [-100, 100]])
+def test_bad_removal_index_raises_and_leaves_the_set(bad):
+    p = build([(np.float64, 3), (np.int64, 1)], 40, 5, 30, True, 9)
+    before = state(p)
+    with pytest.raises(IndexError):
+        p.remove_particles(np.array(bad))
+    assert state(p) == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(layout=LAYOUT, n=st.integers(1, 60), with_p2c=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_compact_reorder_byte_equal_to_oracle(layout, n, with_p2c, seed):
+    new = build(layout, n, 3, n, with_p2c, seed)
+    old = build(layout, n, 3, n, with_p2c, seed)
+    order = np.random.default_rng(seed).permutation(n)
+    new.compact_reorder(order)
+    oracle_reorder(old, order)
+    assert state(new) == state(old)
+
+
+def test_sorted_removals_call_neither_unique_nor_setdiff1d(monkeypatch):
+    """What every move hands in — strictly increasing indices — takes no
+    hash ``np.unique`` and no ``np.setdiff1d``."""
+    calls = {"unique": 0, "setdiff1d": 0}
+    for name in calls:
+        real = getattr(np, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    p = build([(np.float64, 3), (np.float64, 3), (np.float64, 4)],
+              5000, 0, 5000, True, 1)
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        p.remove_particles(np.sort(rng.choice(p.size, 20, replace=False)))
+    assert p.size == 5000 - 100 * 20
+    assert calls == {"unique": 0, "setdiff1d": 0}

@@ -93,6 +93,46 @@ def _entry_rank(t):
     return t.my_rank
 
 
+_HIGH_FD = 1100
+
+
+@pytest.fixture
+def fds_past_1024():
+    """Occupy every descriptor number below ``_HIGH_FD``, so the sockets
+    and pipes a cluster creates next get numbers past ``select``'s 1024
+    ceiling."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    want = _HIGH_FD + 256
+    if hard != resource.RLIM_INFINITY and hard < want:
+        pytest.skip(f"hard RLIMIT_NOFILE {hard} < {want}")
+    if soft != resource.RLIM_INFINITY and soft < want:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+    dummies = []
+    try:
+        while not dummies or dummies[-1] < _HIGH_FD:
+            dummies.append(os.open(os.devnull, os.O_RDONLY))
+        yield
+    finally:
+        for fd in dummies:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def test_proc_ranks_with_descriptors_past_1024(fds_past_1024):
+    """A rank whose peer sockets and router pipe are numbered past 1024
+    runs the same cabana history as ``sim``."""
+    from repro.apps.cabana import CabanaConfig
+    from repro.dist.driver import run_distributed
+    cfg = CabanaConfig.smoke().scaled(n_steps=3)
+    sim = run_distributed("cabana", cfg, nranks=2, transport="sim")
+    proc = run_distributed("cabana", cfg, nranks=2, transport="proc")
+    assert proc.history.keys() == sim.history.keys()
+    for key in sim.history:
+        np.testing.assert_array_equal(np.asarray(proc.history[key]),
+                                      np.asarray(sim.history[key]))
+
+
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_launcher_gets_every_descriptor_back(start_method):
     if start_method not in mp.get_all_start_methods():
