@@ -8,22 +8,25 @@ afterwards, written the way an application writes it (the ``arg_dat``
 descriptors are built at every call), for 1 / 3 / 6-argument direct,
 indirect and double-indirect loops and a one-hop move, on ``seq``, on
 plain ``vec`` (the native tier) and on ``vec`` pinned to its NumPy target.
-A last row times a warm ``KSPSolver.solve`` on the Newton system of the
-``fempic_dispatch`` rung (``FemPicConfig().scaled(seed=1)``, 108 free
-nodes), as the C call and on the NumPy target.  A "hole fill" line times
-``ParticleSet.remove_particles`` of 2 430 sorted rows from a 100 000-ion
-set with FemPIC's particle dats, on fresh (cache-cold) arrays, median
-of 30.
+Two last rows time the field solve of the ``fempic_dispatch`` rung
+(``FemPicConfig().scaled(seed=1)``, 108 free nodes) after three steps,
+as the C call and on the NumPy target: a warm ``KSPSolver.solve`` of its
+last Newton iteration's linear system, and a warm
+``FemPicSimulation.field_solve`` (both Newton iterations).  A "hole
+fill" line times ``ParticleSet.remove_particles`` of 2 430 sorted rows
+from a 100 000-ion set with FemPIC's particle dats, on fresh (cache-cold)
+arrays, median of 30.
 
 The table (also ``results/launch_cost.txt``) is this host's reading and
 gates nothing.  The exit code is a **count**: over 100 warm launches of
 every site, nothing that belongs to a declaration may run again —
 ``Arg.validate_against``, ``Kernel.check_arity``, and on the native tier
 ``cgen.signature``, ``Kernel.generated`` and ``native._launcher`` are
-called 0 times; over 100 warm solves ``native.compiler``,
-``native._library`` and the solver's CSR validation are called 0 times;
-over 100 removals of sorted indices ``np.unique`` and ``np.setdiff1d``
-are called 0 times.
+called 0 times; over 100 warm solves and 100 warm field solves
+``native.compiler``, ``native._library`` and the CSR (and Newton index)
+validation are called 0 times, and the field solve launches no
+``par_loop``; over 100 removals of sorted indices ``np.unique`` and
+``np.setdiff1d`` are called 0 times.
 
     PYTHONPATH=src python benchmarks/bench_launch.py
 """
@@ -192,11 +195,23 @@ def measure(backend: str, pin_numpy: bool):
         native.CC = saved
 
 
-def newton_system():
-    """The ``fempic_dispatch`` rung's solver after three steps, with the
-    diagonal and right-hand side of its last Newton iteration."""
+def field_targets():
+    """What a warm field solve must not call: a node loop, anything a
+    warm solve must not, or the Newton system's own bind checks."""
+    from repro.apps.fempic import simulation
+    from repro.fem import newton
+    return ([(simulation, "par_loop")] + solve_targets()
+            + [(newton, "_csr_problem"), (newton, "_index_problem")])
+
+
+def dispatch_rung():
+    """The ``fempic_dispatch`` rung after three steps, with the
+    right-hand side of its last Newton iteration.  The steps run on the
+    NumPy target, whose Newton loop hands each linear system to
+    ``NewtonSystem.solve`` (the C call takes the same steps inside)."""
     from repro.apps.fempic.config import FemPicConfig
     from repro.apps.fempic.simulation import FemPicSimulation
+    from repro.translator import native
     sim = FemPicSimulation(FemPicConfig().scaled(seed=1))
     last, real = [], sim.newton.solve
 
@@ -205,27 +220,32 @@ def newton_system():
         return real(shift, rhs)
 
     sim.newton.solve = recording
-    sim.run(3)
-    return sim.newton.ksp, last[-1]
+    saved, native.CC = native.CC, None
+    try:
+        sim.run(3)
+    finally:
+        native.CC = saved
+    del sim.newton.solve
+    return sim, last[-1]
 
 
-def measure_solve(ksp, rhs, pin_numpy: bool):
-    """``(µs per warm solve, {function: calls in WARM warm solves})``."""
+def measure_warm(call, targets, pin_numpy: bool):
+    """``(µs per warm call(), {function: calls in WARM warm calls})``."""
     from repro.translator import native
     saved = native.CC
     if pin_numpy:
         native.CC = None
     try:
         for _ in range(3):
-            ksp.solve(rhs)
-        with CallCounts(solve_targets()) as counts:
+            call()
+        with CallCounts(targets) as counts:
             for _ in range(WARM):
-                ksp.solve(rhs)
+                call()
         samples = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             for _ in range(LAUNCHES):
-                ksp.solve(rhs)
+                call()
             samples.append((time.perf_counter() - t0) / LAUNCHES)
         return 1e6 * min(samples), counts.calls
     finally:
@@ -270,14 +290,21 @@ def measure_hole_fill():
 
 
 def main() -> int:
+    from repro.core.api import push_context
     from repro.translator import native
     legs = [("seq", "seq", False), ("vec numpy", "vec", True)]
     if native.compiler() is not None:
         legs.insert(1, ("vec native", "vec", False))
     results = {leg: measure(backend, pin) for leg, backend, pin in legs}
-    ksp, rhs = newton_system()
-    solves = {leg: measure_solve(ksp, rhs, pin)
+    sim, rhs = dispatch_rung()
+    ksp = sim.newton.ksp
+    solves = {leg: measure_warm(lambda: ksp.solve(rhs), solve_targets(), pin)
               for leg, _backend, pin in legs if leg != "seq"}
+    # the rung's own context; phi converges, so every call does the work
+    # of a steady-state step's field solve
+    with push_context(sim.ctx):
+        fields = {leg: measure_warm(sim.field_solve, field_targets(), pin)
+                  for leg, _backend, pin in legs if leg != "seq"}
     hole_us, hole_calls = measure_hole_fill()
 
     labels = list(next(iter(results.values()))[0])
@@ -289,6 +316,8 @@ def main() -> int:
             f"{results[leg][0][label]:>12.1f}" for leg in results))
     lines.append(f"{'KSP solve, n=' + str(rhs.size):<18}{'':>12}" + "".join(
         f"{solves[leg][0]:>12.1f}" for leg in results if leg != "seq"))
+    lines.append(f"{'field solve':<18}{'':>12}" + "".join(
+        f"{fields[leg][0]:>12.1f}" for leg in results if leg != "seq"))
     if "vec native" not in results:
         lines.append("(no C compiler: the native column is absent)")
     lines.append(f"hole fill: {hole_us:.0f} us per remove_particles of "
@@ -310,14 +339,15 @@ def main() -> int:
         failed += [f"{leg}: {name} called {n} times"
                    for name, n in gated.items() if n]
     lines.append("")
-    lines.append(f"compiler / build / validation calls in {WARM} warm "
-                 "solves (gate: all 0)")
-    for leg, (_cost, calls) in solves.items():
-        lines.append(f"{leg:<12}" + "  ".join(f"{name}={n}"
-                                              for name, n in calls.items()))
-        failed += [f"{leg} solve: {name} called {n} times"
-                   for name, n in calls.items() if n]
-    lines.append("")
+    for what, measured in (("solves", solves), ("field solves", fields)):
+        lines.append(f"loop / compiler / build / validation calls in {WARM} "
+                     f"warm {what} (gate: all 0)")
+        for leg, (_cost, calls) in measured.items():
+            lines.append(f"{leg:<12}" + "  ".join(
+                f"{name}={n}" for name, n in calls.items()))
+            failed += [f"{leg} {what}: {name} called {n} times"
+                       for name, n in calls.items() if n]
+        lines.append("")
     lines.append(f"calls in {WARM} sorted removals (gate: all 0)")
     lines.append("hole fill   " + "  ".join(f"{name}={n}" for name, n
                                             in hole_calls.items()))

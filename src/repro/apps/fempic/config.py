@@ -8,6 +8,7 @@ the paper's actual 48k-cell / ~70M-particle configuration for reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 __all__ = ["FemPicConfig"]
@@ -60,6 +61,21 @@ class FemPicConfig:
     #: records the step as a loop graph and executes it optimized
     #: (move+deposit rewrite, coalesced halo pushes)
     program: str = "off"
+
+    def __post_init__(self) -> None:
+        # a field solve that cannot run (or runs without end) is refused
+        # here, where a service submission still turns it into an error
+        if not 1 <= self.newton_iters <= 100:
+            raise ValueError(f"newton_iters must be in [1, 100], got "
+                             f"{self.newton_iters}")
+        if not 0.0 < self.ksp_rtol < 1.0:
+            raise ValueError(f"ksp_rtol must be finite and in (0, 1), got "
+                             f"{self.ksp_rtol}")
+        for name in ("kTe", "eps0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
 
     @property
     def n_cells(self) -> int:

@@ -4,7 +4,9 @@ Each function below is written once against single-element views; the
 translator generates the vectorized per-backend programs.  Kernel names
 match the runtime-breakdown labels of paper Figure 9(a): ``CalcPosVel``,
 ``Move``, ``DepositCharge``, ``ComputeNodeChargeDensity``,
-``ComputeF1Vector``, ``ComputeJMatrix``, ``ComputeElectricField``.
+``ComputeElectricField``.  The Newton residual and Jacobian of the field
+solve run inside the compiled nonlinear solve
+(:class:`repro.fem.NewtonSystem`), the ``Solve`` row.
 
 Constants (declared by the simulation via ``decl_const``):
 ``dt, qm, spwt, ion_charge, inv_eps0, n0, phi0, kTe, inj_velocity, tol``.
@@ -16,7 +18,6 @@ from repro.core.api import CONST
 __all__ = [
     "init_injected_kernel", "calc_pos_vel_kernel", "move_kernel",
     "deposit_charge_kernel", "compute_node_charge_density_kernel",
-    "compute_f1_vector_kernel", "compute_j_matrix_kernel",
     "compute_electric_field_kernel", "field_energy_kernel",
     "reset_node_charge_kernel",
 ]
@@ -95,21 +96,6 @@ def compute_node_charge_density_kernel(cd, w, vol):
     cd[0] = w[0] * CONST.spwt * CONST.ion_charge / vol[0]
 
 
-def compute_f1_vector_kernel(f1, kphi, w, phi, vol):
-    """Newton residual at a node: stiffness action minus ion charge plus
-    the Boltzmann-electron term (all scaled by 1/eps0)."""
-    f1[0] = kphi[0] - (w[0] * CONST.spwt * CONST.ion_charge
-                       - vol[0] * CONST.n0
-                       * exp((phi[0] - CONST.phi0) / CONST.kTe)) \
-        * CONST.inv_eps0
-
-
-def compute_j_matrix_kernel(jd, phi, vol):
-    """Diagonal Jacobian contribution of the Boltzmann-electron term."""
-    jd[0] = vol[0] * CONST.n0 * CONST.inv_eps0 / CONST.kTe \
-        * exp((phi[0] - CONST.phi0) / CONST.kTe)
-
-
 def compute_electric_field_kernel(ef, gradm, p0, p1, p2, p3):
     """Cell field from node potentials: ``E = -Σ_i φ_i ∇λ_i`` (paper
     Figure 5's loop: direct ef, indirect node potentials via c2n)."""
@@ -126,7 +112,3 @@ def field_energy_kernel(ef, vol, energy):
     energy[0] = energy[0] + 0.5 * (ef[0] * ef[0] + ef[1] * ef[1]
                                    + ef[2] * ef[2]) * vol[0]
 
-
-# `exp` is resolved by the translator to np.exp for vector code; for the
-# sequential elemental path it must exist as a callable here.
-from math import exp  # noqa: E402

@@ -250,10 +250,6 @@ class FemPicSimulation(RankedApp):
         s = self.solver = self.solver_nodes(mesh.n_nodes, phi=None, nw=None,
                                             nvol=self.nvol_global)
         if s is not None:
-            s.kphi = decl_dat(s.nodes, 1, np.float64, None,
-                              "stiffness_action")
-            s.f1 = decl_dat(s.nodes, 1, np.float64, None, "f1_vector")
-            s.jdiag = decl_dat(s.nodes, 1, np.float64, None, "j_diag")
             self.K = get_or_build(
                 ("fempic_stiffness",) + self._mesh_key,
                 lambda: build_stiffness(mesh.points, mesh.cell2node))
@@ -264,8 +260,10 @@ class FemPicSimulation(RankedApp):
                 np.full(len(mesh.tags["wall_nodes"]), cfg.wall_potential)])
             order = np.argsort(dn)
             self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
-            self.newton = NewtonSystem(self.dirichlet.k_ff,
-                                       rtol=cfg.ksp_rtol)
+            self.newton = NewtonSystem(
+                self.dirichlet, spwt=cfg.spwt, ion_charge=cfg.ion_charge,
+                n0=cfg.n0, phi0=cfg.phi0, kTe=cfg.kTe, eps0=cfg.eps0,
+                newton_iters=cfg.newton_iters, rtol=cfg.ksp_rtol)
             s.phi.data[:, 0] = 0.0
             s.phi.data[self.dirichlet.dirichlet_nodes, 0] = \
                 self.dirichlet.dirichlet_values
@@ -397,10 +395,9 @@ class FemPicSimulation(RankedApp):
                      arg_dat(rk.nvol, OPP_READ))
 
     def field_solve(self) -> None:
-        """Newton iterations on the nonlinear Poisson system, run by
-        rank 0 over the gathered node charge; each iteration runs the
-        ComputeJMatrix/ComputeF1Vector loops and one KSP (CG) solve —
-        the PETSc role."""
+        """The nonlinear Poisson solve, run by rank 0 over the gathered
+        node charge: every Newton iteration (residual, Jacobian, one
+        Jacobi-PCG solve) inside one opaque call — the PETSc role."""
         s = self.solver
         self.gather_nodes("nw", s.nw if s else None)
         if s is not None:
@@ -409,32 +406,22 @@ class FemPicSimulation(RankedApp):
         self.scatter_nodes(s.phi if s else None, "phi")
 
     def _newton(self, s) -> None:
-        free = self.dirichlet.free
+        t0 = time.perf_counter()
+        result = self.newton.solve_potential(s.phi.data, s.nw.data,
+                                             s.nvol.data)
+        dt = time.perf_counter() - t0
+        # each CG iteration (and the setup a zero-iteration solve still
+        # pays) is one sweep over the Newton matrix
+        sweeps = sum(max(it, 1) for it in result.iterations)
         nnz = self.newton.a.nnz
-        for _ in range(self.cfg.newton_iters):
-            s.kphi.data[:, 0] = self.K @ s.phi.data[:, 0]
-            par_loop(k.compute_f1_vector_kernel, "ComputeF1Vector",
-                     s.nodes, OPP_ITERATE_ALL,
-                     arg_dat(s.f1, OPP_WRITE),
-                     arg_dat(s.kphi, OPP_READ),
-                     arg_dat(s.nw, OPP_READ),
-                     arg_dat(s.phi, OPP_READ),
-                     arg_dat(s.nvol, OPP_READ))
-            par_loop(k.compute_j_matrix_kernel, "ComputeJMatrix",
-                     s.nodes, OPP_ITERATE_ALL,
-                     arg_dat(s.jdiag, OPP_WRITE),
-                     arg_dat(s.phi, OPP_READ),
-                     arg_dat(s.nvol, OPP_READ))
-            t0 = time.perf_counter()
-            result = self.newton.solve(s.jdiag.data[free, 0],
-                                       -s.f1.data[free, 0])
-            s.phi.data[free, 0] += result.x
-            dt = time.perf_counter() - t0
-            s.ctx.perf.record_loop(
-                "Solve", n=free.size, seconds=dt,
-                flops=2.0 * nnz * max(result.iterations, 1),
-                nbytes=12.0 * nnz * max(result.iterations, 1),
-                indirect_inc=False)
+        perf = s.ctx.perf
+        row = perf.get("Solve")
+        cg = sum(result.iterations) \
+            + (row.extras.get("cg_iterations", 0) if row else 0)
+        perf.record_loop("Solve", n=self.dirichlet.free.size, seconds=dt,
+                         flops=2.0 * nnz * sweeps,
+                         nbytes=12.0 * nnz * sweeps, indirect_inc=False,
+                         cg_iterations=cg)
 
     def compute_electric_field(self) -> None:
         for rk in self.each_rank():

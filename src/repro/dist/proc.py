@@ -18,9 +18,16 @@ Wire format: each message is one length-prefixed frame —
 =======  ======================================================
 header   ``!4sBBiiiq`` = magic ``OPPC``, version, kind, src,
          dst, tag, body length (a collective's op rides in tag)
-body     ``N`` + dtype/shape + raw bytes for numpy payloads,
+body     ``N`` + array header + raw bytes for numpy payloads,
          ``P`` + pickle for control payloads
 =======  ======================================================
+
+An array header is plain ``struct`` data, never pickle: one byte of
+dtype-string length, the dtype string (``'<f8'``, ``'|b1'``, ...), one
+byte ``ndim``, then ``ndim`` big-endian int64 dims.  The decoder refuses
+(:class:`FrameError`) an unknown or object dtype, ``ndim > 32``, a
+negative dim, and dims whose element count times the item size is not
+the body's remaining length.
 
 Fault model (every path ends in a structured
 :class:`~repro.dist.transport.RankFailure`, never a deadlock):
@@ -48,6 +55,7 @@ deadlock cannot form.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import selectors
@@ -73,6 +81,8 @@ __all__ = ["ProcTransport", "ProcCluster", "FrameError",
 _MAGIC = b"OPPC"
 _VERSION = 1
 _HEADER = struct.Struct("!4sBBiiiq")
+#: most dims an array header may declare (NumPy's own limit is 64)
+_MAX_NDIM = 32
 
 # frame kinds
 K_HELLO = 0        # rank -> router: rank is up
@@ -123,24 +133,56 @@ def reap_procs(procs, join_timeout: float = 5.0) -> None:
 
 
 def _encode_body(obj) -> bytes:
-    """Numpy arrays travel as dtype+shape+raw bytes (no pickle on the
-    hot path); anything else — control dicts, exceptions — is pickled."""
+    """Numpy arrays travel as a struct header + raw bytes (no pickle on
+    the hot path); anything else — control dicts, exceptions — is
+    pickled."""
     if isinstance(obj, np.ndarray):
         shape = obj.shape  # ascontiguousarray promotes 0-d to 1-d
         a = np.ascontiguousarray(obj)
-        meta = pickle.dumps((a.dtype.str, shape))
-        return b"N" + struct.pack("!I", len(meta)) + meta + a.tobytes()
+        dtype = a.dtype.str.encode()
+        return b"".join((b"N", bytes((len(dtype),)), dtype,
+                         bytes((len(shape),)),
+                         struct.pack(f"!{len(shape)}q", *shape),
+                         a.tobytes()))
     return b"P" + pickle.dumps(obj)
+
+
+def _decode_array(body) -> np.ndarray:
+    """The array of an ``N`` body (bytes or memoryview)."""
+    if len(body) < 2 or len(body) < 3 + body[1]:
+        raise FrameError("truncated array header")
+    end = 2 + body[1]
+    try:
+        dtype = np.dtype(bytes(body[2:end]).decode("ascii"))
+    except (TypeError, ValueError) as exc:     # UnicodeDecodeError too
+        raise FrameError(f"unknown array dtype: {exc}") from None
+    if dtype.hasobject:
+        raise FrameError(f"object dtype {dtype} does not travel as bytes")
+    ndim = body[end]
+    if ndim > _MAX_NDIM:
+        raise FrameError(f"array header declares {ndim} dims, more than "
+                         f"{_MAX_NDIM}")
+    start = end + 1 + 8 * ndim
+    if len(body) < start:
+        raise FrameError("truncated array header")
+    shape = struct.unpack_from(f"!{ndim}q", body, end + 1)
+    if min(shape, default=0) < 0:
+        raise FrameError(f"negative array dim in {shape}")
+    count = math.prod(shape)
+    if count * dtype.itemsize != len(body) - start:
+        raise FrameError(f"array of {shape} {dtype} needs "
+                         f"{count * dtype.itemsize} bytes, the body holds "
+                         f"{len(body) - start}")
+    if not count * dtype.itemsize:
+        return np.empty(shape, dtype)
+    return np.frombuffer(body, dtype, count, start).reshape(shape).copy()
 
 
 def _decode_body(body: bytes):
     if not body:
         raise FrameError("empty frame body")
     if body[:1] == b"N":
-        (mlen,) = struct.unpack_from("!I", body, 1)
-        dtype_str, shape = pickle.loads(body[5:5 + mlen])
-        arr = np.frombuffer(body[5 + mlen:], dtype=np.dtype(dtype_str))
-        return arr.reshape(shape).copy()
+        return _decode_array(body)
     if body[:1] == b"P":
         return pickle.loads(body[1:])
     raise FrameError(f"unknown body marker {body[:1]!r}")

@@ -5,11 +5,10 @@ Mini-FEM-PIC solves a nonlinear Poisson problem for the plasma potential
 
     -∇²φ = (ρ_ion - ρ0 · exp((φ - φ0)/kTe)) / ε0
 
-with Dirichlet conditions on the duct inlet and wall.  Each Newton step
-assembles a Jacobian (``ComputeJMatrix``) and residual
-(``ComputeF1Vector``) and solves with a KSP-style CG
-(:mod:`repro.fem.solver`).  The stiffness matrix is static (the mesh never
-changes) and assembled once here.
+with Dirichlet conditions on the duct inlet and wall, by Newton
+iterations whose linear systems a KSP-style CG solves
+(:mod:`repro.fem.newton`, :mod:`repro.fem.solver`).  The stiffness matrix
+is static (the mesh never changes) and assembled once here.
 """
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ compiled code: the whole iteration — CSR matvec, axpys, preconditioner,
 norms, convergence test — is a fixed C function built through
 :mod:`repro.translator.native`'s cache, bound to the matrix's arrays
 once per solver.  Without a compiler (or with ``native.CC`` pinned to
-``None``) the same algorithm runs in NumPy.
+``None``) the same algorithm runs in NumPy.  The same source holds the
+whole Newton loop of the FemPIC field solve around it
+(:class:`repro.fem.NewtonSystem`), one library for both.
 
 The two targets are bit-equal.  Every reduction — dot product, norm, CSR
 row — is a sequential left-to-right sum that starts from the first
@@ -38,14 +40,20 @@ class KSPResult:
     converged: bool
 
 
+#: what a Jacobi-PCG solve rejects, by the C functions' error code
+REJECTED = {1: "matrix has non-finite diagonal entries",
+            2: "matrix has zero diagonal entries; Jacobi preconditioning "
+               "is undefined",
+            3: "rhs has non-finite entries"}
+
+
 def inverse_diagonal(d: np.ndarray,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """``1 / d`` for a Jacobi preconditioner, optionally into ``out``."""
     if not np.isfinite(d).all():
-        raise ValueError("matrix has non-finite diagonal entries")
+        raise ValueError(REJECTED[1])
     if not d.all():
-        raise ValueError("matrix has zero diagonal entries; Jacobi "
-                         "preconditioning is undefined")
+        raise ValueError(REJECTED[2])
     return np.divide(1.0, d, out=out)
 
 
@@ -132,6 +140,66 @@ int64_t ksp_pcg(int64_t n, const int64_t *ptr, const int64_t *col,
     out[1] = tol;
     return it;
 }
+
+/* iters Newton iterations of the nonlinear Poisson solve, as
+   repro.fem.NewtonSystem._iterate runs them in NumPy, on phi in place.
+   Over the m free nodes each forms the free rows of K phi (the n-column
+   CSR kptr/kcol/kval), the Boltzmann residual and Jacobian diagonal in
+   the order the FemPIC kernels wrote them, writes the diagonal into the
+   Newton matrix (val[diag_pos]) and its inverse into inv, solves for
+   -f1 from zero and adds the step to phi.  c holds spwt, ion_charge,
+   n0, phi0, kTe, 1/eps0, rtol and atol; work holds 7m doubles.  its and
+   res receive each iteration's CG count and residual norm.  Returns 0,
+   or 1 / 2 / 3 when a diagonal entry is non-finite / zero or a
+   right-hand side entry is non-finite (phi then holds the iterations
+   before). */
+int64_t newton_solve(int64_t m, const int64_t *free_nodes,
+                     const int64_t *kptr, const int64_t *kcol,
+                     const double *kval, const int64_t *ptr,
+                     const int64_t *col, double *val,
+                     const int64_t *diag_pos, const double *kdiag,
+                     double *inv, double *work, const double *c,
+                     int64_t max_it, int64_t iters, int64_t *its,
+                     double *res, double *phi, const double *nw,
+                     const double *nvol)
+{
+    double spwt = c[0], q = c[1], n0 = c[2], phi0 = c[3], kte = c[4];
+    double inv_eps0 = c[5], rtol = c[6], atol = c[7];
+    double *rhs = work + 4 * m, *x = work + 5 * m, *diag = work + 6 * m;
+    double out[2];
+    for (int64_t k = 0; k < iters; ++k) {
+        for (int64_t i = 0; i < m; ++i) {
+            int64_t f = free_nodes[i];
+            double kphi = 0.0;
+            for (int64_t j = kptr[f]; j < kptr[f + 1]; ++j)
+                kphi += kval[j] * phi[kcol[j]];
+            double e = exp((phi[f] - phi0) / kte);
+            rhs[i] = -(kphi - (nw[f] * spwt * q - nvol[f] * n0 * e)
+                              * inv_eps0);
+            diag[i] = kdiag[i] + nvol[f] * n0 * inv_eps0 / kte * e;
+        }
+        for (int64_t i = 0; i < m; ++i)
+            if (!isfinite(diag[i]))
+                return 1;
+        for (int64_t i = 0; i < m; ++i)
+            if (diag[i] == 0.0)
+                return 2;
+        for (int64_t i = 0; i < m; ++i)
+            if (!isfinite(rhs[i]))
+                return 3;
+        for (int64_t i = 0; i < m; ++i) {
+            val[diag_pos[i]] = diag[i];
+            inv[i] = 1.0 / diag[i];
+            x[i] = 0.0;
+        }
+        its[k] = ksp_pcg(m, ptr, col, val, inv, work, out, rtol, atol,
+                         max_it, rhs, x, 0);
+        res[k] = out[0];
+        for (int64_t i = 0; i < m; ++i)
+            phi[free_nodes[i]] += x[i];
+    }
+    return 0;
+}
 """
 
 _ARGTYPES = ([c_int64] + [c_void_p] * 6 + [c_double, c_double, c_int64]
@@ -146,7 +214,7 @@ def _sdot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _csr_problem(a: sp.csr_matrix, inv: Optional[np.ndarray]
                  ) -> Optional[str]:
-    """Why the C function may not read ``a`` (and ``inv``), or None: the
+    """Why the C functions may not read ``a`` (and ``inv``), or None: the
     row pointers run monotonically from 0 within the stored entries and
     every column index lies in ``[0, n)``."""
     n = a.shape[0]
@@ -269,7 +337,7 @@ class KSPSolver:
             if not np.isfinite(x).all():
                 raise ValueError("initial guess has non-finite entries")
         if not np.isfinite(b).all():
-            raise ValueError("rhs has non-finite entries")
+            raise ValueError(REJECTED[3])
         if native.CC is not None and self._bound():
             addr = native.address
             it = self._fn(*self._args, self.rtol, self.atol, self.max_it,

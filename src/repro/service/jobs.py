@@ -29,6 +29,7 @@ particle maps, RNG, scalar carries, history-so-far) and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -267,10 +268,13 @@ def describe_schemas() -> dict:
 
 def _coerce(value, want: type):
     """JSON-friendly coercion: ints are acceptable floats; everything
-    else must match exactly (no truthy strings, no bool-as-int)."""
+    else must match exactly (no truthy strings, no bool-as-int, no
+    ``NaN`` / ``Infinity``, which the server's JSON parser accepts)."""
     if want is float and isinstance(value, int) \
             and not isinstance(value, bool):
         return float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if want is int and isinstance(value, bool):
         return None
     return value if isinstance(value, want) else None
@@ -314,10 +318,13 @@ def validate_job(raw) -> JobSpec:
                 continue
             got = _coerce(value, schema[key])
             if got is None:
+                got = (value if isinstance(value, float)
+                       and not math.isfinite(value)
+                       else type(value).__name__)
                 errors.append(
                     {"field": f"params.{key}",
                      "error": f"expected {_JSON_TYPES[schema[key]]}, "
-                              f"got {type(value).__name__}"})
+                              f"got {got}"})
                 continue
             clean[key] = got
         backend = clean.get("backend")

@@ -1,5 +1,8 @@
 """The fempic field phase and inlet sampler are bit-equal by construction
 to the code they replaced; the old forms live on here as oracles."""
+import time
+from math import exp
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,25 +10,76 @@ import scipy.sparse as sp
 from repro.apps.fempic import FemPicConfig, FemPicSimulation
 from repro.apps.fempic.distributed import DistributedFemPic
 from repro.apps.fempic.simulation import sample_inlet_positions
+from repro.core.api import (CONST, OPP_ITERATE_ALL, OPP_READ, OPP_WRITE,
+                            arg_dat, decl_dat, par_loop)
 from repro.fem import KSPSolver
+from repro.translator import native
+
+NATIVE = native.compiler() is not None
 
 
-class FreshAssembly:
-    """Stands in for ``sim.newton``: assemble ``K + diag``, slice the free
-    block and build a new solver on every call, as ``field_solve`` did
-    before :class:`repro.fem.NewtonSystem`."""
+def compute_f1_vector_kernel(f1, kphi, w, phi, vol):
+    """Newton residual at a node: stiffness action minus ion charge plus
+    the Boltzmann-electron term (all scaled by 1/eps0)."""
+    f1[0] = kphi[0] - (w[0] * CONST.spwt * CONST.ion_charge
+                       - vol[0] * CONST.n0
+                       * exp((phi[0] - CONST.phi0) / CONST.kTe)) \
+        * CONST.inv_eps0
+
+
+def compute_j_matrix_kernel(jd, phi, vol):
+    """Diagonal Jacobian contribution of the Boltzmann-electron term."""
+    jd[0] = vol[0] * CONST.n0 * CONST.inv_eps0 / CONST.kTe \
+        * exp((phi[0] - CONST.phi0) / CONST.kTe)
+
+
+def fresh_assembly_solve(sim, shift, rhs):
+    """Assemble ``K + diag``, slice the free block and build a new solver,
+    as ``field_solve`` did before :class:`repro.fem.NewtonSystem`."""
+    free = sim.dirichlet.free
+    jdiag = np.zeros(sim.K.shape[0])
+    jdiag[free] = shift
+    a = (sim.K + sp.diags(jdiag)).tocsr()
+    return KSPSolver(a[free][:, free], pc="jacobi",
+                     rtol=sim.cfg.ksp_rtol).solve(rhs)
+
+
+class ParLoopNewton:
+    """``FemPicSimulation._newton`` as it was before the compiled solve:
+    per iteration ``K @ phi``, the ``ComputeF1Vector`` and
+    ``ComputeJMatrix`` node loops through ``par_loop``, then one linear
+    solve — here on a freshly assembled system.  Records each iteration's
+    ``KSPResult``."""
 
     def __init__(self, sim):
-        self.k, self.free = sim.K, sim.dirichlet.free
-        self.rtol = sim.cfg.ksp_rtol
-        self.a = sim.newton.a
+        self.sim, self.results, self.dats = sim, [], None
 
-    def solve(self, shift, rhs):
-        jdiag = np.zeros(self.k.shape[0])
-        jdiag[self.free] = shift
-        a = (self.k + sp.diags(jdiag)).tocsr()
-        a_ff = a[self.free][:, self.free]
-        return KSPSolver(a_ff, pc="jacobi", rtol=self.rtol).solve(rhs)
+    def __call__(self, s) -> None:
+        sim = self.sim
+        if self.dats is None:       # declared in the solve's context
+            self.dats = [decl_dat(s.nodes, 1, np.float64, None, name)
+                         for name in ("stiffness_action", "f1_vector",
+                                      "j_diag")]
+        kphi, f1, jdiag = self.dats
+        free = sim.dirichlet.free
+        for _ in range(sim.cfg.newton_iters):
+            kphi.data[:, 0] = sim.K @ s.phi.data[:, 0]
+            par_loop(compute_f1_vector_kernel, "ComputeF1Vector",
+                     s.nodes, OPP_ITERATE_ALL,
+                     arg_dat(f1, OPP_WRITE), arg_dat(kphi, OPP_READ),
+                     arg_dat(s.nw, OPP_READ), arg_dat(s.phi, OPP_READ),
+                     arg_dat(s.nvol, OPP_READ))
+            par_loop(compute_j_matrix_kernel, "ComputeJMatrix",
+                     s.nodes, OPP_ITERATE_ALL,
+                     arg_dat(jdiag, OPP_WRITE), arg_dat(s.phi, OPP_READ),
+                     arg_dat(s.nvol, OPP_READ))
+            t0 = time.perf_counter()
+            result = fresh_assembly_solve(sim, jdiag.data[free, 0],
+                                          -f1.data[free, 0])
+            s.phi.data[free, 0] += result.x
+            s.ctx.perf.record_loop("Solve", n=free.size,
+                                   seconds=time.perf_counter() - t0)
+            self.results.append(result)
 
 
 def build(backend, seed, nranks):
@@ -39,13 +93,53 @@ def build(backend, seed, nranks):
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("backend", ["seq", "vec"])
 def test_history_bit_equal_to_fresh_assembly(backend, seed, nranks):
+    """The compiled solve against the kernels it replaced, both with libm
+    ``exp``: ``seq`` calls ``math.exp`` per node, the native tier compiles
+    it (the NumPy target's ``np.exp`` rounds differently)."""
+    if backend == "vec" and not NATIVE:
+        pytest.skip("the par_loop oracle is bit-equal on the native tier")
     new = build(backend, seed, nranks)
     old = build(backend, seed, nranks)
-    old.newton = FreshAssembly(old)
+    old._newton = ParLoopNewton(old)
     got, want = new.run(6), old.run(6)
     assert got.keys() == want.keys()
     for key in want:
         np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    loops = new.ranks[0].ctx.perf.loops
+    assert "ComputeF1Vector" not in loops and "ComputeJMatrix" not in loops
+
+
+@pytest.mark.parametrize("backend", ["seq", "vec"])
+def test_history_bit_equal_to_the_par_loop_newton_off_unit_constants(
+        backend):
+    """As above with ``kTe``, ``eps0``, ``ion_charge`` and ``phi0`` away
+    from 1.0 and 0.0, so a regrouped product in the compiled residual or
+    Jacobian would round differently from the kernels'."""
+    if backend == "vec" and not NATIVE:
+        pytest.skip("the par_loop oracle is bit-equal on the native tier")
+    cfg = FemPicConfig.smoke().scaled(backend=backend, seed=5, kTe=0.9,
+                                      eps0=0.7, ion_charge=1.3, phi0=0.1)
+    new, old = FemPicSimulation(cfg), FemPicSimulation(cfg)
+    old._newton = ParLoopNewton(old)
+    got, want = new.run(6), old.run(6)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_solve_row_counts_the_cg_iterations():
+    """The ``Solve`` row's ``cg_iterations`` is the sum of the per-solve
+    iteration counts the par_loop Newton's KSP results report."""
+    new = build("seq", 3, 1)
+    old = build("seq", 3, 1)
+    oracle = old._newton = ParLoopNewton(old)
+    new.run(5)
+    old.run(5)
+    row = new.ctx.perf.loops["Solve"]
+    want = sum(r.iterations for r in oracle.results)
+    assert want > 0 and row.extras["cg_iterations"] == want
+    assert row.calls == 5
+    sweeps = sum(max(r.iterations, 1) for r in oracle.results)
+    assert row.flops == 2.0 * new.newton.a.nnz * sweeps
 
 
 def test_distributed_solve_row_has_a_cost_model():

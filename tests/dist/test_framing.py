@@ -17,6 +17,14 @@ from repro.runtime.comm import SimComm
     np.array(7, dtype=np.int64),              # 0-d must survive
     np.empty((0, 3), dtype=np.float64),       # empty must survive
     np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    np.array([True, False, True]),
+    np.array(2.5),                            # 0-d float
+    np.empty(0, dtype=np.int64),
+    np.arange(6, dtype=">f8").reshape(3, 2),  # big-endian
+    np.arange(24, dtype=">i8").reshape(2, 3, 4)[:, ::2, 1:],
+    np.arange(20.0).reshape(4, 5)[::2, ::-2],     # non-contiguous
+    np.array(["ab", "c"]),
+    np.zeros((1,) * 32),
 ])
 def test_ndarray_roundtrip(payload):
     blob = encode_frame(K_P2P, 1, 2, 9, payload)
@@ -100,3 +108,49 @@ def test_create_transport():
 
 def test_default_frame_limit_is_sane():
     assert DEFAULT_MAX_FRAME >= 16 * 1024 * 1024
+
+
+# -- the array header ----------------------------------------------------------
+
+
+def array_body(dtype: bytes, dims, data: bytes = b"", ndim=None) -> bytes:
+    """A ``K_P2P`` frame whose ``N`` body is built by hand."""
+    from repro.dist.proc import _HEADER
+    import struct
+    body = (b"N" + bytes((len(dtype),)) + dtype
+            + bytes((len(dims) if ndim is None else ndim,))
+            + struct.pack(f"!{len(dims)}q", *dims) + data)
+    return _HEADER.pack(b"OPPC", 1, K_P2P, 0, 1, 0, len(body)) + body
+
+
+def test_array_header_is_struct_data_not_pickle():
+    blob = encode_frame(K_P2P, 0, 1, 0, np.arange(3, dtype="<i8"))
+    assert blob == array_body(b"<i8", (3,), np.arange(3, dtype="<i8")
+                              .tobytes())
+    out = decode_frame(array_body(b"|b1", (2, 1), b"\x01\x00"))[4]
+    assert out.dtype == np.bool_ and out.tolist() == [[True], [False]]
+
+
+@pytest.mark.parametrize("blob, why", [
+    (array_body(b"<q9", (1,), bytes(8)), "unknown array dtype"),
+    (array_body(b"\xff\xfe", (1,), bytes(8)), "unknown array dtype"),
+    (array_body(b"|O", (1,), bytes(8)), "object dtype"),
+    (array_body(b"<f8", (1,) * 33, bytes(8)), "33 dims"),
+    (array_body(b"<f8", (2, 3), bytes(8 * 5)), "needs 48 bytes"),
+    (array_body(b"<f8", (2,), bytes(8 * 3)), "needs 16 bytes"),
+    (array_body(b"<f8", (-1, -2), bytes(16)), "negative array dim"),
+    (array_body(b"<f8", (2**40, 2**40), bytes(8)), "needs"),
+    (array_body(b"<f8", (4,), ndim=3), "truncated array header"),
+], ids=["bad-dtype", "non-ascii-dtype", "object", "ndim-33", "short-body",
+        "long-body", "negative-dim", "overflowing-dims", "short-dims"])
+def test_malformed_array_header_raises_frame_error(blob, why):
+    with pytest.raises(FrameError, match=why):
+        decode_frame(blob)
+
+
+def test_short_array_bodies_raise_frame_error():
+    from repro.dist.proc import _HEADER
+    for body in (b"N", b"N\x03<f", b"N\x03<f8"):
+        blob = _HEADER.pack(b"OPPC", 1, K_P2P, 0, 1, 0, len(body)) + body
+        with pytest.raises(FrameError, match="truncated"):
+            decode_frame(blob)

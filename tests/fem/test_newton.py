@@ -1,11 +1,22 @@
-"""Fixed-pattern Newton system: in-place diagonal update vs fresh assembly."""
+"""The Newton system: its in-place diagonal update against a fresh
+assembly, and the compiled nonlinear solve against its NumPy form."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.fem import DirichletSystem, KSPSolver, NewtonSystem, \
     build_stiffness
+from repro.fem import newton as newton_mod
 from repro.mesh import duct_mesh
+from repro.translator import native
+
+NATIVE = native.compiler() is not None
+needs_cc = pytest.mark.skipif(not NATIVE, reason="no C compiler")
+
+#: Boltzmann constants near the FemPIC smoke config's, none of them 1.0,
+#: so every product and quotient of the formulae rounds
+PLASMA = dict(spwt=20.0, ion_charge=1.3, n0=2.0e3, phi0=0.1, kTe=0.9,
+              eps0=0.7)
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +25,13 @@ def world():
     k = build_stiffness(mesh.points, mesh.cell2node)
     dn = np.sort(np.concatenate([mesh.tags["inlet_nodes"],
                                  mesh.tags["wall_nodes"]]))
-    return k, DirichletSystem(k, dn, np.zeros(dn.size))
+    nvol = np.random.default_rng(7).uniform(0.5, 1.5, k.shape[0]) \
+        / k.shape[0]
+    return k, DirichletSystem(k, dn, np.where(dn % 2, 2.0, 0.0)), nvol
+
+
+def system(ds, rtol=1e-10, **plasma):
+    return NewtonSystem(ds, **{**PLASMA, **plasma}, rtol=rtol)
 
 
 def fresh_solve(k, free, jdiag, rhs, rtol):
@@ -24,12 +41,12 @@ def fresh_solve(k, free, jdiag, rhs, rtol):
 
 
 def test_in_place_update_matches_fresh_assembly(world, rng):
-    k, ds = world
-    system = NewtonSystem(ds.k_ff, rtol=1e-8)
+    k, ds, _ = world
+    newton = system(ds, rtol=1e-8)
     for scale in (1e-3, 1.0, 50.0, 1e-6, 7.0):
         jdiag = scale * rng.random(k.shape[0]) + 1e-12
         rhs = rng.normal(size=ds.free.size)
-        got = system.solve(jdiag[ds.free], rhs)
+        got = newton.solve(jdiag[ds.free], rhs)
         want = fresh_solve(k, ds.free, jdiag, rhs, 1e-8)
         assert got.converged
         assert got.iterations == want.iterations
@@ -38,9 +55,9 @@ def test_in_place_update_matches_fresh_assembly(world, rng):
 
 
 def test_systems_from_one_matrix_do_not_alias(world, rng):
-    k, ds = world
+    k, ds, _ = world
     k_ff_before = ds.k_ff.data.copy()
-    one, two = NewtonSystem(ds.k_ff), NewtonSystem(ds.k_ff)
+    one, two = system(ds), system(ds)
     rhs = rng.normal(size=ds.free.size)
     j_one = rng.random(k.shape[0])
     j_two = 100.0 * rng.random(k.shape[0])
@@ -58,22 +75,22 @@ def test_systems_from_one_matrix_do_not_alias(world, rng):
 
 
 def test_zero_diagonal_rejected(world):
-    _, ds = world
-    system = NewtonSystem(ds.k_ff)
+    _, ds, _ = world
+    newton = system(ds)
     shift = np.ones(ds.free.size)
-    shift[3] = -system.kdiag[3]
+    shift[3] = -newton.kdiag[3]
     with pytest.raises(ValueError, match="zero diagonal"):
-        system.solve(shift, np.ones(ds.free.size))
+        newton.solve(shift, np.ones(ds.free.size))
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_shift_rejected(world, bad):
-    _, ds = world
-    system = NewtonSystem(ds.k_ff)
+    _, ds, _ = world
+    newton = system(ds)
     shift = np.ones(ds.free.size)
     shift[5] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        system.solve(shift, np.ones(ds.free.size))
+        newton.solve(shift, np.ones(ds.free.size))
 
 
 def test_pattern_without_diagonal_entry_rejected():
@@ -81,11 +98,193 @@ def test_pattern_without_diagonal_entry_rejected():
                                 [1.0, 0.0, 1.0],
                                 [0.0, 1.0, 2.0]]))
     with pytest.raises(ValueError, match="diagonal entry"):
-        NewtonSystem(a)
+        system(DirichletSystem(a, [], []))
 
 
 def test_rhs_shape_checked(world):
-    _, ds = world
+    _, ds, _ = world
     with pytest.raises(ValueError, match="rhs has shape"):
-        NewtonSystem(ds.k_ff).solve(np.ones(ds.free.size),
-                                    np.ones(ds.free.size + 1))
+        system(ds).solve(np.ones(ds.free.size), np.ones(ds.free.size + 1))
+
+
+# -- the nonlinear solve: the C call against the NumPy target ---------------------
+
+
+def start(ds, nvol, rng, charge):
+    """``(phi, nw, nvol)`` as dim-1 node dats hold them: Dirichlet values
+    set, a random interior guess, ``charge``-scaled node weights."""
+    phi = np.zeros((ds.n, 1))
+    phi[ds.free, 0] = 0.3 * rng.random(ds.free.size)
+    phi[ds.dirichlet_nodes, 0] = ds.dirichlet_values
+    return phi, charge * rng.random((ds.n, 1)), nvol[:, None].copy()
+
+
+def potential_both_targets(make, phi, nw, nvol):
+    """``((phi, result) native, (phi, result) NumPy)`` of one
+    ``solve_potential`` on fresh systems from the same start."""
+    out = []
+    for cc in (native.CC, None):
+        saved, native.CC = native.CC, cc
+        try:
+            newton, p = make(), phi.copy()
+            out.append((p, newton.solve_potential(p, nw, nvol)))
+        finally:
+            native.CC = saved
+    return out
+
+
+def assert_solves_bit_equal(got, want):
+    (phi_got, res_got), (phi_want, res_want) = got, want
+    assert res_got.iterations == res_want.iterations
+    assert np.array(res_got.residual_norms).tobytes() \
+        == np.array(res_want.residual_norms).tobytes()
+    assert phi_got.tobytes() == phi_want.tobytes()
+
+
+@needs_cc
+@pytest.mark.parametrize("charge", [0.0, 1.0, 40.0, 120.0])
+@pytest.mark.parametrize("iters", [1, 2, 5])
+def test_native_potential_is_bit_equal_to_numpy(world, rng, charge, iters):
+    _, ds, nvol = world
+    for kte in (0.25, 1.0, 3.0):
+        phi, nw, vol = start(ds, nvol, rng, charge)
+        make = lambda: system(ds, rtol=1e-8, kTe=kte,  # noqa: E731
+                              newton_iters=iters, phi0=0.1 * kte)
+        got, want = potential_both_targets(make, phi, nw, vol)
+        assert len(got[1].iterations) == iters
+        assert sum(got[1].iterations) > 0
+        assert_solves_bit_equal(got, want)
+
+
+@needs_cc
+def test_native_potential_is_bit_equal_to_numpy_over_repeated_calls(world,
+                                                                   rng):
+    """A warm system — the diagonal of its last iteration still in the
+    matrix — keeps matching, as a field solve per step runs it."""
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 30.0)
+    warm = [system(ds, rtol=1e-8), system(ds, rtol=1e-8)]
+    phis = [phi.copy(), phi.copy()]
+    for step in range(4):
+        nw = 30.0 * rng.random((ds.n, 1))
+        results = []
+        for newton, p, cc in zip(warm, phis, (native.CC, None)):
+            saved, native.CC = native.CC, cc
+            try:
+                results.append((p, newton.solve_potential(p, nw, vol)))
+            finally:
+                native.CC = saved
+        assert warm[0].fallback is None
+        assert_solves_bit_equal(*results)
+
+
+def test_potential_matches_the_per_iteration_form(world, rng):
+    """``solve_potential`` is ``solve`` on the residual and Jacobian the
+    FemPIC kernels computed, written out here with ``math.exp``."""
+    import math
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 50.0)
+    want = phi[:, 0].copy()
+    oracle = system(ds, rtol=1e-8)
+    c = PLASMA
+    inv_eps0 = 1.0 / c["eps0"]
+    its = []
+    for _ in range(2):
+        kphi = ds.k_full @ want
+        f1, jd = np.zeros(ds.n), np.zeros(ds.n)
+        for i in range(ds.n):
+            e = math.exp((want[i] - c["phi0"]) / c["kTe"])
+            f1[i] = kphi[i] - (nw[i, 0] * c["spwt"] * c["ion_charge"]
+                               - vol[i, 0] * c["n0"] * e) * inv_eps0
+            jd[i] = vol[i, 0] * c["n0"] * inv_eps0 / c["kTe"] * e
+        step = oracle.solve(jd[ds.free], -f1[ds.free])
+        want[ds.free] += step.x
+        its.append(step.iterations)
+    got = system(ds, rtol=1e-8).solve_potential(phi, nw, vol)
+    assert got.iterations == its
+    assert phi[:, 0].tobytes() == want.tobytes()
+
+
+@pytest.fixture(params=["native", "numpy"])
+def target(request, monkeypatch):
+    if request.param == "native" and not NATIVE:
+        pytest.skip("no C compiler")
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "CC", None)
+    return request.param
+
+
+def test_nan_charge_rejected_on_both_targets(world, rng, target):
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 1.0)
+    nw[ds.free[4], 0] = np.nan
+    with pytest.raises(ValueError, match="^rhs has non-finite entries$"):
+        system(ds).solve_potential(phi, nw, vol)
+
+
+def test_exp_overflow_rejected_on_both_targets(world, rng, target):
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 1.0)
+    phi[ds.free[2], 0] = 800.0          # exp(800) overflows a double
+    with pytest.raises(ValueError,
+                       match="^matrix has non-finite diagonal entries$"):
+        system(ds).solve_potential(phi, nw, vol)
+    assert phi[ds.free[2], 0] == 800.0     # rejected before any step
+
+
+def test_node_vectors_checked(world, rng, target):
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 1.0)
+    newton = system(ds)
+    for bad in (phi[:-1], phi.astype(np.float32), np.asfortranarray(
+            np.repeat(phi, 2, axis=1)), phi[::2]):
+        with pytest.raises(ValueError, match="phi must be"):
+            newton.solve_potential(bad, nw, vol)
+    with pytest.raises(ValueError, match="nvol must be"):
+        newton.solve_potential(phi, nw, vol.ravel().tolist())
+
+
+@pytest.mark.parametrize("corrupt, why", [
+    (lambda s: setattr(s, "free", s.free[::-1].copy()), "strictly"),
+    (lambda s: setattr(s, "free", np.r_[s.free[:-1], s.n]), "within"),
+    (lambda s: setattr(s, "free", s.free[1:].copy()), "free is not"),
+    (lambda s: setattr(s, "diag_pos", s.diag_pos + s.a.nnz),
+     "outside its row"),
+    (lambda s: setattr(s, "diag_pos", s.diag_pos.astype(np.int32)),
+     "diag_pos is not"),
+    (lambda s: setattr(s, "kdiag", s.kdiag[:-1].copy()), "kdiag is not"),
+])
+def test_bind_rejects_corrupted_indices(world, rng, target, corrupt, why):
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 1.0)
+    newton = system(ds)
+    newton.solve_potential(phi, nw, vol)
+    corrupt(newton)                 # a new array object: the next call binds
+    with pytest.raises(ValueError, match=f"cannot bind.*{why}"):
+        newton.solve_potential(phi, nw, vol)
+
+
+@needs_cc
+def test_binding_happens_once(world, rng, monkeypatch):
+    checks = []
+    real = newton_mod._csr_problem
+    monkeypatch.setattr(newton_mod, "_csr_problem",
+                        lambda *a: checks.append(1) or real(*a))
+    _, ds, nvol = world
+    phi, nw, vol = start(ds, nvol, rng, 1.0)
+    newton = system(ds)
+    for _ in range(5):
+        newton.solve_potential(phi, nw, vol)
+    assert len(checks) == 2 and newton.fallback is None     # K and a
+    newton.k = newton.k.astype(np.float32)
+    newton.solve_potential(phi, nw, vol)
+    assert newton.fallback == \
+        "matrix values are not a contiguous float64 array"
+
+
+def test_numpy_target_reports_why(world, rng, monkeypatch):
+    monkeypatch.setattr(native, "CC", None)
+    _, ds, nvol = world
+    newton = system(ds)
+    newton.solve_potential(*start(ds, nvol, rng, 1.0))
+    assert newton.fallback

@@ -87,6 +87,52 @@ def test_resource_caps():
     assert any("cap" in e for e in errs.values())
 
 
+# -- FemPIC jobs whose field solve would never run ----------------------------
+
+
+def fempic_with(**params):
+    """A FemPIC payload as the server parses it: ``json.loads`` turns
+    ``NaN`` / ``Infinity`` into floats."""
+    import json
+    payload = json.dumps({**FEMPIC, "params": {**FEMPIC["params"],
+                                               **params}})
+    return json.loads(payload)
+
+
+def test_negative_newton_iters_rejected():
+    errs = errors_of(fempic_with(newton_iters=-3))
+    assert "newton_iters must be in [1, 100]" in errs["params"]
+
+
+def test_nan_ksp_rtol_rejected():
+    errs = errors_of(fempic_with(ksp_rtol=float("nan")))
+    assert errs["params.ksp_rtol"] == "expected number, got nan"
+
+
+def test_huge_newton_iters_rejected():
+    errs = errors_of(fempic_with(newton_iters=1_000_000_000))
+    assert "newton_iters must be in [1, 100]" in errs["params"]
+
+
+def test_zero_electron_temperature_rejected():
+    errs = errors_of(fempic_with(kTe=0))
+    assert "kTe must be finite and positive" in errs["params"]
+
+
+def test_zero_permittivity_rejected():
+    errs = errors_of(fempic_with(eps0=0.0))
+    assert "eps0 must be finite and positive" in errs["params"]
+
+
+def test_non_finite_floats_rejected_for_every_app():
+    errs = errors_of({"app": "advec",
+                      "params": {"dt": float("inf"), "n_steps": 2}})
+    assert errs["params.dt"] == "expected number, got inf"
+    errs = errors_of(fempic_with(ksp_rtol=float("-inf"), kTe=float("nan")))
+    assert set(errs) == {"params.ksp_rtol", "params.kTe"}
+    ok(fempic_with(newton_iters=100, ksp_rtol=0.5, kTe=0.1, eps0=2))
+
+
 def test_checkpoint_interval_rejected_for_non_checkpointable_app():
     errs = errors_of({"app": "landau", "params": {"nz": 24},
                       "checkpoint_every": 5})
