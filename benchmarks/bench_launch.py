@@ -12,7 +12,9 @@ Two last rows time the field solve of the ``fempic_dispatch`` rung
 (``FemPicConfig().scaled(seed=1)``, 108 free nodes) after three steps,
 as the C call and on the NumPy target: a warm ``KSPSolver.solve`` of its
 last Newton iteration's linear system, and a warm
-``FemPicSimulation.field_solve`` (both Newton iterations).  A "hole
+``FemPicSimulation.field_solve`` (both Newton iterations).  A "warm
+FemPIC build" line times a smoke ``FemPicSimulation`` build plus its
+first field solve with the object cache off and on.  A "hole
 fill" line times ``ParticleSet.remove_particles`` of 2 430 sorted rows
 from a 100 000-ion set with FemPIC's particle dats, on fresh (cache-cold)
 arrays, median of 30.
@@ -26,7 +28,11 @@ called 0 times; over 100 warm solves and 100 warm field solves
 ``native.compiler``, ``native._library`` and the CSR (and Newton index)
 validation are called 0 times, and the field solve launches no
 ``par_loop``; over 100 removals of sorted indices ``np.unique`` and
-``np.setdiff1d`` are called 0 times.
+``np.setdiff1d`` are called 0 times; over 100 warm FemPIC builds and
+first field solves with the object cache on, as a service worker runs
+them, ``DirichletSystem.__init__``, ``NewtonPattern.__init__``, the
+Newton index and CSR validation and ``native._library`` are called 0
+times.
 
     PYTHONPATH=src python benchmarks/bench_launch.py
 """
@@ -43,6 +49,7 @@ except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
 N = 8                   # elements / particles per set
 WARM = 100              # launches the zero-call gate counts over
 REPEATS, LAUNCHES = 7, 200
+BUILDS = 20             # FemPIC builds per timed repeat
 # hole fill: a FemPIC-sized removal (≈ 2.4 % of the ions in one step)
 HOLE_N, HOLE_K, HOLE_CELLS, HOLE_REPEATS = 100_000, 2_430, 1152, 30
 
@@ -229,8 +236,9 @@ def dispatch_rung():
     return sim, last[-1]
 
 
-def measure_warm(call, targets, pin_numpy: bool):
-    """``(µs per warm call(), {function: calls in WARM warm calls})``."""
+def measure_warm(call, targets, pin_numpy: bool, launches=LAUNCHES):
+    """``(µs per warm call(), {function: calls in WARM warm calls})``,
+    the best of ``REPEATS`` means over ``launches`` calls."""
     from repro.translator import native
     saved = native.CC
     if pin_numpy:
@@ -244,12 +252,43 @@ def measure_warm(call, targets, pin_numpy: bool):
         samples = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            for _ in range(LAUNCHES):
+            for _ in range(launches):
                 call()
-            samples.append((time.perf_counter() - t0) / LAUNCHES)
+            samples.append((time.perf_counter() - t0) / launches)
         return 1e6 * min(samples), counts.calls
     finally:
         native.CC = saved
+
+
+def build_targets():
+    """What a warm worker's FemPIC build and first field solve must not
+    run again: the Dirichlet reduction, the Newton pattern derivation,
+    their checks and the build cache."""
+    from repro.fem import DirichletSystem, NewtonPattern, newton
+    from repro.translator import native
+    return [(DirichletSystem, "__init__"), (NewtonPattern, "__init__"),
+            (newton, "_index_problem"), (newton, "_csr_problem"),
+            (native, "_library")]
+
+
+def measure_build(cached: bool):
+    """``(µs per smoke FemPIC build plus first field solve, {function:
+    calls in WARM of them})`` with the object cache on (as a warm service
+    worker has it) or off (a fresh build every time)."""
+    from repro.apps.fempic.config import FemPicConfig
+    from repro.apps.fempic.simulation import FemPicSimulation
+    from repro.runtime import objcache
+
+    def build_and_solve():
+        FemPicSimulation(FemPicConfig.smoke()).field_solve()
+
+    if cached:
+        objcache.enable()
+    try:
+        return measure_warm(build_and_solve, build_targets(), False,
+                            launches=BUILDS)
+    finally:
+        objcache.disable()
 
 
 def hole_fill_world(seed: int):
@@ -305,6 +344,8 @@ def main() -> int:
     with push_context(sim.ctx):
         fields = {leg: measure_warm(sim.field_solve, field_targets(), pin)
                   for leg, _backend, pin in legs if leg != "seq"}
+    builds = {leg: measure_build(cached)
+              for leg, cached in (("cache off", False), ("cache on", True))}
     hole_us, hole_calls = measure_hole_fill()
 
     labels = list(next(iter(results.values()))[0])
@@ -320,6 +361,10 @@ def main() -> int:
         f"{fields[leg][0]:>12.1f}" for leg in results if leg != "seq"))
     if "vec native" not in results:
         lines.append("(no C compiler: the native column is absent)")
+    lines.append("warm FemPIC build: " + ", ".join(
+        f"{cost:.0f} us with the object cache {leg.split()[-1]}"
+        for leg, (cost, _calls) in builds.items())
+        + " (smoke config, build plus first field solve)")
     lines.append(f"hole fill: {hole_us:.0f} us per remove_particles of "
                  f"{HOLE_K} of {HOLE_N} ions (FemPIC's dats, fresh arrays, "
                  f"median of {HOLE_REPEATS})")
@@ -348,6 +393,14 @@ def main() -> int:
             failed += [f"{leg} {what}: {name} called {n} times"
                        for name, n in calls.items() if n]
         lines.append("")
+    lines.append(f"field-solver set-up calls in {WARM} warm FemPIC builds "
+                 "and first field solves, object cache on (gate: all 0)")
+    calls = builds["cache on"][1]
+    lines.append("cache on    " + "  ".join(f"{name}={n}" for name, n
+                                            in calls.items()))
+    failed += [f"warm FemPIC build: {name} called {n} times"
+               for name, n in calls.items() if n]
+    lines.append("")
     lines.append(f"calls in {WARM} sorted removals (gate: all 0)")
     lines.append("hole fill   " + "  ".join(f"{name}={n}" for name, n
                                             in hole_calls.items()))

@@ -21,7 +21,9 @@ properties the ISSUE gates on:
   streamed checkpoint and finish with a history bit-equal to the
   uninterrupted run.  Bool gates: recovered, bit-equal.
 * **warm reuse determinism** — resubmitting the same job to the warm
-  pool reproduces the first history bit-for-bit.
+  pool reproduces the first history bit-for-bit, and a FemPIC job run
+  warm on every worker (its field solver from the object cache)
+  reproduces its in-process cold run.
 """
 from __future__ import annotations
 
@@ -37,6 +39,12 @@ LONG_FEMPIC = {"app": "fempic",
                           "plasma_den": 2000.0, "n0": 2000.0,
                           "n_steps": 40},
                "priority": 4, "tenant": "long"}
+#: resubmitted once per worker and once more, so at least one worker
+#: runs it warm: its field solver then comes from the object cache
+REUSE_FEMPIC = {"app": "fempic",
+                "params": {"nx": 2, "ny": 2, "nz": 6,
+                           "plasma_den": 2000.0, "n0": 2000.0,
+                           "n_steps": 4}}
 RECOVERY_FEMPIC = {"app": "fempic",
                    "params": {"nx": 2, "ny": 2, "nz": 6,
                               "plasma_den": 2000.0, "n0": 2000.0,
@@ -52,6 +60,19 @@ def _p99(latencies: list) -> float:
 
 def _latency(result: dict) -> float:
     return float(result["latency_seconds"])
+
+
+def _cold_history(payload: dict) -> dict:
+    """``payload`` built and run in this process, object cache off, in
+    the service's wire format."""
+    import json
+
+    from repro.service import jobs
+    from repro.service.server import _json_default
+    spec = jobs.validate_job(dict(payload))
+    sim, history = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, history, 0, spec.n_steps)
+    return json.loads(json.dumps(history, default=_json_default))
 
 
 def _cold_latencies(n_jobs: int) -> list:
@@ -77,6 +98,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
     from repro.service import Client, start_server_thread
 
     cold = _cold_latencies(cold_jobs)
+    fempic_oracle = _cold_history(REUSE_FEMPIC)
 
     with start_server_thread(port=0, n_workers=pool_ranks) as handle:
         with Client(handle.host, handle.port) as client:
@@ -90,9 +112,15 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
             again = client.result(
                 client.submit(dict(TINY, tenant="warmup")),
                 timeout=300)
+            fempic = [client.result(client.submit(dict(REUSE_FEMPIC)),
+                                    timeout=300)
+                      for _ in range(pool_ranks + 1)]
             warm_reuse_bit_equal = bool(
                 again["result"]["history"]
-                == first_warm[0]["result"]["history"])
+                == first_warm[0]["result"]["history"]
+                and all(r["state"] == "done"
+                        and r["result"]["history"] == fempic_oracle
+                        for r in fempic))
 
             # warm latency: sequential, so each sample is pure
             # service+step time with zero queueing

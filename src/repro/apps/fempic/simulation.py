@@ -26,8 +26,8 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             decl_particle_set, decl_set, par_loop,
                             push_context)
 from repro.core.move import MoveDeposit
-from repro.fem import DirichletSystem, NewtonSystem, build_stiffness, \
-    lumped_node_volumes
+from repro.fem import DirichletSystem, NewtonPattern, NewtonSystem, \
+    build_stiffness, lumped_node_volumes
 from repro.mesh import StructuredOverlay, duct_mesh
 from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
@@ -244,7 +244,10 @@ class FemPicSimulation(RankedApp):
                 self.cfg.dt, rng=self._collision_rngs[rk.r])
 
     def _setup_field_solver(self) -> None:
-        """Rank 0 holds the Newton system over the whole node vector."""
+        """Rank 0 holds the Newton system over the whole node vector.
+        The Dirichlet reduction and the Newton pattern are pure functions
+        of the mesh and the boundary potentials, so a warm worker builds
+        them once; the system holds this run's values and constants."""
         cfg, mesh = self.cfg, self.mesh
         self.K = self.dirichlet = self.newton = None
         s = self.solver = self.solver_nodes(mesh.n_nodes, phi=None, nw=None,
@@ -253,21 +256,32 @@ class FemPicSimulation(RankedApp):
             self.K = get_or_build(
                 ("fempic_stiffness",) + self._mesh_key,
                 lambda: build_stiffness(mesh.points, mesh.cell2node))
-            dn = np.concatenate([mesh.tags["inlet_nodes"],
-                                 mesh.tags["wall_nodes"]])
-            dv = np.concatenate([
-                np.full(len(mesh.tags["inlet_nodes"]), cfg.inlet_potential),
-                np.full(len(mesh.tags["wall_nodes"]), cfg.wall_potential)])
-            order = np.argsort(dn)
-            self.dirichlet = DirichletSystem(self.K, dn[order], dv[order])
+            # hex: a -0.0 potential must not find a 0.0 reduction
+            key = self._mesh_key + (float(cfg.inlet_potential).hex(),
+                                    float(cfg.wall_potential).hex())
+            self.dirichlet = get_or_build(("fempic_dirichlet",) + key,
+                                          self._dirichlet_system)
+            pattern = get_or_build(("fempic_newton",) + key,
+                                   lambda: NewtonPattern(self.dirichlet))
             self.newton = NewtonSystem(
-                self.dirichlet, spwt=cfg.spwt, ion_charge=cfg.ion_charge,
+                pattern, spwt=cfg.spwt, ion_charge=cfg.ion_charge,
                 n0=cfg.n0, phi0=cfg.phi0, kTe=cfg.kTe, eps0=cfg.eps0,
                 newton_iters=cfg.newton_iters, rtol=cfg.ksp_rtol)
             s.phi.data[:, 0] = 0.0
             s.phi.data[self.dirichlet.dirichlet_nodes, 0] = \
                 self.dirichlet.dirichlet_values
         self.scatter_nodes(s.phi if s else None, "phi")
+
+    def _dirichlet_system(self) -> DirichletSystem:
+        """``K`` reduced to the free nodes: the inlet and wall nodes are
+        held at their potentials."""
+        cfg, tags = self.cfg, self.mesh.tags
+        dn = np.concatenate([tags["inlet_nodes"], tags["wall_nodes"]])
+        dv = np.concatenate([
+            np.full(len(tags["inlet_nodes"]), cfg.inlet_potential),
+            np.full(len(tags["wall_nodes"]), cfg.wall_potential)])
+        order = np.argsort(dn)
+        return DirichletSystem(self.K, dn[order], dv[order])
 
     def seed_uniform_plasma(self, ppc: int) -> int:
         """Pre-fill the duct with ``ppc`` ions per cell (uniform within

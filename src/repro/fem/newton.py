@@ -8,7 +8,11 @@ dx = -F`` with Jacobi-preconditioned CG and adds ``dx`` to φ.  ``K`` never
 changes and ``j`` only touches the diagonal, so the non-zero pattern is
 fixed for the whole simulation: the system is assembled once and each
 iteration rewrites the stored diagonal entries in place — PETSc's
-same-nonzero-pattern operator update.
+same-nonzero-pattern operator update.  What does not depend on the
+physics — that pattern, ``K``, the index arrays the C function reads and
+their checks — is a :class:`NewtonPattern`, which any number of
+:class:`NewtonSystem` share read-only (a warm service worker keeps one
+per mesh); each system owns the values it writes.
 
 Like the PETSc step it stands in for, :meth:`NewtonSystem.solve_potential`
 is one opaque call: every iteration runs inside one C function of
@@ -34,7 +38,7 @@ from .assembly import DirichletSystem
 from .solver import (REJECTED, _SOURCE, KSPResult, KSPSolver, _csr_problem,
                      inverse_diagonal)
 
-__all__ = ["NewtonSystem", "NewtonResult"]
+__all__ = ["NewtonSystem", "NewtonPattern", "NewtonResult"]
 
 _ARGTYPES = ([c_int64] + [c_void_p] * 12 + [c_int64, c_int64]
              + [c_void_p] * 5)
@@ -86,32 +90,45 @@ def _index_problem(free: np.ndarray, diag_pos: np.ndarray,
     return None
 
 
-class NewtonSystem:
-    """The Boltzmann-electron Newton solve on ``dirichlet``'s free nodes.
+def _shared_addresses(free, k, indices, diag_pos, kdiag) -> tuple:
+    """Where the C function reads what systems may share: the free
+    nodes, ``K``'s row pointers, columns and values, the Newton matrix's
+    row pointers and columns, the diagonal positions and the stiffness
+    diagonal."""
+    kptr, kcol, ptr, col = indices
+    return tuple(map(native.address, (free, kptr, kcol, k.data, ptr, col,
+                                      diag_pos, kdiag)))
 
-    Parameters
-    ----------
-    dirichlet:
-        The stiffness matrix ``K`` (:attr:`DirichletSystem.k_full`) with
-        its Dirichlet nodes; only read.
-    spwt, ion_charge, n0, phi0, kTe, eps0:
-        Macro-particle weight, ion charge, reference electron density and
-        potential, electron temperature and permittivity.
-    newton_iters:
-        Newton iterations per :meth:`solve_potential`.
-    rtol:
-        Relative tolerance of each CG solve.
 
-    The matrix's pattern is that of ``k_ff`` (:attr:`DirichletSystem.k_ff`)
-    less its explicitly stored off-diagonal zeros — P1 stiffness on a
-    structured duct holds many, and a sparse ``K + diag`` sum drops them
-    too.  The system owns its arrays, so any number of systems built from
-    one matrix never write each other's diagonal.
+def _newton_function():
+    """The typed C ``newton_solve`` → ``(function, None)``, or ``(None,
+    why not)``."""
+    lib, why = native.library("ksp_pcg", _SOURCE)
+    if lib is None:
+        return None, why
+    fn = lib.newton_solve
+    fn.restype = c_int64
+    fn.argtypes = _ARGTYPES
+    return fn, None
+
+
+class NewtonPattern:
+    """What every Newton system on one :class:`DirichletSystem` shares:
+    built once, then only read.
+
+    It holds the Newton matrix's pattern — the pattern of ``k_ff``
+    (:attr:`DirichletSystem.k_ff`) less its explicitly stored
+    off-diagonal zeros (P1 stiffness on a structured duct holds many,
+    and a sparse ``K + diag`` sum drops them too) — with ``k_ff``'s
+    values on it, the position of each row's diagonal entry and the
+    stiffness diagonal; the float64 ``K`` and the int64 index copies the
+    C function reads; the bind checks of all of them; and the loaded C
+    function when a compiler was found.  The arrays it owns are
+    read-only.  A warm service worker keeps one per mesh
+    (:mod:`repro.runtime.objcache`).
     """
 
-    def __init__(self, dirichlet: DirichletSystem, *, spwt: float,
-                 ion_charge: float, n0: float, phi0: float, kTe: float,
-                 eps0: float, newton_iters: int = 2, rtol: float = 1e-10):
+    def __init__(self, dirichlet: DirichletSystem):
         k_ff = dirichlet.k_ff
         n = k_ff.shape[0]
         row_ids = np.arange(n)
@@ -127,15 +144,75 @@ class NewtonSystem:
                                shape=k_ff.shape)
         self.diag_pos = np.flatnonzero(on_diag[keep])
         self.kdiag = self.a.data[self.diag_pos]
-        self.ksp = KSPSolver(self.a, pc="jacobi", rtol=rtol)
         self.k = sp.csr_matrix(dirichlet.k_full, dtype=np.float64)
         self.n = self.k.shape[0]
         self.free = dirichlet.free
+        #: why the indices would send the C function out of bounds, and
+        #: why it may not read the matrices — None when they are sound
+        self.index_problem = _index_problem(self.free, self.diag_pos,
+                                            self.kdiag, self.a.indptr,
+                                            self.n)
+        self.declined = _csr_problem(self.k, None) \
+            or _csr_problem(self.a, None)
+        #: the C function reads these copies, at :attr:`addresses`
+        self.indices = self.addresses = ()
+        if not self.declined:
+            self.indices = tuple(np.array(x, dtype=np.int64) for x in (
+                self.k.indptr, self.k.indices, self.a.indptr,
+                self.a.indices))
+            self.addresses = _shared_addresses(
+                self.free, self.k, self.indices, self.diag_pos, self.kdiag)
+        for arr in (self.a.data, self.diag_pos, self.kdiag) + self.indices:
+            arr.flags.writeable = False
+        #: ``(C function, None)`` or ``(None, why not)``; None when built
+        #: on the NumPy target (native.CC pinned to None)
+        self.loaded = None if native.CC is None else _newton_function()
+
+
+class NewtonSystem:
+    """The Boltzmann-electron Newton solve on ``dirichlet``'s free nodes.
+
+    Parameters
+    ----------
+    dirichlet:
+        The stiffness matrix ``K`` (:attr:`DirichletSystem.k_full`) with
+        its Dirichlet nodes, or a :class:`NewtonPattern` built from them;
+        only read.
+    spwt, ion_charge, n0, phi0, kTe, eps0:
+        Macro-particle weight, ion charge, reference electron density and
+        potential, electron temperature and permittivity.
+    newton_iters:
+        Newton iterations per :meth:`solve_potential`.
+    rtol:
+        Relative tolerance of each CG solve.
+
+    The matrix's pattern, ``K``, the index arrays and their checks are
+    the :class:`NewtonPattern`'s, shared by every system built from it.
+    The system owns what it writes: the matrix values whose diagonal
+    every iteration rewrites, the inverse diagonal, the CG work and the
+    constants.  So systems from one pattern, with any physics, never
+    write each other's values.
+    """
+
+    def __init__(self, dirichlet: DirichletSystem | NewtonPattern, *,
+                 spwt: float, ion_charge: float, n0: float, phi0: float,
+                 kTe: float, eps0: float, newton_iters: int = 2,
+                 rtol: float = 1e-10):
+        p = self.pattern = dirichlet if isinstance(dirichlet, NewtonPattern) \
+            else NewtonPattern(dirichlet)
+        self.a = sp.csr_matrix(p.a)         # the pattern's index arrays
+        self.a.data = p.a.data.copy()
+        self.diag_pos, self.kdiag = p.diag_pos, p.kdiag
+        self.ksp = KSPSolver(self.a, pc="jacobi", rtol=rtol)
+        self.k, self.n, self.free = p.k, p.n, p.free
         self.newton_iters = int(newton_iters)
         #: spwt, ion_charge, n0, phi0, kTe, 1/eps0 and the CG's rtol and
         #: atol, as the C function reads them
         self.constants = np.array([spwt, ion_charge, n0, phi0, kTe,
                                    1.0 / eps0, self.ksp.rtol, self.ksp.atol])
+        #: the arrays as built: while they are the ones in use, the
+        #: pattern's checks and index copies hold
+        self._built = self._arrays()[1:]
         self._fn = None         # the loaded C function
         self._held = ()         # what the binding was derived from
         self._args = None       # the call's bound leading arguments
@@ -158,43 +235,45 @@ class NewtonSystem:
     def _bind(self) -> None:
         """Check the free nodes, diagonal positions and stiffness
         diagonal (ValueError), then load the C function and bind it to
-        the current arrays, or record in ``_declined`` why not.  The held
-        arrays stay referenced while the C function may read them."""
-        held = self._arrays()
-        why = _index_problem(self.free, self.diag_pos, self.kdiag,
-                             self.a.indptr, self.n)
+        the current arrays, or record in ``_declined`` why not.  The
+        arrays as built take the pattern's checks; any other is checked
+        here.  The held arrays stay referenced while the C function may
+        read them."""
+        held, p = self._arrays(), self.pattern
+        built = all(x is y for x, y in zip(held[1:], self._built))
+        why = p.index_problem if built else _index_problem(
+            self.free, self.diag_pos, self.kdiag, self.a.indptr, self.n)
         if why is not None:
             raise ValueError(f"cannot bind the Newton system: {why}")
         self._held, self._args = held, None
         if native.CC is None:
             return
         if self._fn is None:
-            lib, self._declined = native.library("ksp_pcg", _SOURCE)
-            if lib is None:
+            self._fn, self._declined = p.loaded or _newton_function()
+            if self._fn is None:
                 return
-            self._fn = lib.newton_solve
-            self._fn.restype = c_int64
-            self._fn.argtypes = _ARGTYPES
         k, a, inv = self.k, self.a, self.ksp.inv_diag
-        self._declined = _csr_problem(k, None) or _csr_problem(a, inv)
+        if built:
+            self._declined, shared = p.declined, p.addresses
+        else:
+            self._declined = _csr_problem(k, None) or _csr_problem(a, inv)
+            if self._declined is None:
+                # held while the C function reads them
+                self._indices = tuple(
+                    np.array(x, dtype=np.int64)
+                    for x in (k.indptr, k.indices, a.indptr, a.indices))
+                shared = _shared_addresses(self.free, k, self._indices,
+                                           self.diag_pos, self.kdiag)
         if self._declined is None:
             m = self.free.size
-            # the C function reads these copies, checked once
-            self._kptr = np.array(k.indptr, dtype=np.int64)
-            self._kcol = np.array(k.indices, dtype=np.int64)
-            self._ptr = np.array(a.indptr, dtype=np.int64)
-            self._col = np.array(a.indices, dtype=np.int64)
             self._work = np.empty(7 * m)
             self._its = np.zeros(self.newton_iters, dtype=np.int64)
             self._res = np.zeros(self.newton_iters)
             addr = native.address
             self._args = (
-                m, addr(self.free), addr(self._kptr), addr(self._kcol),
-                addr(k.data), addr(self._ptr), addr(self._col),
-                addr(a.data), addr(self.diag_pos), addr(self.kdiag),
-                addr(inv), addr(self._work), addr(self.constants),
-                self.ksp.max_it, self.newton_iters, addr(self._its),
-                addr(self._res))
+                m, *shared[:6], addr(a.data), *shared[6:], addr(inv),
+                addr(self._work), addr(self.constants), self.ksp.max_it,
+                self.newton_iters, addr(self._its), addr(self._res))
 
     def solve_potential(self, phi: np.ndarray, nw: np.ndarray,
                         nvol: np.ndarray) -> NewtonResult:

@@ -2,10 +2,18 @@
 
 Warm service workers (:mod:`repro.service.pool`) run many simulation
 jobs in one long-lived process; most of a tiny job's latency is spent
-rebuilding objects that are pure functions of the configuration — duct
-and brick meshes, FEM stiffness matrices, lumped volume vectors.  This
+rebuilding objects that are pure functions of the configuration.  This
 module memoises those products process-wide so the second job with the
-same geometry skips the rebuild entirely.
+same geometry skips the rebuild entirely.  The products kept:
+
+* duct, brick and triangle meshes, and the partitions and per-rank
+  tables derived from them;
+* FEM stiffness matrices, lumped volume vectors, inlet areas;
+* FemPIC's field solver set-up, keyed on the mesh and the boundary
+  potentials: the :class:`~repro.fem.DirichletSystem` and the
+  :class:`~repro.fem.NewtonPattern` derived from it (the Newton matrix
+  pattern, the float64 ``K``, the int64 index copies the C solve reads,
+  their checks and the loaded C function).
 
 Disabled by default: one-shot runs (CLI, tests, benchmarks) keep their
 exact allocation behaviour unless a worker opts in with :func:`enable`.
@@ -14,8 +22,10 @@ When disabled, :func:`get_or_build` is a transparent pass-through.
 Correctness contract: cached values are returned **by reference**, so
 they must be treated as immutable — every consumer copies data out
 (``decl_dat`` copies its initialiser; ``NewtonSystem`` copies the
-matrix values whose diagonal it rewrites).  Warm-vs-cold bit-equality of job histories is enforced by
-``tests/service/test_determinism.py``.
+matrix values whose diagonal it rewrites and owns its CG work and
+constants).  Warm-vs-cold bit-equality of job histories is enforced by
+``tests/service/test_determinism.py`` and
+``tests/service/test_warm_field_solver.py``.
 """
 from __future__ import annotations
 

@@ -61,7 +61,9 @@ CACHE = False
 
 _no_cc = "no C compiler (native.CC is pinned to None)"
 _no_cache = ""
-_LIBS: dict = {}        # object key -> loaded ctypes.CDLL
+#: object key -> loaded ctypes.CDLL; :func:`library` also files it under
+#: ``(name, source, compiler version)``
+_LIBS: dict = {}
 _emitter_hash = ""
 
 
@@ -214,13 +216,19 @@ def library(name: str, source: str
             ) -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """A fixed C ``source`` built and loaded as a generated loop is (same
     cache, flags and seal check) → ``(library, None)``, or ``(None,
-    reason)`` when there is no compiler or the build is declined."""
+    reason)`` when there is no compiler or the build is declined.  A
+    loaded library is found again by its name and source alone."""
     if not CC and compiler() is None:
         return None, _no_cc
-    try:
-        return _library(name, ("source", source), lambda: source), None
-    except _Declined as exc:
-        return None, str(exc)
+    memo = (name, source, CC[1])        # no re-hash of the source
+    lib = _LIBS.get(memo)
+    if lib is None:
+        try:
+            lib = _LIBS[memo] = _library(name, ("source", source),
+                                         lambda: source)
+        except _Declined as exc:
+            return None, str(exc)
+    return lib, None
 
 
 class _Launcher:

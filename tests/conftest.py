@@ -65,6 +65,18 @@ def numpy_target(monkeypatch):
     monkeypatch.setattr(native, "CC", None)
 
 
+@pytest.fixture(params=["native", "numpy"])
+def target(request, monkeypatch):
+    """Run the test once on the C target and once with ``native.CC``
+    pinned to None (the NumPy target)."""
+    from repro.translator import native
+    if request.param == "native" and native.compiler() is None:
+        pytest.skip("no C compiler")
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "CC", None)
+    return request.param
+
+
 def pytest_addoption(parser):
     parser.addoption("--slow", action="store_true", default=False,
                      help="run slow tests")

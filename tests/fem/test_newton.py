@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.fem import DirichletSystem, KSPSolver, NewtonSystem, \
-    build_stiffness
+from repro.fem import DirichletSystem, KSPSolver, NewtonPattern, \
+    NewtonSystem, build_stiffness
 from repro.fem import newton as newton_mod
 from repro.mesh import duct_mesh
 from repro.translator import native
@@ -205,15 +205,6 @@ def test_potential_matches_the_per_iteration_form(world, rng):
     assert phi[:, 0].tobytes() == want.tobytes()
 
 
-@pytest.fixture(params=["native", "numpy"])
-def target(request, monkeypatch):
-    if request.param == "native" and not NATIVE:
-        pytest.skip("no C compiler")
-    if request.param == "numpy":
-        monkeypatch.setattr(native, "CC", None)
-    return request.param
-
-
 def test_nan_charge_rejected_on_both_targets(world, rng, target):
     _, ds, nvol = world
     phi, nw, vol = start(ds, nvol, rng, 1.0)
@@ -288,3 +279,98 @@ def test_numpy_target_reports_why(world, rng, monkeypatch):
     newton = system(ds)
     newton.solve_potential(*start(ds, nvol, rng, 1.0))
     assert newton.fallback
+
+
+# -- systems sharing one pattern ---------------------------------------------------
+
+
+def pattern_bytes(pattern):
+    return [arr.tobytes() for arr in (
+        pattern.a.data, pattern.a.indices, pattern.a.indptr, pattern.k.data,
+        pattern.diag_pos, pattern.kdiag, pattern.free) + pattern.indices]
+
+
+def test_pattern_arrays_are_shared_and_read_only(world):
+    _, ds, _ = world
+    pattern = NewtonPattern(ds)
+    one, two = system(pattern), system(pattern, kTe=2.0)
+    for arr in (pattern.a.data, pattern.diag_pos, pattern.kdiag) \
+            + pattern.indices:
+        assert not arr.flags.writeable
+    assert np.shares_memory(one.a.indices, two.a.indices)
+    assert np.shares_memory(one.a.indptr, pattern.a.indptr)
+    assert one.k is two.k is pattern.k
+    assert not np.shares_memory(one.a.data, two.a.data)
+    assert not np.shares_memory(one.ksp.inv_diag, two.ksp.inv_diag)
+    for mine in (one, two):
+        assert not np.shares_memory(mine.a.data, pattern.a.data)
+
+
+PHYSICS = [dict(kTe=0.9, spwt=20.0, newton_iters=2, rtol=1e-8),
+           dict(kTe=2.5, spwt=7.0, newton_iters=3, rtol=1e-6)]
+
+
+def test_systems_on_one_pattern_match_their_own_cold_builds(world, rng,
+                                                            target):
+    """Two physics on one pattern, solved alternately, are each bit-equal
+    to a system that derived its own pattern."""
+    _, ds, nvol = world
+    pattern = NewtonPattern(ds)
+    before = pattern_bytes(pattern)
+    shared = [system(pattern, **p) for p in PHYSICS]
+    cold = [system(ds, **p) for p in PHYSICS]
+    phi, _, vol = start(ds, nvol, rng, 1.0)
+    phis = [[phi.copy(), phi.copy()] for _ in PHYSICS]
+    for _ in range(4):
+        nw = 40.0 * rng.random((ds.n, 1))
+        for one, oracle, (p_one, p_oracle) in zip(shared, cold, phis):
+            got = one.solve_potential(p_one, nw, vol)
+            want = oracle.solve_potential(p_oracle, nw, vol)
+            assert_solves_bit_equal((p_one, got), (p_oracle, want))
+            assert len(got.iterations) == one.newton_iters
+    assert pattern_bytes(pattern) == before
+
+
+@pytest.mark.parametrize("spoil", ["nan_charge", "exp_overflow"])
+def test_a_failed_solve_leaves_nothing_for_the_next_system(world, rng,
+                                                           target, spoil):
+    """A system that solved once (its diagonal written) and then failed
+    leaves the pattern as built: the next system on it is bit-equal to a
+    cold one."""
+    _, ds, nvol = world
+    pattern = NewtonPattern(ds)
+    before = pattern_bytes(pattern)
+    phi, nw, vol = start(ds, nvol, rng, 30.0)
+    failing = system(pattern, rtol=1e-8, kTe=0.5)
+    failing.solve_potential(phi.copy(), nw, vol)
+    bad_phi, bad_nw = phi.copy(), nw.copy()
+    if spoil == "nan_charge":
+        bad_nw[ds.free[4], 0] = np.nan
+    else:
+        bad_phi[ds.free[2], 0] = 800.0
+    with pytest.raises(ValueError, match="non-finite"):
+        failing.solve_potential(bad_phi, bad_nw, vol)
+    assert pattern_bytes(pattern) == before
+    got_phi, want_phi = phi.copy(), phi.copy()
+    got = system(pattern, rtol=1e-8).solve_potential(got_phi, nw, vol)
+    want = system(ds, rtol=1e-8).solve_potential(want_phi, nw, vol)
+    assert_solves_bit_equal((got_phi, got), (want_phi, want))
+
+
+@needs_cc
+def test_a_system_on_a_pattern_binds_without_checks(world, rng,
+                                                    monkeypatch):
+    """The pattern checked its arrays once; a system built on it checks
+    nothing and loads nothing on its first solve."""
+    _, ds, nvol = world
+    pattern = NewtonPattern(ds)
+    calls = []
+    for owner, name in ((newton_mod, "_csr_problem"),
+                        (newton_mod, "_index_problem"),
+                        (native, "_library")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    newton = system(pattern)
+    newton.solve_potential(*start(ds, nvol, rng, 1.0))
+    assert calls == [] and newton.fallback is None

@@ -26,16 +26,6 @@ def spd_matrix(n, rng, density=0.2):
     return a.tocsr()
 
 
-@pytest.fixture(params=["native", "numpy"])
-def target(request, monkeypatch):
-    """Run the test once as the C call and once on the NumPy target."""
-    if request.param == "native" and not NATIVE:
-        pytest.skip("no C compiler")
-    if request.param == "numpy":
-        monkeypatch.setattr(native, "CC", None)
-    return request.param
-
-
 @pytest.mark.parametrize("pc", ["jacobi", "none"])
 def test_cg_solves_spd_system(pc, rng):
     a = spd_matrix(60, rng)
