@@ -23,7 +23,7 @@ from .common import write_result
 NRANKS = 4
 
 
-def deposit_kernel(cv, n0, n1, n2, n3):
+def node_charge_kernel(cv, n0, n1, n2, n3):
     n0[0] += 0.25 * cv[0]
     n1[0] += 0.25 * cv[0]
     n2[0] += 0.25 * cv[0]
@@ -61,7 +61,7 @@ def run_exec_halo():
         cells.exec_halo_size = rm.n_halo_cells
         redundant += rm.n_halo_cells
         with push_context(ctx):
-            par_loop(deposit_kernel, "deposit", cells, OPP_ITERATE_ALL,
+            par_loop(node_charge_kernel, "deposit", cells, OPP_ITERATE_ALL,
                      arg_dat(cv, OPP_READ),
                      arg_dat(nd, 0, c2n, OPP_INC),
                      arg_dat(nd, 1, c2n, OPP_INC),
@@ -76,7 +76,7 @@ def run_reduce():
     comm = SimComm(NRANKS)
     for ctx, cells, nodes, c2n, cv, nd, rm in ranks:
         with push_context(ctx):
-            par_loop(deposit_kernel, "deposit", cells, OPP_ITERATE_ALL,
+            par_loop(node_charge_kernel, "deposit", cells, OPP_ITERATE_ALL,
                      arg_dat(cv, OPP_READ),
                      arg_dat(nd, 0, c2n, OPP_INC),
                      arg_dat(nd, 1, c2n, OPP_INC),

@@ -33,16 +33,12 @@ class CabanaConfig:
 
     n_steps: int = 20
     pusher: str = "boris"       # or velocity_verlet / vay / higuera_cary
-    #: run Move_Deposit through the runtime's fused move+deposit path
-    #: (walk kernel + per-hop deposit kernel) instead of the hand-fused
-    #: single kernel
-    fuse_move: bool = False
     backend: str = "vec"
     backend_options: dict = field(default_factory=dict)
     move_tolerance: float = 0.0
     #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
     #: records the step as a loop graph and executes it optimized
-    #: (move+deposit rewrite, coalesced halo pushes)
+    #: (coalesced halo pushes)
     program: str = "off"
 
     @property

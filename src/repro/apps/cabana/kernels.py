@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.core.api import CONST
 
 __all__ = ["interpolate_kernel", "move_deposit_kernel",
-           "move_walk_kernel", "deposit_current_kernel",
            "accumulate_current_kernel", "advance_b_kernel",
            "advance_e_kernel", "energy_kernel", "zero_accumulator_kernel",
            "push_velocity_verlet_kernel", "push_vay_kernel",
@@ -149,93 +148,6 @@ def move_deposit_kernel(move, pos, disp, vel, w, pushed, ip, acc):
                 pos[2] = -s2
                 face = 5 if s2 > 0.0 else 4
         move.move_to(move.c2c[face])
-
-
-def move_walk_kernel(move, pos, disp, vel, w, pushed, ip, seg):
-    """``Move_Deposit`` restructured for the runtime-fused deposit path:
-    identical Boris push and walk, but the segment current goes into the
-    per-particle scratch ``seg`` instead of the cell accumulator — the
-    fused :func:`deposit_current_kernel` (``deposit_when="hop"``) then
-    increments the accumulator of the cell being crossed."""
-    if pushed[0] < 0.5:
-        pushed[0] = 1.0
-        dxp = pos[0]
-        dyp = pos[1]
-        dzp = pos[2]
-        ex = ip[0] + dyp * ip[1] + dzp * ip[2] + dyp * dzp * ip[3]
-        ey = ip[4] + dzp * ip[5] + dxp * ip[6] + dzp * dxp * ip[7]
-        ez = ip[8] + dxp * ip[9] + dyp * ip[10] + dxp * dyp * ip[11]
-        cbx = ip[12] + dxp * ip[13]
-        cby = ip[14] + dyp * ip[15]
-        cbz = ip[16] + dzp * ip[17]
-        # Boris: half electric kick
-        umx = vel[0] + CONST.qdt_2mc * ex
-        umy = vel[1] + CONST.qdt_2mc * ey
-        umz = vel[2] + CONST.qdt_2mc * ez
-        # magnetic rotation
-        tbx = CONST.qdt_2mc * cbx
-        tby = CONST.qdt_2mc * cby
-        tbz = CONST.qdt_2mc * cbz
-        tsq = tbx * tbx + tby * tby + tbz * tbz
-        sfac = 2.0 / (1.0 + tsq)
-        upx = umx + (umy * tbz - umz * tby)
-        upy = umy + (umz * tbx - umx * tbz)
-        upz = umz + (umx * tby - umy * tbx)
-        umx = umx + sfac * (upy * tbz - upz * tby)
-        umy = umy + sfac * (upz * tbx - upx * tbz)
-        umz = umz + sfac * (upx * tby - upy * tbx)
-        # half electric kick
-        vel[0] = umx + CONST.qdt_2mc * ex
-        vel[1] = umy + CONST.qdt_2mc * ey
-        vel[2] = umz + CONST.qdt_2mc * ez
-        disp[0] = vel[0] * CONST.dtx
-        disp[1] = vel[1] * CONST.dty
-        disp[2] = vel[2] * CONST.dtz
-
-    # fraction of the remaining displacement until each face is crossed
-    s0 = 1.0 if disp[0] >= 0.0 else -1.0
-    s1 = 1.0 if disp[1] >= 0.0 else -1.0
-    s2 = 1.0 if disp[2] >= 0.0 else -1.0
-    tx = (1.0 - s0 * pos[0]) / (abs(disp[0]) + 1e-300)
-    ty = (1.0 - s1 * pos[1]) / (abs(disp[1]) + 1e-300)
-    tz = (1.0 - s2 * pos[2]) / (abs(disp[2]) + 1e-300)
-    tmin = min(tx, ty, tz, 1.0)
-
-    # this segment's current, handed to the fused deposit
-    qwt = CONST.qsp * w[0] * tmin
-    seg[0] = qwt * vel[0]
-    seg[1] = qwt * vel[1]
-    seg[2] = qwt * vel[2]
-
-    pos[0] = pos[0] + disp[0] * tmin
-    pos[1] = pos[1] + disp[1] * tmin
-    pos[2] = pos[2] + disp[2] * tmin
-    disp[0] = disp[0] * (1.0 - tmin)
-    disp[1] = disp[1] * (1.0 - tmin)
-    disp[2] = disp[2] * (1.0 - tmin)
-
-    if tmin >= 1.0:
-        move.done()
-    else:
-        if tx <= ty and tx <= tz:
-            pos[0] = -s0
-            face = 1 if s0 > 0.0 else 0
-        else:
-            if ty <= tz:
-                pos[1] = -s1
-                face = 3 if s1 > 0.0 else 2
-            else:
-                pos[2] = -s2
-                face = 5 if s2 > 0.0 else 4
-        move.move_to(move.c2c[face])
-
-
-def deposit_current_kernel(seg, acc):
-    """Fused per-hop deposit: scatter the walk's segment current into the
-    accumulator of the cell the particle is crossing."""
-    acc[0] = acc[0] + seg[0]
-    acc[1] = acc[1] + seg[1]
-    acc[2] = acc[2] + seg[2]
 
 
 # -- alternative particle pushers (paper §2: "Boris integration being the

@@ -28,7 +28,6 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_READ, OPP_RW,
                             OPP_WRITE, arg_dat, arg_gbl, decl_dat,
                             decl_global, decl_map, decl_particle_set,
                             decl_set, par_loop)
-from repro.core.move import MoveDeposit
 from repro.mesh import STENCIL, HexMesh
 from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
@@ -106,9 +105,6 @@ class CabanaSimulation(RankedApp):
         rk.vel = decl_dat(rk.parts, 3, np.float64, None, "velocity")
         rk.w = decl_dat(rk.parts, 1, np.float64, None, "weight")
         rk.pushed = decl_dat(rk.parts, 1, np.float64, None, "push_flag")
-        #: per-hop segment current scratch for the fused move path
-        #: (written and consumed within one hop, so it never migrates)
-        rk.seg = decl_dat(rk.parts, 3, np.float64, None, "seg_current")
 
         rk.e_energy = decl_global(1, np.float64, name="e_energy")
         rk.b_energy = decl_global(1, np.float64, name="b_energy")
@@ -160,36 +156,20 @@ class CabanaSimulation(RankedApp):
                      arg_dat(rk.pushed, OPP_WRITE),
                      arg_dat(rk.interp, rk.p2c, OPP_READ))
 
-    @staticmethod
-    def _walk_args(rk: Rank) -> list:
-        return [arg_dat(rk.pos, OPP_RW),
-                arg_dat(rk.disp, OPP_RW),
-                arg_dat(rk.vel, OPP_RW),
-                arg_dat(rk.w, OPP_READ),
-                arg_dat(rk.pushed, OPP_RW),
-                arg_dat(rk.interp, rk.p2c, OPP_READ)]
-
     def move_deposit(self) -> list:
         for rk in self.each_rank():
             rk.pushed.data[:] = 0.0   # new step: every particle gets pushed
         if self.cfg.pusher != "boris":
             self.push()
-        if self.cfg.fuse_move:
-            # runtime-fused variant: the walk kernel emits each hop's
-            # segment current into ``seg`` and the runtime fires the
-            # deposit kernel per frontier round against the crossed cell
-            return self.move_particles(
-                k.move_walk_kernel, "Move_Deposit", "faces",
-                lambda rk: self._walk_args(rk)
-                + [arg_dat(rk.seg, OPP_WRITE)],
-                lambda rk: MoveDeposit(
-                    k.deposit_current_kernel,
-                    (arg_dat(rk.seg, OPP_READ),
-                     arg_dat(rk.acc, rk.p2c, OPP_INC)), when="hop"))
         return self.move_particles(
             k.move_deposit_kernel, "Move_Deposit", "faces",
-            lambda rk: self._walk_args(rk)
-            + [arg_dat(rk.acc, rk.p2c, OPP_INC)])
+            lambda rk: (arg_dat(rk.pos, OPP_RW),
+                        arg_dat(rk.disp, OPP_RW),
+                        arg_dat(rk.vel, OPP_RW),
+                        arg_dat(rk.w, OPP_READ),
+                        arg_dat(rk.pushed, OPP_RW),
+                        arg_dat(rk.interp, rk.p2c, OPP_READ),
+                        arg_dat(rk.acc, rk.p2c, OPP_INC)))
 
     def accumulate_current(self) -> None:
         for rk in self.each_rank():

@@ -54,12 +54,9 @@ class FemPicConfig:
     move_strategy: str = "mh"       # "mh" | "dh"
     overlay_bins: int = 16          # DH overlay resolution per axis
     move_tolerance: float = 1e-12
-    #: fuse the charge deposit into the particle move (one pass over
-    #: particle state per step instead of two)
-    fuse_move: bool = False
     #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
     #: records the step as a loop graph and executes it optimized
-    #: (move+deposit rewrite, coalesced halo pushes)
+    #: (coalesced halo pushes)
     program: str = "off"
 
     def __post_init__(self) -> None:

@@ -25,7 +25,6 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             decl_const, decl_dat, decl_global, decl_map,
                             decl_particle_set, decl_set, par_loop,
                             push_context)
-from repro.core.move import MoveDeposit
 from repro.fem import DirichletSystem, NewtonPattern, NewtonSystem, \
     build_stiffness, lumped_node_volumes
 from repro.mesh import StructuredOverlay, duct_mesh
@@ -359,47 +358,29 @@ class FemPicSimulation(RankedApp):
                      arg_dat(rk.pos, OPP_RW),
                      arg_dat(rk.vel, OPP_RW))
 
-    @staticmethod
-    def _deposit_args(rk: Rank):
-        return (arg_dat(rk.lc, OPP_READ),
-                arg_dat(rk.nw, 0, rk.c2n, rk.p2c, OPP_INC),
-                arg_dat(rk.nw, 1, rk.c2n, rk.p2c, OPP_INC),
-                arg_dat(rk.nw, 2, rk.c2n, rk.p2c, OPP_INC),
-                arg_dat(rk.nw, 3, rk.c2n, rk.p2c, OPP_INC))
-
-    @staticmethod
-    def _reset_node_charge(rk: Rank) -> None:
-        # owned rows only: ghost rows are zero between deposits, the
-        # reduce that completes one leaves them so
-        par_loop(k.reset_node_charge_kernel, "ResetNodeCharge", rk.nodes,
-                 OPP_ITERATE_ALL, arg_dat(rk.nw, OPP_WRITE))
-
     def move(self) -> list:
         """Relocate (and migrate) every ion; returns the per-rank move
         results."""
         self.direct_hop()
-        deposit = None
-        if self.cfg.fuse_move:
-            # the deposit lands inside the move, so the accumulator must
-            # be reset *before* particles start settling
-            for rk in self.each_rank():
-                self._reset_node_charge(rk)
-            deposit = (lambda rk: MoveDeposit(k.deposit_charge_kernel,
-                                              self._deposit_args(rk),
-                                              when="done"))
         return self.move_particles(
             k.move_kernel, "Move", "c2c",
             lambda rk: (arg_dat(rk.pos, OPP_READ),
                         arg_dat(rk.lc, OPP_WRITE),
-                        arg_dat(rk.xform, rk.p2c, OPP_READ)),
-            deposit)
+                        arg_dat(rk.xform, rk.p2c, OPP_READ)))
 
     def deposit(self) -> None:
-        if not self.cfg.fuse_move:
-            for rk in self.each_rank():
-                self._reset_node_charge(rk)
-                par_loop(k.deposit_charge_kernel, "DepositCharge", rk.parts,
-                         OPP_ITERATE_ALL, *self._deposit_args(rk))
+        for rk in self.each_rank():
+            # owned rows only: ghost rows are zero between deposits, the
+            # reduce that completes one leaves them so
+            par_loop(k.reset_node_charge_kernel, "ResetNodeCharge",
+                     rk.nodes, OPP_ITERATE_ALL, arg_dat(rk.nw, OPP_WRITE))
+            par_loop(k.deposit_charge_kernel, "DepositCharge", rk.parts,
+                     OPP_ITERATE_ALL,
+                     arg_dat(rk.lc, OPP_READ),
+                     arg_dat(rk.nw, 0, rk.c2n, rk.p2c, OPP_INC),
+                     arg_dat(rk.nw, 1, rk.c2n, rk.p2c, OPP_INC),
+                     arg_dat(rk.nw, 2, rk.c2n, rk.p2c, OPP_INC),
+                     arg_dat(rk.nw, 3, rk.c2n, rk.p2c, OPP_INC))
         self.reduce_nodes("nw")
         for rk in self.each_rank():
             par_loop(k.compute_node_charge_density_kernel,

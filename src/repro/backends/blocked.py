@@ -10,8 +10,8 @@ step's temporaries cache-resident, the way the paper's generated
 OpenMP/CUDA code keeps an element's intermediates in registers.
 
 One pipeline serves ``par_loop`` (:meth:`VecBackend.execute`) and every
-hop of ``particle_move`` and its fused deposit; a range no longer than
-one block is simply the one-block case.  Blocks commit in ascending lane
+hop of ``particle_move``; a range no longer than one block is simply
+the one-block case.  Blocks commit in ascending lane
 order.  Arguments that must see the whole range — global reductions —
 carry a range-length ``whole`` buffer that blocks take slices of and
 that is drained once after the last block.

@@ -73,40 +73,6 @@ class SeqBackend(Backend):
         total_hops = 0
         relocated = 0      # particles that left their starting cell
 
-        dep = loop.deposit
-        dep_kernel = None
-        dep_views = []
-        dep_params = []
-        if dep is not None:
-            dep_kernel = dep.kernel.fn
-            for pos, a in enumerate(dep.args):
-                if a.is_global:
-                    dep_views.append((pos, "gbl", a.dat.data, None, None))
-                elif a.kind == ArgKind.DIRECT:
-                    dep_views.append((pos, "direct", a.dat.data, None, None))
-                elif a.kind == ArgKind.P2C:
-                    dep_views.append((pos, "cell", a.dat.data, None, None))
-                elif a.kind == ArgKind.DOUBLE:
-                    dep_views.append((pos, "cellmap", a.dat.data,
-                                      a.map.values, a.map_idx))
-                else:
-                    raise ValueError("fused deposit kernels address data "
-                                     "directly, via the current cell, or "
-                                     "doubly-indirectly")
-            dep_params = [None] * len(dep.args)
-
-        def run_deposit(p: int, cell: int) -> None:
-            for pos, kind, data, mesh, midx in dep_views:
-                if kind == "gbl":
-                    dep_params[pos] = data
-                elif kind == "direct":
-                    dep_params[pos] = data[p]
-                elif kind == "cell":
-                    dep_params[pos] = data[cell]
-                else:
-                    dep_params[pos] = data[mesh[cell, midx]]
-            dep_kernel(*dep_params)
-
         cell_views = []  # (arg_position, dat_data, map_values, map_idx) per hop
         fixed = []       # (arg_position, value) computed once per particle
         for pos, a in enumerate(loop.args):
@@ -153,11 +119,7 @@ class SeqBackend(Backend):
                 total_hops += 1
                 if hop == 1 and move.status != MoveStatus.MOVE_DONE:
                     relocated += 1      # left its starting cell (or domain)
-                if dep_kernel is not None and dep.when == "hop":
-                    run_deposit(p, int(cell))
                 if move.status == MoveStatus.MOVE_DONE:
-                    if dep_kernel is not None and dep.when == "done":
-                        run_deposit(p, int(cell))
                     p2c[p] = cell
                     break
                 if move.status == MoveStatus.NEED_REMOVE:

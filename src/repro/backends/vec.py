@@ -116,14 +116,6 @@ class VecBackend(Backend):
         gen = loop.kernel.generated("vec")
         if not gen.vectorized:
             return self._seq.execute_move(loop)
-        dep = loop.deposit
-        dep_gen = dep_args = None
-        if dep is not None:
-            dep_gen = dep.kernel.generated("vec")
-            if not dep_gen.vectorized:
-                return self._seq.execute_move(loop)
-            dep_args = BlockedArgs([Slot(a) for a in dep.args],
-                                   self.strategy)
         move_args = BlockedArgs([Slot(a) for a in loop.args], self.strategy)
 
         from ..translator.codegen import VecMoveContext
@@ -187,17 +179,6 @@ class VecBackend(Backend):
                 # end up outside their original cell segment
                 relocated = int(np.count_nonzero(moving)) \
                     + int(np.count_nonzero(gone))
-
-            if dep_gen is not None:
-                if dep.when == "hop":
-                    dpart, dcells = active, cells
-                else:                     # "done": settled this round
-                    dpart, dcells = active[done], cells[done]
-                if dpart.size:
-                    # one fused-deposit round over those frontier lanes
-                    coll = dep_args.run(dep_gen.fn, dpart.size,
-                                        lane_rows(dpart, dcells))
-                    max_coll = max(max_coll, coll)
 
             p2c[active[done]] = cells[done]
             if gone.any():

@@ -62,15 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--backend", default=None,
                     choices=["seq", "vec", "omp", "cuda", "hip", "xe"])
     fp.add_argument("--move", default=None, choices=["mh", "dh"])
-    fp.add_argument("--fuse-move", action="store_true", default=None,
-                    help="fuse the charge deposit into the particle move")
     fp.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
-                    "as a loop graph, rewrite move + deposit loop into "
-                    "one fused move and coalesce halo pushes")
+                    "as a loop graph and coalesce its halo pushes")
     fp.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (rewrites, "
-                    "coalesced pushes, refusals) after the run")
+                    help="print the optimizer's plan (its groups and "
+                    "coalesced pushes) after the run")
     fp.add_argument("--mesh-file", default=None)
     fp.add_argument("--vtk", default=None, metavar="DIR",
                     help="write mesh+particle VTK files here at the end")
@@ -86,16 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--pusher", default=None,
                     choices=["boris", "velocity_verlet", "vay",
                              "higuera_cary"])
-    cb.add_argument("--fuse-move", action="store_true", default=None,
-                    help="run Move_Deposit through the runtime-fused "
-                    "move+deposit path")
     cb.add_argument("--program", default=None, choices=["off", "fuse"],
                     help="whole-step program optimizer: record each step "
-                    "as a loop graph, rewrite move + deposit loop into "
-                    "one fused move and coalesce halo pushes")
+                    "as a loop graph and coalesce its halo pushes")
     cb.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (rewrites, "
-                    "coalesced pushes, refusals) after the run")
+                    help="print the optimizer's plan (its groups and "
+                    "coalesced pushes) after the run")
     cb.add_argument("--validate", action="store_true",
                     help="also run the structured reference and compare")
     _add_dist_flags(cb)
@@ -130,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "oracle)")
     vf.add_argument("--program", action="store_true",
                     help="run the program-optimizer conformance sweep "
-                    "(op sequences replayed through the recorder with "
-                    "its rewrites on vs their eager replay)")
+                    "(op sequences replayed through the recorder vs "
+                    "their eager replay, bit for bit)")
     vf.add_argument("--transport", default="sim",
                     choices=["sim", "proc"],
                     help="rank transport for --dist-conformance")
@@ -263,7 +256,7 @@ def _run_fempic(args) -> int:
     cfg = _overlay(FemPicConfig(), args,
                    {"steps": "n_steps", "backend": "backend",
                     "move": "move_strategy", "mesh_file": "mesh_file",
-                    "fuse_move": "fuse_move", "program": "program"})
+                    "program": "program"})
     if args.ranks:
         if args.vtk:
             raise SystemExit("error: --vtk is not supported with --ranks")
@@ -307,7 +300,7 @@ def _run_cabana(args) -> int:
     cfg = _overlay(CabanaConfig(), args,
                    {"steps": "n_steps", "ppc": "ppc",
                     "backend": "backend", "pusher": "pusher",
-                    "fuse_move": "fuse_move", "program": "program"})
+                    "program": "program"})
     if args.ranks:
         if args.validate:
             raise SystemExit(
@@ -464,10 +457,8 @@ def _run_verify(args) -> int:
             return 1
         if not args.quiet:
             print(f"program conformance: {report['cases']} cases "
-                  f"({report['executions']} executions, "
-                  f"{report['rewrites']} move+deposit rewrites, "
-                  f"{report['fallbacks']} refused) all match their "
-                  "eager replay (seq bit-equal, vec rtol 1e-9)")
+                  f"({report['executions']} executions) all bit-equal "
+                  "to their eager replay on seq and vec")
     if args.dist_conformance:
         from repro.verify import (DistConformanceFailure,
                                   run_dist_conformance)

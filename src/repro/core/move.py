@@ -2,9 +2,10 @@
 
 Moving particles is *the* special operation of a PIC DSL: each particle
 walks cell-to-cell through the unstructured mesh until it finds the cell
-containing its new position (multi-hop), possibly depositing current into
-every cell it crosses (electromagnetic codes), possibly leaving the domain
-(removal), possibly crossing onto another MPI rank (migration).
+containing its new position (multi-hop), possibly leaving the domain
+(removal), possibly crossing onto another MPI rank (migration).  A move
+that deposits as it walks (CabanaPIC's ``Move_Deposit``) is written that
+way by the app: the deposit is part of its move kernel.
 
 The elemental move kernel receives a :class:`MoveContext` as its first
 parameter and must finish each hop by calling exactly one of
@@ -33,9 +34,8 @@ from .maps import Map
 from .sets import ParticleSet
 from .types import AccessMode, MoveStatus
 
-__all__ = ["MoveContext", "MoveDeposit", "MoveDecl", "MoveLoop",
-           "declare_move", "particle_move", "MoveResult", "execute_moveloop",
-           "deposit_fusion_conflict"]
+__all__ = ["MoveContext", "MoveDecl", "MoveLoop", "declare_move",
+           "particle_move", "MoveResult", "execute_moveloop"]
 
 #: Safety bound on hops per particle per move call; a well-posed PIC step
 #: moves particles at most a few cells, so hitting this indicates a bug.
@@ -100,69 +100,16 @@ class MoveResult:
         return int(self.foreign_particles.size)
 
 
-class MoveDeposit:
-    """A deposit kernel fused into a particle move (paper §3.3/§4:
-    CabanaPIC's current deposit runs *inside* the mover so particle
-    state is touched once per step).
-
-    ``when`` selects the firing point within the frontier loop:
-
-    * ``"done"`` — once per particle, after it settles in its final cell
-      (electrostatic charge deposit: FEM-PIC's ``DepositCharge``);
-    * ``"hop"`` — every hop, against the cell currently being crossed
-      (electromagnetic segment-current deposit: CabanaPIC).
-
-    The kernel is an ordinary elemental particle kernel (no move
-    context); its arguments follow the move-kernel addressing rules.
-    """
-
-    __slots__ = ("kernel", "args", "when")
-
-    def __init__(self, kernel, args: Sequence[Arg], when: str = "done"):
-        if when not in ("done", "hop"):
-            raise ValueError(f"deposit_when must be 'done' or 'hop', "
-                             f"got {when!r}")
-        self.kernel = as_kernel(kernel)
-        self.args: List[Arg] = list(args)
-        self.when = when
-
-
-def deposit_fusion_conflict(args: Sequence[Arg],
-                            pset: ParticleSet) -> Optional[str]:
-    """Why these arguments cannot run as a deposit fused into a move over
-    ``pset`` (None = legal).
-
-    This is the *single* legality check for move+deposit fusion: the
-    hand-fused ``particle_move(deposit_kernel=...)`` path validates with
-    it at declaration (raising), and the program optimizer consults it
-    before rewriting a separate deposit loop into the move (falling back
-    loop-by-loop on a reason).
-    """
-    for pos, a in enumerate(args):
-        try:
-            a.validate_against(pset)
-        except ValueError as exc:
-            return str(exc)
-        if a.is_indirect and a.access in (AccessMode.WRITE, AccessMode.RW):
-            return (f"indirect {a.access.name} on {a.describe(pos)} inside "
-                    "a fused deposit kernel is racy; use OPP_INC")
-        if a.is_global and a.access is not AccessMode.READ:
-            return (f"global reduction on {a.describe(pos)} inside a fused "
-                    "deposit kernel is not supported")
-    return None
-
-
 class MoveDecl:
     """The static half of a particle move: everything its call site fixes
-    — kernel, sets, maps, argument descriptors, the fused deposit and its
-    legality.  Validated once, then shared by every launch from the site
-    (each a :class:`MoveLoop`) and read-only from then on.
+    — kernel, sets, maps, argument descriptors and their legality.
+    Validated once, then shared by every launch from the site (each a
+    :class:`MoveLoop`) and read-only from then on.
     """
 
     def __init__(self, kernel: Kernel, name: str, pset: ParticleSet,
                  c2c_map: Map, p2c_map: Map, args: Sequence[Arg],
-                 max_hops: int = DEFAULT_MAX_HOPS,
-                 deposit: Optional[MoveDeposit] = None):
+                 max_hops: int = DEFAULT_MAX_HOPS):
         self.kernel = as_kernel(kernel)
         self.name = name
         self.pset = pset
@@ -170,8 +117,6 @@ class MoveDecl:
         self.p2c_map = p2c_map
         self.args: List[Arg] = list(args)
         self.max_hops = int(max_hops)
-        #: optional fused deposit executed per frontier round
-        self.deposit = deposit
 
         if not isinstance(pset, ParticleSet):
             raise TypeError("particle_move iterates a ParticleSet")
@@ -190,19 +135,11 @@ class MoveDecl:
                 raise ValueError("global reductions inside a move kernel "
                                  "are not supported; reduce in a separate "
                                  "opp_par_loop after the move")
-        inc_args = self.args
-        if deposit is not None:
-            reason = deposit_fusion_conflict(deposit.args, pset)
-            if reason is not None:
-                raise ValueError(reason)
-            deposit.kernel.check_arity(len(deposit.args),
-                                       loop_name=f"{name}:deposit")
-            inc_args = self.args + deposit.args
         # +1: the elemental move kernel receives the MoveContext first
         self.kernel.check_arity(len(self.args) + 1, loop_name=name)
         self.has_indirect_inc = any(a.is_indirect
                                     and a.access is AccessMode.INC
-                                    for a in inc_args)
+                                    for a in self.args)
         #: modelled bytes per hop: the p2c entry, the c2c row, and each
         #: argument's row once per direction
         self.hop_bytes = 8 + 8 * c2c_map.arity + sum(
@@ -216,8 +153,8 @@ class MoveDecl:
 
 class MoveLoop:
     """One launch of a particle move: the fields of its shared
-    declaration (``kernel``, ``pset``, ``args``, ``deposit`` … — read
-    only) plus the state of this launch alone.
+    declaration (``kernel``, ``pset``, ``args`` … — read only) plus
+    the state of this launch alone.
 
     Constructing one directly declares the move afresh;
     :func:`declare_move` reuses the call site's declaration.
@@ -226,10 +163,9 @@ class MoveLoop:
     def __init__(self, kernel: Kernel, name: str, pset: ParticleSet,
                  c2c_map: Map, p2c_map: Map, args: Sequence[Arg],
                  max_hops: int = DEFAULT_MAX_HOPS,
-                 only_indices: Optional[np.ndarray] = None,
-                 deposit: Optional[MoveDeposit] = None):
+                 only_indices: Optional[np.ndarray] = None):
         self._begin(MoveDecl(kernel, name, pset, c2c_map, p2c_map, args,
-                             max_hops, deposit), only_indices)
+                             max_hops), only_indices)
 
     @classmethod
     def of(cls, decl: MoveDecl,
@@ -266,19 +202,16 @@ class MoveLoop:
 
 def declare_move(ctx, kernel, name: str, pset: ParticleSet, c2c_map: Map,
                  p2c_map: Map, args: Sequence[Arg], max_hops: int,
-                 deposit: Optional[MoveDeposit] = None,
                  only_indices: Optional[np.ndarray] = None) -> MoveLoop:
     """A new launch of a move call site, which ``ctx`` declares once (as
     ``par_loop`` does its sites): the first call validates and remembers
     the :class:`MoveDecl`, a repeated one only makes the launch object."""
     key = (kernel, name, pset, c2c_map, p2c_map, max_hops,
            *[a.key for a in args])
-    if deposit is not None:
-        key += (deposit.kernel, deposit.when, *[a.key for a in deposit.args])
     decl = ctx.sites.get(key)
     if decl is None:
         decl = MoveDecl(kernel, name, pset, c2c_map, p2c_map, args,
-                        max_hops, deposit)
+                        max_hops)
         ctx.remember_site(key, decl)
     return MoveLoop.of(decl, only_indices)
 
@@ -293,8 +226,6 @@ def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     t0 = time.perf_counter()
     result = ctx.backend.execute_move(loop)
     dt = time.perf_counter() - t0
-    if loop.deposit is not None:
-        result.extras.setdefault("fused_deposit", loop.deposit.when)
     ctx.perf.record_loop(loop.name, n=loop.pset.size, seconds=dt,
                          flops=((loop.kernel.flops_per_elem or 0.0)
                                 * result.total_hops),
@@ -328,9 +259,7 @@ class LazyMoveResult:
 
 def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
                   p2c_map: Map, *args: Arg,
-                  max_hops: int = DEFAULT_MAX_HOPS,
-                  deposit_kernel=None, deposit_args: Sequence[Arg] = (),
-                  deposit_when: str = "done") -> MoveResult:
+                  max_hops: int = DEFAULT_MAX_HOPS) -> MoveResult:
     """Declare-and-execute a particle move (the ``opp_particle_move`` call).
 
     This fully relocates every particle of one rank's set (multi-hop
@@ -341,22 +270,13 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
     declaration per rank (hooks, program trace, ``execute_moveloop``)
     and migrates particles between the rounds.
 
-    ``deposit_kernel``/``deposit_args`` fuse a deposit into the move
-    (see :class:`MoveDeposit`): the backends run it per frontier round —
-    on settling particles (``deposit_when="done"``) or every hop
-    (``"hop"``) — so particle state is touched once.
-
     Under an active program trace the move is deferred like any other
     loop; the returned :class:`LazyMoveResult` flushes the trace on first
     attribute access.
     """
-    deposit = None
-    if deposit_kernel is not None:
-        deposit = MoveDeposit(deposit_kernel, deposit_args,
-                              when=deposit_when)
     ctx = get_context()
     loop = declare_move(ctx, kernel, name, pset, c2c_map, p2c_map, args,
-                        max_hops, deposit)
+                        max_hops)
     run_loop_hooks(loop)
     if tracing.active:
         tracer = tracing.current()

@@ -4,7 +4,7 @@ Public surface:
 
 * :func:`repro.program.record` — trace a span of DSL calls lazily;
 * :class:`repro.program.Program` — the accumulated optimization record
-  (``explain()``, ``fallback_reasons``, per-flush plans);
+  (``explain()``, per-flush plans);
 * the IR and the passes live in :mod:`~repro.program.graph`,
   :mod:`~repro.program.optimizer` and :mod:`~repro.program.exec`.
 """

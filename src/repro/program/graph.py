@@ -83,16 +83,10 @@ class MoveNode:
         self.loop = loop
         self.ctx = ctx
         self.result: Optional[MoveResult] = None
-        #: set by the move+deposit rewrite: it absorbed a deposit loop,
-        #: or why it refused the one that followed
-        self.rewritten = False
-        self.reason: Optional[str] = None
         touched = {id(loop.pset), id(loop.p2c_map), id(loop.c2c_map)}
         for dat in loop.pset.dats:
             touched.add(id(dat))
         _arg_touched(loop.args, touched)
-        if loop.deposit is not None:
-            _arg_touched(loop.deposit.args, touched)
         self.touched_ids = frozenset(touched)
 
     @property
@@ -101,15 +95,9 @@ class MoveNode:
 
     def signature(self) -> Tuple:
         loop = self.loop
-        dep = loop.deposit
-        dep_sig = None
-        if dep is not None:
-            dep_sig = (id(dep.kernel), dep.when,
-                       tuple(arg_signature(a) for a in dep.args))
         return ("move", id(loop.kernel), loop.name, id(loop.pset),
                 id(loop.c2c_map), id(loop.p2c_map), loop.max_hops,
-                id(self.ctx), tuple(arg_signature(a) for a in loop.args),
-                dep_sig)
+                id(self.ctx), tuple(arg_signature(a) for a in loop.args))
 
     def __repr__(self) -> str:
         return f"<MoveNode {self.loop.name!r}>"

@@ -69,15 +69,6 @@ class Program:
     def plans(self) -> List[Plan]:
         return [entry[0] for entry in self.executed.values()]
 
-    @property
-    def fallback_reasons(self) -> Dict[str, str]:
-        """``"move|loop"`` -> why the move did not absorb that loop."""
-        out: Dict[str, str] = {}
-        for plan in self.plans:
-            for left, right, reason in plan.skips:
-                out.setdefault(f"{left}|{right}", reason)
-        return out
-
     # -- observability (--program-explain) -------------------------------------
 
     def explain(self) -> str:
@@ -89,10 +80,7 @@ class Program:
             lines.append(f"shape {shape_no} (x{count}):")
             for g in plan.groups:
                 if g.kind == "move":
-                    how = "fused deposit" if g.fused else "plain move"
-                    if g.rewritten:
-                        how += " [rewritten from separate deposit loop]"
-                    lines.append(f"  move  {g.name}: {how}")
+                    lines.append(f"  move  {g.name}")
                 elif g.kind == "exchange":
                     if len(g.nodes) > 1:
                         fields = ", ".join(n.dats[0].name if n.dats else "?"
@@ -103,10 +91,6 @@ class Program:
                         lines.append(f"  exch  {g.name}")
                 else:
                     lines.append(f"  loop  {g.name}")
-            for left, right, reason in plan.skips:
-                lines.append(f"  skip  {left} | {right}: {reason}")
-            for rw in plan.rewrites:
-                lines.append(f"  rewrite {rw}")
         return "\n".join(lines)
 
 

@@ -33,8 +33,7 @@ from ..core.context import Context, push_context
 from ..core.dats import Dat
 from ..core.loops import run_loop_hooks
 from ..core.maps import Map
-from ..core.move import (MoveDeposit, MoveResult, declare_move,
-                         execute_moveloop)
+from ..core.move import MoveResult, declare_move, execute_moveloop
 from ..core.sets import ParticleSet
 from .comm import SimComm
 from .halo import HaloPlan, RankMesh
@@ -163,15 +162,12 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
                       args_per_rank: Sequence[Sequence],
                       exchange_dats: Sequence[Sequence[Dat]],
                       max_hops: int = 1000,
-                      max_rounds: int = 64,
-                      deposits: Optional[Sequence[Optional[MoveDeposit]]]
-                      = None) -> List[MoveResult]:
+                      max_rounds: int = 64) -> List[MoveResult]:
     """The full distributed ``opp_particle_move``.
 
     Runs every rank's move loop (halo cells as stop markers), migrates
     particles that crossed rank boundaries, and resumes their walk at the
-    destination until no particle is in flight anywhere.  ``deposits[r]``
-    fuses rank r's deposit into its move (see :class:`MoveDeposit`).
+    destination until no particle is in flight anywhere.
 
     Each rank's round is declared and executed the way ``particle_move``
     does it — loop hooks, the program trace when one is recording,
@@ -191,8 +187,7 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
                 continue
             loop = declare_move(contexts[r], kernel, name, psets[r],
                                 c2c_maps[r], p2c_maps[r], args_per_rank[r],
-                                max_hops, deposits[r] if deposits else None,
-                                only_indices=pending[r])
+                                max_hops, only_indices=pending[r])
             loop.foreign_cell_mask = meshes[r].foreign_cell_mask
             loop.defer_removal = True
             run_loop_hooks(loop)

@@ -189,31 +189,22 @@ class RankedApp:
     def reduce_nodes(self, *names: str) -> None:
         self._halo(reduce_node_halos, names)
 
-    def move_particles(self, kernel, name: str, c2c: str, args: Callable,
-                       deposit: Optional[Callable] = None) -> list:
+    def move_particles(self, kernel, name: str, c2c: str,
+                       args: Callable) -> list:
         """``opp_particle_move`` over the map named ``c2c`` on every
         rank, migrating particles that cross a rank boundary.
-        ``args(rk)`` builds a rank's kernel arguments, ``deposit(rk)``
-        the :class:`~repro.core.move.MoveDeposit` fused into its move.
-        Returns the rank-indexed move results."""
+        ``args(rk)`` builds a rank's kernel arguments.  Returns the
+        rank-indexed move results."""
         if self.nranks == 1:
             rk = self.ranks[0]
-            fused = {}
-            if deposit is not None:
-                dep = deposit(rk)
-                fused = {"deposit_kernel": dep.kernel,
-                         "deposit_args": dep.args, "deposit_when": dep.when}
             with push_context(rk.ctx):
                 return [particle_move(kernel, name, rk.parts,
-                                      getattr(rk, c2c), rk.p2c, *args(rk),
-                                      **fused)]
+                                      getattr(rk, c2c), rk.p2c, *args(rk))]
         return mpi_particle_move(
             self.comm, self.plan, self.meshes, self.per_rank("ctx"),
             kernel, name, self.per_rank("parts"), self.per_rank(c2c),
             self.per_rank("p2c"), self.on_ranks(args),
-            self.on_ranks(self._travelling),
-            deposits=self.on_ranks(deposit) if deposit is not None
-            else None)
+            self.on_ranks(self._travelling))
 
     def _travelling(self, rk: Rank) -> list:
         return [getattr(rk, name) for name in self.part_dats]

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import multiprocessing as mp
 
-from ..dist.proc import (DEFAULT_MAX_FRAME, _HEADER, FrameError,
+from ..dist.proc import (DEFAULT_MAX_FRAME, FrameError, _recv_control,
                          decode_frame, encode_frame, reap_procs)
 from .jobs import JobSpec, build_sim, job_checkpoint, job_restore, step_once
 
@@ -81,17 +81,18 @@ class _ExitWorker(Exception):
     pass
 
 
-def _send(conn, kind: int, worker_id: int, tag: int, payload,
-          max_frame_bytes: int = DEFAULT_MAX_FRAME) -> None:
+def _send(conn, kind: int, worker_id: int, tag: int, payload) -> None:
     conn.send_bytes(encode_frame(kind, worker_id, -1, tag, payload,
-                                 max_frame_bytes))
+                                 DEFAULT_MAX_FRAME))
 
 
 def _check_control(conn, worker_id: int, tag: int) -> None:
     """Between-steps control poll; raises to unwind the step loop."""
     while conn.poll(0):
-        kind, _, _, _, _ = decode_frame(
-            conn.recv_bytes(maxlength=DEFAULT_MAX_FRAME))
+        blob = _recv_control(conn, DEFAULT_MAX_FRAME)
+        if blob is None:                 # the parent is gone
+            raise _ExitWorker
+        kind, _, _, _, _ = decode_frame(blob)
         if kind == PK_DIE:
             os._exit(_EXIT_KILLED)
         if kind == PK_PREEMPT:
@@ -170,9 +171,8 @@ def _worker_main(worker_id: int, conn) -> None:
     try:
         _send(conn, PK_UP, worker_id, 0, {"pid": os.getpid()})
         while True:
-            try:
-                blob = conn.recv_bytes(maxlength=DEFAULT_MAX_FRAME)
-            except (EOFError, OSError):
+            blob = _recv_control(conn, DEFAULT_MAX_FRAME)
+            if blob is None:
                 break
             kind, _, _, tag, payload = decode_frame(blob)
             if kind == PK_SHUTDOWN:
@@ -232,17 +232,13 @@ class WarmPool:
     polls.
     """
 
-    def __init__(self, n_workers: int = 2,
-                 start_method: Optional[str] = None,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME):
+    def __init__(self, n_workers: int = 2):
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.target_size = int(n_workers)
-        self.max_frame_bytes = int(max_frame_bytes)
-        if start_method is None:
-            start_method = ("fork" if "fork"
-                            in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context("fork" if "fork"
+                                   in mp.get_all_start_methods()
+                                   else "spawn")
         self._ids = itertools.count()
         self.workers: Dict[int, WorkerHandle] = {}
         self._dead_procs: List[object] = []
@@ -311,7 +307,7 @@ class WarmPool:
         try:
             handle.conn.send_bytes(
                 encode_frame(kind, -1, handle.worker_id, tag, payload,
-                             self.max_frame_bytes))
+                             DEFAULT_MAX_FRAME))
             return True
         except (BrokenPipeError, OSError):
             return False
@@ -364,9 +360,10 @@ class WarmPool:
             try:
                 if not handle.conn.poll(0):
                     break
-                blob = handle.conn.recv_bytes(
-                    maxlength=self.max_frame_bytes + _HEADER.size + 64)
+                blob = _recv_control(handle.conn, DEFAULT_MAX_FRAME)
             except (EOFError, OSError):
+                blob = None
+            if blob is None:
                 events.append(PoolEvent(PK_DOWN, worker_id, handle.tag,
                                         {"job_id": handle.job_id}))
                 handle.state = "dead"

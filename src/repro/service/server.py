@@ -132,14 +132,13 @@ class ServiceServer:
                  n_workers: int = 2,
                  scheduler: Optional[FairShareScheduler] = None,
                  default_backend: Optional[str] = None,
-                 max_restarts: int = DEFAULT_MAX_RESTARTS,
-                 start_method: Optional[str] = None):
+                 max_restarts: int = DEFAULT_MAX_RESTARTS):
         self.host = host
         self.port = int(port)          # 0 = ephemeral; real port after start
         self.default_backend = default_backend
         self.max_restarts = int(max_restarts)
         self.scheduler = scheduler or FairShareScheduler()
-        self.pool = WarmPool(n_workers, start_method=start_method)
+        self.pool = WarmPool(n_workers)
         self.jobs: Dict[str, JobRecord] = {}
         self._ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None

@@ -615,27 +615,23 @@ def emit_par_loop(kernel, sig: Sequence[SigEntry], nslots: int) -> str:
 
 
 def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
-              foreign: bool, deposit=None) -> str:
+              foreign: bool) -> str:
     """C source of ``opp_particle_move`` for one call site, the walk
     innermost: each particle hops until done / removed / foreign cell /
-    ``max_hops``, with the fused ``deposit = (kernel, sig, when)``
-    inlined at its ``when``.  Slot 0 is the particle-to-cell map, slot 1
-    the cell-to-cell map.
+    ``max_hops``.  Slot 0 is the particle-to-cell map, slot 1 the
+    cell-to-cell map.
 
     ``out`` = removed count, foreign count, total hops, relocated count,
     collision depth (over the whole walk), particles over ``max_hops``,
     offending particle; the return value is 1 after an out-of-range row
     or cell.
     """
-    if any(entry[0] == "indirect"
-           for entry in sig + (deposit[1] if deposit else ())):
+    if any(entry[0] == "indirect" for entry in sig):
         raise KernelLanguageError(
             "move kernels address data directly, via the current cell, or "
             "doubly-indirectly")
     loop = _Loop(nslots)
-    consts = sorted(set(kernel.generated("c").consts).union(
-        deposit[0].generated("c").consts if deposit else ()))
-    body = loop.bind(kernel, sig, consts, c2c_arity)
+    body = loop.bind(kernel, sig, kernel.generated("c").consts, c2c_arity)
     if not body.ir.is_move:
         raise KernelLanguageError(
             f"kernel {body.ir.name!r} has no move-context parameter")
@@ -643,18 +639,6 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
     for k, (name, entry) in enumerate(zip(body.ir.data_params, sig)):
         hop += loop.address(str(k), name, entry, "p", "cell")
     hop += body.emit(0)
-    dep_lines: List[str] = []
-    if deposit is not None:
-        dep_kernel, dep_sig, when = deposit
-        dep = loop.bind(dep_kernel, dep_sig, consts)
-        if dep.ir.is_move:
-            raise KernelLanguageError("a fused deposit is not a move kernel")
-        inner: List[str] = []
-        for k, (name, entry) in enumerate(zip(dep.ir.data_params, dep_sig)):
-            inner += loop.address(f"d{k}", name, entry, "p", "cell")
-        dep_lines = ["{"] + _indent(inner + dep.emit(0), 1) + ["}"]
-        if when == "done":
-            dep_lines = ["if (status == 0) {"] + _indent(dep_lines, 1) + ["}"]
     walk = (
         (["if (foreign[cell]) { fpart[nf] = p; fcell[nf++] = cell; "
           "s0[p] = cell; break; }"] if foreign else [])
@@ -662,9 +646,8 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            f"const int64_t *c2c_row = s1 + cell * {c2c_arity};"]
         + hop
         + ["hop++; hops++;",
-           "if (hop == 1 && status != 0) relocated++;"]
-        + dep_lines
-        + ["if (status == 0) { s0[p] = cell; break; }",
+           "if (hop == 1 && status != 0) relocated++;",
+           "if (status == 0) { s0[p] = cell; break; }",
            "if (status == 2) { removed[nr++] = p; s0[p] = -1; break; }",
            "cell = next_cell;",
            "if ((uint64_t)cell >= (uint64_t)n1) "
@@ -672,9 +655,7 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            "if (hop >= max_hops) { over++; break; }"])
     return "\n".join(
         [_PRELUDE,
-         f"/* particle_move of kernel {body.ir.name}"
-         + (f", deposit {deposit[0].name} fused at '{deposit[2]}'"
-            if deposit else "") + " */",
+         f"/* particle_move of kernel {body.ir.name} */",
          f"int64_t {ENTRY}(int64_t count, const int64_t *index, "
          "int64_t max_hops, const uint8_t *foreign, "
          f"{loop.params()}, const double *K, int64_t *removed, "

@@ -269,12 +269,11 @@ def _launcher(ckernels, key: tuple, make: Callable[[], _Launcher]):
     return found, None
 
 
-def _check_dtypes(*sigs) -> None:
-    for sig in sigs:
-        for entry in sig:
-            if entry[3] not in cgen.DTYPES:
-                raise _Declined(f"dat dtype {np.dtype(entry[3]).name} is "
-                                "not float64 / int64")
+def _check_dtypes(sig) -> None:
+    for entry in sig:
+        if entry[3] not in cgen.DTYPES:
+            raise _Declined(f"dat dtype {np.dtype(entry[3]).name} is "
+                            "not float64 / int64")
 
 
 # -- launch -----------------------------------------------------------------------
@@ -425,29 +424,22 @@ def par_loop(loop, start: int, end: int
 
 
 def _derive_move(loop, has_foreign: bool):
-    kernel, dep = loop.kernel, loop.deposit
-    cks = [kernel.generated("c")]
+    kernel = loop.kernel
+    ck = kernel.generated("c")
     objs = [loop.p2c_map, loop.c2c_map]
     sig = cgen.signature(loop.args, objs)
     arity = loop.c2c_map.arity
-    fused = None
-    if dep is not None:
-        cks.append(dep.kernel.generated("c"))
-        fused = (dep.kernel, cgen.signature(dep.args, objs), dep.when)
 
     def make() -> _Launcher:
-        _check_dtypes(sig, fused[1] if fused else ())
+        _check_dtypes(sig)
         key = ("particle_move", _source_key(kernel), sig, arity,
-               has_foreign,
-               fused and (_source_key(dep.kernel),) + fused[1:])
+               has_foreign)
         lib = _library(kernel.name, key, lambda: cgen.emit_move(
-            kernel, sig, len(objs), arity, has_foreign, fused))
-        consts = sorted(set().union(*(ck.consts for ck in cks)))
+            kernel, sig, len(objs), arity, has_foreign))
         return _Launcher(lib, [c_int64, c_void_p, c_int64, c_void_p],
-                         len(objs), 5, consts)
+                         len(objs), 5, ck.consts)
 
-    launcher, reason = _launcher(cks, (sig, arity, has_foreign, fused),
-                                 make)
+    launcher, reason = _launcher([ck], (sig, arity, has_foreign), make)
     return launcher, (objs if launcher is not None else reason)
 
 

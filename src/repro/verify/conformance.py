@@ -295,8 +295,8 @@ def _op_two_set_shared_inc(w: dict) -> None:
 
 def _op_move_deposit(w: dict) -> None:
     """A bare move, then a deposit over the moved particles, the move's
-    result read only after both are declared — the pattern the program
-    optimizer rewrites into one move with a ``done`` deposit."""
+    result read only after both are declared: under a program trace the
+    lazy result resolves across the pending deposit."""
     res = _walk(w)
     _op_p2c_inc(w)
     w["n_removed"] += res.n_removed
@@ -320,8 +320,8 @@ OPS: Dict[str, Callable[[dict], None]] = {
 }
 OP_NAMES = tuple(sorted(OPS))
 
-#: Catalog for the program-optimizer sweep: one extra op gives the
-#: move+deposit rewrite its pattern.
+#: Catalog for the program-optimizer sweep: one extra op reads a lazy
+#: move result after a later loop is declared.
 PROGRAM_OPS: Dict[str, Callable[[dict], None]] = dict(
     OPS, move_deposit=_op_move_deposit)
 PROGRAM_OP_NAMES = tuple(sorted(PROGRAM_OPS))
@@ -562,14 +562,12 @@ def run_conformance(n_cases: int = 60, seed: int = 0,
 
 # -- program-optimizer conformance ---------------------------------------------
 
-def _program_fails(rtol: float, atol: float):
-    """Build a shrink-compatible ``fails`` comparing the eager replay
-    against the optimized replay on the *same* backend."""
-    def fails(case: Case, oracle, backend) -> List[str]:
-        expected = run_case(case, oracle, ops=PROGRAM_OPS)
-        got = run_case(case, backend, "fuse", PROGRAM_OPS)
-        return compare_states(expected, got, rtol=rtol, atol=atol)
-    return fails
+def _program_fails(case: Case, oracle, backend) -> List[str]:
+    """Shrink-compatible ``fails``: the eager replay against the
+    optimized replay on the *same* backend, bit for bit."""
+    expected = run_case(case, oracle, ops=PROGRAM_OPS)
+    got = run_case(case, backend, "fuse", PROGRAM_OPS)
+    return compare_states(expected, got, rtol=0.0, atol=0.0)
 
 
 def run_program_conformance(n_cases: int = 40, seed: int = 0,
@@ -578,44 +576,32 @@ def run_program_conformance(n_cases: int = 40, seed: int = 0,
     """Sweep generated op sequences through the program recorder.
 
     Every case runs through ``record(mode="fuse")`` on seq and on vec,
-    each compared against its own eager baseline: **bit-exactly** on seq
-    (deferral and exchange coalescing must be invisible there), and at
-    the standard conformance tolerances on vec — the move+deposit
-    rewrite legitimately reorders scatter accumulation, exactly like the
-    hand-fused move path it replaces.  Raises :class:`ConformanceFailure`
-    (with a shrunk minimal case) on the first divergence.
+    each compared **bit-exactly** against its own eager baseline:
+    deferral and exchange coalescing must be invisible.  Raises
+    :class:`ConformanceFailure` (with a shrunk minimal case) on the
+    first divergence.
     """
     oracle = _conformance_backend("seq")
     vec = _conformance_backend("vec")
-    checked = rewrites = 0
-    fallbacks: set = set()
+    checked = 0
     for i in range(n_cases):
         case = generate_program_case(seed + i)
         repro = ("PYTHONPATH=src python -m repro verify --program "
                  f"--seed {case.seed} --cases 1")
-        expected_seq = run_case(case, oracle, ops=PROGRAM_OPS)
-        for name, backend, baseline, tols in (
-                ("seq", oracle, expected_seq, (0.0, 0.0)),
-                ("vec", vec, run_case(case, vec, ops=PROGRAM_OPS),
-                 (1e-9, 1e-11))):
-            got, prog, _ = _run_case_traced(case, backend, "fuse",
-                                            PROGRAM_OPS)
-            mismatches = compare_states(baseline, got, rtol=tols[0],
-                                        atol=tols[1])
+        for name, backend in (("seq", oracle), ("vec", vec)):
+            baseline = run_case(case, backend, ops=PROGRAM_OPS)
+            got = run_case(case, backend, "fuse", PROGRAM_OPS)
+            mismatches = compare_states(baseline, got, rtol=0.0, atol=0.0)
             if mismatches:
                 shrunk = case
                 if shrink:
                     shrunk, shrunk_mismatches = shrink_case(
-                        case, backend, backend,
-                        fails=_program_fails(*tols))
+                        case, backend, backend, fails=_program_fails)
                     if shrunk_mismatches:
                         mismatches = shrunk_mismatches
                 raise ConformanceFailure(f"{name}+program", case,
                                          shrunk, mismatches, repro)
             checked += 1
-            fallbacks.update(prog.fallback_reasons)
-            rewrites += sum(len(plan.rewrites) for plan in prog.plans)
         if progress is not None and (i + 1) % 10 == 0:
             progress(f"program conformance: {i + 1}/{n_cases} cases ok")
-    return {"cases": n_cases, "executions": checked,
-            "rewrites": rewrites, "fallbacks": len(fallbacks)}
+    return {"cases": n_cases, "executions": checked}

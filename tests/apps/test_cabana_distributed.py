@@ -50,11 +50,12 @@ def test_update_ghosts_in_breakdown(reference):
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 3])
-@pytest.mark.parametrize("override", [{"fuse_move": True},
+@pytest.mark.parametrize("override", [{"program": "fuse"},
                                       {"pusher": "vay"}])
 def test_config_fields_are_honoured_at_n_ranks(nranks, override):
-    """``fuse_move`` and ``pusher`` used to be read by the single-rank
-    class only: the N-rank run silently used the hand-fused Boris move."""
+    """``program`` and ``pusher`` are read by the step every rank count
+    shares: the N-rank run records its program and runs the configured
+    pusher as its own loop."""
     from repro.apps.cabana import CabanaSimulation
     cfg = CFG.scaled(n_steps=4, **override)
     single = CabanaSimulation(cfg)
@@ -64,9 +65,8 @@ def test_config_fields_are_honoured_at_n_ranks(nranks, override):
     for key in ("e_energy", "b_energy"):
         np.testing.assert_allclose(dist.history[key], single.history[key],
                                    rtol=1e-10, atol=1e-18, err_msg=key)
-    move = dist.ranks[0].ctx.perf.get("Move_Deposit")
-    if "fuse_move" in override:
-        assert move.extras.get("fused_deposit") == "hop"
+    if "program" in override:
+        assert dist.program is not None and dist.program.n_flushes > 0
     else:
         assert dist.ranks[0].ctx.perf.get("PushParticles") is not None
 

@@ -65,20 +65,6 @@ def test_injection_count_is_exact_when_face_areas_do_not_sum_to_lx_ly():
 # -- every config field the one-rank run honours, at N ranks -------------------
 
 
-def test_fuse_move_runs_fused_at_two_ranks():
-    from repro.dist.driver import run_distributed
-    plain = run_distributed("fempic", CFG, nranks=2)
-    fused = run_distributed("fempic", CFG.scaled(fuse_move=True), nranks=2)
-    for r in range(2):
-        loops = fused.rank_perf[r].loops
-        assert loops["Move"].extras.get("fused_deposit") == "done"
-        assert "DepositCharge" not in loops
-        assert "DepositCharge" in plain.rank_perf[r].loops
-    assert fused.history["n_particles"] == plain.history["n_particles"]
-    np.testing.assert_allclose(fused.history["field_energy"],
-                               plain.history["field_energy"], rtol=1e-10)
-
-
 @pytest.mark.parametrize("field, value", [
     ("collision_frequency", 2.0), ("injection_temperature", 0.04)])
 def test_stochastic_fields_are_honoured(single, field, value):

@@ -12,8 +12,8 @@ NumPy target (``native.CC`` pinned to ``None``) and keep the fall-back
 path from drifting.  The ``*/vec/{2,3}r`` entries are recorded from the
 native tier (per-rank summation order differs from the NumPy target's).
 
-The ``field_energy`` digests of ten ``fempic*`` and ``twod*`` entries
-(``fempic``, ``-dh``, ``-fused``, ``-seeded`` on ``seq``; ``-seeded`` and
+The ``field_energy`` digests of the ``fempic*`` and ``twod*`` entries
+(``fempic``, ``-dh``, ``-seeded`` on ``seq``; ``-seeded`` and
 ``-thermal`` on ``vec``; all four ``twod``) were re-recorded when the KSP
 solve stopped summing through BLAS ``ddot``, whose blocked order depends
 on the CPU kernel: its dot products and norms are now sequential sums,
@@ -77,11 +77,9 @@ SINGLE = {
     "fempic": lambda b: _fempic(b),
     "fempic-seeded": lambda b: _fempic(b, ppc=5),
     "fempic-dh": lambda b: _fempic(b, move_strategy="dh"),
-    "fempic-fused": lambda b: _fempic(b, fuse_move=True),
     "fempic-collisions": lambda b: _fempic(b, collision_frequency=2.0),
     "fempic-thermal": lambda b: _fempic(b, injection_temperature=0.04),
     "cabana": lambda b: _cabana(b),
-    "cabana-fused": lambda b: _cabana(b, fuse_move=True),
     "cabana-vay": lambda b: _cabana(b, pusher="vay"),
     "twod": lambda b: _twod(b),
 }

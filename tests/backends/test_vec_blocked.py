@@ -16,7 +16,7 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             OPP_READ, OPP_WRITE, Context, arg_dat,
                             decl_dat, decl_map, decl_particle_set, decl_set,
                             par_loop, push_context)
-from repro.core.move import MoveDeposit, MoveLoop, execute_moveloop
+from repro.core.move import MoveLoop, execute_moveloop
 from repro.verify import kernels as K
 from repro.verify.conformance import (OP_NAMES, PROGRAM_OPS, _build_world,
                                       _conformance_backend,
@@ -109,8 +109,9 @@ def test_integer_valued_data_is_bit_equal(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_groups_match_one_block(monkeypatch, seed):
-    """``--program fuse`` runs on the same pipeline: the move the
-    optimizer gave the following deposit loop fires it per block."""
+    """``--program fuse`` runs on the same pipeline: its groups, one
+    per loop (a move and the deposit after it stay two), match one
+    block."""
     case = generate_case(seed).replace(
         n_parts=61, program=("direct_axpy", "move_deposit", "p2c_gather",
                              "gbl_reduce"))
@@ -119,8 +120,9 @@ def test_fused_groups_match_one_block(monkeypatch, seed):
                                               "fuse", PROGRAM_OPS)[:2])
     (one, prog), (small, _) = runs
     assert compare_states(one, small, rtol=1e-9, atol=1e-12) == []
-    assert [g.name for p in prog.plans for g in p.groups if g.fused] \
-        == ["c_move"]
+    groups = [g for p in prog.plans for g in p.groups]
+    assert [g.name for g in groups if g.kind == "move"] == ["c_move"]
+    assert not any(g.fused for g in groups)
 
 
 # -- par_loops: windows, collisions, the duplicate-write check ---------------------
@@ -235,27 +237,58 @@ def test_unique_write_check_sees_duplicate_across_blocks(monkeypatch):
 # -- particle moves -----------------------------------------------------------------
 
 
+def k_walk_deposit_hop(move, p, hits, w, na, nb):
+    """:func:`~repro.verify.kernels.k_walk` that also deposits its
+    weight to both nodes of every cell it crosses (the app-written
+    fused move, as CabanaPIC's ``Move_Deposit``)."""
+    hits[0] += 1
+    na[0] += w[0]
+    nb[0] += w[0]
+    lo = move.cell * 1.0
+    if p[0] < lo:
+        move.move_to(move.c2c[0])
+    elif p[0] >= lo + 1.0:
+        move.move_to(move.c2c[1])
+    else:
+        move.done()
+
+
+def k_walk_deposit_done(move, p, hits, w, na, nb):
+    """:func:`~repro.verify.kernels.k_walk` that deposits its weight to
+    the nodes of the cell it settles in."""
+    hits[0] += 1
+    lo = move.cell * 1.0
+    if p[0] < lo:
+        move.move_to(move.c2c[0])
+    elif p[0] >= lo + 1.0:
+        move.move_to(move.c2c[1])
+    else:
+        move.done()
+        na[0] += w[0]
+        nb[0] += w[0]
+
+
 def _move_scenario(*, deposit_when=None, foreign=False, only=False,
                    defer=False, max_hops=1000):
     """Chain walk of 40 particles (some walk off either end), run
-    through a hand-built MoveLoop so every runtime option is reachable."""
+    through a hand-built MoveLoop so every runtime option is reachable.
+    ``deposit_when`` picks a move kernel that also deposits, on settling
+    (``"done"``) or every hop (``"hop"``)."""
     ctx = Context("vec")
     with push_context(ctx):
         w = _small_world()
         parts = w["parts"]
-        deposit = None
+        kernel, args = K.k_walk, [arg_dat(w["pos"], OPP_READ),
+                                  arg_dat(w["cell_hits"], w["p2c"], OPP_INC)]
         if deposit_when is not None:
-            deposit = MoveDeposit(
-                K.k_double_deposit,
-                [arg_dat(w["w"], OPP_READ),
-                 arg_dat(w["node_a"], 0, w["c2n"], w["p2c"], OPP_INC),
-                 arg_dat(w["node_b"], 1, w["c2n"], w["p2c"], OPP_INC)],
-                when=deposit_when)
+            kernel = {"done": k_walk_deposit_done,
+                      "hop": k_walk_deposit_hop}[deposit_when]
+            args += [arg_dat(w["w"], OPP_READ),
+                     arg_dat(w["node_a"], 0, w["c2n"], w["p2c"], OPP_INC),
+                     arg_dat(w["node_b"], 1, w["c2n"], w["p2c"], OPP_INC)]
         loop = MoveLoop(
-            K.k_walk, "walk", parts, w["c2c"], w["p2c"],
-            [arg_dat(w["pos"], OPP_READ),
-             arg_dat(w["cell_hits"], w["p2c"], OPP_INC)],
-            max_hops=max_hops, deposit=deposit,
+            kernel, "walk", parts, w["c2c"], w["p2c"], args,
+            max_hops=max_hops,
             only_indices=np.arange(1, 40, 2) if only else None)
         if foreign:
             mask = np.zeros(12, dtype=bool)
@@ -287,6 +320,7 @@ def _move_scenario(*, deposit_when=None, foreign=False, only=False,
     {"defer": True},
     {"foreign": True, "defer": True},
     {"only": True},
+    {"foreign": True, "defer": True, "only": True},
     {"deposit_when": "done"},
     {"deposit_when": "hop"},
     {"deposit_when": "hop", "foreign": True, "defer": True, "only": True},
@@ -322,8 +356,7 @@ def test_conformance_sweep_small_block(monkeypatch, request):
     n = int(request.config.getoption("--conformance-cases"))
     summary = run_conformance(n_cases=n, seed=0, backends=("vec", "omp"))
     assert summary["executions"] == 2 * n
-    report = run_program_conformance(n_cases=n, seed=0)
-    assert report["rewrites"] > 0
+    run_program_conformance(n_cases=n, seed=0)
 
 
 def _app(name, backend):

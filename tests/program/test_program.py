@@ -1,10 +1,9 @@
-"""Whole-step program optimizer: recording, flush points and the
-move+deposit rewrite.
+"""Whole-step program optimizer: recording, flush points and plans.
 
 The contract under test everywhere: running a span of loops through
 ``program.record(mode="fuse")`` is *bit-identical* to running them
-eagerly — deferral is invisible, and the rewrite either fires (with the
-hand-fused move's tolerance) or is refused with a recorded reason.
+eagerly — deferral is invisible, and every loop and move runs as the
+app wrote it.
 """
 import numpy as np
 import pytest
@@ -30,10 +29,6 @@ def k_add_one(y, z):
 
 def k_axpy(x, y):
     y[0] = y[0] + 0.5 * x[0]
-
-
-def k_gather2(c, out):
-    out[0] = out[0] + 0.25 * c[0]
 
 
 def k_deposit(w, acc):
@@ -227,7 +222,7 @@ def test_global_read_after_reduce_falls_back():
     assert prog.n_flushes == 1 and _loop_by_loop(prog)
 
 
-# -- move+deposit rewrite --------------------------------------------------------
+# -- a move and the deposit after it -------------------------------------------
 
 
 def k_walk_chain(move, p, hits):
@@ -264,64 +259,24 @@ def _run_move_deposit(w, hits, mode):
         return n_removed, prog
 
 
-def test_move_then_deposit_is_rewritten():
-    w_off = _world("vec")
-    hits_off = None
-    with push_context(w_off["ctx"]):
-        hits_off = decl_dat(w_off["cells"], 1, np.float64, None, "hits")
-    n_off, _ = _run_move_deposit(w_off, hits_off, "off")
-
-    w = _world("vec")
-    with push_context(w["ctx"]):
-        hits = decl_dat(w["cells"], 1, np.float64, None, "hits")
-    n_fuse, prog = _run_move_deposit(w, hits, "fuse")
-
+@pytest.mark.parametrize("backend", ["seq", "vec"])
+def test_move_then_deposit_runs_as_written(backend):
+    """A move and the deposit loop after it stay the two groups the app
+    wrote, bit-equal to the eager run."""
+    runs = {}
+    for mode in ("off", "fuse"):
+        w = _world(backend)
+        with push_context(w["ctx"]):
+            hits = decl_dat(w["cells"], 1, np.float64, None, "hits")
+        runs[mode] = (w, hits) + _run_move_deposit(w, hits, mode)
+    (w_off, hits_off, n_off, _), (w, hits, n_fuse, prog) = runs.values()
     assert n_fuse == n_off
     assert np.array_equal(w["acc"].data, w_off["acc"].data)
     assert np.array_equal(hits.data, hits_off.data)
     assert np.array_equal(w["p2c"].p2c, w_off["p2c"].p2c)
     (plan,) = prog.plans
-    assert plan.rewrites and "Walk+Deposit" in plan.rewrites[0]
-    move_groups = [g for g in plan.groups if g.kind == "move"]
-    assert move_groups and move_groups[0].rewritten
-    assert "rewritten from separate deposit loop" in prog.explain()
-
-
-def test_move_deposit_rewrite_refused_on_shared_dat():
-    """The candidate loop reads the dat the move's kernel INCs — the
-    shared legality check must refuse the rewrite and run both
-    separately."""
-    def run(mode):
-        w = _world("vec")
-        with push_context(w["ctx"]):
-            hits = decl_dat(w["cells"], 1, np.float64, None, "hits")
-
-            def body():
-                particle_move(k_walk_chain, "Walk", w["parts"],
-                              w["c2c"], w["p2c"],
-                              arg_dat(w["pos"], OPP_READ),
-                              arg_dat(hits, w["p2c"], OPP_INC))
-                par_loop(k_gather2, "HitsGather", w["parts"],
-                         OPP_ITERATE_ALL,
-                         arg_dat(hits, w["p2c"], OPP_READ),
-                         arg_dat(w["out"], OPP_RW))
-
-            if mode == "off":
-                body()
-                return w, hits, None
-            prog = program.Program(mode)
-            with program.record(mode=mode, program=prog):
-                body()
-            return w, hits, prog
-
-    w_off, hits_off, _ = run("off")
-    w, hits, prog = run("fuse")
-    assert np.array_equal(w["out"].data, w_off["out"].data)
-    assert np.array_equal(hits.data, hits_off.data)
-    (plan,) = prog.plans
-    assert not plan.rewrites
-    move_groups = [g for g in plan.groups if g.kind == "move"]
-    assert move_groups and not move_groups[0].rewritten
+    assert [(g.kind, g.name, g.fused) for g in plan.groups] == [
+        ("move", "Walk", False), ("loops", "Deposit", False)]
 
 
 # -- Program API -----------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Apps driven through the program optimizer (`cfg.program="fuse"`):
-optimized runs must match eager runs (seq bit-equal), the move+deposit
-rewrite must replace the hand-wired fused move, a rewritten move must
-reuse its call site's declaration, and the distributed driver must
-coalesce halo pushes.
+optimized runs must be bit-equal to eager runs on every backend, a
+deferred move must reuse its call site's declaration, and the
+distributed driver must coalesce halo pushes.
 """
 import numpy as np
 import pytest
@@ -39,23 +38,22 @@ def test_fempic_program_seq_bit_equal():
     assert plain.program is None
 
 
-def test_fempic_program_vec_matches():
-    """vec is allclose rather than bit-equal: the move+deposit rewrite
-    reorders scatter accumulation, exactly like the hand-fused
-    ``fuse_move`` path it replaces (see test_fused_move.py)."""
-    plain = run_fempic("vec", "off")
-    fused = run_fempic("vec", "fuse")
-    assert fused.parts.size == plain.parts.size
-    for attr in ("phi", "ncd", "nw", "ef"):
-        want = getattr(plain, attr).data
-        # absolute floor scaled to the field: exact zeros in one run are
-        # ~1e-18 cancellation residues in the regrouped other
-        np.testing.assert_allclose(
-            getattr(fused, attr).data, want, rtol=1e-9,
-            atol=1e-12 * np.abs(want).max(), err_msg=attr)
-    np.testing.assert_allclose(fused.history["field_energy"],
-                               plain.history["field_energy"],
-                               rtol=1e-9, atol=1e-18)
+def test_fempic_program_vec_matches(monkeypatch):
+    """vec is bit-equal too, on the native tier and on the NumPy target:
+    every loop and move of the optimized step runs as the app wrote
+    it."""
+    from repro.translator import native
+    for target in ("native", "numpy"):
+        if target == "numpy":
+            monkeypatch.setattr(native, "CC", None)
+        plain = run_fempic("vec", "off")
+        fused = run_fempic("vec", "fuse")
+        assert fused.parts.size == plain.parts.size, target
+        for attr in ("phi", "ncd", "nw", "ef", "pos", "vel", "lc"):
+            assert np.array_equal(getattr(fused, attr).data,
+                                  getattr(plain, attr).data), \
+                (target, attr)
+        assert fused.history == plain.history, target
 
 
 @pytest.mark.parametrize("backend", ["seq", "vec"])
@@ -69,22 +67,9 @@ def test_cabana_program_bit_equal(backend):
                               getattr(plain, attr).data), attr
 
 
-def test_fempic_program_rewrites_move_deposit():
-    """With the optimizer on, the separate Move + DepositCharge loops
-    become one fused move — the Program-expressible form of the PR-4
-    ``fuse_move`` special case, sharing its legality check."""
-    sim = run_fempic("vec", "fuse", steps=2)
-    plans = sim.program.plans
-    rewrites = [rw for p in plans for rw in p.rewrites]
-    assert any("Move" in rw and "DepositCharge" in rw for rw in rewrites)
-    assert any(g.rewritten for p in plans for g in p.groups
-               if g.kind == "move")
-    assert "rewritten from separate deposit loop" in sim.program.explain()
-
-
-def test_rewritten_move_is_declared_once(monkeypatch):
-    """The rewritten move goes through its context's call-site memo like
-    an eager move: once warm, a flush declares nothing, derives no
+def test_deferred_move_is_declared_once(monkeypatch):
+    """A deferred move goes through its context's call-site memo like an
+    eager move: once warm, a flush declares nothing, derives no
     descriptor signature and looks up no launcher."""
     from repro.core.move import MoveDecl
     from repro.translator import cgen, native
@@ -108,20 +93,21 @@ def test_rewritten_move_is_declared_once(monkeypatch):
                         counting("launcher", native._launcher))
     sim.run(10)
     assert calls == {"MoveDecl": 0, "signature": 0, "launcher": 0}
-    assert sum(len(p.rewrites) for p in sim.program.plans) == 1
+    assert any(g.name == "Move" for p in sim.program.plans
+               for g in p.groups if g.kind == "move")
 
 
 @pytest.mark.parametrize("run, flushes, groups, fused", [
-    (run_fempic, 9, [1, 4, 2], 1), (run_cabana, 3, [8], 0)])
+    (run_fempic, 9, [1, 5, 2], 0), (run_cabana, 3, [8], 0)])
 def test_one_rank_step_flushes_where_the_single_rank_step_did(
         run, flushes, groups, fused):
     """Flush counts recorded from the last commit with a separate
     single-rank class: written on the rank-count-agnostic base, the
     one-rank step still hands the optimizer the same flush shapes (no
-    exchange adds a trace node or a host observation).  Every loop is a
-    group of its own; FemPIC's one fused group is its rewritten move.
-    FemPIC's field solve is one compiled call and launches no loop, so
-    its step is three flushes of one, four and two loops."""
+    exchange adds a trace node or a host observation).  Every loop and
+    move is a group of its own.  FemPIC's field solve is one compiled
+    call and launches no loop, so its step is three flushes of one, five
+    and two groups."""
     prog = run("vec", "fuse", steps=3).program
     assert prog.n_flushes == flushes
     assert [len(p.groups) for p in prog.plans] == groups

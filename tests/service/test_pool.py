@@ -1,11 +1,14 @@
 """Warm pool mechanics (repro.service.pool): real worker processes."""
+import multiprocessing as mp
 import time
 
 import pytest
 
+from repro.dist.proc import _encode_body
 from repro.service import jobs
+from repro.service import pool as pool_mod
 from repro.service.pool import (PK_CKPT, PK_DIAG, PK_DONE, PK_DOWN,
-                                PK_UP, PK_YIELD, WarmPool)
+                                PK_RUN, PK_UP, PK_YIELD, WarmPool)
 
 ADVEC = {"app": "advec",
          "params": {"nx": 6, "ny": 6, "ppc": 2, "n_steps": 10}}
@@ -165,3 +168,38 @@ def test_resize_grows_and_shrinks(pool):
     pool.resize(1)
     assert len(pool.live_workers()) == 1
     assert pool.target_size == 1
+
+
+def test_run_frame_at_the_limit_reaches_the_worker(monkeypatch):
+    """A ``PK_RUN`` whose body is exactly the frame limit is a legal
+    frame: the worker reads the header on top of the body and runs the
+    job.  Forked workers inherit the patched limit."""
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("the patched limit reaches the workers through fork")
+    limit = 16 * 1024
+    monkeypatch.setattr(pool_mod, "DEFAULT_MAX_FRAME", limit)
+    spec = jobs.validate_job(dict(ADVEC, params=dict(ADVEC["params"],
+                                                     n_steps=1)))
+    payload = {"job_id": "edge", "spec": spec, "checkpoint": None,
+               "pad": b"x" * 1000}
+    payload["pad"] = b"x" * (1000 + limit - len(_encode_body(payload)))
+    assert len(_encode_body(payload)) == limit
+
+    p = WarmPool(1)
+    p.start()
+    try:
+        deadline = time.monotonic() + 60
+        while not p.idle_workers() and time.monotonic() < deadline:
+            p.wait_event(10)
+        handle = p.idle_workers()[0]
+        assert p._post(handle, PK_RUN, 1, payload)
+        handle.state, handle.job_id, handle.tag = "busy", "edge", 1
+        events = []
+        while time.monotonic() < deadline and not any(
+                e.kind in (PK_DONE, PK_DOWN) for e in events):
+            events.extend(p.wait_event(10))
+        assert [e.kind for e in events] == [PK_DONE], \
+            [e.name for e in events]
+        assert events[0].payload["job_id"] == "edge"
+    finally:
+        p.shutdown()

@@ -15,7 +15,7 @@ from repro.core.api import (CONST, OPP_INC, OPP_ITERATE_ALL, OPP_MAX,
                             decl_global, decl_map, decl_particle_set,
                             decl_set, par_loop, particle_move, push_context)
 from repro.core.kernel import Kernel
-from repro.core.move import MoveDeposit, MoveLoop
+from repro.core.move import MoveLoop
 from repro.translator import native
 
 pytestmark = pytest.mark.skipif(native.compiler() is None,
@@ -268,8 +268,34 @@ def walk_kernel(move, pos, seg, visits):
         move.done()
 
 
-def deposit_kernel(seg, acc):
+def walk_deposit_done(move, pos, seg, visits, acc):
+    """:func:`walk_kernel` that deposits ``seg`` in the cell it settles
+    in: a move fused with its deposit by the app, in one kernel."""
+    visits[0] += 1
+    seg[0] = 0.5 * (move.hop + 1)
+    lo = move.cell * 1.0
+    if pos[0] < lo:
+        move.move_to(move.c2c[0])
+    elif pos[0] >= lo + 1.0:
+        move.move_to(move.c2c[1])
+    else:
+        move.done()
+        acc[0] += seg[0]
+
+
+def walk_deposit_hop(move, pos, seg, visits, acc):
+    """:func:`walk_kernel` that deposits ``seg`` in every cell it
+    crosses, as CabanaPIC's ``Move_Deposit`` does its current."""
+    visits[0] += 1
+    seg[0] = 0.5 * (move.hop + 1)
     acc[0] += seg[0]
+    lo = move.cell * 1.0
+    if pos[0] < lo:
+        move.move_to(move.c2c[0])
+    elif pos[0] >= lo + 1.0:
+        move.move_to(move.c2c[1])
+    else:
+        move.done()
 
 
 def _walk(backend, when, foreign=False, max_hops=50, only=None):
@@ -289,14 +315,12 @@ def _walk(backend, when, foreign=False, max_hops=50, only=None):
         seg = decl_dat(parts, 1, np.float64)
         visits = decl_dat(cells, 1, np.int64)
         acc = decl_dat(cells, 1, np.float64)
-        loop = MoveLoop(walk_kernel, "walk", parts, c2c, p2c,
+        kernel = {"done": walk_deposit_done, "hop": walk_deposit_hop}[when]
+        loop = MoveLoop(kernel, "walk", parts, c2c, p2c,
                         [arg_dat(pos, OPP_READ), arg_dat(seg, OPP_WRITE),
-                         arg_dat(visits, p2c, OPP_INC)],
-                        max_hops=max_hops, only_indices=only,
-                        deposit=MoveDeposit(deposit_kernel,
-                                            [arg_dat(seg, OPP_READ),
-                                             arg_dat(acc, p2c, OPP_INC)],
-                                            when=when))
+                         arg_dat(visits, p2c, OPP_INC),
+                         arg_dat(acc, p2c, OPP_INC)],
+                        max_hops=max_hops, only_indices=only)
         loop.defer_removal = True
         if foreign:
             loop.foreign_cell_mask = np.arange(n_cells) >= 6
@@ -314,6 +338,8 @@ def _walk(backend, when, foreign=False, max_hops=50, only=None):
 @pytest.mark.parametrize("foreign", [False, True])
 @pytest.mark.parametrize("only", [None, [7, 3, 3, 59, 0]])
 def test_move_matches_seq_bit_for_bit(when, foreign, only):
+    """A walk that deposits on settling or every hop, with foreign
+    cells, deferred removal and ``only_indices``."""
     want, _ = _walk("seq", when, foreign, only=only)
     got, res = _walk("vec", when, foreign, only=only)
     assert "fallback" not in res.extras
