@@ -10,7 +10,7 @@ exactly the per-target specialisations OP-PIC's code generator emits.
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Union
 
 from ..core.loops import ParLoop
 from ..core.move import MoveLoop, MoveResult
@@ -30,8 +30,12 @@ class Backend(abc.ABC):
     conformance_options: dict = {}
 
     @abc.abstractmethod
-    def execute(self, loop: ParLoop) -> Optional[dict]:
-        """Run a parallel loop; may return extra perf counters."""
+    def execute(self, loop: ParLoop, start: int, end: int
+                ) -> Union[None, dict, int]:
+        """Run a parallel loop over ``[start, end)`` (its
+        :meth:`~repro.core.loops.ParLoop.bounds`, read once per launch);
+        may return extra perf counters, or — a launch that was one
+        compiled call — just its collision depth."""
 
     @abc.abstractmethod
     def execute_move(self, loop: MoveLoop) -> MoveResult:

@@ -46,8 +46,8 @@ class DeviceBackend(VecBackend):
         self.kind = kind
         self.name = kind
 
-    def execute(self, loop: ParLoop) -> Optional[dict]:
-        extras = super().execute(loop) or {}
+    def execute(self, loop: ParLoop, start: int, end: int) -> Optional[dict]:
+        extras = super().execute(loop, start, end) or {}
         extras["device"] = self.kind
         extras["branches"] = _branch_count(loop.kernel)
         return extras

@@ -32,7 +32,7 @@ class OmpBackend(VecBackend):
         super().__init__(strategy=strategy, **strategy_options)
         self.nthreads = int(nthreads)
 
-    def execute(self, loop: ParLoop) -> Optional[dict]:
-        extras = super().execute(loop) or {}
+    def execute(self, loop: ParLoop, start: int, end: int) -> Optional[dict]:
+        extras = super().execute(loop, start, end) or {}
         extras["nthreads"] = self.nthreads
         return extras

@@ -25,7 +25,7 @@ class SeqBackend(Backend):
     #: the oracle itself needs no special conformance configuration
     conformance_options: dict = {}
 
-    def execute(self, loop: ParLoop) -> Optional[dict]:
+    def execute(self, loop: ParLoop, start: int, end: int) -> Optional[dict]:
         kernel = loop.kernel.fn
         args = loop.args
         # Pre-resolve array and map references out of the hot loop.
@@ -42,7 +42,7 @@ class SeqBackend(Backend):
             else:  # DOUBLE
                 views.append(("double", a.dat.data,
                               (a.p2c.p2c, a.map.values), a.map_idx))
-        for i in range(*loop.bounds()):
+        for i in range(start, end):
             params = []
             for kind, data, mapping, midx in views:
                 if kind == "gbl":

@@ -17,7 +17,7 @@ is the SIMT formulation of OP-PIC's multi-hop move.
 """
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -72,16 +72,16 @@ class VecBackend(Backend):
 
     # -- opp_par_loop -----------------------------------------------------------
 
-    def execute(self, loop: ParLoop) -> Optional[dict]:
-        start, end = loop.bounds()
+    def execute(self, loop: ParLoop, start: int, end: int
+                ) -> Union[None, dict, int]:
         n = end - start
         if n <= 0:
             return None
         declined = self._numpy_only()
         if declined is None:
-            extras, declined = native.par_loop(loop, start, end)
-            if extras is not None:
-                return extras
+            collisions, declined = native.par_loop(loop, start, end)
+            if collisions is not None:
+                return collisions
         extras = self._execute_numpy(loop, slice(start, end), n)
         if type(self) is VecBackend:
             extras["fallback"] = declined
@@ -90,7 +90,7 @@ class VecBackend(Backend):
     def _execute_numpy(self, loop: ParLoop, span: slice, n: int) -> dict:
         gen = loop.kernel.generated("vec")
         if not gen.vectorized:
-            self._seq.execute(loop)
+            self._seq.execute(loop, span.start, span.stop)
             return {"fallback": True}
 
         slots = [loop_slot(self, loop, span, a, apos)

@@ -13,6 +13,11 @@ An :class:`Arg` tells a backend how one kernel parameter touches memory:
 
 The access mode + addressing kind is all the information code generation
 needs to choose a race-handling strategy.
+
+:func:`arg_dat` and :func:`arg_gbl` are memoised: a repeated spec returns
+the same frozen :class:`Arg`, from a small memo held on the dat (or
+global) itself, so the memo dies with the dat and a call site can compare
+its descriptors by identity.
 """
 from __future__ import annotations
 
@@ -27,6 +32,10 @@ from .types import AccessMode
 
 __all__ = ["Arg", "ArgKind", "arg_dat", "arg_gbl"]
 
+#: most descriptors one dat (or global) remembers; a dat addressed through
+#: ever new maps starts its memo afresh instead of keeping them all alive
+MAX_ARGS = 64
+
 
 class ArgKind:
     DIRECT = "direct"
@@ -39,57 +48,57 @@ class ArgKind:
 class Arg:
     """One kernel argument: a dat (or global) plus addressing and access.
 
-    An immutable description: loop declarations are shared between
-    launches and keyed by :attr:`key`, so nothing may change an ``Arg``
-    after it is built.
+    Frozen: :func:`arg_dat` hands the same descriptor to every call site
+    and context that names the same spec, and call sites key on it, so
+    assigning an attribute after ``__init__`` raises.
     """
 
     __slots__ = ("dat", "access", "map", "map_idx", "p2c", "kind",
-                 "is_indirect", "is_global", "key")
+                 "is_indirect", "is_global", "__weakref__")
 
     def __init__(self, dat, access: AccessMode, *, map_: Optional[Map] = None,
                  map_idx: Optional[int] = None, p2c: Optional[Map] = None):
         if not isinstance(access, AccessMode):
             raise TypeError(f"access must be an AccessMode, got {access!r}")
-        self.dat = dat
-        self.access = access
-        self.map = map_
-        self.map_idx = map_idx
-        self.p2c = p2c
-        #: what a call site's memo compares: the objects themselves
-        #: (hashed by identity and kept alive by the key) and how they
-        #: are addressed (the access mode by its value: a ``str`` hashes
-        #: in C, an ``Enum`` member in Python)
-        self.key = (dat, access._value_, map_, map_idx, p2c)
-
         if isinstance(dat, Global):
             if map_ is not None or p2c is not None:
                 raise ValueError("global args take no mapping")
             if access in (AccessMode.WRITE, AccessMode.RW):
                 raise ValueError("global args support READ/INC/MIN/MAX only")
-            self.kind = ArgKind.GLOBAL
+            kind = ArgKind.GLOBAL
         elif map_ is not None and p2c is not None:
-            self.kind = ArgKind.DOUBLE
+            kind = ArgKind.DOUBLE
         elif p2c is not None:
-            self.kind = ArgKind.P2C
+            kind = ArgKind.P2C
         elif map_ is not None:
-            self.kind = ArgKind.INDIRECT
+            kind = ArgKind.INDIRECT
         else:
-            self.kind = ArgKind.DIRECT
-        self.is_global = self.kind == ArgKind.GLOBAL
-        self.is_indirect = self.kind in (ArgKind.INDIRECT, ArgKind.P2C,
-                                         ArgKind.DOUBLE)
+            kind = ArgKind.DIRECT
 
-        if self.map is not None:
-            if self.map.is_particle_map:
+        if map_ is not None:
+            if map_.is_particle_map:
                 raise ValueError("pass a particle-to-cell map as p2c=, not as "
                                  "the mesh map argument")
             if map_idx is None:
                 raise ValueError(f"indirect arg on {dat.name!r} needs a map "
                                  "component index")
-            if not (0 <= map_idx < self.map.arity):
+            if not (0 <= map_idx < map_.arity):
                 raise IndexError(f"map index {map_idx} out of range for arity "
-                                 f"{self.map.arity}")
+                                 f"{map_.arity}")
+        for name, value in (
+                ("dat", dat), ("access", access), ("map", map_),
+                ("map_idx", map_idx), ("p2c", p2c), ("kind", kind),
+                ("is_global", kind == ArgKind.GLOBAL),
+                ("is_indirect", kind in (ArgKind.INDIRECT, ArgKind.P2C,
+                                         ArgKind.DOUBLE))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Arg is frozen (cannot set {name!r}): it is "
+                             "shared by every call site that names it")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Arg is frozen (cannot delete {name!r})")
 
     # -- addressing -----------------------------------------------------------
 
@@ -166,6 +175,18 @@ class Arg:
                 + (" o p2c" if self.p2c is not None else "") + ">")
 
 
+def _remember(owner, spec: tuple, arg: Arg) -> Arg:
+    memo = getattr(owner, "_args", None)
+    if memo is not None:
+        if len(memo) >= MAX_ARGS:
+            memo.clear()
+        try:
+            memo[spec] = arg
+        except TypeError:       # an unhashable spec part: not memoised
+            pass
+    return arg
+
+
 def arg_dat(dat: Dat, *spec) -> Arg:
     """Flexible ``opp_arg_dat`` constructor matching the paper's listings.
 
@@ -175,28 +196,41 @@ def arg_dat(dat: Dat, *spec) -> Arg:
         arg_dat(dat, idx, mesh_map, OPP_READ)       # indirect
         arg_dat(dat, p2c_map, OPP_READ)             # particle indirect
         arg_dat(dat, idx, mesh_map, p2c_map, OPP_INC)  # double indirect
+
+    A spec seen before on ``dat`` returns the descriptor built then.
     """
+    try:
+        return dat._args[spec]
+    except (AttributeError, KeyError, TypeError):
+        pass
     if not spec or not isinstance(spec[-1], AccessMode):
         raise TypeError("the last argument of arg_dat must be an access mode")
     access = spec[-1]
     rest = spec[:-1]
     if len(rest) == 0:
-        return Arg(dat, access)
-    if len(rest) == 1:
+        arg = Arg(dat, access)
+    elif len(rest) == 1:
         m = rest[0]
         if not isinstance(m, Map) or not m.is_particle_map:
             raise TypeError("single-map form of arg_dat takes a "
                             "particle-to-cell map")
-        return Arg(dat, access, p2c=m)
-    if len(rest) == 2:
+        arg = Arg(dat, access, p2c=m)
+    elif len(rest) == 2:
         idx, m = rest
-        return Arg(dat, access, map_=m, map_idx=int(idx))
-    if len(rest) == 3:
+        arg = Arg(dat, access, map_=m, map_idx=int(idx))
+    elif len(rest) == 3:
         idx, m, p2c = rest
-        return Arg(dat, access, map_=m, map_idx=int(idx), p2c=p2c)
-    raise TypeError(f"arg_dat: unsupported argument form {spec!r}")
+        arg = Arg(dat, access, map_=m, map_idx=int(idx), p2c=p2c)
+    else:
+        raise TypeError(f"arg_dat: unsupported argument form {spec!r}")
+    return _remember(dat, spec, arg)
 
 
 def arg_gbl(gbl: Global, access: AccessMode) -> Arg:
-    """``opp_arg_gbl`` — a global reduction / read-only constant argument."""
-    return Arg(gbl, access)
+    """``opp_arg_gbl`` — a global reduction / read-only constant argument
+    (memoised on ``gbl`` as :func:`arg_dat` is on a dat)."""
+    try:
+        return gbl._args[(access,)]
+    except (AttributeError, KeyError, TypeError):
+        pass
+    return _remember(gbl, (access,), Arg(gbl, access))

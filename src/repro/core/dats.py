@@ -44,6 +44,9 @@ class Dat:
         self.dim = int(dim)
         self.dtype = dtype_of(dtype)
         self.name = name or f"dat_on_{dset.name}"
+        #: the descriptors :func:`~repro.core.args.arg_dat` built on this
+        #: dat, by spec
+        self._args: dict = {}
 
         cap = dset.capacity if isinstance(dset, ParticleSet) else dset.size
         self._raw = np.zeros((cap, self.dim), dtype=self.dtype)
@@ -131,6 +134,9 @@ class Global:
         self.dim = int(dim)
         self.dtype = dtype_of(dtype)
         self.name = name or "global"
+        #: the descriptors :func:`~repro.core.args.arg_gbl` built on this
+        #: global, by spec
+        self._args: dict = {}
         self._data = np.zeros(self.dim, dtype=self.dtype)
         if data is not None:
             self._data[:] = np.asarray(data,

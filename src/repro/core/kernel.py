@@ -26,13 +26,21 @@ class ConstRegistry:
 
     Attribute access inside kernels (``CONST.dt``) works both element-wise
     and in generated vector code, since constants are scalars that broadcast.
+    :attr:`version` counts the changes: every ``declare``, assignment,
+    ``clear`` and ``restore`` moves it, so a launcher that built a table
+    of values at one version may reuse it while the version stands.
     """
 
     def __init__(self):
         object.__setattr__(self, "_values", {})
+        object.__setattr__(self, "version", 0)
+
+    def _changed(self) -> None:
+        object.__setattr__(self, "version", self.version + 1)
 
     def declare(self, name: str, value) -> None:
         self._values[name] = value
+        self._changed()
 
     def __getattr__(self, name: str):
         try:
@@ -43,10 +51,11 @@ class ConstRegistry:
 
     def __setattr__(self, name: str, value) -> None:
         self._values[name] = value
+        self._changed()
 
     def values(self, names) -> list:
         """Current values of several constants, in order (the native
-        launcher's per-launch table)."""
+        launcher's table, built again when :attr:`version` moved)."""
         try:
             return [self._values[name] for name in names]
         except KeyError as exc:
@@ -55,6 +64,7 @@ class ConstRegistry:
 
     def clear(self) -> None:
         self._values.clear()
+        self._changed()
 
     def snapshot(self) -> dict:
         return dict(self._values)
@@ -63,6 +73,7 @@ class ConstRegistry:
         """Make the registry hold exactly what :meth:`snapshot` returned."""
         self._values.clear()
         self._values.update(snapshot)
+        self._changed()
 
 
 #: Process-wide constant registry used by application kernels.

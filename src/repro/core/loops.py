@@ -103,6 +103,10 @@ class ParLoop:
         #: what the backend's compiled tier bound to this declaration,
         #: by launch variant (see :mod:`repro.translator.native`)
         self.bindings: dict = {}
+        #: the perf extras of a launch the backend ran as one compiled
+        #: call (its ``execute`` returns just the collision depth)
+        self.compiled_extras = {"strategy": "in_place",
+                                "branches": self.branches}
 
     # -- iteration domain ------------------------------------------------------
 
@@ -179,17 +183,23 @@ def execute_parloop(loop: ParLoop, ctx) -> None:
     """Run a declared loop on ``ctx`` and record its perf row.
 
     Shared by the eager ``par_loop`` path and the program optimizer's
-    deferred-flush executor so both record identical counters.
+    deferred-flush executor so both record identical counters.  The
+    bounds are read once, here, and handed to the backend.
     """
+    start, end = loop.bounds()
+    n = end - start if end > start else 0
     t0 = time.perf_counter()
-    extras = ctx.backend.execute(loop) or {}
+    extras = ctx.backend.execute(loop, start, end)
     dt = time.perf_counter() - t0
-    n = loop.n_iter
-    extras.setdefault("branches", loop.branches)
-    ctx.perf.record_loop(loop.name, n=n, seconds=dt,
-                         flops=loop.flops_per_elem * n,
-                         nbytes=loop.bytes_per_iter * n,
-                         indirect_inc=loop.has_indirect_inc, **extras)
+    if type(extras) is int:         # one compiled call: its collisions
+        collisions, extras = extras, loop.compiled_extras
+    else:
+        extras = extras or {}
+        collisions = extras.pop("collisions", 0)
+        extras.setdefault("branches", loop.branches)
+    ctx.perf.add(loop.name, n, dt, loop.flops_per_elem * n,
+                 loop.bytes_per_iter * n, loop.has_indirect_inc, 0, False,
+                 collisions, extras)
 
 
 def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
@@ -204,11 +214,11 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
 
     The call site is declared once per context: the first call validates
     the descriptors and remembers the :class:`ParLoop`; a repeated call
-    with the same kernel, set and argument descriptors launches that
-    declaration again.
+    with the same kernel, set and argument descriptors (the same
+    memoised :class:`Arg` objects) launches that declaration again.
     """
     ctx = get_context()
-    key = (kernel, name, iterset, iterate_type, *[a.key for a in args])
+    key = (kernel, name, iterset, iterate_type, *args)
     loop = ctx.sites.get(key)
     if loop is None:
         loop = ParLoop(kernel, name, iterset, iterate_type, args)

@@ -75,18 +75,24 @@ class MoveContext:
         self.status = MoveStatus.NEED_REMOVE
 
 
+#: what a result holds for a list that is empty: one shared read-only
+#: array, not three fresh allocations per launch
+NO_INDICES = np.empty(0, dtype=np.int64)
+NO_INDICES.flags.writeable = False
+
+
 class MoveResult:
     """Outcome of one (rank-local) particle-move execution."""
 
     def __init__(self):
         #: particle indices that stopped in a foreign (halo/off-rank) cell
-        self.foreign_particles: np.ndarray = np.empty(0, dtype=np.int64)
+        self.foreign_particles: np.ndarray = NO_INDICES
         #: the foreign cell each such particle stopped in (local index)
-        self.foreign_cells: np.ndarray = np.empty(0, dtype=np.int64)
+        self.foreign_cells: np.ndarray = NO_INDICES
         #: number of particles removed (left the domain)
         self.n_removed: int = 0
         #: indices of removed particles when the loop defers deletion
-        self.removed_indices: np.ndarray = np.empty(0, dtype=np.int64)
+        self.removed_indices: np.ndarray = NO_INDICES
         #: total hops performed (for the hop-count performance model)
         self.total_hops: int = 0
         #: worst per-hop collision depth on indirect-INC scatters
@@ -149,6 +155,8 @@ class MoveDecl:
         #: what the backend's compiled tier bound to this declaration,
         #: by launch variant (see :mod:`repro.translator.native`)
         self.bindings: dict = {}
+        #: the perf extras every launch records
+        self.row_extras = {"branches": self.kernel.branch_count()}
 
 
 class MoveLoop:
@@ -206,8 +214,7 @@ def declare_move(ctx, kernel, name: str, pset: ParticleSet, c2c_map: Map,
     """A new launch of a move call site, which ``ctx`` declares once (as
     ``par_loop`` does its sites): the first call validates and remembers
     the :class:`MoveDecl`, a repeated one only makes the launch object."""
-    key = (kernel, name, pset, c2c_map, p2c_map, max_hops,
-           *[a.key for a in args])
+    key = (kernel, name, pset, c2c_map, p2c_map, max_hops, *args)
     decl = ctx.sites.get(key)
     if decl is None:
         decl = MoveDecl(kernel, name, pset, c2c_map, p2c_map, args,
@@ -226,15 +233,14 @@ def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     t0 = time.perf_counter()
     result = ctx.backend.execute_move(loop)
     dt = time.perf_counter() - t0
-    ctx.perf.record_loop(loop.name, n=loop.pset.size, seconds=dt,
-                         flops=((loop.kernel.flops_per_elem or 0.0)
-                                * result.total_hops),
-                         nbytes=loop.hop_bytes * result.total_hops,
-                         indirect_inc=loop.has_indirect_inc,
-                         hops=result.total_hops, is_move=True,
-                         collisions=result.max_collisions,
-                         branches=loop.kernel.branch_count(),
-                         **result.extras)
+    hops = result.total_hops
+    extras = loop.row_extras
+    if result.extras:
+        extras = {**extras, **result.extras}
+    ctx.perf.add(loop.name, loop.pset.size, dt,
+                 (loop.kernel.flops_per_elem or 0.0) * hops,
+                 loop.hop_bytes * hops, loop.has_indirect_inc, hops, True,
+                 result.max_collisions, extras)
     return result
 
 

@@ -84,6 +84,14 @@ class PerfRecorder:
                     indirect_inc: bool = False, hops: int = 0,
                     is_move: bool = False, collisions: int = 0,
                     **extras) -> None:
+        self.add(name, n, seconds, flops, nbytes, indirect_inc, hops,
+                 is_move, collisions, extras)
+
+    def add(self, name: str, n: int, seconds: float, flops: float,
+            nbytes: float, indirect_inc: bool, hops: int, is_move: bool,
+            collisions: int, extras: dict) -> None:
+        """:meth:`record_loop` with every field positional and the extras
+        as a dict, merged into the row (what a launch calls)."""
         if not self.enabled:
             return
         if self.trace is not None:
@@ -99,11 +107,12 @@ class PerfRecorder:
         st.flops += flops
         st.nbytes += nbytes
         st.hops += hops
-        st.max_collisions = max(st.max_collisions, collisions)
+        if collisions > st.max_collisions:
+            st.max_collisions = collisions
         st.indirect_inc = st.indirect_inc or indirect_inc
         st.is_move = st.is_move or is_move
-        for k, v in extras.items():
-            st.extras[k] = v
+        if extras:
+            st.extras.update(extras)
 
     def reset(self) -> None:
         self.loops.clear()

@@ -520,13 +520,28 @@ class CKernel:
 
 
 class _Loop:
-    """Shared pieces of the two loop emitters: the parameter list over
-    the loop's array slots, per-argument addressing and the collision
-    counters."""
+    """Shared pieces of the two loop emitters: the unpacking of the
+    packed argument block into the loop's array slots, per-argument
+    addressing and the collision counters.
 
-    def __init__(self, nslots: int):
+    The block ``a`` holds ``head`` launch words, then ``(address, rows)``
+    per slot.  An increment through a mapping counts its target rows: a
+    per-row counter per argument, except that a doubly-indirect one
+    counts its particle's cell once per iteration (one counter per cell,
+    shared by every such argument), expanded through each argument's map
+    when the loop has run.
+    """
+
+    def __init__(self, nslots: int, head: int):
         self.slot_type = ["int64_t"] * nslots    # maps; dats overwrite
+        self.head = head
         self.hits: List[Tuple[str, int]] = []    # (counter, dat slot)
+        self.loaded: set = set()                 # cells read from p2c
+        #: cell expression -> (its cell counter, the cell count)
+        self.cells: Dict[str, Tuple[str, str]] = {}
+        #: per doubly-indirect increment: (cell counter, cell count,
+        #: dat slot, mesh slot, map arity, map index)
+        self.spread: List[Tuple[str, str, int, int, int, int]] = []
 
     def bind(self, kernel, sig: Sequence[SigEntry], consts: Sequence[str],
              c2c_arity: int = 0) -> _Body:
@@ -543,15 +558,21 @@ class _Loop:
             self.slot_type[sd] = DTYPES[dtype]
         return _Body(kernel, ptypes, dims, consts, c2c_arity)
 
-    def params(self) -> str:
-        return ", ".join(f"{t} *s{k}, int64_t n{k}"
-                         for k, t in enumerate(self.slot_type))
+    def unpack(self) -> List[str]:
+        """Each slot's pointer and row count, read from the block."""
+        lines = []
+        for k, t in enumerate(self.slot_type):
+            at = self.head + 2 * k
+            lines.append(f"{t} *s{k} = ({t} *)(intptr_t)a[{at}]; "
+                         f"const int64_t n{k} = a[{at + 1}];")
+        return lines
 
     def address(self, tag: str, name: str, entry: SigEntry, it: str,
-                cell: Optional[str]) -> List[str]:
+                cell: Optional[str], cell_rows: str = "") -> List[str]:
         """C lines binding kernel parameter ``name`` for iteration
         ``it``.  ``cell`` overrides the particle-to-cell lookup inside a
-        move, where the hop's cell differs from the stored one."""
+        move, where the hop's cell differs from the stored one (and is
+        below ``cell_rows``)."""
         kind, access, dim, dtype, sd, sm, arity, midx, sp = entry
         ctype = DTYPES[dtype]
         row = f"r{tag}"
@@ -561,9 +582,11 @@ class _Loop:
             return [f"{ctype} *{name}_ = s{sd} + {it} * {dim};"]
         lines = []
         if kind == "double" and cell is None:
-            cell = f"c{tag}"
-            lines += [f"int64_t {cell} = s{sp}[{it}];",
-                      f"ROW({cell}, n{sm}, {it});"]
+            cell, cell_rows = f"c{sp}", f"n{sm}"
+            if cell not in self.loaded:     # one load per particle map
+                self.loaded.add(cell)
+                lines += [f"int64_t {cell} = s{sp}[{it}];",
+                          f"ROW({cell}, n{sm}, {it});"]
         if kind == "p2c":
             lines.append(f"int64_t {row} = {cell or f's{sp}[{it}]'};")
         else:
@@ -571,19 +594,54 @@ class _Loop:
                          f"s{sm}[{cell or it} * {arity} + {midx}];")
         lines += [f"ROW({row}, n{sd}, {it});",
                   f"{ctype} *{name}_ = s{sd} + {row} * {dim};"]
-        if access == "inc":
+        if kind == "double" and access == "inc":
+            counter = self.cells.setdefault(
+                cell, (f"hc{len(self.cells)}", cell_rows))[0]
+            self.spread.append((counter, cell_rows, sd, sm, arity, midx))
+        elif access == "inc":
             self.hits.append((f"h{tag}", sd))
             lines.append(f"if (h{tag}) h{tag}[{row}]++;")
         return lines
 
+    def counted(self) -> List[str]:
+        """The cell count of one iteration whose rows were all in range."""
+        return [f"if ({counter}) {counter}[{cell}]++;"
+                for cell, (counter, _rows) in self.cells.items()]
+
+    def _counters(self) -> List[Tuple[str, str]]:
+        return ([(h, f"n{sd}") for h, sd in self.hits]
+                + list(self.cells.values()))
+
     def hits_alloc(self) -> List[str]:
-        return [f"int64_t *{h} = calloc(n{sd} > 0 ? n{sd} : 1, "
-                f"sizeof(int64_t));" for h, sd in self.hits]
+        return [f"int64_t *{h} = calloc({rows} > 0 ? {rows} : 1, "
+                f"sizeof(int64_t));" for h, rows in self._counters()]
 
     def hits_drain(self) -> List[str]:
-        return [f"if ({h}) {{ for (int64_t j = 0; j < n{sd}; j++) "
-                f"if ({h}[j] > coll) coll = {h}[j]; free({h}); }}"
-                for h, sd in self.hits]
+        """Deepest collision into ``coll``, unless the loop stopped at an
+        out-of-range row (it raises then), and every counter freed."""
+        lines = ["if (!err) {"]
+        lines += [f"    if ({h}) for (int64_t j = 0; j < n{sd}; j++) "
+                  f"if ({h}[j] > coll) coll = {h}[j];"
+                  for h, sd in self.hits]
+        for counter, rows, sd, sm, arity, midx in self.spread:
+            lines += [
+                f"    if ({counter}) {{",
+                f"        int64_t *h = calloc(n{sd} > 0 ? n{sd} : 1, "
+                "sizeof(int64_t));",
+                "        if (h) {",
+                f"            for (int64_t c = 0; c < {rows}; c++) "
+                f"if ({counter}[c]) {{",
+                f"                int64_t r = s{sm}[c * {arity} + {midx}];",
+                f"                if (r < 0) r += n{sd};",
+                f"                h[r] += {counter}[c];",
+                "            }",
+                f"            for (int64_t j = 0; j < n{sd}; j++) "
+                "if (h[j] > coll) coll = h[j];",
+                "            free(h);",
+                "        }",
+                "    }"]
+        lines.append("}")
+        return lines + [f"free({h});" for h, _rows in self._counters()]
 
 
 def _indent(lines: Sequence[str], by: int) -> List[str]:
@@ -591,22 +649,25 @@ def _indent(lines: Sequence[str], by: int) -> List[str]:
 
 
 def emit_par_loop(kernel, sig: Sequence[SigEntry], nslots: int) -> str:
-    """C source of ``opp_par_loop`` over ``[start, end)`` for one call
-    site: ``int64_t opp_loop(start, end, (slot, rows)…, K, out)`` returns
-    0, or 1 after an out-of-range row (``out[1]`` names the iteration);
-    ``out[0]`` is the deepest indirect-INC collision."""
-    loop = _Loop(nslots)
+    """C source of ``opp_par_loop`` for one call site: ``int64_t
+    opp_loop(a, K, out)`` with the block ``a`` = ``start, end``, then
+    ``(address, rows)`` per slot; returns 0, or 1 after an out-of-range
+    row (``out[1]`` names the iteration); ``out[0]`` is the deepest
+    indirect-INC collision."""
+    loop = _Loop(nslots, 2)
     body = loop.bind(kernel, sig, kernel.generated("c").consts)
     bound: List[str] = []
     for k, (name, entry) in enumerate(zip(body.ir.data_params, sig)):
         bound += loop.address(str(k), name, entry, "i", None)
+    bound += loop.counted()
     return "\n".join(
         [_PRELUDE,
          f"/* par_loop of kernel {body.ir.name} */",
-         f"int64_t {ENTRY}(int64_t start, int64_t end, {loop.params()}, "
-         "const double *K, int64_t *out)",
+         f"int64_t {ENTRY}(const int64_t *a, const double *K, int64_t *out)",
          "{",
-         "    int64_t err = 0, bad = -1, coll = 0;"]
+         "    const int64_t start = a[0], end = a[1];"]
+        + _indent(loop.unpack(), 1)
+        + ["    int64_t err = 0, bad = -1, coll = 0;"]
         + _indent(loop.hits_alloc(), 1)
         + ["    for (int64_t i = start; i < end; i++) {"]
         + _indent(bound, 2) + body.emit(2)
@@ -621,24 +682,27 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
     ``max_hops``.  Slot 0 is the particle-to-cell map, slot 1 the
     cell-to-cell map.
 
-    ``out`` = removed count, foreign count, total hops, relocated count,
-    collision depth (over the whole walk), particles over ``max_hops``,
-    offending particle; the return value is 1 after an out-of-range row
-    or cell.
+    The block ``a`` = particle count, address of the index list (0: all
+    particles), ``max_hops``, address of the foreign-cell mask, then
+    ``(address, rows)`` per slot, then the addresses of the removed,
+    foreign-particle and foreign-cell lists.  ``out`` = removed count,
+    foreign count, total hops, relocated count, collision depth (over the
+    whole walk), particles over ``max_hops``, offending particle; the
+    return value is 1 after an out-of-range row or cell.
     """
     if any(entry[0] == "indirect" for entry in sig):
         raise KernelLanguageError(
             "move kernels address data directly, via the current cell, or "
             "doubly-indirectly")
-    loop = _Loop(nslots)
+    loop = _Loop(nslots, 4)
     body = loop.bind(kernel, sig, kernel.generated("c").consts, c2c_arity)
     if not body.ir.is_move:
         raise KernelLanguageError(
             f"kernel {body.ir.name!r} has no move-context parameter")
     hop: List[str] = []
     for k, (name, entry) in enumerate(zip(body.ir.data_params, sig)):
-        hop += loop.address(str(k), name, entry, "p", "cell")
-    hop += body.emit(0)
+        hop += loop.address(str(k), name, entry, "p", "cell", "n1")
+    hop += loop.counted() + body.emit(0)
     walk = (
         (["if (foreign[cell]) { fpart[nf] = p; fcell[nf++] = cell; "
           "s0[p] = cell; break; }"] if foreign else [])
@@ -653,16 +717,22 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            "if ((uint64_t)cell >= (uint64_t)n1) "
            "{ err = 1; bad = p; goto done; }",
            "if (hop >= max_hops) { over++; break; }"])
+    lists = 4 + 2 * nslots
     return "\n".join(
         [_PRELUDE,
          f"/* particle_move of kernel {body.ir.name} */",
-         f"int64_t {ENTRY}(int64_t count, const int64_t *index, "
-         "int64_t max_hops, const uint8_t *foreign, "
-         f"{loop.params()}, const double *K, int64_t *removed, "
-         "int64_t *fpart, int64_t *fcell, int64_t *out)",
+         f"int64_t {ENTRY}(const int64_t *a, const double *K, int64_t *out)",
          "{",
-         "    int64_t err = 0, bad = -1, coll = 0, nr = 0, nf = 0, "
-         "hops = 0, relocated = 0, over = 0;"]
+         "    const int64_t count = a[0], max_hops = a[2];",
+         "    const int64_t *index = (const int64_t *)(intptr_t)a[1];"]
+        + (["    const uint8_t *foreign = (const uint8_t *)(intptr_t)a[3];"]
+           if foreign else [])
+        + _indent(loop.unpack(), 1)
+        + [f"    int64_t *removed = (int64_t *)(intptr_t)a[{lists}];",
+           f"    int64_t *fpart = (int64_t *)(intptr_t)a[{lists + 1}];",
+           f"    int64_t *fcell = (int64_t *)(intptr_t)a[{lists + 2}];",
+           "    int64_t err = 0, bad = -1, coll = 0, nr = 0, nf = 0, "
+           "hops = 0, relocated = 0, over = 0;"]
         + _indent(loop.hits_alloc(), 1)
         + ["    for (int64_t k = 0; k < count; k++) {",
            "        int64_t p = index ? index[k] : k;",

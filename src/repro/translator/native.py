@@ -10,7 +10,10 @@ handles and bound functions are memoised per process.  What a launch
 derives from the loop's descriptors is kept on the declaration (a
 :class:`_Binding`), so a repeated launch from a call site only reads what
 may have changed: each array object (a particle dat that grows past
-its capacity gets a new buffer), each row count, the ``CONST`` values.
+its capacity gets a new buffer), each row count, the ``CONST`` registry's
+version.  Every generated function takes one packed ``int64`` argument
+block the binding owns, the constant table and an ``out`` block, so the
+call converts three pointers whatever the loop's arity.
 
 :func:`library` builds and loads a fixed C source through the same cache
 (the KSP solve of :mod:`repro.fem.solver`).
@@ -39,6 +42,7 @@ import numpy as np
 from ..core.dats import Global
 from ..core.kernel import CONST
 from ..core.maps import Map
+from ..core.move import NO_INDICES
 from . import cgen
 from .parser import KernelLanguageError
 
@@ -236,12 +240,13 @@ class _Launcher:
 
     __slots__ = ("fn", "consts", "Table")
 
-    def __init__(self, lib: ctypes.CDLL, head: list, nslots: int,
-                 tail: int, consts):
+    def __init__(self, lib: ctypes.CDLL, consts):
         self.fn = lib[cgen.ENTRY]
         self.fn.restype = c_int64
-        self.fn.argtypes = (head + [c_void_p, c_int64] * nslots
-                            + [c_void_p] * tail)
+        #: every generated function takes (block, K, out): three ctypes
+        #: arrays the binding owns (``c_void_p`` passes them without the
+        #: element-type check a ``POINTER`` type adds to every call)
+        self.fn.argtypes = (c_void_p, c_void_p, c_void_p)
         self.consts = tuple(consts)
         self.Table = c_double * max(len(self.consts), 1)
 
@@ -291,68 +296,75 @@ _INT64 = np.dtype(np.int64).char
 
 
 class _Binding:
-    """What the native launches of one declaration share: its launcher
-    and, per ``(pointer, rows)`` slot of the generated function, the
-    object behind it and the array it last held with that array's
-    address.  Holding the array is what makes "same object, same address"
-    true (``ndarray.resize`` refuses while a reference exists)."""
+    """What the native launches of one declaration share: its launcher,
+    the packed argument block the generated function reads (``head``
+    launch words, ``(address, rows)`` per slot, ``tail`` words) and, per
+    slot, the object behind it and the array it last held.  Holding the
+    array is what makes "same object, same address" true
+    (``ndarray.resize`` refuses while a reference exists), so an address
+    is written into the block only when the array changed."""
 
-    __slots__ = ("launcher", "slots", "held", "argv", "values", "table")
+    __slots__ = ("launcher", "slots", "held", "block", "out", "version",
+                 "table")
 
-    def __init__(self, launcher: _Launcher, objs: list):
+    def __init__(self, launcher: _Launcher, objs: list, head: int,
+                 tail: int, nout: int):
         self.launcher = launcher
+        self.block = (c_int64 * (head + 2 * len(objs) + tail))()
+        self.out = (c_int64 * nout)()
         #: per slot: the object, the set whose size is its row count
-        #: (None for a ``Global``: always ``dim`` rows), and the dtype
-        #: char and trailing shape the generated code assumes
+        #: (None for a ``Global``: always ``dim`` rows), the dtype char
+        #: and trailing shape the generated code assumes, and where its
+        #: address sits in the block
         self.slots = []
-        self.argv = []
-        for o in objs:
+        for k, o in enumerate(objs):
+            at = head + 2 * k
             if type(o) is Global:
-                self.slots.append((o, None, o.dtype.char, ()))
-                self.argv += [0, o.dim]
+                self.slots.append((o, None, o.dtype.char, (), at))
+                self.block[at + 1] = o.dim
             elif type(o) is Map:
-                self.slots.append((o, o.from_set, _INT64, (o.arity,)))
-                self.argv += [0, 0]
+                self.slots.append((o, o.from_set, _INT64, (o.arity,), at))
             else:
-                self.slots.append((o, o.set, o.dtype.char, (o.dim,)))
-                self.argv += [0, 0]
+                self.slots.append((o, o.set, o.dtype.char, (o.dim,), at))
         self.held = [None] * len(objs)
-        self.values = self.table = None
+        #: the ``CONST`` version the table was built at (-1: none yet)
+        self.version = -1
+        self.table = None
 
-    def refresh(self) -> Optional[list]:
-        """The function's slot arguments as of now: row counts are read
-        again (particle sets grow and shrink every step), an address only
-        when the array is not the one held (a particle dat grown past its
-        capacity).  None when a new array is not a C-contiguous
-        buffer of the dtype and row shape the loop was generated for."""
-        argv, held = self.argv, self.held
-        for k, (o, rows_of, char, trailing) in enumerate(self.slots):
+    def refresh(self) -> bool:
+        """Bring the block's slots up to date: row counts are read again
+        (particle sets grow and shrink every step), an address only when
+        the array is not the one held (a particle dat grown past its
+        capacity).  False when a new array is not a C-contiguous buffer of
+        the dtype and row shape the loop was generated for."""
+        block, held = self.block, self.held
+        for k, (o, rows_of, char, trailing, at) in enumerate(self.slots):
             if rows_of is None:
                 arr = o.data
             else:
                 arr = o.raw
-                argv[2 * k + 1] = rows_of.size
+                block[at + 1] = rows_of.size
             if arr is not held[k]:
                 if not (arr.flags.c_contiguous and arr.dtype.char == char
                         and arr.shape[1:] == trailing):
-                    return None
+                    return False
                 held[k] = arr
-                argv[2 * k] = address(arr)
-        return argv
+                block[at] = address(arr)
+        return True
 
     def constants(self):
-        """The ``CONST`` table of this launch (None when a value is not a
-        numeric scalar): the table of the previous launch while the
-        registry still holds the values it was built from.  ``==`` does
-        not tell ``-0.0`` from ``0.0``, so a table with a zero in it is
-        built again."""
-        values = CONST.values(self.launcher.consts)
-        try:
-            if values != self.values or 0.0 in values:
-                self.table = self.launcher.Table(*values)
-                self.values = values
-        except (TypeError, ValueError):     # e.g. a string, an array
-            return None
+        """The ``CONST`` table of this launch, built again only when the
+        registry's version moved since it was built (None when a value is
+        not a numeric scalar; nothing is remembered then, so the next
+        launch looks again)."""
+        version = CONST.version
+        if version != self.version:
+            try:
+                self.table = self.launcher.Table(
+                    *CONST.values(self.launcher.consts))
+            except (TypeError, ValueError):     # e.g. a string, an array
+                return None
+            self.version = version
         return self.table
 
 
@@ -360,27 +372,26 @@ _UNBOUND = ("an argument array is not a C-contiguous buffer of its dat's "
             "dtype and dim, or a CONST value is not a numeric scalar")
 
 
-def _arguments(loop, variant, derive: Callable):
-    """``(binding, slot arguments)`` of a declared loop's native function
+def _bind(loop, variant, derive: Callable, shape: tuple):
+    """``(binding, None)`` for a declared loop's native function
     (``loop.bindings`` is its declaration's, shared by every launch) with
     every slot current, or ``(None, reason)``.  ``derive(loop, variant)``
     returns ``(launcher, objs)`` or ``(None, reason)``; it runs on the
     first launch, and again when an array stopped fitting the binding —
     the loop's dats are then read from scratch, and decline if they
-    must."""
+    must.  ``shape`` is the block's ``(head, tail, out)`` word counts."""
     binding = loop.bindings.get(variant)
-    argv = None if binding is None else binding.refresh()
-    if argv is None:
-        loop.bindings.pop(variant, None)
-        launcher, objs = derive(loop, variant)
-        if launcher is None:
-            return None, objs
-        binding = _Binding(launcher, objs)
-        argv = binding.refresh()
-        if argv is None:
-            return None, _UNBOUND
-        loop.bindings[variant] = binding
-    return binding, argv
+    if binding is not None and binding.refresh():
+        return binding, None
+    loop.bindings.pop(variant, None)
+    launcher, objs = derive(loop, variant)
+    if launcher is None:
+        return None, objs
+    binding = _Binding(launcher, objs, *shape)
+    if not binding.refresh():
+        return None, _UNBOUND
+    loop.bindings[variant] = binding
+    return binding, None
 
 
 def _derive_par_loop(loop, _variant=None):
@@ -393,34 +404,37 @@ def _derive_par_loop(loop, _variant=None):
         _check_dtypes(sig)
         lib = _library(kernel.name, ("par_loop", _source_key(kernel), sig),
                        lambda: cgen.emit_par_loop(kernel, sig, len(objs)))
-        return _Launcher(lib, [c_int64, c_int64], len(objs), 2, ck.consts)
+        return _Launcher(lib, ck.consts)
 
     launcher, reason = _launcher([ck], sig, make)
     return launcher, (objs if launcher is not None else reason)
 
 
-_Out2 = c_int64 * 2
-_Out7 = c_int64 * 7
+#: block words before and after the slots, and ``out`` words
+_PAR_LOOP = (2, 0, 2)
+_MOVE = (4, 3, 7)
 
 
 def par_loop(loop, start: int, end: int
-             ) -> Tuple[Optional[dict], Optional[str]]:
-    """Run ``loop`` over ``[start, end)`` as one native call → ``(perf
-    extras, None)``, or ``(None, reason)`` when it stays on the NumPy
-    target."""
+             ) -> Tuple[Optional[int], Optional[str]]:
+    """Run ``loop`` over ``[start, end)`` as one native call → ``(its
+    collision depth, None)``, or ``(None, reason)`` when it stays on the
+    NumPy target."""
     if not CC and compiler() is None:
         return None, _no_cc
-    binding, argv = _arguments(loop, None, _derive_par_loop)
+    binding, why = _bind(loop, None, _derive_par_loop, _PAR_LOOP)
     if binding is None:
-        return None, argv
+        return None, why
     table = binding.constants()
     if table is None:
         return None, _UNBOUND
-    out = _Out2()
-    if binding.launcher.fn(start, end, *argv, table, out):
+    block, out = binding.block, binding.out
+    block[0] = start
+    block[1] = end
+    if binding.launcher.fn(block, table, out):
         raise IndexError(f"loop {loop.name!r}: iteration {out[1]} addresses "
                          "a row outside its dat or map")
-    return {"collisions": out[0], "strategy": "in_place"}, None
+    return out[0], None
 
 
 def _derive_move(loop, has_foreign: bool):
@@ -436,8 +450,7 @@ def _derive_move(loop, has_foreign: bool):
                has_foreign)
         lib = _library(kernel.name, key, lambda: cgen.emit_move(
             kernel, sig, len(objs), arity, has_foreign))
-        return _Launcher(lib, [c_int64, c_void_p, c_int64, c_void_p],
-                         len(objs), 5, ck.consts)
+        return _Launcher(lib, ck.consts)
 
     launcher, reason = _launcher([ck], (sig, arity, has_foreign), make)
     return launcher, (objs if launcher is not None else reason)
@@ -453,25 +466,33 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
         return None, _no_cc
     foreign = loop.foreign_cell_mask
     has_foreign = foreign is not None
-    binding, argv = _arguments(loop, has_foreign, _derive_move)
+    binding, why = _bind(loop, has_foreign, _derive_move, _MOVE)
     if binding is None:
-        return None, argv
+        return None, why
     table = binding.constants()
     if table is None or (has_foreign and not (
             foreign.dtype == np.bool_ and foreign.flags.c_contiguous
             and foreign.size >= loop.c2c_map.from_set.size)):
         return None, _UNBOUND
+    block = binding.block
     index = loop.only_indices
-    if index is not None:
+    if index is None:
+        count = loop.pset.size
+        block[1] = 0
+    else:
         index = np.ascontiguousarray(index, dtype=np.int64)
-    count = loop.pset.size if index is None else index.size
+        count = index.size
+        block[1] = address(index) if count else 0
+    # per launch, not held: a buffer held by the binding stays resident
+    # and costs a 2-rank Cabana rank 0.3 MB of peak RSS
     lists = np.empty((3, max(count, 1)), dtype=np.int64)
-    base, row = address(lists), lists.strides[0]
-    out = _Out7()
-    err = binding.launcher.fn(
-        count, None if index is None else address(index), loop.max_hops,
-        address(foreign) if has_foreign else None,
-        *argv, table, base, base + row, base + 2 * row, out)
+    base, row, at = address(lists), lists.strides[0], len(block) - 3
+    block[at], block[at + 1], block[at + 2] = base, base + row, base + 2 * row
+    block[0] = count
+    block[2] = loop.max_hops
+    block[3] = address(foreign) if has_foreign else 0
+    out = binding.out
+    err = binding.launcher.fn(block, table, out)
     n_removed, n_foreign, hops, relocated, coll, over, bad = out
     if err:
         raise IndexError(f"move loop {loop.name!r}: particle {bad} addresses "
@@ -479,5 +500,11 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
     if over:
         raise RuntimeError(f"{over} particles exceeded {loop.max_hops} hops "
                            f"in move loop {loop.name!r}")
-    return (lists[0, :n_removed].copy(), lists[1, :n_foreign].copy(),
-            lists[2, :n_foreign].copy(), hops, relocated, coll), None
+    return (_prefix(lists[0], n_removed), _prefix(lists[1], n_foreign),
+            _prefix(lists[2], n_foreign), hops, relocated, coll), None
+
+
+def _prefix(row: np.ndarray, n: int) -> np.ndarray:
+    """A copy of a list's live prefix, so the result does not hold the
+    whole buffer (the shared empty array when there is none)."""
+    return row[:n].copy() if n else NO_INDICES

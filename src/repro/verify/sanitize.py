@@ -342,7 +342,7 @@ class SanitizerBackend(Backend):
 
     # -- opp_par_loop ----------------------------------------------------------
 
-    def execute(self, loop: ParLoop) -> Optional[dict]:
+    def execute(self, loop: ParLoop, start: int, end: int) -> Optional[dict]:
         for v in static_violations(loop):
             _record(self._seen, self.violations, v, self.on_violation)
         self.loops_checked += 1
@@ -352,7 +352,7 @@ class SanitizerBackend(Backend):
         has_inc = self.check_additivity and any(
             a.access is AccessMode.INC for a in args)
 
-        for i in range(loop.start, loop.end):
+        for i in range(start, end):
             rows = [self._row(a, i) for a in args]
             snapshots = [self._snapshot(a, r) for a, r in zip(args, rows)]
             proxies = [self._proxy(a, r, s)

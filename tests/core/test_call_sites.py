@@ -260,6 +260,50 @@ def test_const_changed_between_launches(backend):
     warm_equals_cold(backend, scenario)
 
 
+def zero_sign_kernel(x):
+    x[0] = CONST.z * -1.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_kind_of_const_change_reaches_the_next_warm_launch(backend):
+    """``decl_const``, attribute assignment, ``restore`` and ``clear``
+    each move the registry's version, so a warm native launch builds its
+    table again; a ``-0.0`` / ``0.0`` flip (equal under ``==``) too."""
+    def scenario(run):
+        w = run(World)
+        run(w.push)
+        decl_const("dt", 0.75)
+        run(w.push)
+        CONST.dt = -2.0
+        run(w.push)
+        saved = CONST.snapshot()
+        CONST.dt = 8.0
+        run(w.push)
+        CONST.restore(saved)            # dt = -2.0 again
+        run(w.push)
+        CONST.clear()
+        with pytest.raises(AttributeError, match="undeclared constant 'dt'"):
+            run(w.push)
+        CONST.restore(saved)
+        run(w.push)
+        return w.state()
+
+    warm_equals_cold(backend, scenario)
+
+    run = Runner(backend, fresh=False)
+    s = run(decl_set, 3)
+    x = run(decl_dat, s, 1, np.float64)
+    signs = []
+    for z in (0.0, -0.0, 0.0, -0.0):
+        decl_const("z", z)
+        run(par_loop, zero_sign_kernel, "ZeroSign", s, OPP_ITERATE_ALL,
+            arg_dat(x, OPP_WRITE))
+        signs.append(bool(np.signbit(x.data[0, 0])))
+    assert signs == [True, False, True, False]
+    if backend == "vec" and NATIVE:
+        assert run.row("ZeroSign")["strategy"] == "in_place"
+
+
 @needs_cc
 def test_non_numeric_const_declines_instead_of_a_stale_table():
     decl_const("dt", 0.5)
@@ -268,15 +312,19 @@ def test_non_numeric_const_declines_instead_of_a_stale_table():
     run(w.push), run(w.push)
     x0 = w.x.data.copy()
     decl_const("dt", [4.0])         # the NumPy target broadcasts a list
-    run.ctx.perf.reset()
-    run(w.push)
-    assert "CONST value is not a numeric scalar" in run.row("Push")["fallback"]
-    want = x0[:, 0] + 4.0 * w.v.data[:, 0] + w.w.data[w.p2c.p2c, 0]
-    np.testing.assert_allclose(w.x.data[:, 0], want, rtol=0, atol=0)
+    for _ in range(2):              # the decline is not remembered
+        run.ctx.perf.reset()
+        run(w.push)
+        assert "CONST value is not a numeric scalar" in \
+            run.row("Push")["fallback"]
+        want = x0[:, 0] + 4.0 * w.v.data[:, 0] + w.w.data[w.p2c.p2c, 0]
+        np.testing.assert_allclose(w.x.data[:, 0], want, rtol=0, atol=0)
+        x0 = w.x.data.copy()
     decl_const("dt", 0.5)
     run.ctx.perf.reset()
     run(w.push)
     assert "fallback" not in run.row("Push")
+    assert run.row("Push")["strategy"] == "in_place"
 
 
 # -- what is looked at on every launch ---------------------------------------------
@@ -453,6 +501,97 @@ def test_a_repartition_drops_the_old_ranks_sites():
     assert old() is None
     app.step()
     assert app.ranks[0].ctx.sites
+
+
+# -- memoised descriptors ----------------------------------------------------------
+
+
+def test_a_repeated_spec_gives_the_same_frozen_descriptor():
+    from repro.core.api import OPP_MAX, arg_gbl, decl_global
+    w = World()
+    c2n = decl_map(w.cells, w.cells, 2, [[i, (i + 1) % 6] for i in range(6)])
+    g = decl_global(1)
+    specs = [
+        (w.x, OPP_READ), (w.x, OPP_RW), (w.v, OPP_READ),
+        (w.w, w.p2c, OPP_READ), (w.w, w.p2c, OPP_INC),
+        (w.w, 0, c2n, OPP_READ), (w.w, 1, c2n, OPP_READ),
+        (w.w, 0, w.c2c, OPP_READ), (w.w, 0, c2n, w.p2c, OPP_INC),
+        (w.w, 1, c2n, w.p2c, OPP_INC), (g, OPP_READ), (g, OPP_MAX),
+    ]
+    first = [arg_dat(*spec) for spec in specs]
+    assert all(arg_dat(*spec) is a for spec, a in zip(specs, first))
+    assert len({id(a) for a in first}) == len(specs)
+    assert arg_gbl(g, OPP_READ) is first[-2]
+    assert arg_gbl(g, OPP_MAX) is first[-1]
+    assert arg_dat(w.w, np.int64(1), c2n, OPP_READ) is first[6]
+
+    a = first[0]
+    for name in ("dat", "access", "map", "kind", "anything"):
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError, match="frozen"):
+        del a.access
+    assert a.dat is w.x and a.access is OPP_READ
+
+
+def test_the_memo_dies_with_its_dat():
+    """The memo lives on the dat: nothing process-wide holds a dat, its
+    map or a descriptor once the dat's world is dropped."""
+    s, t = decl_set(4), decl_set(3)
+    m = decl_map(s, t, 1, np.arange(4).reshape(-1, 1) % 3)
+    d = decl_dat(t, 1, np.float64)
+    a = arg_dat(d, 0, m, OPP_READ)
+    assert arg_dat(d, 0, m, OPP_READ) is a and d._args
+    dead = [weakref.ref(o) for o in (d, a, m, s, t)]
+    del s, t, m, d, a
+    gc.collect()
+    assert [ref() for ref in dead] == [None] * 5
+
+
+def test_the_memo_is_bounded():
+    from repro.core import args as args_mod
+    s = decl_set(2)
+    d = decl_dat(s, 1, np.float64)
+    for _ in range(3 * args_mod.MAX_ARGS):     # a map rebuilt every step
+        arg_dat(d, 0, decl_map(s, s, 1, [[0], [1]]), OPP_READ)
+    assert 0 < len(d._args) <= args_mod.MAX_ARGS
+
+
+@needs_cc
+def test_generated_functions_take_one_packed_block():
+    """Every generated function is ``opp_loop(a, K, out)``: the block,
+    the constant table and the outputs, whatever the loop's arity."""
+    import re
+    from repro.translator import cgen
+    w = World()
+    nodes = decl_set(4)
+    c2n = decl_map(w.cells, nodes, 2, [[i % 4, (i + 1) % 4]
+                                       for i in range(6)])
+    charge = decl_dat(nodes, 1, np.float64)
+    loops = [
+        ParLoop(push_kernel, "Push", w.parts, OPP_ITERATE_ALL,
+                [arg_dat(w.x, OPP_RW), arg_dat(w.v, OPP_READ),
+                 arg_dat(w.w, w.p2c, OPP_READ)]),
+        ParLoop(gather_kernel, "Gather", w.parts, OPP_ITERATE_ALL,
+                [arg_dat(w.v, OPP_WRITE), arg_dat(charge, 0, c2n, w.p2c,
+                                                  OPP_INC),
+                 arg_dat(charge, 1, c2n, w.p2c, OPP_INC)]),
+    ]
+    sources = []
+    for loop in loops:
+        objs = []
+        sig = cgen.signature(loop.args, objs)
+        sources.append(cgen.emit_par_loop(loop.kernel, sig, len(objs)))
+    move_args = [arg_dat(w.x, OPP_READ), arg_dat(w.visits, w.p2c, OPP_INC)]
+    for foreign in (False, True):
+        objs = [w.p2c, w.c2c]
+        sig = cgen.signature(move_args, objs)
+        sources.append(cgen.emit_move(MoveDecl(
+            walk_kernel, "Walk", w.parts, w.c2c, w.p2c, move_args).kernel,
+            sig, len(objs), 2, foreign))
+    for source in sources:
+        head, = re.findall(r"int64_t opp_loop\((.*?)\)\n", source)
+        assert head == "const int64_t *a, const double *K, int64_t *out"
 
 
 # -- moves -------------------------------------------------------------------------

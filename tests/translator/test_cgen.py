@@ -379,3 +379,88 @@ def test_particle_move_api_removes_and_fills_holes_like_seq():
                           tuple(pos.data[:parts.size, 0]),
                           tuple(p2c.p2c[:parts.size])))
     assert sizes[0] == sizes[1] and sizes[0][1] > 0
+
+
+# -- collision depth of doubly-indirect increments ------------------------------------
+
+
+def count_kernel(h0, h1, h2, h3):
+    h0[0] += 1
+    h1[0] += 1
+    h2[0] += 1
+    h3[0] += 1
+
+
+def walk_count_kernel(move, pos, h0, h1, h2, h3):
+    h0[0] += 1
+    h1[0] += 1
+    h2[0] += 1
+    h3[0] += 1
+    lo = move.cell * 1.0
+    if pos[0] < lo:
+        move.move_to(move.c2c[0])
+    elif pos[0] >= lo + 1.0:
+        move.move_to(move.c2c[1])
+    else:
+        move.done()
+
+
+def _count_world(shared, rng):
+    """Cells, nodes and particles whose ``c2n`` and ``p2c`` hold
+    negative (wrapping) entries, and four node counters (one dat four
+    times when ``shared``, as FemPIC's deposit names ``node_charge``)."""
+    n_cells, n_nodes, n = 9, 7, 300
+    cells, nodes = decl_set(n_cells), decl_set(n_nodes)
+    parts = decl_particle_set(cells, n)
+    c2n_v = rng.integers(-n_nodes, n_nodes, size=(n_cells, 4))
+    p2c_v = rng.integers(-n_cells, n_cells, size=(n, 1))
+    c2n = decl_map(cells, nodes, 4, np.zeros_like(c2n_v))
+    p2c = decl_map(parts, cells, 1, np.zeros_like(p2c_v))
+    c2n.values[:] = c2n_v       # below -1: behind the API's back
+    p2c.p2c[:] = p2c_v[:, 0]
+    dats = ([decl_dat(nodes, 1, np.int64)] * 4 if shared
+            else [decl_dat(nodes, 1, np.int64) for _ in range(4)])
+    args = [arg_dat(d, k, c2n, p2c, OPP_INC) for k, d in enumerate(dats)]
+    return cells, parts, c2n_v, p2c_v, dats, args
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_deposit_collisions_counted_per_cell_equal_the_per_row_count(shared):
+    """The generated loop counts a doubly-indirect increment once per
+    particle per cell and expands the counts through each argument's map
+    afterwards; the depth must be the per-row count of every argument."""
+    rng = np.random.default_rng(23)
+    ctx = Context("vec")
+    with push_context(ctx):
+        cells, parts, c2n_v, p2c_v, dats, args = _count_world(shared, rng)
+        par_loop(count_kernel, "count", parts, OPP_ITERATE_ALL, *args)
+    row = ctx.perf.get("count")
+    assert row.extras["strategy"] == "in_place"
+    n_cells, n_nodes = c2n_v.shape[0], dats[0].set.size
+    cell = p2c_v[:, 0] % n_cells            # one wrap, as ROW does
+    per_row = [np.bincount(c2n_v[cell, k] % n_nodes, minlength=n_nodes)
+               for k in range(4)]
+    assert row.max_collisions == max(c.max() for c in per_row) > 1
+    if not shared:
+        for dat, counts in zip(dats, per_row):
+            np.testing.assert_array_equal(dat.data[:, 0], counts)
+
+
+def test_walk_collisions_counted_per_cell_equal_the_per_row_count():
+    """In a move the count is per hop, in the hop's cell: each counter
+    dat below ends up holding exactly its argument's per-row count."""
+    rng = np.random.default_rng(29)
+    ctx = Context("vec")
+    with push_context(ctx):
+        cells, parts, _c2n_v, _p2c_v, dats, args = _count_world(False, rng)
+        n_cells = cells.size
+        chain = [[i - 1, i + 1 if i + 1 < n_cells else -1]
+                 for i in range(n_cells)]
+        c2c = decl_map(cells, cells, 2, chain)
+        pos = decl_dat(parts, 1, np.float64,
+                       rng.uniform(-1.5, n_cells + 1.5, size=parts.size))
+        p2c = args[0].p2c
+        res = particle_move(walk_count_kernel, "walk_count", parts, c2c, p2c,
+                            arg_dat(pos, OPP_READ), *args)
+    assert "fallback" not in res.extras and res.total_hops
+    assert res.max_collisions == max(int(d.data.max()) for d in dats) > 1

@@ -206,8 +206,8 @@ class _LyingBackend:
         self._seq = SeqBackend()
         self.plan = None
 
-    def execute(self, loop):
-        out = self._seq.execute(loop)
+    def execute(self, loop, start, end):
+        out = self._seq.execute(loop, start, end)
         if loop.name == "c_gbl_reduce":
             loop.args[1].dat.data += 1.0     # corrupt g_sum
         return out
