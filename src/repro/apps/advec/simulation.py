@@ -1,15 +1,23 @@
-"""Advection mini-app driver (single rank and distributed)."""
+"""Advection mini-app, written once for 1..N ranks.
+
+:class:`AdvecSimulation` is the one-rank case; at N ranks
+(:class:`DistributedAdvec`) the periodic mesh is cut into y slabs and
+tracers migrate between them during the move — the smallest end-to-end
+exercise of partitioning, halo construction and particle migration.
+"""
 from __future__ import annotations
 
 from typing import Optional
 
 import numpy as np
 
-from repro.core.api import (OPP_READ, OPP_RW, Context, arg_dat, decl_const,
+from repro.core.api import (OPP_READ, OPP_RW, arg_dat, decl_const,
                             decl_dat, decl_map, decl_particle_set,
-                            decl_set, particle_move, push_context)
+                            decl_set)
 from repro.mesh import HexMesh
+from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
+from repro.runtime.ranked import Rank, RankedApp
 
 from .config import AdvecConfig
 from .kernels import advect_move_kernel
@@ -31,158 +39,106 @@ def cell_velocity_field(cfg: AdvecConfig, centroids2d: np.ndarray,
                      "(use 'uniform' or 'rotation')")
 
 
-def _declare_constants(cfg: AdvecConfig) -> None:
-    decl_const("adv_dtx", 2.0 * cfg.dt / cfg.dx)
-    decl_const("adv_dty", 2.0 * cfg.dt / cfg.dy)
+class AdvecSimulation(RankedApp):
+    """Advection over a periodic quad mesh; this class fixes the rank
+    count at one."""
 
-
-def _seed(cfg: AdvecConfig, rng: np.random.Generator):
-    """Deterministic uniform particle placement."""
-    n = cfg.n_particles
-    cells = np.repeat(np.arange(cfg.n_cells, dtype=np.int64), cfg.ppc)
-    offsets = rng.uniform(-1.0, 1.0, size=(n, 2))
-    return cells, offsets
-
-
-class AdvecSimulation:
-    """Single-rank advection over a periodic quad mesh."""
+    part_dats = ("pos", "disp", "pushed")
 
     def __init__(self, config: Optional[AdvecConfig] = None):
-        self.cfg = cfg = config or AdvecConfig()
-        self.ctx = Context(cfg.backend, **cfg.backend_options)
+        self._build(config or AdvecConfig(), SimComm(1))
+
+    def _build(self, cfg: AdvecConfig, comm) -> None:
+        self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         # a one-layer brick gives the periodic 2-D quad connectivity
-        self.mesh = get_or_build(
-            ("advec_brick", cfg.nx, cfg.ny, cfg.lx, cfg.ly),
-            lambda: HexMesh(cfg.nx, cfg.ny, 1, cfg.lx, cfg.ly, 1.0))
-        _declare_constants(cfg)
-
-        self.cells = decl_set(cfg.n_cells, "cells")
-        self.parts = decl_particle_set(self.cells, 0, "tracers")
+        mesh_key = ("advec_brick", cfg.nx, cfg.ny, cfg.lx, cfg.ly)
+        mesh = self.mesh = get_or_build(
+            mesh_key, lambda: HexMesh(cfg.nx, cfg.ny, 1, cfg.lx, cfg.ly,
+                                      1.0))
+        self._cvel = cell_velocity_field(cfg, mesh.centroids[:, :2])
+        decl_const("adv_dtx", 2.0 * cfg.dt / cfg.dx)
+        decl_const("adv_dty", 2.0 * cfg.dt / cfg.dy)
         # 2-D faces: -x +x -y +y (columns 0..3 of the brick's face map)
-        self.faces = decl_map(self.cells, self.cells, 4,
-                              self.mesh.face_c2c[:, :4], "faces2d")
-        self.p2c = decl_map(self.parts, self.cells, 1, None, "p2c")
-
-        self.cvel = decl_dat(self.cells, 2, np.float64,
-                             cell_velocity_field(
-                                 cfg, self.mesh.centroids[:, :2]),
-                             "cell_velocity")
-        self.pos = decl_dat(self.parts, 2, np.float64, None, "offsets")
-        self.disp = decl_dat(self.parts, 2, np.float64, None,
-                             "displacement")
-        self.pushed = decl_dat(self.parts, 1, np.float64, None,
-                               "push_flag")
-
-        cells, offsets = _seed(cfg, self.rng)
-        sl = self.parts.add_particles(len(cells), cell_indices=cells)
-        self.pos.data[sl] = offsets
-        self.parts.end_injection()
+        self._partition(comm, "principal_direction", mesh_key,
+                        centroids=mesh.centroids, c2c=mesh.face_c2c[:, :4],
+                        axis=1, layers=(cfg.ly, cfg.ny))
+        self._seed()
         self.step_count = 0
+        self.history = {"mean_disp": [], "hops": [], "n_particles": []}
 
-    def positions_xy(self) -> np.ndarray:
-        """Global (x, y) coordinates of all particles."""
+    def _declare(self, rk: Rank) -> None:
+        rm = rk.rm
+        rk.cells = decl_set(rm.n_local_cells, "cells")
+        rk.cells.owned_size = rm.n_owned_cells
+        rk.parts = decl_particle_set(rk.cells, 0, "tracers")
+        rk.faces = decl_map(rk.cells, rk.cells, 4, rm.local_c2c, "faces2d")
+        rk.p2c = decl_map(rk.parts, rk.cells, 1, None, "p2c")
+        rk.cvel = decl_dat(rk.cells, 2, np.float64,
+                           self._cvel[rm.cells_global], "cell_velocity")
+        rk.pos = decl_dat(rk.parts, 2, np.float64, None, "offsets")
+        rk.disp = decl_dat(rk.parts, 2, np.float64, None, "displacement")
+        rk.pushed = decl_dat(rk.parts, 1, np.float64, None, "push_flag")
+
+    def _seed(self) -> None:
+        """Deterministic uniform placement, each tracer on the rank that
+        owns its cell."""
         cfg = self.cfg
-        c = self.p2c.p2c
-        i = c % cfg.nx
-        j = (c // cfg.nx) % cfg.ny
-        x = (i + 0.5 * (self.pos.data[: self.parts.size, 0] + 1.0)) * cfg.dx
-        y = (j + 0.5 * (self.pos.data[: self.parts.size, 1] + 1.0)) * cfg.dy
-        return np.stack([x, y], axis=1)
-
-    def step(self):
-        with push_context(self.ctx):
-            self.pushed.data[:] = 0.0
-            res = particle_move(advect_move_kernel, "Advect", self.parts,
-                                self.faces, self.p2c,
-                                arg_dat(self.pos, OPP_RW),
-                                arg_dat(self.disp, OPP_RW),
-                                arg_dat(self.pushed, OPP_RW),
-                                arg_dat(self.cvel, self.p2c, OPP_READ))
-        self.step_count += 1
-        return res
-
-    def run(self, n_steps: Optional[int] = None):
-        for _ in range(n_steps if n_steps is not None else
-                       self.cfg.n_steps):
-            self.step()
-        return self
-
-
-class DistributedAdvec:
-    """The same advection over simulated MPI — the smallest end-to-end
-    exercise of partitioning + halo construction + particle migration."""
-
-    def __init__(self, config: Optional[AdvecConfig] = None,
-                 nranks: int = 2):
-        from repro.runtime import SimComm, build_rank_meshes, partition
-
-        self.cfg = cfg = config or AdvecConfig()
-        self.comm = SimComm(nranks)
-        self.mesh = HexMesh(cfg.nx, cfg.ny, 1, cfg.lx, cfg.ly, 1.0)
-        _declare_constants(cfg)
-        face_c2c = self.mesh.face_c2c[:, :4]
-        owner = partition("principal_direction", nranks,
-                          centroids=self.mesh.centroids, axis=1)
-        self.cell_owner = owner
-        self.meshes, self.plan = build_rank_meshes(face_c2c, owner, nranks)
-
-        cvel_global = cell_velocity_field(cfg, self.mesh.centroids[:, :2])
-        self.ranks = []
-        rng = np.random.default_rng(cfg.seed)
-        cells_g, offsets = _seed(cfg, rng)
-        for r in range(nranks):
-            rm = self.meshes[r]
-            ctx = Context(cfg.backend, **cfg.backend_options)
-            cells = decl_set(rm.n_local_cells, f"cells_r{r}")
-            cells.owned_size = rm.n_owned_cells
-            parts = decl_particle_set(cells, 0, f"tracers_r{r}")
-            faces = decl_map(cells, cells, 4, rm.local_c2c, f"faces_r{r}")
-            p2c = decl_map(parts, cells, 1, None, f"p2c_r{r}")
-            cvel = decl_dat(cells, 2, np.float64,
-                            cvel_global[rm.cells_global], "cell_velocity")
-            pos = decl_dat(parts, 2, np.float64, None, "offsets")
-            disp = decl_dat(parts, 2, np.float64, None, "displacement")
-            pushed = decl_dat(parts, 1, np.float64, None, "push_flag")
-
+        cells = np.repeat(np.arange(cfg.n_cells, dtype=np.int64), cfg.ppc)
+        offsets = self.rng.uniform(-1.0, 1.0, size=(cfg.n_particles, 2))
+        owner = self.cell_owner[cells]
+        for rk in self.each_rank():
             g2l = np.full(cfg.n_cells, -1, dtype=np.int64)
-            g2l[rm.cells_global] = np.arange(rm.cells_global.size)
-            mine = np.flatnonzero(owner[cells_g] == r)
-            sl = parts.add_particles(mine.size,
-                                     cell_indices=g2l[cells_g[mine]])
-            pos.data[sl] = offsets[mine]
-            parts.end_injection()
-            self.ranks.append(dict(ctx=ctx, cells=cells, parts=parts,
-                                   faces=faces, p2c=p2c, cvel=cvel,
-                                   pos=pos, disp=disp, pushed=pushed))
-
-    @property
-    def nranks(self) -> int:
-        return self.comm.nranks
+            g2l[rk.rm.cells_global] = np.arange(rk.rm.cells_global.size)
+            mine = np.flatnonzero(owner == rk.r)
+            sl = rk.parts.add_particles(mine.size,
+                                        cell_indices=g2l[cells[mine]])
+            rk.pos.data[sl] = offsets[mine]
+            rk.parts.end_injection()
 
     def total_particles(self) -> int:
-        return sum(rk["parts"].size for rk in self.ranks)
+        """Tracers resident in this process."""
+        return sum(rk.parts.size for _r, rk in self._local())
 
-    def step(self):
-        from repro.runtime import mpi_particle_move
-        for rk in self.ranks:
-            rk["pushed"].data[:] = 0.0
-        return mpi_particle_move(
-            self.comm, self.plan, self.meshes,
-            [rk["ctx"] for rk in self.ranks],
-            advect_move_kernel, "Advect",
-            [rk["parts"] for rk in self.ranks],
-            [rk["faces"] for rk in self.ranks],
-            [rk["p2c"] for rk in self.ranks],
-            [[arg_dat(rk["pos"], OPP_RW),
-              arg_dat(rk["disp"], OPP_RW),
-              arg_dat(rk["pushed"], OPP_RW),
-              arg_dat(rk["cvel"], rk["p2c"], OPP_READ)]
-             for rk in self.ranks],
-            [[rk["pos"], rk["disp"], rk["pushed"]] for rk in self.ranks])
+    def positions_xy(self) -> np.ndarray:
+        """Global (x, y) coordinates of every resident tracer, rank by
+        rank."""
+        cfg = self.cfg
+        xy = []
+        for _r, rk in self._local():
+            n = rk.parts.size
+            c = rk.rm.cells_global[rk.p2c.p2c[:n]]
+            i = c % cfg.nx
+            j = (c // cfg.nx) % cfg.ny
+            x = (i + 0.5 * (rk.pos.data[:n, 0] + 1.0)) * cfg.dx
+            y = (j + 0.5 * (rk.pos.data[:n, 1] + 1.0)) * cfg.dy
+            xy.append(np.stack([x, y], axis=1))
+        return np.concatenate(xy)
 
-    def run(self, n_steps: Optional[int] = None):
-        for _ in range(n_steps if n_steps is not None else
-                       self.cfg.n_steps):
-            self.step()
-        return self
+    def step(self) -> None:
+        for rk in self.each_rank():
+            rk.pushed.data[:] = 0.0
+        moved = self.move_particles(
+            advect_move_kernel, "Advect", "faces",
+            lambda rk: (arg_dat(rk.pos, OPP_RW),
+                        arg_dat(rk.disp, OPP_RW),
+                        arg_dat(rk.pushed, OPP_RW),
+                        arg_dat(rk.cvel, rk.p2c, OPP_READ)))
+        # Σ|disp| / (2n) over one rank is exactly np.mean of |disp|
+        (abs_disp, hops, n), _ = self.diagnostics(
+            lambda rk: (np.abs(rk.disp.data[: rk.parts.size]).sum(),
+                        moved[rk.r].total_hops, rk.parts.size))
+        self.history["mean_disp"].append(float(abs_disp / (2 * n)))
+        self.history["hops"].append(int(hops))
+        self.history["n_particles"].append(int(n))
+        self.step_count += 1
+
+
+class DistributedAdvec(AdvecSimulation):
+    """N-rank advection.  ``comm`` selects the rank transport (see
+    :class:`~repro.apps.fempic.distributed.DistributedFemPic`)."""
+
+    def __init__(self, config: Optional[AdvecConfig] = None,
+                 nranks: int = 2, comm=None):
+        self._build(config or AdvecConfig(),
+                    comm if comm is not None else SimComm(nranks))

@@ -371,36 +371,31 @@ def _run_twod(args) -> int:
 
 
 def _verify_app(app: str, steps: Optional[int], quiet: bool) -> int:
-    """Run one app's smoke problem under the sanitizer backend; the apps
-    written once for every rank count run at one rank and at two."""
-    if app == "advec":
-        from repro.apps.advec import AdvecConfig, AdvecSimulation
-        sims = [AdvecSimulation(AdvecConfig(nx=6, ny=6, ppc=2,
-                                            n_steps=steps or 5,
-                                            backend="sanitizer"))]
-    else:
-        from repro.apps.cabana import CabanaConfig
-        from repro.apps.cabana.distributed import DistributedCabana
-        from repro.apps.fempic import FemPicConfig
-        from repro.apps.fempic.distributed import DistributedFemPic
-        from repro.apps.twod import DistributedTwoD, TwoDConfig
-        cls, cfg = {
-            "fempic": (DistributedFemPic, FemPicConfig.smoke()),
-            "cabana": (DistributedCabana, CabanaConfig.smoke()),
-            "twod": (DistributedTwoD, TwoDConfig(nx=4, ny=4, ppc=2,
-                                                 n_steps=5)),
-        }[app]
-        cfg = cfg.scaled(backend="sanitizer",
-                         n_steps=steps or cfg.n_steps)
-        sims = [cls(cfg, nranks=nranks) for nranks in (1, 2)]
+    """Run one app's smoke problem under the sanitizer backend at one
+    rank and at two."""
+    from repro.apps.advec import AdvecConfig, DistributedAdvec
+    from repro.apps.cabana import CabanaConfig
+    from repro.apps.cabana.distributed import DistributedCabana
+    from repro.apps.fempic import FemPicConfig
+    from repro.apps.fempic.distributed import DistributedFemPic
+    from repro.apps.twod import DistributedTwoD, TwoDConfig
+    cls, cfg = {
+        "fempic": (DistributedFemPic, FemPicConfig.smoke()),
+        "cabana": (DistributedCabana, CabanaConfig.smoke()),
+        "twod": (DistributedTwoD, TwoDConfig(nx=4, ny=4, ppc=2,
+                                             n_steps=5)),
+        "advec": (DistributedAdvec, AdvecConfig(nx=6, ny=6, ppc=2,
+                                                n_steps=5)),
+    }[app]
+    cfg = cfg.scaled(backend="sanitizer", n_steps=steps or cfg.n_steps)
     status = 0
-    for sim in sims:
+    for nranks in (1, 2):
+        sim = cls(cfg, nranks=nranks)
         sim.run()
-        ranks = getattr(sim, "ranks", [sim])
-        for r, rk in enumerate(ranks):
+        for rk in sim.ranks:
             backend = rk.ctx.backend
             if not quiet or backend.violations:
-                where = f" rank {r}/{len(ranks)}" if len(ranks) > 1 else ""
+                where = f" rank {rk.r}/{nranks}" if nranks > 1 else ""
                 print(f"{app}{where}: {backend.report()}")
             status |= bool(backend.violations)
     return status
@@ -476,8 +471,9 @@ def _run_verify(args) -> int:
             counts = "/".join(f"{r}-rank"
                               for r in report["rank_counts"])
             print(f"distributed conformance: {report['cases']} cases "
-                  f"({counts}) over {report['transport']!r} transport "
-                  "all match the 1-rank oracle")
+                  f"({counts}, {'/'.join(report['backends'])}) over "
+                  f"{report['transport']!r} transport all match the "
+                  "1-rank seq oracle")
     return status
 
 

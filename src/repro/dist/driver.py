@@ -4,7 +4,8 @@
 the benchmarks share: the same application code
 (:class:`~repro.apps.fempic.distributed.DistributedFemPic`,
 :class:`~repro.apps.cabana.distributed.DistributedCabana`,
-:class:`~repro.apps.twod.distributed.DistributedTwoD`) runs either as an
+:class:`~repro.apps.twod.distributed.DistributedTwoD`,
+:class:`~repro.apps.advec.simulation.DistributedAdvec`) runs either as an
 in-process simulation (``transport="sim"``) or as N real rank processes
 (``transport="proc"``), each rank free to use any on-node backend
 (``seq``/``vec``/``omp``/``cuda``/``hip``/``xe`` — the MPI+X matrix).
@@ -30,7 +31,7 @@ from .transport import RankFailure, TRANSPORT_KINDS
 
 __all__ = ["run_distributed", "DistResult", "APP_NAMES"]
 
-APP_NAMES = ("fempic", "cabana", "twod")
+APP_NAMES = ("fempic", "cabana", "twod", "advec")
 
 
 def _build_app(spec: dict, comm):
@@ -56,6 +57,9 @@ def _build_app(spec: dict, comm):
     if name == "twod":
         from ..apps.twod.distributed import DistributedTwoD
         return DistributedTwoD(config, comm=comm)
+    if name == "advec":
+        from ..apps.advec import DistributedAdvec
+        return DistributedAdvec(config, comm=comm)
     raise ValueError(f"unknown app {name!r}; expected one of "
                      f"{APP_NAMES}")
 

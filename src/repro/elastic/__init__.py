@@ -6,11 +6,11 @@ PRs 3-4 into an elastic one:
 * :mod:`monitor` / :mod:`policy` — measure per-rank busy seconds and
   particle counts each step and decide, from EWMA cost estimates, when
   a repartition's projected gain amortises its migration cost;
-* :mod:`migrate` — the live migration protocol: given a new
-  ``cell_owner``, exchange owned mesh rows, per-rank globals and
-  particles over the existing transport ops, rebuild halo plans in
-  place and renumber ``p2c`` — the assembled global state is preserved
-  bit-for-bit (data moves, no arithmetic);
+* :mod:`migrate` — the live migration protocol for an app written on
+  :class:`~repro.runtime.ranked.RankedApp`: given a new ``cell_owner``,
+  exchange owned mesh rows and particles over the existing transport
+  ops, rebuild halo plans in place and renumber ``p2c`` — the assembled
+  global state is preserved bit-for-bit (data moves, no arithmetic);
 * :mod:`recover` — per-rank distributed snapshots plus a consistent
   global manifest, and the restore paths (same-rank-count: bit-exact;
   fewer ranks: assemble-and-repartition) the driver's supervisor uses

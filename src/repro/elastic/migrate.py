@@ -11,9 +11,9 @@ method — typically the incremental ``diffusive`` one), the engine
    is *reused* so worker pools and accumulated perf counters survive);
 3. exchanges the owned rows of every *dynamic* mesh dat between old and
    new owners over the transport's p2p ops (send-all-then-recv-all per
-   dat, exactly the halo-push discipline), carries per-rank global
-   accumulators over, and migrates the particles (packed rows keyed by
-   global cell id, appended retained-first then in source-rank order);
+   dat, exactly the halo-push discipline) and migrates the particles
+   (packed rows keyed by global cell id, appended retained-first then
+   in source-rank order);
 4. swaps the new meshes/plan/ranks into the app and lets it rebuild
    any derived machinery (``_post_rebalance`` — e.g. the DH mover's
    RMA windows).
@@ -24,16 +24,14 @@ particles keyed by id) after a migration is bit-equal to the state
 before it, which is exactly what the dist-conformance harness's
 ``rebalance`` op verifies against the never-migrated oracle.
 
-The app contract.  The engine is duck-typed (the dist-conformance
-harness drives it with an adapter over a bare world), but an app gets
-all of it by being written on :class:`repro.runtime.ranked.RankedApp`
-and naming what moves:
+The app contract is :class:`repro.runtime.ranked.RankedApp` (every
+app, and the dist-conformance harness's mini-world, is written on it).
+An app names what moves:
 
 * class attributes ``cell_dats`` / ``node_dats`` (mesh dats whose values
   carry into the next step) and ``part_dats`` (what travels with a
   particle) — ``_migration_spec()`` is derived from them, with ``c2n``
-  (the global cell-to-node map, for deriving node ownership) and, for
-  an adapter, optional ``globals`` (per-rank accumulators to carry);
+  (the global cell-to-node map, for deriving node ownership);
 * ``_declare(rk)``, the per-rank declaration: ``_rebuild_rank(r,
   rank_mesh, old_rank)`` calls it on a fresh record (empty particle
   set, static dats initialised) with ``old_rank.ctx`` reused;
@@ -239,9 +237,7 @@ def rebuild_partition(app, new_owner: np.ndarray) -> None:
     app.meshes, app.plan = new_meshes, new_plan
     app.ranks, app.cell_owner = new_ranks, new_owner
     _clear_plan_caches(comm, new_ranks)
-    post = getattr(app, "_post_rebalance", None)
-    if post is not None:
-        post()
+    app._post_rebalance()
 
 
 def rebalance(app, new_owner: np.ndarray) -> MigrationReport:
@@ -281,11 +277,6 @@ def rebalance(app, new_owner: np.ndarray) -> MigrationReport:
             [m.nodes_global[: m.n_owned_nodes] for m in new_meshes],
             old_nowner, new_nowner, old_nowner.size, _TAG_NODE_DAT)
 
-    for name in spec.get("globals", ()):
-        for r in comm.local_ranks:
-            getattr(new_ranks[r], name).data[:] = \
-                getattr(old_ranks[r], name).data
-
     report.n_particles_moved = _migrate_particles(
         comm, spec.get("part", ()), old_ranks, new_ranks,
         old_meshes, new_meshes, new_owner)
@@ -302,10 +293,7 @@ def rebalance(app, new_owner: np.ndarray) -> MigrationReport:
         push_node_halos(per_rank(nm), new_plan, comm)
 
     _clear_plan_caches(comm, new_ranks)
-
-    post = getattr(app, "_post_rebalance", None)
-    if post is not None:
-        post()
+    app._post_rebalance()
 
     report.seconds = time.perf_counter() - t0
     report.seconds_max = float(comm.allreduce(

@@ -198,14 +198,6 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
                 ng = app.meshes[r].nodes_global
                 for name, g in gnode_dats.items():
                     getattr(app.ranks[r], name).data[:] = g[ng]
-        for name in spec.get("globals", ()):
-            # fold the dead ranks' partial accumulators in round-robin
-            # so allreduce-sum totals are preserved
-            for r in comm.local_ranks:
-                acc = sum(files[rr][f"dat__{name}"]
-                          for rr in range(old_nranks)
-                          if rr % comm.nranks == r)
-                getattr(app.ranks[r], name).data[:] = acc
         _scatter_particles(app, files, spec.get("part", ()), old_meshes)
         for rr in range(old_nranks):
             if comm.is_local(rr):

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from ..util.checkpoint import CHECKPOINT_FORMAT, restore_state, state_payload
 
 __all__ = ["JobSpec", "JobValidationError", "validate_job", "build_sim",
@@ -89,20 +87,11 @@ class AppAdapter:
     checkpointable: bool = True
     #: estimated cell/particle counts for the resource caps
     cost: Optional[Callable[[dict], Tuple[int, int]]] = None
-    #: per-step diagnostics recorder for apps without a native history
-    record: Optional[Callable[[object, object], dict]] = None
 
 
 def _build_advec(params: dict):
     from ..apps.advec import AdvecConfig, AdvecSimulation
     return AdvecSimulation(AdvecConfig(**params))
-
-
-def _record_advec(sim, res) -> dict:
-    n = sim.parts.size
-    return {"mean_disp": float(np.abs(sim.disp.data[:n]).mean()),
-            "hops": int(res.total_hops),
-            "n_particles": int(n)}
 
 
 def _build_fempic(params: dict):
@@ -169,8 +158,7 @@ def _adapters() -> Dict[str, AppAdapter]:
     return {
         "advec": AppAdapter(
             "advec", _build_advec, AdvecConfig,
-            blocked=("backend_options",), cost=_cost_advec,
-            record=_record_advec),
+            blocked=("backend_options",), cost=_cost_advec),
         "fempic": AppAdapter(
             "fempic", _build_fempic, FemPicConfig,
             blocked=("backend_options", "mesh_file",
@@ -400,22 +388,14 @@ def validate_job(raw) -> JobSpec:
 
 
 def build_sim(spec: JobSpec):
-    """Build a fresh simulation plus its (possibly synthesised) history."""
-    adapter = spec.adapter
-    sim = adapter.build(dict(spec.params))
-    history = getattr(sim, "history", None)
-    if history is None:
-        history = {}
-    return sim, history
+    """Build a fresh simulation plus the history its steps append to."""
+    sim = spec.adapter.build(dict(spec.params))
+    return sim, sim.history
 
 
 def step_once(spec: JobSpec, sim, history) -> None:
-    """Advance one step, recording diagnostics for history-less apps."""
-    adapter = spec.adapter
-    res = sim.step()
-    if adapter.record is not None:
-        for key, value in adapter.record(sim, res).items():
-            history.setdefault(key, []).append(value)
+    """Advance one step (the app appends to ``history`` itself)."""
+    sim.step()
 
 
 def run_steps(spec: JobSpec, sim, history, start: int, stop: int) -> None:
@@ -465,8 +445,5 @@ def job_restore(spec: JobSpec, ckpt: dict):
     step = int(ckpt["step"])
     if hasattr(sim, "step_count"):
         sim.step_count = step
-    restored = {k: list(v) for k, v in ckpt["history"].items()}
-    native = getattr(sim, "history", None)
-    if native is not None:
-        sim.history = restored
-    return sim, restored, step
+    sim.history = {k: list(v) for k, v in ckpt["history"].items()}
+    return sim, sim.history, step

@@ -15,13 +15,17 @@ The recipe mirrors the backend harness:
    catalog that covers every distributed exchange pattern: owner→ghost
    pushes before indirect READs, ghost→owner reductions after indirect
    INCs (for both cell and node dats), global reductions, the multi-hop
-   ``mpi_particle_move`` and the DH global move over a synthetic
-   structured overlay;
-2. the program runs partitioned on 2–3 ranks (over the simulated
-   transport or over real rank processes) and unpartitioned on 1 rank —
-   the oracle — and the *assembled* global state (owned dat rows
-   scattered back to global ids, particles keyed by a persistent id,
-   collective-reduction histories, removal counts) is compared;
+   ``mpi_particle_move``, the DH global move over a synthetic
+   structured overlay and a live elastic repartition;
+2. the mini-world is an app written once on
+   :class:`~repro.runtime.ranked.RankedApp`, so every op runs through
+   the exchanges the apps step with.  The program runs partitioned on
+   2–3 ranks (over the simulated transport or over real rank processes)
+   on the case's backend (``seq`` or native ``vec``), and on 1 rank on
+   ``seq`` — the oracle, which is the plain single-rank path.  The
+   *assembled* global state (owned dat rows scattered back to global
+   ids, particles keyed by a persistent id, collective-reduction
+   histories, removal counts) is compared;
 3. on a mismatch a greedy shrinker minimises the case — dropping ops,
    shrinking mesh/particles, reducing the rank count — and the failure
    names the minimal case plus a one-command reproduction.
@@ -32,38 +36,39 @@ the failing case.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_MAX, OPP_MIN,
-                        OPP_READ, OPP_RW, Context, arg_dat, arg_gbl,
-                        decl_dat, decl_global, decl_map,
-                        decl_particle_set, decl_set, par_loop,
-                        push_context)
+                        OPP_READ, OPP_RW, arg_dat, arg_gbl, decl_dat,
+                        decl_global, decl_map, decl_particle_set, decl_set,
+                        par_loop)
 from ..mesh.overlay import StructuredOverlay
 from ..runtime.comm import SimComm
-from ..runtime.dh import DirectHopGlobalMover
-from ..runtime.exchange import mpi_particle_move
-from ..runtime.halo import (build_rank_meshes, push_cell_halos,
-                            push_node_halos, reduce_cell_halos,
-                            reduce_node_halos)
+from ..runtime.ranked import Rank, RankedApp
 from . import kernels as K
 from .conformance import compare_states
 
 __all__ = ["DistCase", "DistConformanceFailure", "generate_dist_case",
            "run_dist_case", "shrink_dist_case", "run_dist_conformance",
-           "DIST_OP_NAMES"]
+           "DIST_OP_NAMES", "DIST_BACKENDS"]
+
+#: the on-node backend a partitioned case runs on (drawn from its seed);
+#: the 1-rank oracle is always ``seq``
+DIST_BACKENDS = ("seq", "vec")
 
 
 class DistCase:
     """One generated distributed scenario, fully determined by its fields."""
 
     __slots__ = ("seed", "n_cells", "n_nodes", "arity", "n_parts",
-                 "nranks", "program")
+                 "nranks", "program", "backend")
 
     def __init__(self, seed: int, n_cells: int, n_nodes: int, arity: int,
-                 n_parts: int, nranks: int, program: Tuple[str, ...]):
+                 n_parts: int, nranks: int, program: Tuple[str, ...],
+                 backend: str = "seq"):
         self.seed = int(seed)
         self.n_cells = int(n_cells)
         self.n_nodes = int(n_nodes)
@@ -71,6 +76,7 @@ class DistCase:
         self.n_parts = int(n_parts)
         self.nranks = int(nranks)
         self.program = tuple(str(p) for p in program)
+        self.backend = str(backend)
 
     def replace(self, **kw) -> "DistCase":
         fields = {s: getattr(self, s) for s in self.__slots__}
@@ -84,7 +90,8 @@ class DistCase:
         return (f"seed={self.seed} cells={self.n_cells} "
                 f"nodes={self.n_nodes} arity={self.arity} "
                 f"parts={self.n_parts} ranks={self.nranks} "
-                f"program=[{', '.join(self.program)}]")
+                f"program=[{', '.join(self.program)}] "
+                f"backend={self.backend}")
 
     def __repr__(self) -> str:
         return f"<DistCase {self.signature()}>"
@@ -101,8 +108,10 @@ def generate_dist_case(seed: int) -> DistCase:
     n_parts = int(rng.integers(8, 73))
     length = int(rng.integers(3, 7))
     program = tuple(rng.choice(DIST_OP_NAMES, size=length))
+    # drawn last, so every earlier field of a seed is what it always was
+    backend = str(rng.choice(DIST_BACKENDS))
     return DistCase(seed, n_cells, n_nodes, arity, n_parts, nranks,
-                    program)
+                    program, backend)
 
 
 # -- world construction --------------------------------------------------------
@@ -132,117 +141,101 @@ def _global_arrays(case: DistCase) -> dict:
     idx = np.arange(n, dtype=np.int64)
     g["clamp"] = np.stack([np.maximum(idx - 1, 0),
                            np.minimum(idx + 1, n - 1)], axis=1)
-    # contiguous block partition (each rank gets >= 1 cell)
-    g["cell_owner"] = (idx * case.nranks) // n
     return g
 
 
-class _DistRank:
-    """One rank's DSL declarations of the partitioned mini-world."""
+class _ChainWorld(RankedApp):
+    """The mini-world as an app written once for 1..N ranks: a block
+    partition of the chain, one ``_declare`` per rank, and the catalog
+    ops below run through the same exchanges the apps step with."""
 
-    def __init__(self, r: int, case: DistCase, g: dict, rank_mesh,
-                 seed_particles: bool = True):
-        self.ctx = Context("seq")
-        self.rm = rank_mesh
-        cg = rank_mesh.cells_global
-        ng = rank_mesh.nodes_global
+    part_dats = ("pos", "w", "out", "pid")
+    cell_dats = ("cell_acc", "cell_hits")
+    node_dats = ("node_a", "node_b")
 
-        self.cells = decl_set(rank_mesh.n_local_cells, f"dcells_r{r}")
-        self.cells.owned_size = rank_mesh.n_owned_cells
-        self.nodes = decl_set(rank_mesh.n_local_nodes, f"dnodes_r{r}")
-        self.nodes.owned_size = rank_mesh.n_owned_nodes
-        # declare-only mode (seed_particles=False) rebuilds the DSL
-        # objects for a live repartition; the migration engine then
-        # fills in the dynamic state
-        mine = np.flatnonzero(g["cell_owner"][g["part_cell"]] == r) \
-            if seed_particles else np.empty(0, dtype=np.int64)
-        self.parts = decl_particle_set(self.cells, mine.size,
-                                       f"dparts_r{r}")
+    def __init__(self, case: DistCase, comm):
+        self.case = case
+        self.cfg = SimpleNamespace(backend=case.backend, backend_options={})
+        g = self.g = _global_arrays(case)
+        n = case.n_cells
+        idx = np.arange(n, dtype=np.int64)
+        self._partition(
+            comm, "block",
+            ("dist_chain", case.seed, n, case.n_nodes, case.arity),
+            centroids=np.column_stack([idx + 0.5, np.zeros(n),
+                                       np.zeros(n)]),
+            c2c=g["c2c"], c2n=g["c2n"], axis=0, layers=(float(n), n))
+        for rk in self.each_rank():
+            g2l = np.full(n, -1, dtype=np.int64)
+            g2l[rk.rm.cells_global] = np.arange(rk.rm.cells_global.size)
+            mine = np.flatnonzero(self.cell_owner[g["part_cell"]] == rk.r)
+            sl = rk.parts.add_particles(
+                mine.size, cell_indices=g2l[g["part_cell"][mine]])
+            # dim-3 positions so the DH overlay can bin them; the walk
+            # and the chain geometry only use the x component
+            rk.pos.data[sl] = np.column_stack(
+                [g["pos_x"][mine], np.full((mine.size, 2), 0.5)])
+            rk.w.data[sl] = g["w"][mine]
+            rk.out.data[sl] = 1.0
+            rk.pid.data[sl, 0] = g["pid"][mine]
+            rk.parts.end_injection()
+        # synthetic structured overlay over the chain: bin i == cell i,
+        # so the DH guess is exact and rank-independent
+        self.use_direct_hop(StructuredOverlay(
+            lo=[0.0, 0.0, 0.0], hi=[float(n), 1.0, 1.0], dims=[n, 1, 1],
+            cell_map=idx))
+        self.n_removed = self.n_rebalances = 0
+        self.g_hist = {"sum": [], "min": [], "max": []}
 
-        g2l = np.full(case.n_cells, -1, dtype=np.int64)
+    def _declare(self, rk: Rank) -> None:
+        g, rm = self.g, rk.rm
+        cg, ng = rm.cells_global, rm.nodes_global
+        rk.cells = decl_set(rm.n_local_cells, "dcells")
+        rk.cells.owned_size = rm.n_owned_cells
+        rk.nodes = decl_set(rm.n_local_nodes, "dnodes")
+        rk.nodes.owned_size = rm.n_owned_nodes
+        rk.parts = decl_particle_set(rk.cells, 0, "dparts")
+
+        g2l = np.full(self.case.n_cells, -1, dtype=np.int64)
         g2l[cg] = np.arange(cg.size)
-        self.c2n = decl_map(self.cells, self.nodes, case.arity,
-                            rank_mesh.local_c2n, f"dc2n_r{r}")
-        self.c2c = decl_map(self.cells, self.cells, 2,
-                            rank_mesh.local_c2c, f"dc2c_r{r}")
+        rk.c2n = decl_map(rk.cells, rk.nodes, self.case.arity,
+                          rm.local_c2n, "dc2n")
+        rk.c2c = decl_map(rk.cells, rk.cells, 2, rm.local_c2c, "dc2c")
         # owned cells' clamp neighbours are always local (they are chain
         # face-neighbours, i.e. in the halo); halo rows may point off the
         # local patch but are never dereferenced — particles only ever
         # sit in owned cells outside a move — so park those on self
         lclamp = np.where(g2l[g["clamp"][cg]] >= 0, g2l[g["clamp"][cg]],
                           np.arange(cg.size)[:, None])
-        self.clamp = decl_map(self.cells, self.cells, 2, lclamp,
-                              f"dclamp_r{r}")
-        self.p2c = decl_map(self.parts, self.cells, 1,
-                            g2l[g["part_cell"][mine]].reshape(-1, 1),
-                            f"dp2c_r{r}")
+        rk.clamp = decl_map(rk.cells, rk.cells, 2, lclamp, "dclamp")
+        rk.p2c = decl_map(rk.parts, rk.cells, 1, None, "dp2c")
 
-        self.cell_src = decl_dat(self.cells, 1, np.float64,
-                                 g["cell_src"][cg], "dcell_src")
+        rk.cell_src = decl_dat(rk.cells, 1, np.float64,
+                               g["cell_src"][cg], "dcell_src")
         # geometry: each chain cell's global lower x — the walk kernel
         # must read this (local ids != global ids on a partitioned mesh)
-        self.cell_lo = decl_dat(self.cells, 1, np.float64,
-                                cg.astype(np.float64), "dcell_lo")
-        self.cell_acc = decl_dat(self.cells, 1, np.float64, None,
-                                 "dcell_acc")
-        self.cell_hits = decl_dat(self.cells, 1, np.int64, None,
-                                  "dcell_hits")
-        self.node_a = decl_dat(self.nodes, 2, np.float64,
-                               g["node_a"][ng], "dnode_a")
-        self.node_b = decl_dat(self.nodes, 1, np.float64,
-                               g["node_b"][ng], "dnode_b")
-        # dim-3 positions so the DH overlay can bin them; the walk and
-        # the chain geometry only use the x component
-        pos = np.column_stack([g["pos_x"][mine],
-                               np.full(mine.size, 0.5),
-                               np.full(mine.size, 0.5)])
-        self.pos = decl_dat(self.parts, 3, np.float64, pos, "dpos")
-        self.w = decl_dat(self.parts, 2, np.float64, g["w"][mine], "dw")
-        self.out = decl_dat(self.parts, 2, np.float64,
-                            np.ones((mine.size, 2)), "dout")
-        self.pid = decl_dat(self.parts, 1, np.int64, g["pid"][mine],
-                            "dpid")
-        self.g_sum = decl_global(1, np.float64, None, "dg_sum")
-        self.g_min = decl_global(1, np.float64, [np.inf], "dg_min")
-        self.g_max = decl_global(1, np.float64, [-np.inf], "dg_max")
+        rk.cell_lo = decl_dat(rk.cells, 1, np.float64,
+                              cg.astype(np.float64), "dcell_lo")
+        rk.cell_acc = decl_dat(rk.cells, 1, np.float64, None, "dcell_acc")
+        rk.cell_hits = decl_dat(rk.cells, 1, np.int64, None, "dcell_hits")
+        rk.node_a = decl_dat(rk.nodes, 2, np.float64, g["node_a"][ng],
+                             "dnode_a")
+        rk.node_b = decl_dat(rk.nodes, 1, np.float64, g["node_b"][ng],
+                             "dnode_b")
+        rk.pos = decl_dat(rk.parts, 3, np.float64, None, "dpos")
+        rk.w = decl_dat(rk.parts, 2, np.float64, None, "dw")
+        rk.out = decl_dat(rk.parts, 2, np.float64, None, "dout")
+        rk.pid = decl_dat(rk.parts, 1, np.int64, None, "dpid")
+        rk.g_sum = decl_global(1, np.float64, None, "dg_sum")
+        rk.g_min = decl_global(1, np.float64, None, "dg_min")
+        rk.g_max = decl_global(1, np.float64, None, "dg_max")
 
 
-def _build_dist_world(case: DistCase, comm) -> dict:
-    g = _global_arrays(case)
-    meshes, plan = build_rank_meshes(g["c2c"], g["cell_owner"],
-                                     comm.nranks, c2n=g["c2n"])
-    ranks: List[Optional[_DistRank]] = [
-        _DistRank(r, case, g, meshes[r]) if comm.is_local(r) else None
-        for r in range(comm.nranks)]
-    # synthetic structured overlay over the chain: bin i == cell i, so
-    # the DH guess is exact and rank-independent
-    overlay = StructuredOverlay(
-        lo=[0.0, 0.0, 0.0], hi=[float(case.n_cells), 1.0, 1.0],
-        dims=[case.n_cells, 1, 1],
-        cell_map=np.arange(case.n_cells, dtype=np.int64),
-        rank_map=g["cell_owner"])
-    mover = DirectHopGlobalMover(overlay, comm, plan, meshes)
-    return {"case": case, "comm": comm, "plan": plan, "meshes": meshes,
-            "ranks": ranks, "mover": mover, "n_removed": 0,
-            "g": g, "n_rebalances": 0,
-            "g_hist": {"sum": [], "min": [], "max": []}}
-
-
-def _locals(world: dict):
-    return [(r, rk) for r, rk in enumerate(world["ranks"])
-            if rk is not None]
-
-
-def _per_rank(world: dict, pick):
-    return [pick(rk) if rk is not None else None
-            for rk in world["ranks"]]
-
-
-def _zero_ghosts(world: dict, attr: str, kind: str) -> None:
+def _zero_ghosts(app: _ChainWorld, attr: str, kind: str) -> None:
     """Ghost rows must be zero before an indirect-INC loop so the
     subsequent reduction folds exactly the new contributions to the
     owner (what the apps do by zeroing accumulators each step)."""
-    for _r, rk in _locals(world):
+    for rk in app.each_rank():
         n_owned = rk.rm.n_owned_cells if kind == "cell" \
             else rk.rm.n_owned_nodes
         getattr(rk, attr).data[n_owned:] = 0
@@ -251,189 +244,107 @@ def _zero_ghosts(world: dict, attr: str, kind: str) -> None:
 # -- the operation catalog -----------------------------------------------------
 
 
-def _op_deposit_nodes(world: dict) -> None:
+def _op_deposit_nodes(app: _ChainWorld) -> None:
     """Double-indirect node INC then ghost→owner node reduction."""
-    _zero_ghosts(world, "node_a", "node")
-    _zero_ghosts(world, "node_b", "node")
-    arity = world["case"].arity
-    for _r, rk in _locals(world):
-        with push_context(rk.ctx):
-            par_loop(K.k_double_deposit, "d_deposit_nodes", rk.parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(rk.w, OPP_READ),
-                     arg_dat(rk.node_a, 0, rk.c2n, rk.p2c, OPP_INC),
-                     arg_dat(rk.node_b, arity - 1, rk.c2n, rk.p2c,
-                             OPP_INC))
-    reduce_node_halos(_per_rank(world, lambda rk: rk.node_a),
-                      world["plan"], world["comm"])
-    reduce_node_halos(_per_rank(world, lambda rk: rk.node_b),
-                      world["plan"], world["comm"])
+    _zero_ghosts(app, "node_a", "node")
+    _zero_ghosts(app, "node_b", "node")
+    arity = app.case.arity
+    for rk in app.each_rank():
+        par_loop(K.k_double_deposit, "d_deposit_nodes", rk.parts,
+                 OPP_ITERATE_ALL,
+                 arg_dat(rk.w, OPP_READ),
+                 arg_dat(rk.node_a, 0, rk.c2n, rk.p2c, OPP_INC),
+                 arg_dat(rk.node_b, arity - 1, rk.c2n, rk.p2c, OPP_INC))
+    app.reduce_nodes("node_a", "node_b")
 
 
-def _op_cell_neighbor_inc(world: dict) -> None:
+def _op_cell_neighbor_inc(app: _ChainWorld) -> None:
     """INC into the particle's cell *neighbours* (clamp map ∘ p2c) —
     boundary-owned cells deposit into halo cells, so the ghost→owner
     cell reduction carries real contributions."""
-    _zero_ghosts(world, "cell_acc", "cell")
-    for _r, rk in _locals(world):
-        with push_context(rk.ctx):
-            par_loop(K.k_clamp_inc, "d_clamp_inc", rk.parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(rk.w, OPP_READ),
-                     arg_dat(rk.cell_acc, 0, rk.clamp, rk.p2c, OPP_INC),
-                     arg_dat(rk.cell_acc, 1, rk.clamp, rk.p2c, OPP_INC))
-    reduce_cell_halos(_per_rank(world, lambda rk: rk.cell_acc),
-                      world["plan"], world["comm"])
+    _zero_ghosts(app, "cell_acc", "cell")
+    for rk in app.each_rank():
+        par_loop(K.k_clamp_inc, "d_clamp_inc", rk.parts, OPP_ITERATE_ALL,
+                 arg_dat(rk.w, OPP_READ),
+                 arg_dat(rk.cell_acc, 0, rk.clamp, rk.p2c, OPP_INC),
+                 arg_dat(rk.cell_acc, 1, rk.clamp, rk.p2c, OPP_INC))
+    app.reduce_cells("cell_acc")
 
 
-def _op_cell_push_gather(world: dict) -> None:
+def _op_cell_push_gather(app: _ChainWorld) -> None:
     """Owner→ghost cell push, then a gather that reads halo cells."""
-    push_cell_halos(_per_rank(world, lambda rk: rk.cell_acc),
-                    world["plan"], world["comm"])
-    for _r, rk in _locals(world):
-        with push_context(rk.ctx):
-            par_loop(K.k_clamp_gather, "d_clamp_gather", rk.parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(rk.cell_acc, 0, rk.clamp, rk.p2c, OPP_READ),
-                     arg_dat(rk.cell_acc, 1, rk.clamp, rk.p2c, OPP_READ),
-                     arg_dat(rk.out, OPP_RW))
+    app.push_cells("cell_acc")
+    for rk in app.each_rank():
+        par_loop(K.k_clamp_gather, "d_clamp_gather", rk.parts,
+                 OPP_ITERATE_ALL,
+                 arg_dat(rk.cell_acc, 0, rk.clamp, rk.p2c, OPP_READ),
+                 arg_dat(rk.cell_acc, 1, rk.clamp, rk.p2c, OPP_READ),
+                 arg_dat(rk.out, OPP_RW))
 
 
-def _op_node_push_gather(world: dict) -> None:
+def _op_node_push_gather(app: _ChainWorld) -> None:
     """Owner→ghost node push, then a gather through c2n ∘ p2c."""
-    push_node_halos(_per_rank(world, lambda rk: rk.node_a),
-                    world["plan"], world["comm"])
-    for _r, rk in _locals(world):
-        with push_context(rk.ctx):
-            par_loop(K.k_node_gather, "d_node_gather", rk.parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(rk.node_a, 0, rk.c2n, rk.p2c, OPP_READ),
-                     arg_dat(rk.out, OPP_RW))
+    app.push_nodes("node_a")
+    for rk in app.each_rank():
+        par_loop(K.k_node_gather, "d_node_gather", rk.parts,
+                 OPP_ITERATE_ALL,
+                 arg_dat(rk.node_a, 0, rk.c2n, rk.p2c, OPP_READ),
+                 arg_dat(rk.out, OPP_RW))
 
 
-def _op_gbl_reduce(world: dict) -> None:
-    """Per-rank global reductions completed by transport allreduces."""
-    comm = world["comm"]
-    for _r, rk in _locals(world):
-        with push_context(rk.ctx):
-            par_loop(K.k_gbl_reduce, "d_gbl_reduce", rk.parts,
-                     OPP_ITERATE_ALL,
-                     arg_dat(rk.w, OPP_READ),
-                     arg_gbl(rk.g_sum, OPP_INC),
-                     arg_gbl(rk.g_min, OPP_MIN),
-                     arg_gbl(rk.g_max, OPP_MAX))
-    ranks = world["ranks"]
-    s = comm.allreduce([rk.g_sum.data.copy() if rk else np.zeros(1)
-                        for rk in ranks], "sum")
-    mn = comm.allreduce([rk.g_min.data.copy() if rk
-                         else np.full(1, np.inf) for rk in ranks], "min")
-    mx = comm.allreduce([rk.g_max.data.copy() if rk
-                         else np.full(1, -np.inf) for rk in ranks], "max")
-    world["g_hist"]["sum"].append(float(s[0]))
-    world["g_hist"]["min"].append(float(mn[0]))
-    world["g_hist"]["max"].append(float(mx[0]))
+def _op_gbl_reduce(app: _ChainWorld) -> None:
+    """Per-rank global reductions completed by the step's one
+    collective (the minimum as the maximum of its negation: exact)."""
+    for rk in app.each_rank():
+        rk.g_sum.data[:] = 0.0
+        rk.g_min.data[:] = np.inf
+        rk.g_max.data[:] = -np.inf
+        par_loop(K.k_gbl_reduce, "d_gbl_reduce", rk.parts, OPP_ITERATE_ALL,
+                 arg_dat(rk.w, OPP_READ),
+                 arg_gbl(rk.g_sum, OPP_INC),
+                 arg_gbl(rk.g_min, OPP_MIN),
+                 arg_gbl(rk.g_max, OPP_MAX))
+    (total,), (high, neg_low) = app.diagnostics(
+        lambda rk: (rk.g_sum.data[0],),
+        lambda rk: (rk.g_max.data[0], -rk.g_min.data[0]))
+    app.g_hist["sum"].append(float(total))
+    app.g_hist["min"].append(float(-neg_low))
+    app.g_hist["max"].append(float(high))
 
 
-def _op_move(world: dict) -> None:
+def _op_move(app: _ChainWorld) -> None:
     """Multi-hop walk with migration; per-hop hit deposition."""
-    comm = world["comm"]
-    totals = mpi_particle_move(
-        comm, world["plan"], world["meshes"],
-        _per_rank(world, lambda rk: rk.ctx),
-        K.k_walk_geom, "d_move",
-        _per_rank(world, lambda rk: rk.parts),
-        _per_rank(world, lambda rk: rk.c2c),
-        _per_rank(world, lambda rk: rk.p2c),
-        _per_rank(world, lambda rk: [
-            arg_dat(rk.pos, OPP_READ),
-            arg_dat(rk.cell_lo, rk.p2c, OPP_READ),
-            arg_dat(rk.cell_hits, rk.p2c, OPP_INC)]),
-        _per_rank(world, lambda rk: [rk.pos, rk.w, rk.out, rk.pid]))
-    world["n_removed"] += int(comm.allreduce(
-        [totals[r].n_removed for r in range(comm.nranks)], "sum"))
+    moved = app.move_particles(
+        K.k_walk_geom, "d_move", "c2c",
+        lambda rk: (arg_dat(rk.pos, OPP_READ),
+                    arg_dat(rk.cell_lo, rk.p2c, OPP_READ),
+                    arg_dat(rk.cell_hits, rk.p2c, OPP_INC)))
+    (removed,), _ = app.diagnostics(lambda rk: (moved[rk.r].n_removed,))
+    app.n_removed += int(removed)
 
 
-def _op_dh_move(world: dict) -> None:
-    """Direct-hop global move (RMA rank/cell-map lookups + all-to-all
-    relocation) finished by the short multi-hop walk."""
-    world["mover"].global_move(
-        _per_rank(world, lambda rk: rk.parts),
-        _per_rank(world, lambda rk: rk.pos),
-        _per_rank(world, lambda rk: rk.p2c),
-        _per_rank(world, lambda rk: [rk.pos, rk.w, rk.out, rk.pid]))
-    _op_move(world)
+def _op_dh_move(app: _ChainWorld) -> None:
+    """Direct-hop move (on N ranks: RMA rank/cell-map lookups +
+    all-to-all relocation) finished by the short multi-hop walk."""
+    app.direct_hop()
+    _op_move(app)
 
 
-class _WorldApp:
-    """Adapter giving the conformance world the duck-typed app contract
-    the elastic migration engine expects."""
-
-    def __init__(self, world: dict):
-        self._world = world
-        self.comm = world["comm"]
-        self.nranks = self.comm.nranks
-        self.meshes = world["meshes"]
-        self.plan = world["plan"]
-        self.ranks = world["ranks"]
-        self.cell_owner = world["g"]["cell_owner"]
-
-    def _build_partition(self, new_owner, nranks=None):
-        g = self._world["g"]
-        return build_rank_meshes(g["c2c"], new_owner,
-                                 nranks if nranks is not None
-                                 else self.nranks, c2n=g["c2n"])
-
-    def _rebuild_rank(self, r, rank_mesh, old_rank):
-        rk = _DistRank(r, self._world["case"], self._world["g"],
-                       rank_mesh, seed_particles=False)
-        rk.ctx = old_rank.ctx
-        return rk
-
-    def _migration_spec(self):
-        # per-rank global accumulators never reset between ops, so they
-        # are carried across the repartition rank-for-rank
-        return {"cell": ("cell_acc", "cell_hits"),
-                "node": ("node_a", "node_b"),
-                "part": ("pos", "w", "out", "pid"),
-                "globals": ("g_sum", "g_min", "g_max"),
-                "c2n": self._world["g"]["c2n"]}
-
-    def _post_rebalance(self):
-        w = self._world
-        case = w["case"]
-        w["meshes"], w["plan"], w["ranks"] = \
-            self.meshes, self.plan, self.ranks
-        w["g"]["cell_owner"] = np.asarray(self.cell_owner)
-        overlay = StructuredOverlay(
-            lo=[0.0, 0.0, 0.0], hi=[float(case.n_cells), 1.0, 1.0],
-            dims=[case.n_cells, 1, 1],
-            cell_map=np.arange(case.n_cells, dtype=np.int64),
-            rank_map=w["g"]["cell_owner"])
-        w["mover"] = DirectHopGlobalMover(overlay, self.comm, self.plan,
-                                          self.meshes)
-
-
-def _op_rebalance(world: dict) -> None:
+def _op_rebalance(app: _ChainWorld) -> None:
     """Live repartition mid-program: shift the chain's slab boundaries
     with a deterministic rotating weight pattern and migrate everything.
     The contract under test: the assembled global state is bit-equal to
     the never-migrated run's."""
-    case = world["case"]
-    if world["comm"].nranks == 1:
+    if app.nranks == 1:
         return                       # the oracle never repartitions
-    from ..elastic.migrate import rebalance as elastic_rebalance
-    from ..runtime.partition import diffusive
-    world["n_rebalances"] += 1
-    idx = np.arange(case.n_cells, dtype=np.int64)
-    weights = 1.0 + ((idx + world["n_rebalances"]) % 3)
-    centroids = np.column_stack([idx + 0.5, np.zeros(case.n_cells),
-                                 np.zeros(case.n_cells)])
-    new_owner = diffusive(centroids, world["comm"].nranks,
-                          weights=weights, axis=0, keys=idx)
-    elastic_rebalance(_WorldApp(world), new_owner)
+    from ..elastic.migrate import rebalance
+    app.n_rebalances += 1
+    idx = np.arange(app.case.n_cells, dtype=np.int64)
+    rebalance(app, app._elastic_partition(
+        1.0 + ((idx + app.n_rebalances) % 3)))
 
 
-DIST_OPS: Dict[str, Callable[[dict], None]] = {
+DIST_OPS: Dict[str, Callable[[_ChainWorld], None]] = {
     "deposit_nodes": _op_deposit_nodes,
     "cell_neighbor_inc": _op_cell_neighbor_inc,
     "cell_push_gather": _op_cell_push_gather,
@@ -449,11 +360,11 @@ DIST_OP_NAMES = tuple(sorted(DIST_OPS))
 # -- execution, assembly, comparison -------------------------------------------
 
 
-def _rank_contrib(world: dict, r: int) -> dict:
+def _rank_contrib(app: _ChainWorld, r: int) -> dict:
     """One rank's share of the final state: owned dat rows with their
     global ids, resident particles, and the (replicated) collective
     results."""
-    rk = world["ranks"][r]
+    rk = app.ranks[r]
     rm = rk.rm
     noc, non = rm.n_owned_cells, rm.n_owned_nodes
     n = rk.parts.size
@@ -470,8 +381,8 @@ def _rank_contrib(world: dict, r: int) -> dict:
         "pos": rk.pos.data[:n].copy(),
         "w": rk.w.data[:n].copy(),
         "out": rk.out.data[:n].copy(),
-        "n_removed": world["n_removed"],
-        "g_hist": {k: list(v) for k, v in world["g_hist"].items()},
+        "n_removed": app.n_removed,
+        "g_hist": {k: list(v) for k, v in app.g_hist.items()},
     }
 
 
@@ -509,11 +420,15 @@ def _assemble(case: DistCase, contribs: List[dict]) -> Dict[str, np.ndarray]:
 
 def _dist_proc_entry(transport, fields: dict) -> dict:
     """Runs inside each rank process under the ``proc`` transport."""
-    case = DistCase(**fields)
-    world = _build_dist_world(case, transport)
+    app = _run_program(DistCase(**fields), transport)
+    return _rank_contrib(app, transport.my_rank)
+
+
+def _run_program(case: DistCase, comm) -> _ChainWorld:
+    app = _ChainWorld(case, comm)
     for op in case.program:
-        DIST_OPS[op](world)
-    return _rank_contrib(world, transport.my_rank)
+        DIST_OPS[op](app)
+    return app
 
 
 def run_dist_case(case: DistCase,
@@ -521,12 +436,9 @@ def run_dist_case(case: DistCase,
     """Execute a case's program partitioned over ``case.nranks`` ranks
     and return the assembled global state."""
     if transport == "sim":
-        comm = SimComm(case.nranks)
-        world = _build_dist_world(case, comm)
-        for op in case.program:
-            DIST_OPS[op](world)
-        return _assemble(case, [_rank_contrib(world, r)
-                                for r, _rk in _locals(world)])
+        app = _run_program(case, SimComm(case.nranks))
+        return _assemble(case, [_rank_contrib(app, r)
+                                for r in range(case.nranks)])
     if transport == "proc":
         from ..dist.proc import ProcCluster
         cluster = ProcCluster(case.nranks, _dist_proc_entry,
@@ -536,9 +448,10 @@ def run_dist_case(case: DistCase,
 
 
 def _oracle_state(case: DistCase) -> Dict[str, np.ndarray]:
-    """The same program, unpartitioned: one rank over the simulated
-    transport — no halos, no migration, no DH relocation."""
-    return run_dist_case(case.replace(nranks=1), "sim")
+    """The same program, unpartitioned, on ``seq``: the single-rank
+    path — no halo, no migration, a plain ``particle_move`` and
+    ``direct_hop_assign``."""
+    return run_dist_case(case.replace(nranks=1, backend="seq"), "sim")
 
 
 class DistConformanceFailure(AssertionError):
@@ -614,10 +527,11 @@ def run_dist_conformance(n_cases: int = 25, seed: int = 0,
     against its 1-rank oracle.  Raises :class:`DistConformanceFailure`
     (with a shrunk minimal case) on the first divergence."""
     checked = 0
-    rank_counts = set()
+    rank_counts, backends = set(), set()
     for i in range(n_cases):
         case = generate_dist_case(seed + i)
         rank_counts.add(case.nranks)
+        backends.add(case.backend)
         mismatches = _case_fails(case, transport)
         if mismatches:
             shrunk = case
@@ -632,4 +546,5 @@ def run_dist_conformance(n_cases: int = 25, seed: int = 0,
         if progress is not None and (i + 1) % 10 == 0:
             progress(f"dist-conformance: {i + 1}/{n_cases} cases ok")
     return {"cases": n_cases, "transport": transport,
-            "rank_counts": sorted(rank_counts), "executions": checked}
+            "rank_counts": sorted(rank_counts),
+            "backends": sorted(backends), "executions": checked}

@@ -91,12 +91,12 @@ def test_distributed_matches_single(nranks):
     for r, rk in enumerate(dist.ranks):
         cfg = CFG
         rm = dist.meshes[r]
-        c = rm.cells_global[rk["p2c"].p2c]
+        c = rm.cells_global[rk.p2c.p2c]
         i = c % cfg.nx
         j = (c // cfg.nx) % cfg.ny
-        n = rk["parts"].size
-        x = (i + 0.5 * (rk["pos"].data[:n, 0] + 1.0)) * cfg.dx
-        y = (j + 0.5 * (rk["pos"].data[:n, 1] + 1.0)) * cfg.dy
+        n = rk.parts.size
+        x = (i + 0.5 * (rk.pos.data[:n, 0] + 1.0)) * cfg.dx
+        y = (j + 0.5 * (rk.pos.data[:n, 1] + 1.0)) * cfg.dy
         got |= {(round(a, 9), round(b, 9)) for a, b in zip(x, y)}
     assert got == expected
 

@@ -17,8 +17,8 @@ from repro.runtime import SimComm
 
 def _assemble(app):
     """Global view of everything a migration is allowed to touch:
-    owned mesh rows scattered by global id, global accumulators summed,
-    particles as a canonically sorted row set."""
+    owned mesh rows scattered by global id, particles as a canonically
+    sorted row set."""
     spec = app._migration_spec()
     comm = app.comm
     out = {}
@@ -33,10 +33,6 @@ def _assemble(app):
             out[f"node:{name}"] = _owned_rows(
                 app, name, lambda m: (m.nodes_global, m.n_owned_nodes),
                 n_nodes)
-    for name in spec.get("globals", ()):
-        out[f"global:{name}"] = sum(
-            getattr(app.ranks[r], name).data.copy()
-            for r in range(comm.nranks))
     cols, gcells = [], []
     for r in range(comm.nranks):
         rk = app.ranks[r]

@@ -188,9 +188,10 @@ def test_checkpoint_refuses_non_checkpointable_and_wrong_app():
         jobs.job_restore(fspec, ackpt)
 
 
-def test_advec_history_is_synthesised():
+def test_advec_history_is_the_apps_own():
     spec = ok(ADVEC)
     sim, hist = jobs.build_sim(spec)
+    assert hist is sim.history
     jobs.run_steps(spec, sim, hist, 0, 2)
     assert set(hist) == {"mean_disp", "hops", "n_particles"}
     assert len(hist["mean_disp"]) == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import repro.verify.dist_conformance as dc
-from repro.verify.dist_conformance import (DIST_OP_NAMES, DistCase,
+from repro.verify.dist_conformance import (DIST_BACKENDS, DIST_OP_NAMES,
+                                           DistCase,
                                            DistConformanceFailure,
                                            generate_dist_case,
                                            run_dist_case,
@@ -21,23 +22,41 @@ def test_generation_is_deterministic():
     assert generate_dist_case(43).to_dict() != a.to_dict()
 
 
+def test_backend_column_is_drawn_after_every_other_field():
+    """A seed keeps the mesh, ranks and program it had before the
+    backend column existed (these are seed 42's from then)."""
+    case = generate_dist_case(42)
+    assert case.to_dict() == {
+        "seed": 42, "n_cells": 12, "n_nodes": 7, "arity": 3,
+        "n_parts": 36, "nranks": 2,
+        "program": ("cell_neighbor_inc", "move", "cell_push_gather",
+                    "cell_neighbor_inc", "gbl_reduce", "rebalance"),
+        "backend": case.backend}
+    assert case.backend in DIST_BACKENDS
+    assert {generate_dist_case(s).backend for s in range(20)} \
+        == set(DIST_BACKENDS)
+
+
 def test_case_replace_and_signature():
     case = generate_dist_case(7)
     smaller = case.replace(n_parts=4)
     assert smaller.n_parts == 4 and smaller.seed == case.seed
     assert f"seed={case.seed}" in case.signature()
     assert "ranks=" in case.signature()
+    assert f"backend={case.backend}" in case.signature()
 
 
 def test_every_op_conforms_individually():
-    """Each catalog op alone must agree with the 1-rank oracle."""
+    """Each catalog op alone, on each backend, must agree with the
+    1-rank seq oracle."""
     for op in DIST_OP_NAMES:
         case = DistCase(seed=5, n_cells=9, n_nodes=6, arity=3,
                         n_parts=30, nranks=3, program=(op,))
         expected = run_dist_case(case.replace(nranks=1), "sim")
-        got = run_dist_case(case, "sim")
-        mismatches = dc.compare_states(expected, got)
-        assert not mismatches, f"op {op!r}: {mismatches}"
+        for backend in DIST_BACKENDS:
+            got = run_dist_case(case.replace(backend=backend), "sim")
+            mismatches = dc.compare_states(expected, got)
+            assert not mismatches, f"op {op!r} on {backend}: {mismatches}"
 
 
 def test_sweep_passes_over_sim():
@@ -68,11 +87,10 @@ def test_injected_distribution_bug_is_caught_and_shrunk(monkeypatch):
     command."""
     real = dc.DIST_OPS["cell_neighbor_inc"]
 
-    def buggy(world):
-        real(world)
-        ranks = world["ranks"]
-        if world["comm"].nranks > 1 and ranks[1] is not None:
-            ranks[1].cell_acc.data[0, 0] += 1.0  # corrupt one owner row
+    def buggy(app):
+        real(app)
+        if app.nranks > 1 and app.ranks[1] is not None:
+            app.ranks[1].cell_acc.data[0, 0] += 1.0  # corrupt one owner row
 
     monkeypatch.setitem(dc.DIST_OPS, "cell_neighbor_inc", buggy)
     with pytest.raises(DistConformanceFailure) as exc_info:
