@@ -1,20 +1,20 @@
-"""Whole-step program optimizer smoke benchmark (the CI ``program``
-gate).
+"""``program="fuse"`` smoke benchmark (the CI ``program`` gate).
 
-What the optimizer does is counted, not timed, so every gate is a count
-or an equality:
+What ``fuse`` does is counted, not timed, so every gate is a count or an
+equality:
 
-* **bit-equality** — the optimized run reproduces the eager run exactly,
-  on seq and on vec;
+* **bit-equality** — the ``fuse`` run reproduces the ``off`` run
+  exactly, on seq and on vec;
 * **communication** — on a 2-rank distributed CabanaPIC run the
-  coalesced halo scheduler must lower the message count to the recorded
-  one without growing the bytes moved (same fields, one envelope per
-  neighbour instead of two), while keeping the physics bit-equal.
+  coalesced ``push_cells("e", "b")`` must lower the message count to the
+  recorded one without growing the bytes moved (same fields, one frame
+  per neighbour pair instead of two), while keeping the physics
+  bit-equal.
 
-Step seconds on the vec backend (eager vs ``program="fuse"``, median of
+Step seconds on the vec backend (``off`` vs ``fuse``, median of
 ``repeats`` short windows) and their ratio are in the payload as
-information only: recording and planning every flush costs the
-optimized arm a little time.
+information only: a one-rank FemPIC step has no halo push, so the two
+arms run the same code.
 """
 from __future__ import annotations
 
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
         from common import write_json
 
     parser = argparse.ArgumentParser(
-        description="program-optimizer smoke benchmark")
+        description="program=\"fuse\" smoke benchmark")
     parser.add_argument("--smoke", action="store_true",
                         help="run the gated smoke measurement")
     parser.add_argument("--json", action="store_true",
@@ -151,8 +151,8 @@ def main(argv=None) -> int:
     else:
         m = payload["metrics"]
         print(f"step: {payload['seconds']['step_unfused'] * 1e3:.2f} ms "
-              f"eager -> {payload['seconds']['step_fused'] * 1e3:.2f} ms "
-              f"optimized ({m['step_ratio_fused']:.2f}x, information "
+              f"off -> {payload['seconds']['step_fused'] * 1e3:.2f} ms "
+              f"fuse ({m['step_ratio_fused']:.2f}x, information "
               "only)")
         print(f"seq bit-equal: {m['seq_bit_equal']}, "
               f"vec bit-equal: {m['vec_bit_equal']}")

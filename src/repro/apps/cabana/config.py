@@ -36,9 +36,8 @@ class CabanaConfig:
     backend: str = "vec"
     backend_options: dict = field(default_factory=dict)
     move_tolerance: float = 0.0
-    #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
-    #: records the step as a loop graph and executes it optimized
-    #: (coalesced halo pushes)
+    #: "fuse" sends a halo push of several fields as one frame per
+    #: neighbour pair (repro.program); "off" sends a frame per field
     program: str = "off"
 
     @property

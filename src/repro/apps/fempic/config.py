@@ -54,9 +54,8 @@ class FemPicConfig:
     move_strategy: str = "mh"       # "mh" | "dh"
     overlay_bins: int = 16          # DH overlay resolution per axis
     move_tolerance: float = 1e-12
-    #: whole-step program optimizer: "off" runs loops eagerly, "fuse"
-    #: records the step as a loop graph and executes it optimized
-    #: (coalesced halo pushes)
+    #: "fuse" sends a halo push of several fields as one frame per
+    #: neighbour pair (repro.program); "off" sends a frame per field
     program: str = "off"
 
     def __post_init__(self) -> None:

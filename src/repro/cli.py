@@ -63,11 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["seq", "vec", "omp", "cuda", "hip", "xe"])
     fp.add_argument("--move", default=None, choices=["mh", "dh"])
     fp.add_argument("--program", default=None, choices=["off", "fuse"],
-                    help="whole-step program optimizer: record each step "
-                    "as a loop graph and coalesce its halo pushes")
-    fp.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (its groups and "
-                    "coalesced pushes) after the run")
+                    help="fuse: a halo push of several fields sends one "
+                    "frame per neighbour pair (--ranks > 1)")
     fp.add_argument("--mesh-file", default=None)
     fp.add_argument("--vtk", default=None, metavar="DIR",
                     help="write mesh+particle VTK files here at the end")
@@ -84,11 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["boris", "velocity_verlet", "vay",
                              "higuera_cary"])
     cb.add_argument("--program", default=None, choices=["off", "fuse"],
-                    help="whole-step program optimizer: record each step "
-                    "as a loop graph and coalesce its halo pushes")
-    cb.add_argument("--program-explain", action="store_true",
-                    help="print the optimizer's plan (its groups and "
-                    "coalesced pushes) after the run")
+                    help="fuse: a halo push of several fields sends one "
+                    "frame per neighbour pair (--ranks > 1)")
     cb.add_argument("--validate", action="store_true",
                     help="also run the structured reference and compare")
     _add_dist_flags(cb)
@@ -121,10 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="run the distributed-op conformance sweep "
                     "(random mini-worlds on 2-3 ranks vs the 1-rank "
                     "oracle)")
-    vf.add_argument("--program", action="store_true",
-                    help="run the program-optimizer conformance sweep "
-                    "(op sequences replayed through the recorder vs "
-                    "their eager replay, bit for bit)")
     vf.add_argument("--transport", default="sim",
                     choices=["sim", "proc"],
                     help="rank transport for --dist-conformance")
@@ -260,14 +250,9 @@ def _run_fempic(args) -> int:
     if args.ranks:
         if args.vtk:
             raise SystemExit("error: --vtk is not supported with --ranks")
-        if args.program_explain:
-            raise SystemExit(
-                "error: --program-explain is not supported with --ranks")
         return _run_dist_app("fempic", cfg, args)
     sim = FemPicSimulation(cfg)
     sim.run()
-    if args.program_explain and sim.program is not None:
-        print(sim.program.explain())
     if not args.quiet:
         h = sim.history
         print(f"Mini-FEM-PIC: {sim.mesh.n_cells} cells, "
@@ -305,14 +290,9 @@ def _run_cabana(args) -> int:
         if args.validate:
             raise SystemExit(
                 "error: --validate is not supported with --ranks")
-        if args.program_explain:
-            raise SystemExit(
-                "error: --program-explain is not supported with --ranks")
         return _run_dist_app("cabana", cfg, args)
     sim = CabanaSimulation(cfg)
     sim.run()
-    if args.program_explain and sim.program is not None:
-        print(sim.program.explain())
     if not args.quiet:
         print(f"CabanaPIC: {cfg.n_cells} cells, {cfg.n_particles} "
               f"particles, {cfg.n_steps} steps, pusher={cfg.pusher}, "
@@ -402,10 +382,9 @@ def _verify_app(app: str, steps: Optional[int], quiet: bool) -> int:
 
 
 def _run_verify(args) -> int:
-    if (not args.app and not args.conformance
-            and not args.dist_conformance and not args.program):
-        print("error: verify needs --app, --conformance, "
-              "--dist-conformance and/or --program", file=sys.stderr)
+    if not args.app and not args.conformance and not args.dist_conformance:
+        print("error: verify needs --app, --conformance and/or "
+              "--dist-conformance", file=sys.stderr)
         return 2
     status = 0
     if args.app:
@@ -439,21 +418,6 @@ def _run_verify(args) -> int:
                       f"{tier['declined_cases']} declined")
                 for reason, count in sorted(tier["declined"].items()):
                     print(f"    declined in {count} case(s): {reason}")
-    if args.program:
-        from repro.verify import ConformanceFailure, run_program_conformance
-        progress = None if args.quiet else print
-        try:
-            report = run_program_conformance(
-                n_cases=args.cases, seed=args.seed,
-                progress=progress, shrink=not args.no_shrink)
-        except ConformanceFailure as failure:
-            print(f"program conformance FAILED:\n{failure}",
-                  file=sys.stderr)
-            return 1
-        if not args.quiet:
-            print(f"program conformance: {report['cases']} cases "
-                  f"({report['executions']} executions) all bit-equal "
-                  "to their eager replay on seq and vec")
     if args.dist_conformance:
         from repro.verify import (DistConformanceFailure,
                                   run_dist_conformance)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tracing
 from .sets import ParticleSet, Set
 from .types import dtype_of
 
@@ -69,15 +68,11 @@ class Dat:
     @property
     def data(self) -> np.ndarray:
         """Writable ``(live, dim)`` view of the live region."""
-        if tracing.active:
-            tracing.touch(self)
         return self._raw[: self.set.size]
 
     @property
     def data_ro(self) -> np.ndarray:
         """Read-only view of the live region."""
-        if tracing.active:
-            tracing.touch(self)
         view = self._raw[: self.set.size]
         view = view.view()
         view.flags.writeable = False
@@ -94,21 +89,14 @@ class Dat:
         The native tier binds this buffer's address once per call site;
         everyone else should use :attr:`data`.
         """
-        if tracing.active:
-            tracing.touch(self)
         return self._raw
 
     def fill(self, value) -> None:
-        if tracing.active:
-            tracing.touch(self)
         self._raw[: self.set.size] = value
 
     def copy_from(self, other: "Dat") -> None:
         if other.set.size != self.set.size or other.dim != self.dim:
             raise ValueError("copy_from requires matching shape")
-        if tracing.active:
-            tracing.touch(self)
-            tracing.touch(other)
         self._raw[: self.set.size] = other._raw[: other.set.size]
 
     def _grow(self, new_capacity: int) -> None:
@@ -144,16 +132,12 @@ class Global:
 
     @property
     def data(self) -> np.ndarray:
-        if tracing.active:
-            tracing.touch(self)
         return self._data
 
     @data.setter
     def data(self, value) -> None:
         # supports augmented assignment (g.data += ...) on the property;
         # the buffer identity is preserved
-        if tracing.active:
-            tracing.touch(self)
         if value is not self._data:
             self._data[:] = np.asarray(value,
                                        dtype=self.dtype).reshape(self.dim)

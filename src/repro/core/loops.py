@@ -13,7 +13,6 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from . import tracing
 from .args import Arg, ArgKind
 from .context import get_context
 from .kernel import Kernel, as_kernel
@@ -66,8 +65,8 @@ class ParLoop:
     """Backend-independent description of a parallel loop over a set.
 
     A declaration is validated once and then shared by every launch from
-    its call site (and by loop hooks and the program trace, which must
-    treat it as read-only): it records only what the call site fixes.
+    its call site (and by loop hooks, which must treat it as
+    read-only): it records only what the call site fixes.
     What a launch may find changed — the iteration bounds, array
     addresses, set sizes — is read when the loop runs.
     """
@@ -182,9 +181,7 @@ def _bytes_per_iter(args: Sequence[Arg]) -> int:
 def execute_parloop(loop: ParLoop, ctx) -> None:
     """Run a declared loop on ``ctx`` and record its perf row.
 
-    Shared by the eager ``par_loop`` path and the program optimizer's
-    deferred-flush executor so both record identical counters.  The
-    bounds are read once, here, and handed to the backend.
+    The bounds are read once, here, and handed to the backend.
     """
     start, end = loop.bounds()
     n = end - start if end > start else 0
@@ -208,9 +205,7 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
 
     The loop runs on whatever backend the active context holds; the calling
     code is identical for all of them — that is the DSL's separation of
-    concerns.  Under an active program trace the declaration is deferred
-    instead: it joins the pending loop graph and executes when host code
-    next observes its data.
+    concerns.
 
     The call site is declared once per context: the first call validates
     the descriptors and remembers the :class:`ParLoop`; a repeated call
@@ -224,8 +219,4 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
         loop = ParLoop(kernel, name, iterset, iterate_type, args)
         ctx.remember_site(key, loop)
     run_loop_hooks(loop)
-    if tracing.active:
-        tracer = tracing.current()
-        if tracer is not None and tracer.defer_parloop(loop, ctx):
-            return
     execute_parloop(loop, ctx)

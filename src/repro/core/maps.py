@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tracing
 from .sets import ParticleSet, Set
 
 __all__ = ["Map"]
@@ -87,8 +86,6 @@ class Map:
     @property
     def values(self) -> np.ndarray:
         """Writable ``(live, arity)`` view of the live region."""
-        if tracing.active:
-            tracing.touch(self)
         return self._raw[: self.from_set.size]
 
     @property
@@ -96,15 +93,11 @@ class Map:
         """Flat live cell-index array for particle maps."""
         if not self.is_particle_map:
             raise TypeError(f"{self.name!r} is not a particle-to-cell map")
-        if tracing.active:
-            tracing.touch(self)
         return self._raw[: self.from_set.size, 0]
 
     @property
     def raw(self) -> np.ndarray:
         """Full backing connectivity (capacity rows for particle maps)."""
-        if tracing.active:
-            tracing.touch(self)
         return self._raw
 
     def _grow(self, new_capacity: int) -> None:

@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import tracing
 from .args import Arg
 from .context import get_context
 from .kernel import Kernel, as_kernel
@@ -226,9 +225,9 @@ def declare_move(ctx, kernel, name: str, pset: ParticleSet, c2c_map: Map,
 def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     """Run a declared move loop on ``ctx`` and record its perf row.
 
-    Shared by the eager ``particle_move`` path and the program
-    optimizer's deferred-flush executor so both record identical
-    counters.
+    Shared by ``particle_move`` and the distributed move
+    (:func:`repro.runtime.exchange.mpi_particle_move`), so both record
+    identical counters.
     """
     t0 = time.perf_counter()
     result = ctx.backend.execute_move(loop)
@@ -244,25 +243,6 @@ def execute_moveloop(loop: MoveLoop, ctx) -> MoveResult:
     return result
 
 
-class LazyMoveResult:
-    """Deferred :class:`MoveResult` returned by a traced particle move.
-
-    Observing any attribute flushes the pending program trace (which
-    executes the move) and then delegates to the real result.
-    """
-
-    __slots__ = ("_resolve",)
-
-    def __init__(self, resolve):
-        object.__setattr__(self, "_resolve", resolve)
-
-    def __getattr__(self, name):
-        return getattr(self._resolve(), name)
-
-    def __repr__(self) -> str:
-        return f"<LazyMoveResult {self._resolve()!r}>"
-
-
 def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
                   p2c_map: Map, *args: Arg,
                   max_hops: int = DEFAULT_MAX_HOPS) -> MoveResult:
@@ -273,21 +253,11 @@ def particle_move(kernel, name: str, pset: ParticleSet, c2c_map: Map,
     :class:`repro.runtime.ranked.RankedApp` declares its move once, as
     ``move_particles``: at one rank that is this call, at N ranks
     :func:`repro.runtime.exchange.mpi_particle_move`, which runs the same
-    declaration per rank (hooks, program trace, ``execute_moveloop``)
-    and migrates particles between the rounds.
-
-    Under an active program trace the move is deferred like any other
-    loop; the returned :class:`LazyMoveResult` flushes the trace on first
-    attribute access.
+    declaration per rank (hooks, ``execute_moveloop``) and migrates
+    particles between the rounds.
     """
     ctx = get_context()
     loop = declare_move(ctx, kernel, name, pset, c2c_map, p2c_map, args,
                         max_hops)
     run_loop_hooks(loop)
-    if tracing.active:
-        tracer = tracing.current()
-        if tracer is not None:
-            lazy = tracer.defer_move(loop, ctx)
-            if lazy is not None:
-                return lazy
     return execute_moveloop(loop, ctx)

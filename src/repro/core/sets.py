@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from . import tracing
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dats import Dat
     from .maps import Map
@@ -104,24 +102,6 @@ class ParticleSet(Set):
     def is_particle_set(self) -> bool:
         return True
 
-    # ``size`` is a plain attribute on mesh sets (their sizes are static)
-    # but a hooked property here: a pending deferred move changes the live
-    # particle count and permutes every particle dat, so *any* host
-    # observation of the set's extent must flush the trace first.  The
-    # hook also covers every ``dat.data`` access on this set, since the
-    # live-region view is sliced by ``set.size``.
-    @property
-    def size(self) -> int:
-        if tracing.active:
-            tracing.touch(self)
-        return self._size
-
-    @size.setter
-    def size(self, n: int) -> None:
-        if tracing.active:
-            tracing.touch(self)
-        self._size = int(n)
-
     @property
     def n_injected(self) -> int:
         return self.size - self.injected_start
@@ -165,7 +145,7 @@ class ParticleSet(Set):
                 self.p2c_map._raw[start:start + count, 0] = cell_indices
             else:
                 self.p2c_map._raw[start:start + count, 0] = -1
-        self.size = start + count
+        self.size = int(start + count)
         self.order.note_appended(count)
         return slice(start, self.size)
 

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import tracing
 from ..core.context import Context, push_context
 from ..core.dats import Dat
 from ..core.loops import run_loop_hooks
@@ -170,10 +169,10 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
     destination until no particle is in flight anywhere.
 
     Each rank's round is declared and executed the way ``particle_move``
-    does it — loop hooks, the program trace when one is recording,
-    ``execute_moveloop`` for the perf row — so the only things this
-    function adds to the single-rank move are the foreign-cell mask, the
-    deferred removal and the migration between rounds.
+    does it — loop hooks, then ``execute_moveloop`` for the perf row —
+    so the only things this function adds to the single-rank move are
+    the foreign-cell mask, the deferred removal and the migration between
+    rounds.
     """
     nranks = comm.nranks
     totals = [MoveResult() for _ in range(nranks)]
@@ -191,15 +190,8 @@ def mpi_particle_move(comm: SimComm, plan: HaloPlan,
             loop.foreign_cell_mask = meshes[r].foreign_cell_mask
             loop.defer_removal = True
             run_loop_hooks(loop)
-            res = None
-            tracer = tracing.current() if tracing.active else None
-            if tracer is not None:
-                # a node of the recorded program, resolved at once: the
-                # migration below needs this round's result
-                res = tracer.defer_move(loop, contexts[r])
-            if res is None:
-                with push_context(contexts[r]):
-                    res = execute_moveloop(loop, contexts[r])
+            with push_context(contexts[r]):
+                res = execute_moveloop(loop, contexts[r])
             results[r] = res
             totals[r].total_hops += res.total_hops
             totals[r].n_removed += res.n_removed

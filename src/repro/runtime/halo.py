@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core import tracing
 from .comm import SimComm
 
 __all__ = ["RankMesh", "HaloPlan", "build_rank_meshes",
@@ -224,27 +223,13 @@ def build_rank_meshes(c2c: np.ndarray, cell_owner: np.ndarray,
 # -- exchange operations -------------------------------------------------------
 
 
-def _defer(op: str, dats: Sequence, plan: HaloPlan, comm: SimComm) -> bool:
-    """Hand the push to an active program trace (it returns to us through
-    :func:`push_halos_grouped` / the eager functions at flush time)."""
-    if not tracing.active:
-        return False
-    tracer = tracing.current()
-    return tracer is not None and tracer.defer_exchange(op, dats, plan,
-                                                        comm)
-
-
 def push_cell_halos(dats: Sequence, plan: HaloPlan, comm: SimComm) -> None:
     """Owner → ghost refresh of one cell dat per rank (``dats[r]``)."""
-    if _defer("cell_push", dats, plan, comm):
-        return
     _push(dats, plan.cell_push, comm, tag=1)
 
 
 def push_node_halos(dats: Sequence, plan: HaloPlan, comm: SimComm) -> None:
     """Owner → ghost refresh of one node dat per rank."""
-    if _defer("node_push", dats, plan, comm):
-        return
     _push(dats, plan.node_push, comm, tag=2)
 
 
@@ -252,8 +237,9 @@ def push_halos_grouped(op: str, dat_lists: Sequence[Sequence],
                        plan: HaloPlan, comm: SimComm) -> None:
     """Coalesced owner → ghost refresh of several fields over one plan.
 
-    The program optimizer batches adjacent pushes of the same kind into
-    one call here: per neighbour pair the per-field frames concatenate
+    A push that names several fields under ``program="fuse"`` runs here
+    (:meth:`repro.runtime.ranked.RankedApp.push_cells`): per neighbour
+    pair the per-field frames concatenate
     column-wise into a single fatter message (fewer frames, same payload
     bytes for float64 fields).  Values travel as float64, matching the
     particle migration packer; integer fields are exact below 2**53.

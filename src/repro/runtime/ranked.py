@@ -17,17 +17,22 @@ sequence of **phases** ("on every resident rank, run these loops",
 * :meth:`~RankedApp.diagnostics` — the step's one allreduce.
 
 :class:`RankedApp` owns everything about that shape that is not physics:
-partitioning, the rank records, the exchanges, ``run()`` with program
-recording, per-rank busy time and the hooks the elastic runtime drives
-(:mod:`repro.elastic.migrate`).  An app supplies ``_declare(rk)`` and
-its phases.
+partitioning, the rank records, the exchanges, ``run()``, per-rank busy
+time and the hooks the elastic runtime drives (:mod:`repro.elastic.migrate`).
+An app supplies ``_declare(rk)`` and its phases.
+
+A push that names several fields, as ``push_cells("e", "b")``, is
+coalesced under ``cfg.program == "fuse"``: one frame per neighbour pair
+carries all of them, and the push is noted on ``self.program``
+(:mod:`repro.program`).  Under ``"off"`` each field travels in its own
+frame.
 
 The single-rank simulation is the one-rank case, not another code path:
 one rank owns every cell, has no halo, and every exchange above returns
-before it touches the communicator — no message, no collective, no
-program-trace node — so the step is exactly its loops.  A one-rank app
-is also its own rank record (``sim.ranks == [sim]``), so ``sim.parts``,
-``sim.ctx`` or ``sim.phi`` are the declarations themselves.
+before it touches the communicator — no message, no collective — so the
+step is exactly its loops.  A one-rank app is also its own rank record
+(``sim.ranks == [sim]``), so ``sim.parts``, ``sim.ctx`` or ``sim.phi``
+are the declarations themselves.
 """
 from __future__ import annotations
 
@@ -41,11 +46,12 @@ import numpy as np
 from ..core.api import decl_dat, decl_set
 from ..core.context import Context, push_context
 from ..core.move import particle_move
+from ..program import Program
 from .comm import CommStats
 from .dh import DirectHopGlobalMover, direct_hop_assign
 from .exchange import mpi_particle_move
-from .halo import (build_rank_meshes, push_cell_halos, push_node_halos,
-                   reduce_cell_halos, reduce_node_halos)
+from .halo import (build_rank_meshes, push_cell_halos, push_halos_grouped,
+                   push_node_halos, reduce_cell_halos, reduce_node_halos)
 from .objcache import get_or_build
 from .partition import diffusive, partition
 
@@ -110,8 +116,9 @@ class RankedApp:
         #: traffic of the gathered field solve, apart from PIC traffic
         self.solve_stats = CommStats(comm.nranks)
         self.overlay = self.dh_mover = None
-        #: the Program accumulated by run() when cfg.program != "off"
-        self.program = None
+        mode = getattr(cfg, "program", "off")
+        #: the coalesced pushes under program="fuse" (None when "off")
+        self.program = None if mode == "off" else Program(mode)
         self.ranks: List[Optional[Rank]] = [
             self._make_rank(r, self.meshes[r],
                             Context(cfg.backend, **cfg.backend_options))
@@ -161,16 +168,33 @@ class RankedApp:
 
     # -- exchanges (each a no-op at one rank) ----------------------------------
 
-    def _halo(self, exchange: Callable, names: Sequence[str]) -> None:
+    def _halo(self, exchange: Callable, names: Sequence[str],
+              op: Optional[str] = None) -> None:
+        """Run ``exchange`` once per field; a push (``op`` set) of
+        several fields under program="fuse" runs as one grouped push."""
         if self.nranks == 1:
             return
-        local = self._local()
+        if op is not None and len(names) > 1 and self.program is not None:
+            self.program.note_push(op, tuple(names))
+            self._timed(names, push_halos_grouped, op,
+                        [self.per_rank(name) for name in names],
+                        self.plan, self.comm)
+            return
         for name in names:
-            t0 = time.perf_counter()
-            exchange(self.per_rank(name), self.plan, self.comm)
-            if self.halo_row is None:
-                continue
-            dt = (time.perf_counter() - t0) / len(local)
+            self._timed((name,), exchange, self.per_rank(name), self.plan,
+                        self.comm)
+
+    def _timed(self, names: Sequence[str], exchange: Callable,
+               *args) -> None:
+        """``exchange(*args)``, its time spread over ``names`` and the
+        resident ranks as one ``halo_row`` call each."""
+        t0 = time.perf_counter()
+        exchange(*args)
+        if self.halo_row is None:
+            return
+        local = self._local()
+        dt = (time.perf_counter() - t0) / (len(local) * len(names))
+        for _name in names:
             for _r, rk in local:
                 rk.ctx.perf.record_loop(
                     self.halo_row, n=rk.rm.n_halo_cells, seconds=dt,
@@ -178,10 +202,10 @@ class RankedApp:
                     indirect_inc=False)
 
     def push_cells(self, *names: str) -> None:
-        self._halo(push_cell_halos, names)
+        self._halo(push_cell_halos, names, "cell_push")
 
     def push_nodes(self, *names: str) -> None:
-        self._halo(push_node_halos, names)
+        self._halo(push_node_halos, names, "node_push")
 
     def reduce_cells(self, *names: str) -> None:
         self._halo(reduce_cell_halos, names)
@@ -313,17 +337,8 @@ class RankedApp:
 
     def run(self, n_steps: Optional[int] = None) -> dict:
         steps = n_steps if n_steps is not None else self.cfg.n_steps
-        mode = getattr(self.cfg, "program", "off")
-        if mode != "off":
-            from repro import program as program_mod
-            if self.program is None:
-                self.program = program_mod.Program(mode)
-            with program_mod.record(mode=mode, program=self.program):
-                for _ in range(steps):
-                    self.step()
-        else:
-            for _ in range(steps):
-                self.step()
+        for _ in range(steps):
+            self.step()
         return self.history
 
     def busy_seconds_per_rank(self) -> List[float]:

@@ -18,8 +18,7 @@ from .sanitize import (DescriptorViolationError, RecordingView,
                        SanitizerBackend, Violation, install_static_checker,
                        static_violations, uninstall_static_checker)
 from .conformance import (Case, ConformanceFailure, compare_states,
-                          generate_case, generate_program_case, run_case,
-                          run_conformance, run_program_conformance,
+                          generate_case, run_case, run_conformance,
                           shrink_case)
 from .dist_conformance import (DistCase, DistConformanceFailure,
                                generate_dist_case, run_dist_case,
@@ -31,7 +30,6 @@ __all__ = [
     "uninstall_static_checker",
     "Case", "ConformanceFailure", "generate_case", "run_case",
     "compare_states", "shrink_case", "run_conformance",
-    "generate_program_case", "run_program_conformance",
     "DistCase", "DistConformanceFailure", "generate_dist_case",
     "run_dist_case", "shrink_dist_case", "run_dist_conformance",
 ]

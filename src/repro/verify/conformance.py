@@ -38,8 +38,7 @@ from . import kernels as K
 
 __all__ = ["Case", "ConformanceFailure", "generate_case", "run_case",
            "compare_states", "shrink_case", "run_conformance",
-           "generate_program_case", "run_program_conformance",
-           "OP_NAMES", "PROGRAM_OP_NAMES", "DEFAULT_BACKENDS"]
+           "OP_NAMES", "DEFAULT_BACKENDS"]
 
 #: Backends checked against the oracle by default — the CPU-side
 #: targets minus ``seq`` itself.
@@ -98,19 +97,6 @@ def generate_case(seed: int) -> Case:
     n_parts = int(rng.integers(8, 73))
     length = int(rng.integers(3, 7))
     program = tuple(rng.choice(OP_NAMES, size=length))
-    return Case(seed, n_cells, n_nodes, arity, n_parts, program)
-
-
-def generate_program_case(seed: int) -> Case:
-    """Like :func:`generate_case` but drawn from the program-optimizer
-    catalog."""
-    rng = np.random.default_rng(seed)
-    n_cells = int(rng.integers(4, 11))
-    n_nodes = int(rng.integers(4, 10))
-    arity = int(rng.integers(2, 5))
-    n_parts = int(rng.integers(8, 73))
-    length = int(rng.integers(3, 8))
-    program = tuple(rng.choice(PROGRAM_OP_NAMES, size=length))
     return Case(seed, n_cells, n_nodes, arity, n_parts, program)
 
 
@@ -293,15 +279,6 @@ def _op_two_set_shared_inc(w: dict) -> None:
              arg_dat(w["out_b"], OPP_RW))
 
 
-def _op_move_deposit(w: dict) -> None:
-    """A bare move, then a deposit over the moved particles, the move's
-    result read only after both are declared: under a program trace the
-    lazy result resolves across the pending deposit."""
-    res = _walk(w)
-    _op_p2c_inc(w)
-    w["n_removed"] += res.n_removed
-
-
 OPS: Dict[str, Callable[[dict], None]] = {
     "direct_axpy": _op_direct_axpy,
     "direct_write": _op_direct_write,
@@ -320,54 +297,32 @@ OPS: Dict[str, Callable[[dict], None]] = {
 }
 OP_NAMES = tuple(sorted(OPS))
 
-#: Catalog for the program-optimizer sweep: one extra op reads a lazy
-#: move result after a later loop is declared.
-PROGRAM_OPS: Dict[str, Callable[[dict], None]] = dict(
-    OPS, move_deposit=_op_move_deposit)
-PROGRAM_OP_NAMES = tuple(sorted(PROGRAM_OPS))
-
-
 # -- execution + comparison ----------------------------------------------------
 
 
-def run_case(case: Case, backend, program_mode: Optional[str] = None,
-             ops: Optional[Dict[str, Callable]] = None
-             ) -> Dict[str, np.ndarray]:
+def run_case(case: Case, backend) -> Dict[str, np.ndarray]:
     """Execute a case's program on one backend instance; return the
     final world state.
 
     Plan caches are cleared first: plans key on ``id(map)``, and Python
-    reuses object ids across generated cases.  ``program_mode`` routes
-    the replay through the program recorder (``"fuse"`` = optimized);
-    ``ops`` selects an alternative op catalog.
+    reuses object ids across generated cases.
     """
-    return _run_case_traced(case, backend, program_mode, ops)[0]
+    return _run_case_perf(case, backend)[0]
 
 
-def _run_case_traced(case: Case, backend, program_mode, ops):
-    """Shared body of :func:`run_case`; additionally returns the
-    :class:`~repro.program.Program` when a program mode was active, and
-    the run's perf recorder."""
-    catalog = OPS if ops is None else ops
+def _run_case_perf(case: Case, backend):
+    """:func:`run_case`, also returning the run's perf recorder."""
     plan = getattr(backend, "plan", None)
     if plan is not None:
         plan.clear()
     ctx = Context("seq")
     ctx.backend = backend
     ctx.backend_name = backend.name
-    prog = None
     with push_context(ctx):
         world = _build_world(case)
-        if program_mode:
-            from .. import program as program_mod
-            prog = program_mod.Program(program_mode)
-            with program_mod.record(mode=program_mode, program=prog):
-                for op in case.program:
-                    catalog[op](world)
-        else:
-            for op in case.program:
-                catalog[op](world)
-        return _snapshot(world), prog, ctx.perf
+        for op in case.program:
+            OPS[op](world)
+        return _snapshot(world), ctx.perf
 
 
 def _snapshot(w: dict) -> Dict[str, np.ndarray]:
@@ -422,7 +377,7 @@ class ConformanceFailure(AssertionError):
     """A backend diverged from the sequential oracle."""
 
     def __init__(self, backend_name: str, case: Case, shrunk: Case,
-                 mismatches: List[str], repro: Optional[str] = None):
+                 mismatches: List[str]):
         self.backend_name = backend_name
         self.case = case
         self.shrunk = shrunk
@@ -432,10 +387,9 @@ class ConformanceFailure(AssertionError):
                  f"  minimal case:  {shrunk.signature()}",
                  "  mismatches:"]
         lines += [f"    - {m}" for m in mismatches]
-        lines.append("  reproduce: " + (
-            repro or "PYTHONPATH=src python -m repro verify "
-            f"--conformance --seed {case.seed} --cases 1 "
-            f"--backends {backend_name}"))
+        lines.append("  reproduce: PYTHONPATH=src python -m repro verify "
+                     f"--conformance --seed {case.seed} --cases 1 "
+                     f"--backends {backend_name}")
         super().__init__("\n".join(lines))
 
 
@@ -466,7 +420,7 @@ def _case_fails(case: Case, oracle, backend,
     tallied in ``native_log``.
     """
     expected = run_case(case, oracle)
-    got, _, perf = _run_case_traced(case, backend, None, None)
+    got, perf = _run_case_perf(case, backend)
     if type(backend) is not VecBackend:
         return compare_states(expected, got)
     declined = {st.extras["fallback"] for st in perf.loops.values()
@@ -483,19 +437,16 @@ def _case_fails(case: Case, oracle, backend,
     return compare_states(expected, got, rtol=0.0, atol=0.0)
 
 
-def shrink_case(case: Case, oracle, backend, max_rounds: int = 40,
-                fails: Callable[[Case, object, object], List[str]]
-                = _case_fails) -> Tuple[Case, List[str]]:
+def shrink_case(case: Case, oracle, backend,
+                max_rounds: int = 40) -> Tuple[Case, List[str]]:
     """Greedy minimisation: keep applying the first shrinking candidate
-    that still reproduces the mismatch.  ``fails`` abstracts how a case
-    is judged (the program sweep substitutes its optimized-vs-eager
-    comparison)."""
-    mismatches = fails(case, oracle, backend)
+    that still reproduces the mismatch."""
+    mismatches = _case_fails(case, oracle, backend)
     if not mismatches:
         return case, mismatches
     for _ in range(max_rounds):
         for candidate in _shrink_candidates(case):
-            cand_mismatches = fails(candidate, oracle, backend)
+            cand_mismatches = _case_fails(candidate, oracle, backend)
             if cand_mismatches:
                 case, mismatches = candidate, cand_mismatches
                 break
@@ -558,50 +509,3 @@ def run_conformance(n_cases: int = 60, seed: int = 0,
     return {"cases": n_cases, "backends": list(backends),
             "executions": checked, "strategy": strategy,
             "native": native_log}
-
-
-# -- program-optimizer conformance ---------------------------------------------
-
-def _program_fails(case: Case, oracle, backend) -> List[str]:
-    """Shrink-compatible ``fails``: the eager replay against the
-    optimized replay on the *same* backend, bit for bit."""
-    expected = run_case(case, oracle, ops=PROGRAM_OPS)
-    got = run_case(case, backend, "fuse", PROGRAM_OPS)
-    return compare_states(expected, got, rtol=0.0, atol=0.0)
-
-
-def run_program_conformance(n_cases: int = 40, seed: int = 0,
-                            progress: Optional[Callable[[str], None]]
-                            = None, shrink: bool = True) -> dict:
-    """Sweep generated op sequences through the program recorder.
-
-    Every case runs through ``record(mode="fuse")`` on seq and on vec,
-    each compared **bit-exactly** against its own eager baseline:
-    deferral and exchange coalescing must be invisible.  Raises
-    :class:`ConformanceFailure` (with a shrunk minimal case) on the
-    first divergence.
-    """
-    oracle = _conformance_backend("seq")
-    vec = _conformance_backend("vec")
-    checked = 0
-    for i in range(n_cases):
-        case = generate_program_case(seed + i)
-        repro = ("PYTHONPATH=src python -m repro verify --program "
-                 f"--seed {case.seed} --cases 1")
-        for name, backend in (("seq", oracle), ("vec", vec)):
-            baseline = run_case(case, backend, ops=PROGRAM_OPS)
-            got = run_case(case, backend, "fuse", PROGRAM_OPS)
-            mismatches = compare_states(baseline, got, rtol=0.0, atol=0.0)
-            if mismatches:
-                shrunk = case
-                if shrink:
-                    shrunk, shrunk_mismatches = shrink_case(
-                        case, backend, backend, fails=_program_fails)
-                    if shrunk_mismatches:
-                        mismatches = shrunk_mismatches
-                raise ConformanceFailure(f"{name}+program", case,
-                                         shrunk, mismatches, repro)
-            checked += 1
-        if progress is not None and (i + 1) % 10 == 0:
-            progress(f"program conformance: {i + 1}/{n_cases} cases ok")
-    return {"cases": n_cases, "executions": checked}

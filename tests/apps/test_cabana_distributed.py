@@ -54,8 +54,9 @@ def test_update_ghosts_in_breakdown(reference):
                                       {"pusher": "vay"}])
 def test_config_fields_are_honoured_at_n_ranks(nranks, override):
     """``program`` and ``pusher`` are read by the step every rank count
-    shares: the N-rank run records its program and runs the configured
-    pusher as its own loop."""
+    shares: the N-rank run coalesces its e/b push (one fused group; a
+    one-rank run has no push) and runs the configured pusher as its own
+    loop."""
     from repro.apps.cabana import CabanaSimulation
     cfg = CFG.scaled(n_steps=4, **override)
     single = CabanaSimulation(cfg)
@@ -66,7 +67,9 @@ def test_config_fields_are_honoured_at_n_ranks(nranks, override):
         np.testing.assert_allclose(dist.history[key], single.history[key],
                                    rtol=1e-10, atol=1e-18, err_msg=key)
     if "program" in override:
-        assert dist.program is not None and dist.program.n_flushes > 0
+        fused = [g for p in dist.program.plans for g in p.groups
+                 if g.fused]
+        assert len(fused) == (1 if nranks > 1 else 0)
     else:
         assert dist.ranks[0].ctx.perf.get("PushParticles") is not None
 

@@ -18,12 +18,10 @@ from repro.core.api import (OPP_INC, OPP_ITERATE_ALL, OPP_ITERATE_INJECTED,
                             par_loop, push_context)
 from repro.core.move import MoveLoop, execute_moveloop
 from repro.verify import kernels as K
-from repro.verify.conformance import (OP_NAMES, PROGRAM_OPS, _build_world,
-                                      _conformance_backend,
-                                      _run_case_traced, compare_states,
+from repro.verify.conformance import (OP_NAMES, _build_world,
+                                      _conformance_backend, compare_states,
                                       generate_case, run_case,
-                                      run_conformance,
-                                      run_program_conformance)
+                                      run_conformance)
 
 pytestmark = pytest.mark.usefixtures("numpy_target")
 
@@ -105,24 +103,6 @@ def test_integer_valued_data_is_bit_equal(monkeypatch):
 
     one, small = one_and_small(monkeypatch, scenario)
     assert_same(one, small, exact=True)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fused_groups_match_one_block(monkeypatch, seed):
-    """``--program fuse`` runs on the same pipeline: its groups, one
-    per loop (a move and the deposit after it stay two), match one
-    block."""
-    case = generate_case(seed).replace(
-        n_parts=61, program=("direct_axpy", "move_deposit", "p2c_gather",
-                             "gbl_reduce"))
-    runs = one_and_small(
-        monkeypatch, lambda: _run_case_traced(case, make_backend("vec"),
-                                              "fuse", PROGRAM_OPS)[:2])
-    (one, prog), (small, _) = runs
-    assert compare_states(one, small, rtol=1e-9, atol=1e-12) == []
-    groups = [g for p in prog.plans for g in p.groups]
-    assert [g.name for g in groups if g.kind == "move"] == ["c_move"]
-    assert not any(g.fused for g in groups)
 
 
 # -- par_loops: windows, collisions, the duplicate-write check ---------------------
@@ -350,13 +330,12 @@ def test_move_max_hops_error(monkeypatch):
 
 @pytest.mark.conformance
 def test_conformance_sweep_small_block(monkeypatch, request):
-    """The differential fuzzer (vec/omp vs the seq oracle) and the
-    optimized-vs-eager program replay, every loop in 7-lane blocks."""
+    """The differential fuzzer (vec/omp vs the seq oracle), every loop
+    in 7-lane blocks."""
     monkeypatch.setattr(blocked, "BLOCK", SMALL)
     n = int(request.config.getoption("--conformance-cases"))
     summary = run_conformance(n_cases=n, seed=0, backends=("vec", "omp"))
     assert summary["executions"] == 2 * n
-    run_program_conformance(n_cases=n, seed=0)
 
 
 def _app(name, backend):

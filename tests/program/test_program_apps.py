@@ -1,8 +1,9 @@
-"""Apps driven through the program optimizer (`cfg.program="fuse"`):
-optimized runs must be bit-equal to eager runs on every backend, a
-deferred move must reuse its call site's declaration, and the
-distributed driver must coalesce halo pushes.
+"""Apps under `cfg.program="fuse"`: bit-equal to `"off"` on every
+backend; at N ranks a push that names several fields sends one frame per
+neighbour pair, and the halo perf row times it.
 """
+import time
+
 import numpy as np
 import pytest
 
@@ -34,14 +35,14 @@ def test_fempic_program_seq_bit_equal():
         assert np.array_equal(getattr(fused, attr).data,
                               getattr(plain, attr).data), attr
     assert fused.history["field_energy"] == plain.history["field_energy"]
-    assert fused.program is not None and fused.program.n_flushes > 0
+    # a one-rank app has no exchanges, so it coalesces nothing
+    assert fused.program.mode == "fuse" and fused.program.plans == []
     assert plain.program is None
 
 
 def test_fempic_program_vec_matches(monkeypatch):
-    """vec is bit-equal too, on the native tier and on the NumPy target:
-    every loop and move of the optimized step runs as the app wrote
-    it."""
+    """vec is bit-equal too, on the native tier and on the NumPy
+    target."""
     from repro.translator import native
     for target in ("native", "numpy"):
         if target == "numpy":
@@ -67,87 +68,72 @@ def test_cabana_program_bit_equal(backend):
                               getattr(plain, attr).data), attr
 
 
-def test_deferred_move_is_declared_once(monkeypatch):
-    """A deferred move goes through its context's call-site memo like an
-    eager move: once warm, a flush declares nothing, derives no
-    descriptor signature and looks up no launcher."""
-    from repro.core.move import MoveDecl
-    from repro.translator import cgen, native
-
-    cfg = FemPicConfig.smoke().scaled(backend="vec", program="fuse")
-    sim = FemPicSimulation(cfg)
-    sim.run(3)
-    calls = {"MoveDecl": 0, "signature": 0, "launcher": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(MoveDecl, "__init__",
-                        counting("MoveDecl", MoveDecl.__init__))
-    monkeypatch.setattr(cgen, "signature",
-                        counting("signature", cgen.signature))
-    monkeypatch.setattr(native, "_launcher",
-                        counting("launcher", native._launcher))
-    sim.run(10)
-    assert calls == {"MoveDecl": 0, "signature": 0, "launcher": 0}
-    assert any(g.name == "Move" for p in sim.program.plans
-               for g in p.groups if g.kind == "move")
-
-
-@pytest.mark.parametrize("run, flushes, groups, fused", [
-    (run_fempic, 9, [1, 5, 2], 0), (run_cabana, 3, [8], 0)])
-def test_one_rank_step_flushes_where_the_single_rank_step_did(
-        run, flushes, groups, fused):
-    """Flush counts recorded from the last commit with a separate
-    single-rank class: written on the rank-count-agnostic base, the
-    one-rank step still hands the optimizer the same flush shapes (no
-    exchange adds a trace node or a host observation).  Every loop and
-    move is a group of its own.  FemPIC's field solve is one compiled
-    call and launches no loop, so its step is three flushes of one, five
-    and two groups."""
-    prog = run("vec", "fuse", steps=3).program
-    assert prog.n_flushes == flushes
-    assert [len(p.groups) for p in prog.plans] == groups
-    assert sum(g.fused for p in prog.plans for g in p.groups) == fused
+def run_dist(mode, nranks=2, steps=3, app="cabana"):
+    if app == "cabana":
+        from repro.apps.cabana.distributed import DistributedCabana as cls
+        cfg = CabanaConfig(nx=4, ny=4, nz=8, ppc=8, n_steps=steps,
+                           backend="vec", program=mode)
+    else:
+        from repro.apps.fempic.distributed import DistributedFemPic as cls
+        cfg = FemPicConfig.smoke().scaled(n_steps=steps, program=mode)
+    sim = cls(cfg, nranks=nranks)
+    sim.run()
+    return sim
 
 
 def test_program_survives_multiple_run_calls():
-    """run() may be called repeatedly; the Program persists across
-    recording spans."""
-    cfg = CabanaConfig.smoke().scaled(backend="vec", n_steps=2,
-                                      program="fuse")
-    sim = CabanaSimulation(cfg)
-    sim.run()
-    first = sim.program.n_flushes
+    """run() may be called repeatedly; the Program persists and keeps
+    counting the coalesced push."""
+    sim = run_dist("fuse", steps=2)
+    prog = sim.program
+    (plan,) = prog.plans
+    assert plan.groups[0].calls == 2
     sim.run(2)
-    assert sim.program.n_flushes > first
+    assert sim.program is prog and plan.groups[0].calls == 4
 
-    eager = CabanaSimulation(cfg.scaled(program="off"))
-    eager.run()
+    eager = run_dist("off", steps=2)
     eager.run(2)
     assert sim.history["e_energy"] == eager.history["e_energy"]
 
 
-def test_distributed_cabana_coalesces_pushes():
-    """2-rank run: the step's adjacent e/b ghost pushes merge into one
-    message per neighbour pair — msg_count strictly drops, bytes do not
-    grow, physics is bit-equal."""
-    from repro.apps.cabana.distributed import DistributedCabana
+def _wire(sim):
+    stats = sim.comm.stats
+    return int(stats.msg_count.sum()), int(stats.msg_bytes.sum())
 
-    def run(mode):
-        cfg = CabanaConfig(nx=4, ny=4, nz=8, ppc=8, n_steps=3,
-                           backend="vec", program=mode)
-        sim = DistributedCabana(cfg, nranks=2)
-        sim.run()
-        return sim
 
-    off, fuse = run("off"), run("fuse")
-    assert fuse.history["e_energy"] == off.history["e_energy"]
-    assert int(fuse.comm.stats.msg_count.sum()) < \
-        int(off.comm.stats.msg_count.sum())
-    assert int(fuse.comm.stats.msg_bytes.sum()) <= \
-        int(off.comm.stats.msg_bytes.sum())
-    assert "coalesced" in fuse.program.explain()
+@pytest.mark.parametrize("app, nranks, off_msgs, fuse_msgs, pushes", [
+    ("cabana", 2, 30, 24, [("cell_push", ("e", "b"), 3)]),
+    ("cabana", 3, 90, 72, [("cell_push", ("e", "b"), 3)]),
+    ("fempic", 2, 20, 20, [])], ids=["cabana-2r", "cabana-3r", "fempic-2r"])
+def test_distributed_cabana_coalesces_pushes(app, nranks, off_msgs,
+                                             fuse_msgs, pushes):
+    """3 steps: Cabana's ``push_cells("e", "b")`` sends one frame per
+    neighbour pair instead of two, with the same bytes and bit-equal
+    physics.  FemPIC's pushes each name one field, so both modes send
+    the same frames and nothing is coalesced."""
+    off, fuse = (run_dist(mode, nranks, app=app) for mode in ("off", "fuse"))
+    (n_off, bytes_off), (n_fuse, bytes_fuse) = _wire(off), _wire(fuse)
+    assert (n_off, n_fuse) == (off_msgs, fuse_msgs)
+    assert bytes_fuse == bytes_off
+    assert fuse.history == off.history
+    assert [(g.op, g.fields, g.calls) for p in fuse.program.plans
+            for g in p.groups if g.fused] == pushes
+
+
+def test_fuse_halo_row_times_the_grouped_push(monkeypatch):
+    """Under fuse the ``Update_Ghosts`` row has off's call count (one per
+    field per push) and its seconds include the grouped push."""
+    from repro.runtime import ranked
+    delay = 0.02
+    grouped = ranked.push_halos_grouped
+
+    def slow(*args):
+        time.sleep(delay)
+        grouped(*args)
+
+    monkeypatch.setattr(ranked, "push_halos_grouped", slow)
+    rows = {mode: run_dist(mode).ranks[0].ctx.perf.get(
+        "Update_Ghosts") for mode in ("off", "fuse")}
+    assert rows["fuse"].calls == rows["off"].calls == 15
+    # three slowed pushes, each spread over two ranks' rows
+    assert rows["fuse"].seconds >= 3 * delay / 2
