@@ -17,7 +17,13 @@ FemPIC build" line times a smoke ``FemPicSimulation`` build plus its
 first field solve with the object cache off and on.  A "hole
 fill" line times ``ParticleSet.remove_particles`` of 2 430 sorted rows
 from a 100 000-ion set with FemPIC's particle dats, on fresh (cache-cold)
-arrays, median of 30.
+arrays, median of 30.  "Warm job, first step" rows time the first and
+second step of the FemPIC, CabanaPIC and advection smoke jobs of the
+``service_batch`` rung as a warm service worker runs them (object cache
+on, each job built again after one job of its kind ran in the process),
+best of 20 builds, with the first step's cost over the second's: the
+first declares every call site of its new objects, from the shapes the
+process already holds.
 
 The table (also ``results/launch_cost.txt``) is this host's reading and
 gates nothing.  The exit code is a **count**: over 100 warm launches of
@@ -34,7 +40,10 @@ validation are called 0 times, and the field solve launches no
 first field solves with the object cache on, as a service worker runs
 them, ``DirichletSystem.__init__``, ``NewtonPattern.__init__``, the
 Newton index and CSR validation and ``native._library`` are called 0
-times.
+times; over the first steps of 100 warm jobs of each smoke app, nothing
+that derives a call site's shape runs — ``cgen.signature``,
+``native._launcher``, ``Kernel.check_arity``, ``Kernel.generated`` and
+``Kernel.branch_count`` are called 0 times.
 
     PYTHONPATH=src python benchmarks/bench_launch.py
 """
@@ -54,6 +63,17 @@ N = 8                   # elements / particles per set
 WARM = 100              # launches the zero-call gate counts over
 REPEATS, LAUNCHES = 7, 200
 BUILDS = 20             # FemPIC builds per timed repeat
+JOB_BUILDS = 20         # warm jobs per app the first-step rows time
+#: the ``service_batch`` rung's smoke jobs, two steps each
+JOBS = {
+    "fempic": {"app": "fempic", "params": {
+        "nx": 2, "ny": 2, "nz": 6, "plasma_den": 2000.0, "n0": 2000.0,
+        "n_steps": 2, "seed": 1}},
+    "cabana": {"app": "cabana", "params": {
+        "nx": 4, "ny": 4, "nz": 8, "ppc": 8, "n_steps": 2}},
+    "advec": {"app": "advec", "params": {
+        "nx": 6, "ny": 6, "ppc": 2, "n_steps": 2, "seed": 1}},
+}
 # hole fill: a FemPIC-sized removal (≈ 2.4 % of the ions in one step)
 HOLE_N, HOLE_K, HOLE_CELLS, HOLE_REPEATS = 100_000, 2_430, 1152, 30
 
@@ -167,7 +187,7 @@ class CallCounts:
         for owner, attr in self.targets:
             real = getattr(owner, attr)
             label = f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
-            self.calls[label] = 0
+            self.calls.setdefault(label, 0)
 
             def counting(*args, _real=real, _label=label, **kwargs):
                 self.calls[_label] += 1
@@ -303,6 +323,45 @@ def measure_build(cached: bool):
         objcache.disable()
 
 
+def first_step_targets():
+    """What a warm job's first step must not run: anything that derives
+    a call site's shape, which the process already holds."""
+    from repro.core.kernel import Kernel
+    from repro.translator import cgen, native
+    return [(cgen, "signature"), (native, "_launcher"),
+            (Kernel, "check_arity"), (Kernel, "generated"),
+            (Kernel, "branch_count")]
+
+
+def measure_first_steps(app: str):
+    """``(µs first step, µs second step, {function: calls in WARM first
+    steps})`` of a smoke job as a warm service worker runs it: the
+    object cache on, one job of its kind run before in the process, then
+    each job built and stepped afresh (best of ``JOB_BUILDS``)."""
+    from repro.runtime import objcache
+    from repro.service import jobs
+    spec = jobs.validate_job(JOBS[app])
+    objcache.enable()
+    try:
+        sim, _history = jobs.build_sim(spec)
+        sim.step(), sim.step()
+        steps = ([], [])
+        for _ in range(JOB_BUILDS):
+            sim, _history = jobs.build_sim(spec)
+            for samples in steps:
+                t0 = time.perf_counter()
+                sim.step()
+                samples.append(time.perf_counter() - t0)
+        counted = CallCounts(first_step_targets())
+        for _ in range(WARM):
+            sim, _history = jobs.build_sim(spec)
+            with counted:
+                sim.step()
+    finally:
+        objcache.disable()
+    return 1e6 * min(steps[0]), 1e6 * min(steps[1]), counted.calls
+
+
 def hole_fill_world(seed: int):
     """A fresh ``HOLE_N``-ion set with FemPIC's particle dats (position,
     velocity, weights, the particle-to-cell map) and ``HOLE_K`` sorted
@@ -359,6 +418,7 @@ def main() -> int:
     builds = {leg: measure_build(cached)
               for leg, cached in (("cache off", False), ("cache on", True))}
     hole_us, hole_calls = measure_hole_fill()
+    first_steps = {app: measure_first_steps(app) for app in JOBS}
 
     labels = list(next(iter(results.values()))[0])
     lines = [f"Warm launch cost, microseconds per call ({N}-element sets; "
@@ -380,6 +440,12 @@ def main() -> int:
     lines.append(f"hole fill: {hole_us:.0f} us per remove_particles of "
                  f"{HOLE_K} of {HOLE_N} ions (FemPIC's dats, fresh arrays, "
                  f"median of {HOLE_REPEATS})")
+    lines.append(f"warm job, first step (smoke jobs of the service_batch "
+                 f"rung, object cache on, best of {JOB_BUILDS} builds)")
+    for app, (first, second, _calls) in first_steps.items():
+        lines.append(f"  {app:<8}first {first:>6.0f} us   second "
+                     f"{second:>6.0f} us   first / second "
+                     f"{first / second:.2f}")
     lines.append("")
     lines.append(f"declaration-time calls in {WARM} warm launches of every "
                  "site (gate: all 0)")
@@ -411,6 +477,18 @@ def main() -> int:
                                             in calls.items()))
     failed += [f"warm FemPIC build: {name} called {n} times"
                for name, n in calls.items() if n]
+    lines.append("")
+    lines.append(f"shape-derivation calls in the first steps of {WARM} warm "
+                 "jobs of each app (gate: all 0)")
+    for app, (_first, _second, calls) in first_steps.items():
+        # as on the launch legs: without a compiler every loop is the
+        # NumPy target's, which fetches its batch function per launch
+        gated = {name: n for name, n in calls.items()
+                 if "vec native" in results or name != "Kernel.generated"}
+        lines.append(f"{app:<12}" + "  ".join(f"{name}={n}" for name, n
+                                              in gated.items()))
+        failed += [f"warm {app} job, first step: {name} called {n} times"
+                   for name, n in gated.items() if n]
     lines.append("")
     lines.append(f"calls in {WARM} sorted removals (gate: all 0)")
     lines.append("hole fill   " + "  ".join(f"{name}={n}" for name, n

@@ -89,9 +89,14 @@ class TwoDSheetModel(RankedApp):
                                   lambda: build_tri_stiffness(mesh))
             self.node_areas = get_or_build(
                 ("twod_areas",) + mesh_key, lambda: lumped_node_areas(mesh))
+            # the grounded-box reduction is a pure function of the mesh,
+            # so a warm worker builds it once; the solver owns its CG
+            # work arrays and stays this job's
             bnodes = mesh.tags["boundary_nodes"]
-            self.dirichlet = DirichletSystem(self.K, bnodes,
-                                             np.zeros(len(bnodes)))
+            self.dirichlet = get_or_build(
+                ("twod_dirichlet",) + mesh_key,
+                lambda: DirichletSystem(self.K, bnodes,
+                                        np.zeros(len(bnodes))))
             self.ksp = KSPSolver(self.dirichlet.k_ff, pc="jacobi",
                                  rtol=1e-10)
             #: background (ion) charge per node, exactly neutralizing

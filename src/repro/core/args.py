@@ -17,7 +17,9 @@ needs to choose a race-handling strategy.
 :func:`arg_dat` and :func:`arg_gbl` are memoised: a repeated spec returns
 the same frozen :class:`Arg`, from a small memo held on the dat (or
 global) itself, so the memo dies with the dat and a call site can compare
-its descriptors by identity.
+its descriptors by identity.  Each descriptor also carries :attr:`Arg.key`,
+what it contributes to a call site's structural key (:func:`structure`),
+which names no object.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .maps import Map
 from .sets import Set
 from .types import AccessMode
 
-__all__ = ["Arg", "ArgKind", "arg_dat", "arg_gbl"]
+__all__ = ["Arg", "ArgKind", "arg_dat", "arg_gbl", "structure", "slot"]
 
 #: most descriptors one dat (or global) remembers; a dat addressed through
 #: ever new maps starts its memo afresh instead of keeping them all alive
@@ -45,6 +47,9 @@ class ArgKind:
     GLOBAL = "global"
 
 
+_INDIRECT = frozenset((ArgKind.INDIRECT, ArgKind.P2C, ArgKind.DOUBLE))
+
+
 class Arg:
     """One kernel argument: a dat (or global) plus addressing and access.
 
@@ -54,44 +59,11 @@ class Arg:
     """
 
     __slots__ = ("dat", "access", "map", "map_idx", "p2c", "kind",
-                 "is_indirect", "is_global", "__weakref__")
+                 "is_indirect", "is_global", "key", "__weakref__")
 
     def __init__(self, dat, access: AccessMode, *, map_: Optional[Map] = None,
                  map_idx: Optional[int] = None, p2c: Optional[Map] = None):
-        if not isinstance(access, AccessMode):
-            raise TypeError(f"access must be an AccessMode, got {access!r}")
-        if isinstance(dat, Global):
-            if map_ is not None or p2c is not None:
-                raise ValueError("global args take no mapping")
-            if access in (AccessMode.WRITE, AccessMode.RW):
-                raise ValueError("global args support READ/INC/MIN/MAX only")
-            kind = ArgKind.GLOBAL
-        elif map_ is not None and p2c is not None:
-            kind = ArgKind.DOUBLE
-        elif p2c is not None:
-            kind = ArgKind.P2C
-        elif map_ is not None:
-            kind = ArgKind.INDIRECT
-        else:
-            kind = ArgKind.DIRECT
-
-        if map_ is not None:
-            if map_.is_particle_map:
-                raise ValueError("pass a particle-to-cell map as p2c=, not as "
-                                 "the mesh map argument")
-            if map_idx is None:
-                raise ValueError(f"indirect arg on {dat.name!r} needs a map "
-                                 "component index")
-            if not (0 <= map_idx < map_.arity):
-                raise IndexError(f"map index {map_idx} out of range for arity "
-                                 f"{map_.arity}")
-        for name, value in (
-                ("dat", dat), ("access", access), ("map", map_),
-                ("map_idx", map_idx), ("p2c", p2c), ("kind", kind),
-                ("is_global", kind == ArgKind.GLOBAL),
-                ("is_indirect", kind in (ArgKind.INDIRECT, ArgKind.P2C,
-                                         ArgKind.DOUBLE))):
-            object.__setattr__(self, name, value)
+        _fill(self, dat, access, map_, map_idx, p2c)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Arg is frozen (cannot set {name!r}): it is "
@@ -175,8 +147,103 @@ class Arg:
                 + (" o p2c" if self.p2c is not None else "") + ">")
 
 
-def _remember(owner, spec: tuple, arg: Arg) -> Arg:
-    memo = getattr(owner, "_args", None)
+# the slots' own setters: ``Arg.__setattr__`` refuses, and these are
+# cheaper than ``object.__setattr__`` by name (a new job builds every
+# descriptor of its dats)
+(_dat, _access, _map, _map_idx, _p2c, _kind, _is_indirect, _is_global,
+ _key) = (getattr(Arg, name).__set__ for name in Arg.__slots__[:-1])
+_alloc = object.__new__
+
+
+def _fill(arg: Arg, dat, access, map_, map_idx, p2c) -> Arg:
+    """Validate a descriptor spec and write it into ``arg``."""
+    if not isinstance(access, AccessMode):
+        raise TypeError(f"access must be an AccessMode, got {access!r}")
+    if isinstance(dat, Global):
+        if map_ is not None or p2c is not None:
+            raise ValueError("global args take no mapping")
+        if access in (AccessMode.WRITE, AccessMode.RW):
+            raise ValueError("global args support READ/INC/MIN/MAX only")
+        kind = ArgKind.GLOBAL
+    elif map_ is not None:
+        kind = ArgKind.INDIRECT if p2c is None else ArgKind.DOUBLE
+    else:
+        kind = ArgKind.DIRECT if p2c is None else ArgKind.P2C
+
+    arity = 0
+    if map_ is not None:
+        if map_.is_particle_map:
+            raise ValueError("pass a particle-to-cell map as p2c=, not as "
+                             "the mesh map argument")
+        if map_idx is None:
+            raise ValueError(f"indirect arg on {dat.name!r} needs a map "
+                             "component index")
+        arity = map_.arity
+        if not (0 <= map_idx < arity):
+            raise IndexError(f"map index {map_idx} out of range for arity "
+                             f"{arity}")
+    _dat(arg, dat)
+    _access(arg, access)
+    _map(arg, map_)
+    _map_idx(arg, map_idx)
+    _p2c(arg, p2c)
+    _kind(arg, kind)
+    _is_global(arg, kind is ArgKind.GLOBAL)
+    _is_indirect(arg, kind in _INDIRECT)
+    # everything a call site's shape needs of this descriptor besides
+    # which objects it shares with the others: kind, access, dim, dtype
+    # char, map arity (0 without a mesh map), map index
+    _key(arg, (kind, access._value_, dat.dim, dat.dtype.char, arity,
+               map_idx))
+    return arg
+
+
+def slot(objs: list, obj) -> int:
+    """The index of ``obj`` in ``objs``, appending it if it is not there:
+    a loop's distinct arrays in first-use order.  ``Dat``, ``Global`` and
+    ``Map`` define no ``__eq__``, so list membership is identity."""
+    if obj in objs:
+        return objs.index(obj)
+    objs.append(obj)
+    return len(objs) - 1
+
+
+def structure(args, objs: list) -> tuple:
+    """The argument part of a call site's structural key: per argument
+    its :attr:`Arg.key` and the slots of its dat, map and p2c map in
+    ``objs`` (which collects the distinct objects, as the generated
+    loop's parameters do; -1 for none).  "The same dat twice" and "two
+    dats" differ here, as they do in the generated C.  Names no object.
+    (:func:`slot` written out: a new job runs this for every loop.)"""
+    out = []
+    for a in args:
+        o = a.dat
+        if o in objs:
+            d = objs.index(o)
+        else:
+            d = len(objs)
+            objs.append(o)
+        o = a.map
+        if o is None:
+            m = -1
+        elif o in objs:
+            m = objs.index(o)
+        else:
+            m = len(objs)
+            objs.append(o)
+        o = a.p2c
+        if o is None:
+            p = -1
+        elif o in objs:
+            p = objs.index(o)
+        else:
+            p = len(objs)
+            objs.append(o)
+        out.append((a.key, d, m, p))
+    return tuple(out)
+
+
+def _remember(memo, spec: tuple, arg: Arg) -> Arg:
     if memo is not None:
         if len(memo) >= MAX_ARGS:
             memo.clear()
@@ -199,38 +266,44 @@ def arg_dat(dat: Dat, *spec) -> Arg:
 
     A spec seen before on ``dat`` returns the descriptor built then.
     """
+    memo = getattr(dat, "_args", None)
     try:
-        return dat._args[spec]
-    except (AttributeError, KeyError, TypeError):
-        pass
-    if not spec or not isinstance(spec[-1], AccessMode):
+        arg = memo.get(spec)
+    except (AttributeError, TypeError):     # no memo, unhashable spec
+        arg = None
+    if arg is not None:
+        return arg
+    n = len(spec)
+    if not n or not isinstance(spec[-1], AccessMode):
         raise TypeError("the last argument of arg_dat must be an access mode")
     access = spec[-1]
-    rest = spec[:-1]
-    if len(rest) == 0:
-        arg = Arg(dat, access)
-    elif len(rest) == 1:
-        m = rest[0]
+    arg = _alloc(Arg)
+    if n == 1:
+        _fill(arg, dat, access, None, None, None)
+    elif n == 2:
+        m = spec[0]
         if not isinstance(m, Map) or not m.is_particle_map:
             raise TypeError("single-map form of arg_dat takes a "
                             "particle-to-cell map")
-        arg = Arg(dat, access, p2c=m)
-    elif len(rest) == 2:
-        idx, m = rest
-        arg = Arg(dat, access, map_=m, map_idx=int(idx))
-    elif len(rest) == 3:
-        idx, m, p2c = rest
-        arg = Arg(dat, access, map_=m, map_idx=int(idx), p2c=p2c)
+        _fill(arg, dat, access, None, None, m)
+    elif n == 3:
+        _fill(arg, dat, access, spec[1], int(spec[0]), None)
+    elif n == 4:
+        _fill(arg, dat, access, spec[1], int(spec[0]), spec[2])
     else:
         raise TypeError(f"arg_dat: unsupported argument form {spec!r}")
-    return _remember(dat, spec, arg)
+    return _remember(memo, spec, arg)
 
 
 def arg_gbl(gbl: Global, access: AccessMode) -> Arg:
     """``opp_arg_gbl`` — a global reduction / read-only constant argument
     (memoised on ``gbl`` as :func:`arg_dat` is on a dat)."""
+    memo = getattr(gbl, "_args", None)
     try:
-        return gbl._args[(access,)]
-    except (AttributeError, KeyError, TypeError):
-        pass
-    return _remember(gbl, (access,), Arg(gbl, access))
+        arg = memo.get((access,))
+    except (AttributeError, TypeError):
+        arg = None
+    if arg is not None:
+        return arg
+    return _remember(memo, (access,),
+                     _fill(_alloc(Arg), gbl, access, None, None, None))

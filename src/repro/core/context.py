@@ -4,12 +4,19 @@ OP-PIC selects a parallelisation at code-generation/compile time; here the
 active backend is a property of the :class:`Context`.  A context also owns
 the performance recorder that the benchmark harness uses to reproduce the
 paper's per-kernel runtime breakdowns and rooflines.
+
+A loop call site is declared in two halves (DESIGN.md §3).  What its
+descriptors fix whatever objects they name — the *shape* — is derived
+once per process and kept in a bounded table here (:func:`site_shape`);
+the declaration that names this run's sets, dats and maps is kept per
+context, in :attr:`Context.sites`.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["Context", "get_context", "set_backend", "push_context"]
+__all__ = ["Context", "get_context", "set_backend", "push_context",
+           "site_shape"]
 
 #: most loop call sites one context remembers.  An application has tens;
 #: the process-wide default context also sees every throw-away loop a
@@ -17,6 +24,27 @@ __all__ = ["Context", "get_context", "set_backend", "push_context"]
 #: (live sites re-declare on their next launch) instead of growing for
 #: the life of the process
 MAX_SITES = 256
+#: most call-site shapes the process remembers.  A shape holds no set,
+#: dat, map or global, so the table pins no job's data; a process that
+#: declares ever new kernels or loop names empties it wholesale when
+#: full (live declarations keep their shape; new ones derive it again)
+MAX_SHAPES = 256
+
+#: structural key -> shape (see :func:`site_shape`)
+_shapes: dict = {}
+
+
+def site_shape(key: tuple, derive):
+    """The process-wide shape of a call site: the entry for ``key``, else
+    ``derive()`` stored under it.  ``key`` names no object but the
+    kernel; a ``derive`` that raises stores nothing."""
+    shape = _shapes.get(key)
+    if shape is None:
+        shape = derive()
+        if len(_shapes) >= MAX_SHAPES:
+            _shapes.clear()
+        _shapes[key] = shape
+    return shape
 
 
 class Context:
@@ -34,7 +62,8 @@ class Context:
         #: it.  Owned here so a site dies with the simulation, rank or
         #: solver context that launched it; the keys hold their kernels,
         #: sets, dats and maps strongly, so no id is reused under a live
-        #: entry
+        #: entry.  What the declaration shares with every other of its
+        #: shape is the process-wide :func:`site_shape`
         self.sites: dict = {}
 
     def set_backend(self, backend: str, **backend_options) -> None:

@@ -13,14 +13,14 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .args import Arg, ArgKind
-from .context import get_context
+from .args import Arg, ArgKind, structure
+from .context import get_context, site_shape
 from .kernel import Kernel, as_kernel
 from .sets import ParticleSet, Set
 from .types import AccessMode, IterateType
 
-__all__ = ["ParLoop", "par_loop", "execute_parloop", "add_loop_hook",
-           "remove_loop_hook", "active_loop_hooks"]
+__all__ = ["LoopShape", "ParLoop", "par_loop", "execute_parloop",
+           "add_loop_hook", "remove_loop_hook", "active_loop_hooks"]
 
 
 # -- loop hooks ----------------------------------------------------------------
@@ -61,51 +61,85 @@ def run_loop_hooks(loop) -> None:
             hook(loop)
 
 
-class ParLoop:
-    """Backend-independent description of a parallel loop over a set.
-
-    A declaration is validated once and then shared by every launch from
-    its call site (and by loop hooks, which must treat it as
-    read-only): it records only what the call site fixes.
-    What a launch may find changed — the iteration bounds, array
-    addresses, set sizes — is read when the loop runs.
+class LoopShape:
+    """What a ``par_loop`` call site's descriptors fix, whatever sets,
+    dats and maps they name: the process-wide half of a declaration
+    (:func:`~repro.core.context.site_shape`), derived on the first
+    declaration of its structural key and shared, read-only, by every
+    declaration with that key.  Holds no set, dat, map or global.
     """
 
-    def __init__(self, kernel: Kernel, name: str, iterset: Set,
-                 iterate_type: IterateType, args: Sequence[Arg]):
+    def __init__(self, kernel, name: str, args: Sequence[Arg]):
         self.kernel = as_kernel(kernel)
-        self.name = name
-        self.iterset = iterset
-        self.iterate_type = iterate_type
-        self.args: List[Arg] = list(args)
+        self.kernel.check_arity(len(args), loop_name=name)
         #: True when some argument increments data through a mapping —
         #: the pattern that requires scatter arrays / atomics / segmented
         #: reductions, and the loops that also run over the exec halo
         self.has_indirect_inc = any(a.is_indirect
                                     and a.access is AccessMode.INC
-                                    for a in self.args)
+                                    for a in args)
+        #: modelled bytes one iteration transfers (paper's counter model:
+        #: each argument streams ``dim*itemsize`` once per direction;
+        #: indirect addressing additionally streams the map entries)
+        self.bytes_per_iter = _bytes_per_iter(args)
+        #: the kernel's divergent-branch weight and flop count per
+        #: element (both 0 for a kernel outside the kernel language)
+        self.branches = self.kernel.branch_count()
+        self.flops_per_elem = float(self.kernel.flops_per_elem or 0.0)
+        #: the perf extras of a launch the backend ran as one compiled
+        #: call (its ``execute`` returns just the collision depth)
+        self.compiled_extras = {"strategy": "in_place",
+                                "branches": self.branches}
+        #: launch variant -> the compiled tier's launcher for this shape,
+        #: or the reason it has none (see :mod:`repro.translator.native`)
+        self.launchers: dict = {}
+
+
+class ParLoop:
+    """Backend-independent description of a parallel loop over a set.
+
+    A declaration is validated once and then shared by every launch from
+    its call site (and by loop hooks, which must treat it as
+    read-only): it records only what the call site fixes.  What follows
+    from the descriptors alone comes from the loop's :class:`LoopShape`;
+    the declaration adds the objects — and checks the descriptors
+    against this iteration set.
+    What a launch may find changed — the iteration bounds, array
+    addresses, set sizes — is read when the loop runs.
+    """
+
+    __slots__ = ("name", "iterset", "iterate_type", "args", "objs",
+                 "shape", "kernel", "has_indirect_inc", "bytes_per_iter",
+                 "branches", "flops_per_elem", "compiled_extras",
+                 "bindings", "__weakref__")
+
+    def __init__(self, kernel: Kernel, name: str, iterset: Set,
+                 iterate_type: IterateType, args: Sequence[Arg]):
+        self.name = name
+        self.iterset = iterset
+        self.iterate_type = iterate_type
+        self.args: List[Arg] = list(args)
         if (iterate_type is IterateType.INJECTED
                 and not isinstance(iterset, ParticleSet)):
             raise TypeError("OPP_ITERATE_INJECTED only applies to particle "
                             "sets")
         for a in self.args:
             a.validate_against(iterset)
-        self.kernel.check_arity(len(self.args), loop_name=name)
-        #: modelled bytes one iteration transfers (paper's counter model:
-        #: each argument streams ``dim*itemsize`` once per direction;
-        #: indirect addressing additionally streams the map entries)
-        self.bytes_per_iter = _bytes_per_iter(self.args)
-        #: the kernel's divergent-branch weight and flop count per
-        #: element (both 0 for a kernel outside the kernel language)
-        self.branches = self.kernel.branch_count()
-        self.flops_per_elem = float(self.kernel.flops_per_elem or 0.0)
+        #: the distinct dats, globals and maps the arguments address, in
+        #: first-use order: the compiled loop's slots
+        self.objs: list = []
+        key = (kernel, name, iterate_type, structure(self.args, self.objs))
+        shape = self.shape = site_shape(
+            key, lambda: LoopShape(kernel, name, self.args))
+        self.kernel = shape.kernel
+        self.has_indirect_inc = shape.has_indirect_inc
+        self.bytes_per_iter = shape.bytes_per_iter
+        self.branches = shape.branches
+        self.flops_per_elem = shape.flops_per_elem
+        self.compiled_extras = shape.compiled_extras
         #: what the backend's compiled tier bound to this declaration,
         #: by launch variant (see :mod:`repro.translator.native`)
         self.bindings: dict = {}
-        #: the perf extras of a launch the backend ran as one compiled
-        #: call (its ``execute`` returns just the collision depth)
-        self.compiled_extras = {"strategy": "in_place",
-                                "branches": self.branches}
 
     # -- iteration domain ------------------------------------------------------
 
@@ -210,7 +244,10 @@ def par_loop(kernel, name: str, iterset: Set, iterate_type: IterateType,
     The call site is declared once per context: the first call validates
     the descriptors and remembers the :class:`ParLoop`; a repeated call
     with the same kernel, set and argument descriptors (the same
-    memoised :class:`Arg` objects) launches that declaration again.
+    memoised :class:`Arg` objects) launches that declaration again.  A
+    first call whose shape the process has seen (another job's, another
+    rank's) derives nothing from the descriptors but their check against
+    the set.
     """
     ctx = get_context()
     key = (kernel, name, iterset, iterate_type, *args)

@@ -25,16 +25,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .args import Arg
-from .context import get_context
+from .args import Arg, structure
+from .context import get_context, site_shape
 from .kernel import Kernel, as_kernel
 from .loops import run_loop_hooks
 from .maps import Map
 from .sets import ParticleSet
 from .types import AccessMode, MoveStatus
 
-__all__ = ["MoveContext", "MoveDecl", "MoveLoop", "declare_move",
-           "particle_move", "MoveResult", "execute_moveloop"]
+__all__ = ["MoveContext", "MoveShape", "MoveDecl", "MoveLoop",
+           "declare_move", "particle_move", "MoveResult", "execute_moveloop"]
 
 #: Safety bound on hops per particle per move call; a well-posed PIC step
 #: moves particles at most a few cells, so hitting this indicates a bug.
@@ -105,17 +105,52 @@ class MoveResult:
         return int(self.foreign_particles.size)
 
 
+class MoveShape:
+    """What a move call site's descriptors fix, whatever sets, dats and
+    maps they name — the process-wide half of a :class:`MoveDecl`, as
+    :class:`~repro.core.loops.LoopShape` is of a ``ParLoop``.  Holds no
+    set, dat, map or global."""
+
+    def __init__(self, kernel, name: str, c2c_arity: int,
+                 args: Sequence[Arg]):
+        self.kernel = as_kernel(kernel)
+        for a in args:
+            if a.access is AccessMode.WRITE and a.is_indirect:
+                raise ValueError("indirect WRITE inside a move kernel is "
+                                 "racy; use OPP_INC")
+            if a.is_global and a.access is not AccessMode.READ:
+                raise ValueError("global reductions inside a move kernel "
+                                 "are not supported; reduce in a separate "
+                                 "opp_par_loop after the move")
+        # +1: the elemental move kernel receives the MoveContext first
+        self.kernel.check_arity(len(args) + 1, loop_name=name)
+        self.has_indirect_inc = any(a.is_indirect
+                                    and a.access is AccessMode.INC
+                                    for a in args)
+        #: modelled bytes per hop: the p2c entry, the c2c row, and each
+        #: argument's row once per direction
+        self.hop_bytes = 8 + 8 * c2c_arity + sum(
+            a.dat.nbytes_per_elem
+            * (1 if a.access in (AccessMode.READ, AccessMode.WRITE) else 2)
+            for a in args if not a.is_global)
+        #: the perf extras every launch records
+        self.row_extras = {"branches": self.kernel.branch_count()}
+        #: foreign-mask variant -> the compiled tier's launcher for this
+        #: shape, or the reason it has none
+        self.launchers: dict = {}
+
+
 class MoveDecl:
     """The static half of a particle move: everything its call site fixes
     — kernel, sets, maps, argument descriptors and their legality.
     Validated once, then shared by every launch from the site (each a
-    :class:`MoveLoop`) and read-only from then on.
+    :class:`MoveLoop`) and read-only from then on.  What follows from
+    the descriptors alone comes from its :class:`MoveShape`.
     """
 
     def __init__(self, kernel: Kernel, name: str, pset: ParticleSet,
                  c2c_map: Map, p2c_map: Map, args: Sequence[Arg],
                  max_hops: int = DEFAULT_MAX_HOPS):
-        self.kernel = as_kernel(kernel)
         self.name = name
         self.pset = pset
         self.c2c_map = c2c_map
@@ -133,29 +168,21 @@ class MoveDecl:
                              "particle-to-cell map")
         for a in self.args:
             a.validate_against(pset)
-            if a.access is AccessMode.WRITE and a.is_indirect:
-                raise ValueError("indirect WRITE inside a move kernel is "
-                                 "racy; use OPP_INC")
-            if a.is_global and a.access is not AccessMode.READ:
-                raise ValueError("global reductions inside a move kernel "
-                                 "are not supported; reduce in a separate "
-                                 "opp_par_loop after the move")
-        # +1: the elemental move kernel receives the MoveContext first
-        self.kernel.check_arity(len(self.args) + 1, loop_name=name)
-        self.has_indirect_inc = any(a.is_indirect
-                                    and a.access is AccessMode.INC
-                                    for a in self.args)
-        #: modelled bytes per hop: the p2c entry, the c2c row, and each
-        #: argument's row once per direction
-        self.hop_bytes = 8 + 8 * c2c_map.arity + sum(
-            a.dat.nbytes_per_elem
-            * (1 if a.access in (AccessMode.READ, AccessMode.WRITE) else 2)
-            for a in self.args if not a.is_global)
+        #: the compiled loop's slots: the two maps, then the distinct
+        #: objects the arguments address
+        self.objs: list = [p2c_map, c2c_map]
+        arity = c2c_map.arity
+        key = ("move", kernel, name, arity, self.max_hops,
+               structure(self.args, self.objs))
+        shape = self.shape = site_shape(
+            key, lambda: MoveShape(kernel, name, arity, self.args))
+        self.kernel = shape.kernel
+        self.has_indirect_inc = shape.has_indirect_inc
+        self.hop_bytes = shape.hop_bytes
+        self.row_extras = shape.row_extras
         #: what the backend's compiled tier bound to this declaration,
         #: by launch variant (see :mod:`repro.translator.native`)
         self.bindings: dict = {}
-        #: the perf extras every launch records
-        self.row_extras = {"branches": self.kernel.branch_count()}
 
 
 class MoveLoop:

@@ -47,6 +47,11 @@ class AccessMode(enum.Enum):
     MIN = "min"
     MAX = "max"
 
+    #: members are singletons compared by identity, so they hash by it
+    #: too: ``Enum.__hash__`` hashes the name in Python, and every
+    #: ``arg_dat`` spec and call-site key hashes one of these
+    __hash__ = object.__hash__
+
     @property
     def reads(self) -> bool:
         return self in (AccessMode.READ, AccessMode.RW, AccessMode.INC,
@@ -62,6 +67,8 @@ class IterateType(enum.Enum):
 
     ALL = "all"
     INJECTED = "injected"
+
+    __hash__ = object.__hash__      # as AccessMode's
 
 
 class MoveStatus(enum.IntEnum):

@@ -13,7 +13,9 @@ same geometry skips the rebuild entirely.  The products kept:
   potentials: the :class:`~repro.fem.DirichletSystem` and the
   :class:`~repro.fem.NewtonPattern` derived from it (the Newton matrix
   pattern, the float64 ``K``, the int64 index copies the C solve reads,
-  their checks and the loaded C function).
+  their checks and the loaded C function);
+* the 2-D sheet model's grounded-box :class:`~repro.fem.DirichletSystem`
+  (its ``KSPSolver`` owns CG work arrays and is built per job).
 
 Disabled by default: one-shot runs (CLI, tests, benchmarks) keep their
 exact allocation behaviour unless a worker opts in with :func:`enable`.

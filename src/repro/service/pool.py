@@ -43,7 +43,7 @@ __all__ = ["WarmPool", "WorkerHandle", "PoolEvent", "PK_RUN",
 
 # parent -> worker
 PK_RUN = 32       # start (or resume) a job; body = {job_id, spec, checkpoint}
-PK_PREEMPT = 33   # checkpoint the running job and yield it back
+PK_PREEMPT = 33   # yield the running job back with its resume point
 PK_SHUTDOWN = 34  # finish up and exit cleanly
 PK_DIE = 35       # fault injection: hard-exit immediately, no goodbye
 PK_CANCEL = 36    # abandon the running job
@@ -141,8 +141,10 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
             out = {"job_id": job_id, "reason": p.reason, "step": step,
                    "checkpoint": None, "history": None}
             if p.reason == "preempted":
-                out["checkpoint"] = job_checkpoint(spec, sim, history,
-                                                   step)
+                # preempted before its first step here: nothing ran, so
+                # it yields what it was started from (None: a fresh job)
+                out["checkpoint"] = ckpt if step == start else \
+                    job_checkpoint(spec, sim, history, step)
             _send(conn, PK_YIELD, worker_id, tag, out)
             return
         _send(conn, PK_DONE, worker_id, tag,

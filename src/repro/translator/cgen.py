@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.args import slot
 from ..core.kernel import CONST
 from .parser import KernelLanguageError
 
@@ -104,17 +105,11 @@ static inline int64_t pow_i(int64_t a, int64_t n)
 SigEntry = Tuple[str, str, int, str, int, int, int, Optional[int], int]
 
 
-def _slot(objs: list, obj) -> int:
-    for k, seen in enumerate(objs):
-        if seen is obj:
-            return k
-    objs.append(obj)
-    return len(objs) - 1
-
-
 def signature(args: Sequence, objs: list) -> Tuple[SigEntry, ...]:
     """Descriptor signature of an argument list: everything the generated
     loop depends on, and nothing a launch may change (sizes, addresses).
+    It is read from the descriptors' :attr:`~repro.core.args.Arg.key`,
+    so it carries what the call site's shape was keyed on.
 
     ``objs`` collects the distinct ``Dat``/``Global``/``Map`` objects the
     arguments address, in first-use order; the loop function takes one
@@ -123,12 +118,11 @@ def signature(args: Sequence, objs: list) -> Tuple[SigEntry, ...]:
     """
     sig = []
     for a in args:
-        dat, m, p = a.dat, a.map, a.p2c
-        sig.append((a.kind, a.access._value_, dat.dim, dat.dtype.char,
-                    _slot(objs, dat),
-                    -1 if m is None else _slot(objs, m),
-                    0 if m is None else m.arity, a.map_idx,
-                    -1 if p is None else _slot(objs, p)))
+        kind, access, dim, char, arity, idx = a.key
+        m, p = a.map, a.p2c
+        sig.append((kind, access, dim, char, slot(objs, a.dat),
+                    -1 if m is None else slot(objs, m), arity, idx,
+                    -1 if p is None else slot(objs, p)))
     return tuple(sig)
 
 

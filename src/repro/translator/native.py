@@ -6,8 +6,11 @@ launch: host ``cc`` → shared object in a per-user cache directory →
 ``ctypes``.  The object's key hashes the kernel source, the descriptor
 signature, the emitter's own source, the compiler's version line and the
 flags, so a warm process runs neither the emitter nor the compiler; loaded
-handles and bound functions are memoised per process.  What a launch
-derives from the loop's descriptors is kept on the declaration (a
+handles and bound functions are memoised per process.  The bound
+function of a call-site *shape* (a :class:`_Launcher`, with the layout of
+the argument block it reads) is kept on the process-wide shape, so a new
+job's declaration of a known shape derives nothing; what binds it to
+that declaration's objects is kept on the declaration (a
 :class:`_Binding`), so a repeated launch from a call site only reads what
 may have changed: each array object (a particle dat that grows past
 its capacity gets a new buffer), each row count, the ``CONST`` registry's
@@ -39,9 +42,8 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.dats import Global
+from ..core.args import ArgKind
 from ..core.kernel import CONST
-from ..core.maps import Map
 from ..core.move import NO_INDICES
 from . import cgen
 from .parser import KernelLanguageError
@@ -235,12 +237,22 @@ def library(name: str, source: str
     return lib, None
 
 
+_INT64 = np.dtype(np.int64).char
+#: what a slot's array is, by how its row count is read
+_DAT, _MAP, _GLOBAL = 0, 1, 2
+
+
 class _Launcher:
-    """One loop's bound C function and the ``CONST`` names it reads."""
+    """One loop's bound C function, the ``CONST`` names it reads and the
+    layout of the argument block it reads: per slot, what kind of object
+    is behind it, the dtype char and trailing shape the code assumes,
+    its ``dim`` (a ``Global``'s row count) and where its ``(address,
+    rows)`` pair sits."""
 
-    __slots__ = ("fn", "consts", "Table")
+    __slots__ = ("fn", "consts", "Table", "layout", "Block", "Out")
 
-    def __init__(self, lib: ctypes.CDLL, consts):
+    def __init__(self, lib: ctypes.CDLL, consts, sig, nobjs: int,
+                 frame: tuple, maps: tuple = ()):
         self.fn = lib[cgen.ENTRY]
         self.fn.restype = c_int64
         #: every generated function takes (block, K, out): three ctypes
@@ -249,29 +261,42 @@ class _Launcher:
         self.fn.argtypes = (c_void_p, c_void_p, c_void_p)
         self.consts = tuple(consts)
         self.Table = c_double * max(len(self.consts), 1)
+        head, tail, nout = frame
+        self.Block = c_int64 * (head + 2 * nobjs + tail)
+        self.Out = c_int64 * nout
+        # a move's first slots are its two maps, named by no argument
+        slots = {k: (_MAP, _INT64, (arity,), 0)
+                 for k, arity in enumerate(maps)}
+        for kind, _access, dim, char, d, m, arity, _idx, p in sig:
+            slots.setdefault(d, (_GLOBAL, char, (), dim)
+                             if kind == ArgKind.GLOBAL
+                             else (_DAT, char, (dim,), dim))
+            if m >= 0:
+                slots.setdefault(m, (_MAP, _INT64, (arity,), 0))
+            if p >= 0:
+                slots.setdefault(p, (_MAP, _INT64, (1,), 0))
+        self.layout = tuple(slots[k] + (head + 2 * k,)
+                            for k in range(nobjs))
 
 
 def _source_key(kernel) -> tuple:
     return (kernel.name, kernel.source, kernel.generated("c").literals)
 
 
-def _launcher(ckernels, key: tuple, make: Callable[[], _Launcher]):
-    """This process's launcher for ``key`` → ``(launcher, reason)``; a
-    declined signature is settled once and remembered with its reason."""
-    memo = ckernels[0].launchers
-    found = memo.get(key)
+def _launcher(ck, key: tuple, make: Callable[[], _Launcher]):
+    """This process's launcher for ``key``, or the reason there is none:
+    a declined signature is settled once and remembered with its
+    reason."""
+    found = ck.launchers.get(key)
     if found is None:
         try:
-            for ck in ckernels:
-                if ck.reason is not None:
-                    raise _Declined(ck.reason)
+            if ck.reason is not None:
+                raise _Declined(ck.reason)
             found = make()
         except _Declined as exc:
             found = str(exc)
-        memo[key] = found
-    if isinstance(found, str):
-        return None, found
-    return found, None
+        ck.launchers[key] = found
+    return found
 
 
 def _check_dtypes(sig) -> None:
@@ -292,13 +317,10 @@ def address(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-_INT64 = np.dtype(np.int64).char
-
-
 class _Binding:
     """What the native launches of one declaration share: its launcher,
-    the packed argument block the generated function reads (``head``
-    launch words, ``(address, rows)`` per slot, ``tail`` words) and, per
+    the packed argument block the generated function reads (launch
+    words, ``(address, rows)`` per slot, a move's list words) and, per
     slot, the object behind it and the array it last held.  Holding the
     array is what makes "same object, same address" true
     (``ndarray.resize`` refuses while a reference exists), so an address
@@ -307,25 +329,23 @@ class _Binding:
     __slots__ = ("launcher", "slots", "held", "block", "out", "version",
                  "table")
 
-    def __init__(self, launcher: _Launcher, objs: list, head: int,
-                 tail: int, nout: int):
+    def __init__(self, launcher: _Launcher, objs: list):
         self.launcher = launcher
-        self.block = (c_int64 * (head + 2 * len(objs) + tail))()
-        self.out = (c_int64 * nout)()
+        self.block = launcher.Block()
+        self.out = launcher.Out()
         #: per slot: the object, the set whose size is its row count
         #: (None for a ``Global``: always ``dim`` rows), the dtype char
         #: and trailing shape the generated code assumes, and where its
         #: address sits in the block
         self.slots = []
-        for k, o in enumerate(objs):
-            at = head + 2 * k
-            if type(o) is Global:
-                self.slots.append((o, None, o.dtype.char, (), at))
-                self.block[at + 1] = o.dim
-            elif type(o) is Map:
-                self.slots.append((o, o.from_set, _INT64, (o.arity,), at))
+        for o, (what, char, trailing, dim, at) in zip(objs,
+                                                      launcher.layout):
+            if what == _GLOBAL:
+                rows_of = None
+                self.block[at + 1] = dim
             else:
-                self.slots.append((o, o.set, o.dtype.char, (o.dim,), at))
+                rows_of = o.set if what == _DAT else o.from_set
+            self.slots.append((o, rows_of, char, trailing, at))
         self.held = [None] * len(objs)
         #: the ``CONST`` version the table was built at (-1: none yet)
         self.version = -1
@@ -372,47 +392,51 @@ _UNBOUND = ("an argument array is not a C-contiguous buffer of its dat's "
             "dtype and dim, or a CONST value is not a numeric scalar")
 
 
-def _bind(loop, variant, derive: Callable, shape: tuple):
+def _bind(loop, variant, derive: Callable):
     """``(binding, None)`` for a declared loop's native function
     (``loop.bindings`` is its declaration's, shared by every launch) with
-    every slot current, or ``(None, reason)``.  ``derive(loop, variant)``
-    returns ``(launcher, objs)`` or ``(None, reason)``; it runs on the
-    first launch, and again when an array stopped fitting the binding —
-    the loop's dats are then read from scratch, and decline if they
-    must.  ``shape`` is the block's ``(head, tail, out)`` word counts."""
+    every slot current, or ``(None, reason)``.  The launcher is the
+    loop's shape's (``loop.shape.launchers``, shared by every
+    declaration of that shape in the process); ``derive(loop, variant)``
+    finds it, or the reason there is none, the first time the process
+    launches the shape.  A declaration binds its own objects to it: a
+    fresh block with this declaration's addresses, made on its first
+    launch and again when an array stopped fitting the binding."""
     binding = loop.bindings.get(variant)
     if binding is not None and binding.refresh():
         return binding, None
     loop.bindings.pop(variant, None)
-    launcher, objs = derive(loop, variant)
+    launchers = loop.shape.launchers
+    launcher = launchers.get(variant)
     if launcher is None:
-        return None, objs
-    binding = _Binding(launcher, objs, *shape)
+        launcher = launchers[variant] = derive(loop, variant)
+    if type(launcher) is str:
+        return None, launcher
+    binding = _Binding(launcher, loop.objs)
     if not binding.refresh():
         return None, _UNBOUND
     loop.bindings[variant] = binding
     return binding, None
 
 
+#: block words before and after the slots, and ``out`` words
+_PAR_LOOP = (2, 0, 2)
+_MOVE = (4, 3, 7)
+
+
 def _derive_par_loop(loop, _variant=None):
     kernel = loop.kernel
     ck = kernel.generated("c")
-    objs: list = []
-    sig = cgen.signature(loop.args, objs)
+    sig = cgen.signature(loop.args, [])
+    nobjs = len(loop.objs)
 
     def make() -> _Launcher:
         _check_dtypes(sig)
         lib = _library(kernel.name, ("par_loop", _source_key(kernel), sig),
-                       lambda: cgen.emit_par_loop(kernel, sig, len(objs)))
-        return _Launcher(lib, ck.consts)
+                       lambda: cgen.emit_par_loop(kernel, sig, nobjs))
+        return _Launcher(lib, ck.consts, sig, nobjs, _PAR_LOOP)
 
-    launcher, reason = _launcher([ck], sig, make)
-    return launcher, (objs if launcher is not None else reason)
-
-
-#: block words before and after the slots, and ``out`` words
-_PAR_LOOP = (2, 0, 2)
-_MOVE = (4, 3, 7)
+    return _launcher(ck, sig, make)
 
 
 def par_loop(loop, start: int, end: int
@@ -422,7 +446,7 @@ def par_loop(loop, start: int, end: int
     NumPy target."""
     if not CC and compiler() is None:
         return None, _no_cc
-    binding, why = _bind(loop, None, _derive_par_loop, _PAR_LOOP)
+    binding, why = _bind(loop, None, _derive_par_loop)
     if binding is None:
         return None, why
     table = binding.constants()
@@ -450,10 +474,9 @@ def _derive_move(loop, has_foreign: bool):
                has_foreign)
         lib = _library(kernel.name, key, lambda: cgen.emit_move(
             kernel, sig, len(objs), arity, has_foreign))
-        return _Launcher(lib, ck.consts)
+        return _Launcher(lib, ck.consts, sig, len(objs), _MOVE, (1, arity))
 
-    launcher, reason = _launcher([ck], (sig, arity, has_foreign), make)
-    return launcher, (objs if launcher is not None else reason)
+    return _launcher(ck, (sig, arity, has_foreign), make)
 
 
 def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
@@ -466,7 +489,7 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
         return None, _no_cc
     foreign = loop.foreign_cell_mask
     has_foreign = foreign is not None
-    binding, why = _bind(loop, has_foreign, _derive_move, _MOVE)
+    binding, why = _bind(loop, has_foreign, _derive_move)
     if binding is None:
         return None, why
     table = binding.constants()

@@ -196,11 +196,21 @@ def test_unusable_array_declines_then_a_good_one_binds_again():
 
     w.x._raw = w.x._raw.astype(np.float32)      # dat.dtype still float64
     assert "not a C-contiguous buffer" in launch()
+    # the dtype a dat was declared with is part of its sites' shape: a
+    # float32 array does not fit the float64 code, whatever dat.dtype says
     w.x.dtype = np.dtype(np.float32)
-    assert launch() == "dat dtype float32 is not float64 / int64"
+    assert "not a C-contiguous buffer" in launch()
     w.x.dtype, w.x._raw = np.dtype(np.float64), w.x._raw.astype(np.float64)
     assert launch() is None and site.bindings
     assert run.row("Push")["strategy"] == "in_place"
+    # a dat declared float32 makes a shape of its own, which declines
+    s = run(decl_set, 3)
+    f32 = run(decl_dat, s, 2, np.float32)
+    f64 = run(decl_dat, s, 1, np.float64)
+    run(par_loop, init_kernel, "Float32", s, OPP_ITERATE_ALL,
+        arg_dat(f32, OPP_WRITE), arg_dat(f64, OPP_READ))
+    assert run.row("Float32")["fallback"] == \
+        "dat dtype float32 is not float64 / int64"
 
     # the same launches with nothing remembered
     decl_const("dt", 0.5)
@@ -379,8 +389,12 @@ def test_two_contexts_share_nothing(backend):
     (key_a, site_a), = a.sites.items()
     (key_b, site_b), = b.sites.items()
     assert key_a == key_b and site_a is not site_b
+    # … but the shape: what the descriptors fix is the process's
+    assert site_a.shape is site_b.shape
     if backend == "vec" and NATIVE:
         assert site_a.bindings[None] is not site_b.bindings[None]
+        assert site_a.bindings[None].launcher \
+            is site_b.bindings[None].launcher
     a.set_backend(backend)
     assert not a.sites and b.sites
 
@@ -501,6 +515,232 @@ def test_a_repartition_drops_the_old_ranks_sites():
     assert old() is None
     app.step()
     assert app.ranks[0].ctx.sites
+
+
+# -- the process-wide half: call-site shapes ---------------------------------------
+
+
+def index_kernel(out, a):
+    out[0] = a[0] + 0.5
+
+
+def first_kernel(out, a):
+    out[0] = a[0] * 3.0
+
+
+def shape_pairs(w):
+    """``{difference: (launch A, launch B)}``: two call sites of the same
+    kernel and name that differ in that respect alone."""
+    nodes2, nodes3 = decl_set(4, "n2"), decl_set(4, "n3")
+    c2n2 = decl_map(w.cells, nodes2, 2, [[i % 4, (i + 1) % 4]
+                                         for i in range(6)], "c2n2")
+    c2n3 = decl_map(w.cells, nodes3, 3, [[i % 4, (i + 1) % 4, (i + 2) % 4]
+                                         for i in range(6)], "c2n3")
+    on2 = decl_dat(nodes2, 1, np.float64, np.arange(4.0) + 1.0)
+    on3 = decl_dat(nodes3, 1, np.float64, np.arange(4.0) + 1.0)
+    a = decl_dat(w.cells, 1, np.float64, np.arange(6.0) - 2.0)
+    b = decl_dat(w.cells, 1, np.float64, np.arange(6.0) * 0.25)
+    wide = decl_dat(w.cells, 2, np.float64, np.arange(12.0))
+    ints = decl_dat(w.cells, 1, np.int64, np.arange(6) - 2)
+    out = decl_dat(w.cells, 1, np.float64)
+    pout = decl_dat(w.parts, 1, np.float64)
+
+    def loop(kernel, iterset, *args, iterate=OPP_ITERATE_ALL):
+        return lambda: par_loop(kernel, "Site", iterset, iterate, *args)
+
+    def move(max_hops):
+        return lambda: particle_move(
+            walk_kernel, "Walk", w.parts, w.c2c, w.p2c,
+            arg_dat(w.x, OPP_READ), arg_dat(w.visits, w.p2c, OPP_INC),
+            max_hops=max_hops)
+
+    return {
+        "aliasing": (
+            loop(gather_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                 arg_dat(a, OPP_READ), arg_dat(a, OPP_READ)),
+            loop(gather_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                 arg_dat(a, OPP_READ), arg_dat(b, OPP_READ))),
+        "dim": (loop(first_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                     arg_dat(a, OPP_READ)),
+                loop(first_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                     arg_dat(wide, OPP_READ))),
+        "dtype": (loop(first_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                       arg_dat(a, OPP_READ)),
+                  loop(first_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                       arg_dat(ints, OPP_READ))),
+        "map arity": (loop(index_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                           arg_dat(on2, 1, c2n2, OPP_READ)),
+                      loop(index_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                           arg_dat(on3, 1, c2n3, OPP_READ))),
+        "map index": (loop(index_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                           arg_dat(on2, 0, c2n2, OPP_READ)),
+                      loop(index_kernel, w.cells, arg_dat(out, OPP_WRITE),
+                           arg_dat(on2, 1, c2n2, OPP_READ))),
+        "iterate type": (
+            loop(first_kernel, w.parts, arg_dat(pout, OPP_WRITE),
+                 arg_dat(w.v, OPP_READ)),
+            loop(first_kernel, w.parts, arg_dat(pout, OPP_WRITE),
+                 arg_dat(w.v, OPP_READ), iterate=OPP_ITERATE_INJECTED)),
+        "max_hops": (move(1000), move(999)),
+    }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_sites_of_different_shape_never_share_one(backend):
+    """Each pair differs in one thing the generated code or the launch
+    depends on; the two get shapes of their own (and, where the C
+    differs, launchers of their own) and each computes what ``seq``
+    does."""
+    declared = {}
+
+    def scenario(run):
+        w = run(World)
+        w.parts.begin_injection()       # open: the injected loop runs
+        run(w.grow, 2)
+        got = []
+        for difference, launches in run(shape_pairs, w).items():
+            seen = []
+            hook = add_loop_hook(
+                lambda loop: seen.append(getattr(loop, "decl", loop)))
+            try:
+                for launch in launches:
+                    run(launch)
+                    got += [d.data.copy() for d in w.cells.dats
+                            + w.parts.dats]
+            finally:
+                remove_loop_hook(hook)
+            if not run.fresh:
+                declared[difference] = seen
+        w.parts.end_injection()
+        return got
+
+    warm_equals_cold(backend, scenario)
+    assert len(declared) == 7
+    for difference, (a, b) in declared.items():
+        assert a.shape is not b.shape, difference
+        if backend == "vec" and NATIVE and difference not in (
+                "iterate type", "max_hops"):
+            # a launcher is the C of one signature; the iteration window
+            # and max_hops are launch words, so those shapes may hold the
+            # same function (each site's own words: the results above)
+            launchers = (a.shape.launchers[None], b.shape.launchers[None])
+            assert launchers[0] is not launchers[1], difference
+
+
+@needs_cc
+def test_a_foreign_mask_gets_a_launcher_of_its_own():
+    decl_const("dt", 0.5)
+    run = Runner("vec", fresh=False)
+    w = run(World)
+    for mask in (None, np.arange(6) >= 4):
+        def launch():
+            loop = declare_move(
+                run.ctx, walk_kernel, "Walk", w.parts, w.c2c, w.p2c,
+                [arg_dat(w.x, OPP_READ), arg_dat(w.visits, w.p2c, OPP_INC)],
+                1000)
+            loop.foreign_cell_mask = mask
+            return execute_moveloop(loop, run.ctx)
+        run(launch)
+    decl, = run.ctx.sites.values()
+    plain, masked = (decl.shape.launchers[v] for v in (False, True))
+    assert type(plain) is type(masked) is native._Launcher
+    assert plain is not masked and plain.fn is not masked.fn
+
+
+@needs_cc
+def test_a_max_hops_word_is_each_sites_own():
+    """Two moves that differ only in ``max_hops`` run the same C; each
+    launch still stops at its own bound."""
+    decl_const("dt", 0.5)
+    w = World()
+    with push_context(Context("vec")) as ctx:
+        w.x.data[:, 0] = [5.5, 0.2, 5.5, 0.2, 5.5]     # cells 0..4 → 5
+        with pytest.raises(RuntimeError, match="exceeded 1 hops"):
+            particle_move(walk_kernel, "Walk", w.parts, w.c2c, w.p2c,
+                          arg_dat(w.x, OPP_READ),
+                          arg_dat(w.visits, w.p2c, OPP_INC), max_hops=1)
+        particle_move(walk_kernel, "Walk", w.parts, w.c2c, w.p2c,
+                      arg_dat(w.x, OPP_READ),
+                      arg_dat(w.visits, w.p2c, OPP_INC), max_hops=8)
+        assert "fallback" not in ctx.perf.get("Walk").extras
+    assert w.p2c.p2c.tolist() == [5, 0, 5, 0, 5]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_finished_jobs_objects_die_while_the_table_is_warm(backend):
+    ctx = Context(backend)
+    with push_context(ctx):
+        w = _two_launches_of_a_small_sim()
+    shapes = [site.shape for site in ctx.sites.values()]
+    dead = [weakref.ref(o) for o in (w.cells, w.parts, w.c2c, w.p2c, w.x,
+                                     w.v, w.w, w.visits, w.x.raw)]
+    del w, ctx
+    gc.collect()
+    assert [ref() for ref in dead] == [None] * len(dead)
+    # the shapes outlived the job, and the next one finds them
+    live = list(context_mod._shapes.values())
+    assert all(any(s is t for t in live) for s in shapes)
+    ctx = Context(backend)
+    with push_context(ctx):
+        _two_launches_of_a_small_sim()
+    assert [site.shape for site in ctx.sites.values()] == shapes
+
+
+def test_the_table_stays_bounded_after_a_thousand_throwaway_sites():
+    ctx = Context("seq")
+    with push_context(ctx):
+        s = decl_set(3)
+        d = decl_dat(s, 1, np.float64)
+        for i in range(1000):
+            par_loop(while_kernel, f"throwaway{i}", s, OPP_ITERATE_ALL,
+                     arg_dat(d, OPP_RW))
+            assert len(context_mod._shapes) <= context_mod.MAX_SHAPES
+            assert len(ctx.sites) <= context_mod.MAX_SITES
+    assert d.data[:, 0].tolist() == [2000.0] * 3
+    # emptied wholesale when full: the latest site's shape is there
+    last, = (site for key, site in ctx.sites.items()
+             if key[1] == "throwaway999")
+    assert any(shape is last.shape for shape in context_mod._shapes.values())
+
+
+SMALL_JOBS = {
+    "fempic": {"app": "fempic", "params": {
+        "nx": 2, "ny": 2, "nz": 6, "plasma_den": 2000.0, "n0": 2000.0,
+        "n_steps": 2, "seed": 3}},
+    "cabana": {"app": "cabana", "params": {
+        "nx": 4, "ny": 4, "nz": 8, "ppc": 8, "n_steps": 2}},
+    "advec": {"app": "advec", "params": {
+        "nx": 6, "ny": 6, "ppc": 2, "n_steps": 2, "seed": 3}},
+}
+
+
+def _job_history(app):
+    from repro.service import jobs
+    spec = jobs.validate_job(SMALL_JOBS[app])
+    sim, history = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, history, 0, spec.n_steps)
+    return json.dumps(history, sort_keys=True)
+
+
+@pytest.mark.parametrize("order", [("fempic", "cabana", "advec"),
+                                   ("advec", "fempic", "cabana"),
+                                   ("cabana", "advec", "fempic")])
+def test_interleaved_jobs_match_cold_builds(target, order):
+    """Jobs as one warm worker runs them, one after another in the same
+    process (object cache on, every shape found again from the second
+    job on), against each job built cold (no shape and no object
+    remembered)."""
+    from repro.runtime import objcache
+    cold = {}
+    for app in SMALL_JOBS:
+        context_mod._shapes.clear()
+        cold[app] = _job_history(app)
+    objcache.enable()
+    try:
+        got = [(app, _job_history(app)) for app in order + order]
+    finally:
+        objcache.disable()
+    assert got == [(app, cold[app]) for app in order + order]
 
 
 # -- memoised descriptors ----------------------------------------------------------

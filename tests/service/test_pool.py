@@ -1,5 +1,6 @@
 """Warm pool mechanics (repro.service.pool): real worker processes."""
 import multiprocessing as mp
+import pickle
 import time
 
 import pytest
@@ -203,3 +204,53 @@ def test_run_frame_at_the_limit_reaches_the_worker(monkeypatch):
         assert events[0].payload["job_id"] == "edge"
     finally:
         p.shutdown()
+
+
+@pytest.mark.parametrize("resume_at", [None, 1])
+def test_preempt_before_the_first_step_yields_the_start(monkeypatch,
+                                                        resume_at):
+    """A job preempted before it ran a step yields the checkpoint it was
+    started from (None for a fresh job) without checkpointing again, and
+    the job resumed from it ends bit-equal to an uninterrupted run."""
+    from repro.dist.proc import (DEFAULT_MAX_FRAME, _recv_control,
+                                 decode_frame, encode_frame)
+    spec = jobs.validate_job(dict(ADVEC, params=dict(ADVEC["params"],
+                                                      n_steps=3)))
+    sim, history = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, history, 0, spec.n_steps)
+    start = None
+    if resume_at is not None:
+        sim, hist = jobs.build_sim(spec)
+        jobs.run_steps(spec, sim, hist, 0, resume_at)
+        start = jobs.job_checkpoint(spec, sim, hist, resume_at)
+    checkpoints = []
+    real = pool_mod.job_checkpoint
+    monkeypatch.setattr(pool_mod, "job_checkpoint",
+                        lambda *a: checkpoints.append(a) or real(*a))
+
+    def run(checkpoint, preempt):
+        parent, child = mp.Pipe(duplex=True)
+        try:
+            if preempt:
+                parent.send_bytes(encode_frame(
+                    pool_mod.PK_PREEMPT, -1, 0, 7, None, DEFAULT_MAX_FRAME))
+            pool_mod._run_job(child, 0, 7, {"job_id": "j", "spec": spec,
+                                            "checkpoint": checkpoint})
+            kind, _, _, tag, payload = decode_frame(
+                _recv_control(parent, DEFAULT_MAX_FRAME))
+        finally:
+            parent.close()
+            child.close()
+        assert tag == 7
+        return kind, payload
+
+    kind, yielded = run(start, preempt=True)
+    assert kind == PK_YIELD and yielded["reason"] == "preempted"
+    assert yielded["step"] == (resume_at or 0)
+    # through the wire: the same checkpoint, not one taken afresh
+    assert pickle.dumps(yielded["checkpoint"]) == pickle.dumps(start)
+    assert checkpoints == []
+    kind, done = run(yielded["checkpoint"], preempt=False)
+    assert kind == PK_DONE and done["steps"] == spec.n_steps
+    assert done["resumed_from"] == resume_at
+    assert done["history"] == history

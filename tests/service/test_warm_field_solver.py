@@ -139,3 +139,30 @@ def test_service_worker_survives_a_failed_field_solve():
     assert again["result"]["history"] == oracle
     assert again["result"]["cache"]["hits"] > first["result"]["cache"]["hits"]
     assert stats["pool"]["respawns"] == 0
+
+
+def test_a_warm_twod_job_reduces_no_dirichlet_system(target, monkeypatch):
+    """twod's grounded-box reduction comes from the object cache: a warm
+    job builds no ``DirichletSystem`` and its history is bit-equal to the
+    same job built cold."""
+    from repro.fem import DirichletSystem
+    spec = jobs.validate_job({"app": "twod", "params": {"n_steps": 3}})
+
+    def twod_run():
+        sim, history = jobs.build_sim(spec)
+        jobs.run_steps(spec, sim, history, 0, spec.n_steps)
+        return history, sim.solver.phi.data.tobytes()
+
+    oracle = twod_run()
+    built = []
+    real = DirichletSystem.__init__
+    monkeypatch.setattr(DirichletSystem, "__init__",
+                        lambda self, *a: built.append(1) or real(self, *a))
+    objcache.enable()
+    try:
+        twod_run()
+        assert built == [1]
+        assert twod_run() == oracle
+    finally:
+        objcache.disable()
+    assert built == [1]
