@@ -23,8 +23,6 @@ this gate is for.
 """
 from __future__ import annotations
 
-import sys
-
 
 def dist_smoke_payload(ranks: int = 4, ppc: int = 300,
                        steps: int = 5) -> dict:
@@ -108,38 +106,19 @@ def dist_smoke_payload(ranks: int = 4, ppc: int = 300,
 
 
 def main(argv=None) -> int:
-    import argparse
-    import json
-
     try:
-        from .common import write_json
+        from . import _gate
     except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
-        from common import write_json
+        import _gate
 
-    parser = argparse.ArgumentParser(
-        description="distributed FemPIC smoke benchmark")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the gated smoke measurement")
-    parser.add_argument("--json", action="store_true",
-                        help="print the payload as JSON on stdout")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the payload JSON here")
+    parser = _gate.parser("distributed FemPIC smoke benchmark")
     parser.add_argument("--ranks", type=int, default=4)
     parser.add_argument("--ppc", type=int, default=300)
     parser.add_argument("--steps", type=int, default=5)
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("only --smoke mode is runnable from the CLI")
+    args = _gate.parse_smoke(parser, argv)
     payload = dist_smoke_payload(ranks=args.ranks, ppc=args.ppc,
                                  steps=args.steps)
-    if args.out:
-        write_json("fempic_dist_smoke", payload, out=args.out)
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
-    ok = all(payload["metrics"][g["metric"]] is True
-             for g in payload["gates"] if g["direction"] == "bool")
-    return 0 if ok else 1
+    return _gate.finish("fempic_dist_smoke", payload, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

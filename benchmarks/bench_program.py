@@ -123,22 +123,12 @@ def program_smoke_payload(steps: int = 6, warm: int = 2,
 
 
 def main(argv=None) -> int:
-    import argparse
-    import json
-
     try:
-        from .common import write_json
+        from . import _gate
     except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
-        from common import write_json
+        import _gate
 
-    parser = argparse.ArgumentParser(
-        description="program=\"fuse\" smoke benchmark")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the gated smoke measurement")
-    parser.add_argument("--json", action="store_true",
-                        help="print the payload as JSON on stdout")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the payload JSON here")
+    parser = _gate.parser("program=\"fuse\" smoke benchmark")
     parser.add_argument("--steps", type=int, default=6)
     parser.add_argument("--warm", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=3)
@@ -146,9 +136,7 @@ def main(argv=None) -> int:
 
     payload = program_smoke_payload(steps=args.steps, warm=args.warm,
                                     repeats=args.repeats)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+    if not args.json:
         m = payload["metrics"]
         print(f"step: {payload['seconds']['step_unfused'] * 1e3:.2f} ms "
               f"off -> {payload['seconds']['step_fused'] * 1e3:.2f} ms "
@@ -161,13 +149,7 @@ def main(argv=None) -> int:
               f"{m['dist_msg_bytes_unfused']} -> "
               f"{m['dist_msg_bytes_fused']} B, "
               f"bit-equal: {m['dist_bit_equal']}")
-    if args.out is not None:
-        write_json("program_smoke", payload, out=args.out)
-    ok = (payload["metrics"]["seq_bit_equal"]
-          and payload["metrics"]["vec_bit_equal"]
-          and payload["metrics"]["dist_bit_equal"]
-          and payload["metrics"]["dist_msg_count_strictly_lower"])
-    return 0 if ok else 1
+    return _gate.finish("program_smoke", payload, args)
 
 
 if __name__ == "__main__":

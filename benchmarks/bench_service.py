@@ -220,41 +220,22 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
 
 
 def main(argv=None) -> int:
-    import argparse
-    import json
-
     try:
-        from .common import write_json
+        from . import _gate
     except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
-        from common import write_json
+        import _gate
 
-    parser = argparse.ArgumentParser(
-        description="multi-tenant PIC service smoke benchmark")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the gated smoke measurement")
-    parser.add_argument("--json", action="store_true",
-                        help="print the payload as JSON on stdout")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the payload JSON here")
+    parser = _gate.parser("multi-tenant PIC service smoke benchmark")
     parser.add_argument("--tiny-jobs", type=int, default=20)
     parser.add_argument("--cold-jobs", type=int, default=4)
     parser.add_argument("--warm-jobs", type=int, default=8)
     parser.add_argument("--pool-ranks", type=int, default=4)
-    args = parser.parse_args(argv)
-    if not args.smoke:
-        parser.error("only --smoke mode is runnable from the CLI")
+    args = _gate.parse_smoke(parser, argv)
     payload = service_bench_payload(tiny_jobs=args.tiny_jobs,
                                     cold_jobs=args.cold_jobs,
                                     warm_jobs=args.warm_jobs,
                                     pool_ranks=args.pool_ranks)
-    if args.out:
-        write_json("pic_service_smoke", payload, out=args.out)
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
-    ok = all(payload["metrics"][g["metric"]] is True
-             for g in payload["gates"] if g["direction"] == "bool")
-    return 0 if ok else 1
+    return _gate.finish("pic_service_smoke", payload, args)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.loops import ParLoop
-from ..core.move import MoveLoop, MoveResult
 from .vec import VecBackend
 
 __all__ = ["DeviceBackend"]
@@ -51,6 +50,3 @@ class DeviceBackend(VecBackend):
         extras["device"] = self.kind
         extras["branches"] = _branch_count(loop.kernel)
         return extras
-
-    def execute_move(self, loop: MoveLoop) -> MoveResult:
-        return super().execute_move(loop)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core.args import ArgKind
 from ..core.loops import ParLoop
-from ..core.move import MoveContext, MoveLoop, MoveResult
+from ..core.move import MoveContext, MoveLoop, MoveResult, finish_move
 from ..core.types import MoveStatus
 from .base import Backend
 
@@ -64,14 +64,12 @@ class SeqBackend(Backend):
         p2c = loop.p2c_map.p2c
         c2c = loop.c2c_map.values
         foreign = loop.foreign_cell_mask
-        result = MoveResult()
         move = MoveContext()
 
         removed = []
         foreign_p = []
         foreign_c = []
         total_hops = 0
-        relocated = 0      # particles that left their starting cell
 
         cell_views = []  # (arg_position, dat_data, map_values, map_idx) per hop
         fixed = []       # (arg_position, value) computed once per particle
@@ -117,8 +115,6 @@ class SeqBackend(Backend):
                 kernel(*params)
                 hop += 1
                 total_hops += 1
-                if hop == 1 and move.status != MoveStatus.MOVE_DONE:
-                    relocated += 1      # left its starting cell (or domain)
                 if move.status == MoveStatus.MOVE_DONE:
                     p2c[p] = cell
                     break
@@ -132,13 +128,6 @@ class SeqBackend(Backend):
                         f"particle {p} exceeded {loop.max_hops} hops in move "
                         f"loop {loop.name!r}; mesh walk is not converging")
 
-        loop.pset.order.note_relocated(relocated)
-        result.total_hops = total_hops
-        result.foreign_particles = np.asarray(foreign_p, dtype=np.int64)
-        result.foreign_cells = np.asarray(foreign_c, dtype=np.int64)
-        result.n_removed = len(removed)
-        if removed and not loop.defer_removal:
-            loop.pset.remove_particles(np.asarray(removed, dtype=np.int64))
-        elif removed:
-            result.removed_indices = np.asarray(removed, dtype=np.int64)
-        return result
+        return finish_move(loop, np.asarray(removed, dtype=np.int64),
+                           np.asarray(foreign_p, dtype=np.int64),
+                           np.asarray(foreign_c, dtype=np.int64), total_hops)

@@ -22,7 +22,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from ..core.loops import ParLoop
-from ..core.move import MoveLoop, MoveResult
+from ..core.move import MoveLoop, MoveResult, finish_move
 from ..core.types import MoveStatus
 from ..translator import native
 from .base import Backend
@@ -106,7 +106,7 @@ class VecBackend(Backend):
         if declined is None:
             walked, declined = native.particle_move(loop)
             if walked is not None:
-                return self._move_result(loop, *walked)
+                return finish_move(loop, *walked)
         result = self._execute_move_numpy(loop)
         if type(self) is VecBackend:
             result.extras["fallback"] = declined
@@ -134,7 +134,6 @@ class VecBackend(Backend):
         foreign_cells: List[np.ndarray] = []
         total_hops = 0
         max_coll = 0
-        relocated = 0
         hop = 0
 
         while active.size:
@@ -174,11 +173,6 @@ class VecBackend(Backend):
             done = status == int(MoveStatus.MOVE_DONE)
             gone = status == int(MoveStatus.NEED_REMOVE)
             moving = status == int(MoveStatus.NEED_MOVE)
-            if hop == 0:
-                # particles still walking (or leaving) after the first hop
-                # end up outside their original cell segment
-                relocated = int(np.count_nonzero(moving)) \
-                    + int(np.count_nonzero(gone))
 
             p2c[active[done]] = cells[done]
             if gone.any():
@@ -190,28 +184,8 @@ class VecBackend(Backend):
             hop += 1
 
         empty = np.empty(0, dtype=np.int64)
-        return self._move_result(
+        return finish_move(
             loop, np.concatenate(removed_parts) if removed_parts else empty,
             np.concatenate(foreign_parts) if foreign_parts else empty,
             np.concatenate(foreign_cells) if foreign_cells else empty,
-            total_hops, relocated, max_coll)
-
-    @staticmethod
-    def _move_result(loop: MoveLoop, removed: np.ndarray,
-                     foreign_particles: np.ndarray,
-                     foreign_cells: np.ndarray, total_hops: int,
-                     relocated: int, max_coll: int) -> MoveResult:
-        """What follows the walk on either target: order bookkeeping and
-        the (possibly deferred) deletion of the removed particles."""
-        loop.pset.order.note_relocated(relocated)
-        result = MoveResult()
-        result.total_hops = total_hops
-        result.max_collisions = max_coll
-        result.foreign_particles = foreign_particles
-        result.foreign_cells = foreign_cells
-        result.n_removed = int(removed.size)
-        if removed.size and not loop.defer_removal:
-            loop.pset.remove_particles(removed)
-        else:
-            result.removed_indices = removed
-        return result
+            total_hops, max_coll)

@@ -25,8 +25,7 @@ from .kernel import CONST, Kernel
 from .loops import par_loop
 from .maps import Map
 from .move import particle_move
-from .particles import ParticleOrder, shuffle_particles, \
-    sort_particles_by_cell
+from .particles import shuffle_particles, sort_particles_by_cell
 from .sets import ParticleSet, Set
 from .types import (OPP_BOOL, OPP_INC, OPP_INT, OPP_ITERATE_ALL,
                     OPP_ITERATE_INJECTED, OPP_MAX, OPP_MIN, OPP_READ,
@@ -41,7 +40,7 @@ __all__ = [
     "par_loop", "particle_move", "arg_dat", "arg_gbl",
     # particle utilities
     "increase_particle_count", "inject_particles", "sort_particles_by_cell",
-    "shuffle_particles", "ParticleOrder",
+    "shuffle_particles",
     # context
     "Context", "get_context", "push_context", "set_backend",
     # re-exported types

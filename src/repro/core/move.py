@@ -34,7 +34,8 @@ from .sets import ParticleSet
 from .types import AccessMode, MoveStatus
 
 __all__ = ["MoveContext", "MoveShape", "MoveDecl", "MoveLoop",
-           "declare_move", "particle_move", "MoveResult", "execute_moveloop"]
+           "declare_move", "particle_move", "MoveResult", "finish_move",
+           "execute_moveloop"]
 
 #: Safety bound on hops per particle per move call; a well-posed PIC step
 #: moves particles at most a few cells, so hitting this indicates a bug.
@@ -232,6 +233,26 @@ class MoveLoop:
 
     def __repr__(self) -> str:
         return f"<MoveLoop {self.name!r} over {self.pset.name!r}>"
+
+
+def finish_move(loop: MoveLoop, removed: np.ndarray,
+                foreign_particles: np.ndarray, foreign_cells: np.ndarray,
+                total_hops: int, max_collisions: int = 0) -> MoveResult:
+    """What follows the walk on every backend: the result, then the
+    removed particles deleted — or, when the loop defers removal, their
+    indices handed back for the runtime to delete with migration."""
+    result = MoveResult()
+    result.foreign_particles = foreign_particles
+    result.foreign_cells = foreign_cells
+    result.total_hops = total_hops
+    result.max_collisions = max_collisions
+    result.n_removed = int(removed.size)
+    if removed.size:
+        if loop.defer_removal:
+            result.removed_indices = removed
+        else:
+            loop.pset.remove_particles(removed)
+    return result
 
 
 def declare_move(ctx, kernel, name: str, pset: ParticleSet, c2c_map: Map,

@@ -92,11 +92,6 @@ class ParticleSet(Set):
         self.injected_start = self.size
         #: the dynamic particle-to-cell map, registered by Map.__init__
         self.p2c_map: Optional["Map"] = None
-        #: indices flagged for removal during the current move loop
-        self._remove_flags: Optional[np.ndarray] = None
-        #: incremental cell-sortedness tracker (ParticleOrder)
-        from .particles import ParticleOrder     # deferred: avoids cycle
-        self.order = ParticleOrder(self)
 
     @property
     def is_particle_set(self) -> bool:
@@ -146,7 +141,6 @@ class ParticleSet(Set):
             else:
                 self.p2c_map._raw[start:start + count, 0] = -1
         self.size = int(start + count)
-        self.order.note_appended(count)
         return slice(start, self.size)
 
     def end_injection(self) -> None:
@@ -205,9 +199,6 @@ class ParticleSet(Set):
             self._copy_rows(indices[:n_holes], movers)
         self.size = new_size
         self.injected_start = min(self.injected_start, new_size)
-        # pure tail removal keeps a sorted order sorted; filled holes may
-        # not (the mover comes from the highest cells)
-        self.order.note_holes_filled(n_holes)
 
     def compact_reorder(self, order: np.ndarray) -> None:
         """Permute live particles into ``order`` (used by particle sorting)."""
@@ -215,7 +206,6 @@ class ParticleSet(Set):
         if order.shape != (self.size,):
             raise ValueError("reorder permutation must cover the live region")
         self._copy_rows(slice(0, self.size), order)
-        self.order.invalidate()
 
     def __repr__(self) -> str:
         return (f"<ParticleSet {self.name!r} size={self.size} "

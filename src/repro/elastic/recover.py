@@ -242,7 +242,6 @@ def _scatter_particles(app, files, names, old_meshes) -> None:
         parts = rk.parts
         parts.size = 0                      # drop construction seeding
         parts.injected_start = 0
-        parts.order.invalidate()
         rows = np.flatnonzero(dest == r)
         cg = app.meshes[r].cells_global
         g2l = np.full(len(app.cell_owner), -1, dtype=np.int64)

@@ -12,7 +12,7 @@ is static (the mesh never changes) and assembled once here.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,10 +120,3 @@ class DirichletSystem:
         """Free-node residual ``(K x - b)|_free`` of the full system."""
         return (self.k_full @ x_full - b)[self.free]
 
-
-def element_dofs(cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row/col index arrays for scattering 4x4 element blocks (test aid)."""
-    ncells = cells.shape[0]
-    rows = np.repeat(cells, 4, axis=1).reshape(ncells, 4, 4)
-    cols = np.tile(cells[:, None, :], (1, 4, 1))
-    return rows, cols

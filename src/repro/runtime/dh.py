@@ -34,21 +34,18 @@ _TAG_DH_PAYLOAD = 20
 
 
 def direct_hop_assign(overlay: StructuredOverlay, pset: ParticleSet,
-                      pos_dat: Dat, p2c_map: Map) -> int:
-    """Single-rank DH: point every particle's cell map at the overlay's
-    guess for its *new* position.  Returns how many guesses changed.
+                      pos_dat: Dat, p2c_map: Map) -> None:
+    """Single-rank DH: point every live particle's cell map at the
+    overlay's guess for its *new* position (removed particles keep -1).
 
     The subsequent ``opp_particle_move`` then needs only a short walk.
     """
     if pset.size == 0:
-        return 0
+        return
     guess = overlay.lookup_cell(pos_dat.data[: pset.size])
-    old = p2c_map.p2c.copy()
-    alive = old >= 0
-    p2c_map.p2c[alive] = guess[alive]
-    changed = int((old[alive] != guess[alive]).sum())
-    pset.order.note_relocated(changed)
-    return changed
+    p2c = p2c_map.p2c
+    alive = p2c >= 0
+    p2c[alive] = guess[alive]
 
 
 class DirectHopGlobalMover:
@@ -114,9 +111,6 @@ class DirectHopGlobalMover:
                 idx = np.flatnonzero(stay)
                 p2c_maps[r].p2c[idx] = self._local_cells(
                     r, dest_cell_global[idx])
-                # direct map write: bump the order tracker so it stops
-                # claiming the set is cell-sorted
-                pset.order.note_relocated(int(idx.size))
             if go.any():
                 rows = np.flatnonzero(go)
                 sent_rows[r] = rows

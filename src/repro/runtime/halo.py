@@ -77,15 +77,6 @@ class HaloPlan:
     #: global cell id → (owner rank, owner-local index); for migration
     cell_home: np.ndarray = field(default=None)
 
-    def neighbours_of(self, rank: int) -> List[int]:
-        out = set()
-        for (s, r) in list(self.cell_push) + list(self.node_push):
-            if s == rank:
-                out.add(r)
-            if r == rank:
-                out.add(s)
-        return sorted(out)
-
 
 def build_rank_meshes(c2c: np.ndarray, cell_owner: np.ndarray,
                       nranks: int, c2n: np.ndarray = None,

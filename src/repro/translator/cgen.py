@@ -680,9 +680,9 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
     particles), ``max_hops``, address of the foreign-cell mask, then
     ``(address, rows)`` per slot, then the addresses of the removed,
     foreign-particle and foreign-cell lists.  ``out`` = removed count,
-    foreign count, total hops, relocated count, collision depth (over the
-    whole walk), particles over ``max_hops``, offending particle; the
-    return value is 1 after an out-of-range row or cell.
+    foreign count, total hops, collision depth (over the whole walk),
+    particles over ``max_hops``, offending particle; the return value is
+    1 after an out-of-range row or cell.
     """
     if any(entry[0] == "indirect" for entry in sig):
         raise KernelLanguageError(
@@ -704,7 +704,6 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            f"const int64_t *c2c_row = s1 + cell * {c2c_arity};"]
         + hop
         + ["hop++; hops++;",
-           "if (hop == 1 && status != 0) relocated++;",
            "if (status == 0) { s0[p] = cell; break; }",
            "if (status == 2) { removed[nr++] = p; s0[p] = -1; break; }",
            "cell = next_cell;",
@@ -726,7 +725,7 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            f"    int64_t *fpart = (int64_t *)(intptr_t)a[{lists + 1}];",
            f"    int64_t *fcell = (int64_t *)(intptr_t)a[{lists + 2}];",
            "    int64_t err = 0, bad = -1, coll = 0, nr = 0, nf = 0, "
-           "hops = 0, relocated = 0, over = 0;"]
+           "hops = 0, over = 0;"]
         + _indent(loop.hits_alloc(), 1)
         + ["    for (int64_t k = 0; k < count; k++) {",
            "        int64_t p = index ? index[k] : k;",
@@ -738,6 +737,6 @@ def emit_move(kernel, sig: Sequence[SigEntry], nslots: int, c2c_arity: int,
            "        for (;;) {"]
         + _indent(walk, 3)
         + ["        }", "    }", "done:"] + _indent(loop.hits_drain(), 1)
-        + ["    out[0] = nr; out[1] = nf; out[2] = hops; out[3] = relocated;",
-           "    out[4] = coll; out[5] = over; out[6] = bad;",
+        + ["    out[0] = nr; out[1] = nf; out[2] = hops; out[3] = coll;",
+           "    out[4] = over; out[5] = bad;",
            "    return err;", "}", ""])

@@ -421,7 +421,7 @@ def _bind(loop, variant, derive: Callable):
 
 #: block words before and after the slots, and ``out`` words
 _PAR_LOOP = (2, 0, 2)
-_MOVE = (4, 3, 7)
+_MOVE = (4, 3, 6)
 
 
 def _derive_par_loop(loop, _variant=None):
@@ -481,9 +481,9 @@ def _derive_move(loop, has_foreign: bool):
 
 def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
     """Run a move loop as one native call → ``((removed, foreign
-    particles, foreign cells, total hops, relocated, collisions), None)``
-    with the lists in particle order as ``seq`` returns them, or ``(None,
-    reason)`` as :func:`par_loop`.  The generated function differs with
+    particles, foreign cells, total hops, collisions), None)`` with the
+    lists in particle order as ``seq`` returns them, or ``(None, reason)``
+    as :func:`par_loop`.  The generated function differs with
     and without a foreign-cell mask, so a declaration binds each."""
     if not CC and compiler() is None:
         return None, _no_cc
@@ -516,7 +516,7 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
     block[3] = address(foreign) if has_foreign else 0
     out = binding.out
     err = binding.launcher.fn(block, table, out)
-    n_removed, n_foreign, hops, relocated, coll, over, bad = out
+    n_removed, n_foreign, hops, coll, over, bad = out
     if err:
         raise IndexError(f"move loop {loop.name!r}: particle {bad} addresses "
                          "a row or cell out of range")
@@ -524,7 +524,7 @@ def particle_move(loop) -> Tuple[Optional[tuple], Optional[str]]:
         raise RuntimeError(f"{over} particles exceeded {loop.max_hops} hops "
                            f"in move loop {loop.name!r}")
     return (_prefix(lists[0], n_removed), _prefix(lists[1], n_foreign),
-            _prefix(lists[2], n_foreign), hops, relocated, coll), None
+            _prefix(lists[2], n_foreign), hops, coll), None
 
 
 def _prefix(row: np.ndarray, n: int) -> np.ndarray:

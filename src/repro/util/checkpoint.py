@@ -103,7 +103,6 @@ def restore_state(sim, data, source: str = "checkpoint") -> None:
             s.ensure_capacity(size)
             s.size = size
             s.injected_start = size
-            s.order.invalidate()
         elif s.size != size:
             raise ValueError(f"{source}: mesh set {name!r} has {s.size} "
                              f"elements, checkpoint has {size}")

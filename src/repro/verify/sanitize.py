@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core.args import Arg, ArgKind
 from ..core.loops import ParLoop, add_loop_hook, remove_loop_hook
-from ..core.move import MoveContext, MoveLoop, MoveResult
+from ..core.move import MoveContext, MoveLoop, MoveResult, finish_move
 from ..core.types import AccessMode, MoveStatus
 from ..backends.base import Backend
 from ..backends.plan import loop_arg_rows
@@ -509,7 +509,6 @@ class SanitizerBackend(Backend):
         has_inc = self.check_additivity and any(
             a.access is AccessMode.INC for a in args)
 
-        result = MoveResult()
         move = MoveContext()
         removed: List[int] = []
         foreign_p: List[int] = []
@@ -570,14 +569,10 @@ class SanitizerBackend(Backend):
                 self._check_walk_complete(loop.name, args, walk_writes,
                                           walk_fresh, part)
 
-        result.total_hops = total_hops
-        result.foreign_particles = np.asarray(foreign_p, dtype=np.int64)
-        result.foreign_cells = np.asarray(foreign_c, dtype=np.int64)
-        result.n_removed = len(removed)
-        if removed and not loop.defer_removal:
-            loop.pset.remove_particles(np.asarray(removed, dtype=np.int64))
-        elif removed:
-            result.removed_indices = np.asarray(removed, dtype=np.int64)
+        result = finish_move(loop, np.asarray(removed, dtype=np.int64),
+                             np.asarray(foreign_p, dtype=np.int64),
+                             np.asarray(foreign_c, dtype=np.int64),
+                             total_hops)
         result.extras = {"sanitized": True}
         return result
 

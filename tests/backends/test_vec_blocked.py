@@ -285,8 +285,6 @@ def _move_scenario(*, deposit_when=None, foreign=False, only=False,
             "foreign_particles": res.foreign_particles,
             "foreign_cells": res.foreign_cells,
             "removed_indices": res.removed_indices,
-            "order_dirty": parts.order.dirty,
-            "order_mutations": parts.order.mutations,
             "size": n, "pid": w["pid"].data[by_pid, 0].copy(),
             "p2c": w["p2c"].p2c[:n][by_pid].copy(),
             "cell_hits": w["cell_hits"].data.copy(),

@@ -144,6 +144,51 @@ def test_only_indices_restricts_move(backend):
         assert p2c.p2c.tolist() == [0, 3]  # particle 0 untouched
 
 
+def _move_outcome(backend, defer):
+    """Two particles leave the chain, two pause at the foreign cell 4:
+    the move's result fields and the set it leaves behind."""
+    ctx = Context(backend)
+    with push_context(ctx):
+        _, c2c, parts, p2c, pos, _ = chain_world(
+            n_cells=8, positions=(0.5, -0.5, 6.5, 2.5, -2.0, 3.2, 4.5))
+        loop = MoveLoop(walk_kernel, "walk", parts, c2c, p2c,
+                        [arg_dat(pos, OPP_READ)])
+        loop.foreign_cell_mask = np.arange(8) == 4
+        loop.defer_removal = defer
+        res = ctx.backend.execute_move(loop)
+        n = parts.size
+        return {"n_removed": res.n_removed,
+                "removed": res.removed_indices.tolist(),
+                "foreign": res.foreign_particles.tolist(),
+                "foreign_cells": res.foreign_cells.tolist(),
+                "hops": res.total_hops, "size": n,
+                "p2c": p2c.p2c[:n].tolist(),
+                "pos": pos.data[:n, 0].tolist()}, res
+
+
+@pytest.mark.parametrize("defer", [False, True])
+@pytest.mark.parametrize("walker", ["native", "numpy", "sanitizer"])
+def test_every_walker_ends_its_move_as_seq_does(walker, defer,
+                                                monkeypatch):
+    """The result and the removal that follow the walk — deleted with
+    hole filling, or handed back when deferred — are seq's on native
+    ``vec``, the NumPy target and the sanitizer."""
+    from repro.translator import native
+    want, _ = _move_outcome("seq", defer)
+    assert want["n_removed"] == 2 and want["foreign"] == [2, 6]
+    assert want["removed"] == ([1, 4] if defer else [])
+    assert want["size"] == (7 if defer else 5)
+    backend = "sanitizer" if walker == "sanitizer" else "vec"
+    if walker == "numpy":
+        monkeypatch.setattr(native, "CC", None)
+    elif walker == "native" and native.compiler() is None:
+        pytest.skip("no C compiler")
+    got, res = _move_outcome(backend, defer)
+    assert got == want
+    if walker == "native":
+        assert "fallback" not in res.extras
+
+
 def test_max_hops_guard():
     decl_const("unused", 0)
     with push_context(Context("seq")):

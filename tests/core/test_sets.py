@@ -152,7 +152,6 @@ def oracle_remove(p, indices):
         p.p2c_map._raw[holes] = p.p2c_map._raw[movers]
     p.size = new_size
     p.injected_start = min(p.injected_start, new_size)
-    p.order.note_holes_filled(int(holes.size))
 
 
 def oracle_reorder(p, order):
@@ -162,7 +161,6 @@ def oracle_reorder(p, order):
         dat._raw[: p.size] = dat._raw[order]
     if p.p2c_map is not None:
         p.p2c_map._raw[: p.size] = p.p2c_map._raw[order]
-    p.order.invalidate()
 
 
 def random_bits(rng, shape, dtype):
@@ -202,8 +200,7 @@ def state(p):
     arrays = [d._raw.tobytes() for d in p.dats]
     if p.p2c_map is not None:
         arrays.append(p.p2c_map._raw.tobytes())
-    order = {k: v for k, v in vars(p.order).items() if k != "_pset"}
-    return arrays, p.size, p.injected_start, order
+    return arrays, p.size, p.injected_start
 
 
 def removal_indices(kind, n, rng):

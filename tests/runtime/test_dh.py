@@ -24,8 +24,9 @@ def test_direct_hop_assign_reduces_walk(mesh, rng):
     p2c = decl_map(parts, cells, 1, np.zeros((100, 1), dtype=int))
     pos = decl_dat(parts, 3, np.float64, pts)
 
-    changed = direct_hop_assign(overlay, parts, pos, p2c)
-    assert changed > 0
+    before = p2c.p2c.copy()
+    assert direct_hop_assign(overlay, parts, pos, p2c) is None
+    assert (p2c.p2c != before).any()
     # every guess is within a short finishing walk of the truth
     finish = mesh.locate(pts, guesses=p2c.p2c.copy())
     np.testing.assert_array_equal(finish, truth)
@@ -47,7 +48,10 @@ def test_empty_particle_set_noop(mesh):
     parts = decl_particle_set(cells, 0)
     p2c = decl_map(parts, cells, 1, None)
     pos = decl_dat(parts, 3, np.float64)
-    assert direct_hop_assign(overlay, parts, pos, p2c) == 0
+    before = p2c._raw.copy()
+    assert direct_hop_assign(overlay, parts, pos, p2c) is None
+    assert parts.size == 0
+    np.testing.assert_array_equal(p2c._raw, before)
 
 
 def test_global_mover_requires_rank_map(mesh):

@@ -80,8 +80,9 @@ def test_hex_dh_and_mh_agree(seed):
                 mesh, positions, start)
             if strategy == "dh":
                 overlay = identity_overlay(mesh)
-                changed = direct_hop_assign(overlay, parts, pos, p2c)
-                assert changed >= 0
+                direct_hop_assign(overlay, parts, pos, p2c)
+                np.testing.assert_array_equal(
+                    p2c.p2c, overlay.lookup_cell(pos.data[:parts.size]))
             mres = particle_move(hex_walk, "hex_walk", parts, c2c, p2c,
                                  arg_dat(pos, OPP_READ),
                                  arg_dat(bounds, p2c, OPP_READ),

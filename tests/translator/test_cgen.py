@@ -330,8 +330,7 @@ def _walk(backend, when, foreign=False, max_hops=50, only=None):
                 "removed": res.removed_indices,
                 "foreign": res.foreign_particles,
                 "foreign_cells": res.foreign_cells,
-                "hops": res.total_hops,
-                "dirty": parts.order.is_valid()}, res
+                "hops": res.total_hops}, res
 
 
 @pytest.mark.parametrize("when", ["done", "hop"])
