@@ -24,6 +24,9 @@ properties the ISSUE gates on:
   pool reproduces the first history bit-for-bit, and a FemPIC job run
   warm on every worker (its field solver from the object cache)
   reproduces its in-process cold run.
+* **held-sim reuse** — a FemPIC job placed on a worker that ran the
+  same spec before restores into the simulation that worker held (its
+  held-sim hit count moves) and still reproduces the cold run.
 """
 from __future__ import annotations
 
@@ -75,6 +78,25 @@ def _cold_history(payload: dict) -> dict:
     return json.loads(json.dumps(history, default=_json_default))
 
 
+def _repeats_hit_held_sims(results: list, oracle: dict) -> bool:
+    """``results`` of one spec submitted one after another: each run on
+    a worker that already ran the spec must report a held-sim hit and
+    the cold history (more runs than workers make at least one)."""
+    last = {}            # worker -> that worker's held-sim hits so far
+    repeats = 0
+    for res in results:
+        if res["state"] != "done" or res["result"]["history"] != oracle:
+            return False
+        worker = res["placements"][-1]
+        hits = res["result"]["cache"]["sims"]["hits"]
+        if worker in last:
+            repeats += 1
+            if hits <= last[worker]:
+                return False
+        last[worker] = hits
+    return repeats > 0
+
+
 def _cold_latencies(n_jobs: int) -> list:
     """Fresh 1-worker service per job: every run pays spawn +
     translation + construction, exactly what a no-service harness
@@ -121,6 +143,8 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
                 and all(r["state"] == "done"
                         and r["result"]["history"] == fempic_oracle
                         for r in fempic))
+            repeat_job_reuses_sim = _repeats_hit_held_sims(fempic,
+                                                           fempic_oracle)
 
             # warm latency: sequential, so each sample is pure
             # service+step time with zero queueing
@@ -190,6 +214,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
             "p99_latency_seconds": p99,
             "long_job_done": bool(long_job_done),
             "warm_reuse_bit_equal": warm_reuse_bit_equal,
+            "repeat_job_reuses_sim": repeat_job_reuses_sim,
             "recovered_after_kill": bool(recovered["rescues"] >= 1),
             "recovery_bit_equal": recovery_bit_equal,
             "pool_respawns": int(stats["pool"]["respawns"]),
@@ -203,6 +228,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
             {"metric": "warm_at_least_1p5x", "direction": "bool"},
             {"metric": "long_job_done", "direction": "bool"},
             {"metric": "warm_reuse_bit_equal", "direction": "bool"},
+            {"metric": "repeat_job_reuses_sim", "direction": "bool"},
             {"metric": "recovered_after_kill", "direction": "bool"},
             {"metric": "recovery_bit_equal", "direction": "bool"},
             {"metric": "jobs_failed", "direction": "equal"},

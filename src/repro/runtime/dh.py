@@ -67,18 +67,18 @@ class DirectHopGlobalMover:
         # one (cell-map, rank-map) copy per shared-memory node via RMA
         self.cell_window = RMAWindow(overlay.cell_map, comm, ranks_per_node)
         self.rank_window = RMAWindow(overlay.rank_map, comm, ranks_per_node)
-        # local-cell lookup per rank: global cell id -> local id
+        # local-cell lookup per rank: global cell id -> local id, -1 where
+        # the rank does not hold the cell
+        n_cells = len(plan.cell_home)
         self._g2l = []
         for rm in meshes:
-            g2l = {}
-            for loc, g in enumerate(rm.cells_global):
-                g2l[int(g)] = loc
+            g2l = np.full(n_cells, -1, dtype=np.int64)
+            g2l[rm.cells_global] = np.arange(rm.cells_global.size)
             self._g2l.append(g2l)
 
     def _local_cells(self, rank: int, global_cells: np.ndarray) -> np.ndarray:
-        g2l = self._g2l[rank]
-        return np.fromiter((g2l.get(int(g), -1) for g in global_cells),
-                           dtype=np.int64, count=len(global_cells))
+        """Local ids on ``rank`` of (non-negative) global cell ids."""
+        return self._g2l[rank][global_cells]
 
     def global_move(self, psets: Sequence[ParticleSet],
                     pos_dats: Sequence[Dat],

@@ -15,7 +15,9 @@ same geometry skips the rebuild entirely.  The products kept:
   pattern, the float64 ``K``, the int64 index copies the C solve reads,
   their checks and the loaded C function);
 * the 2-D sheet model's grounded-box :class:`~repro.fem.DirichletSystem`
-  (its ``KSPSolver`` owns CG work arrays and is built per job).
+  (its ``KSPSolver`` owns CG work arrays: it is built with its
+  simulation, and a worker reuses it when it reuses that simulation,
+  :class:`repro.service.pool.HeldSims`).
 
 Disabled by default: one-shot runs (CLI, tests, benchmarks) keep their
 exact allocation behaviour unless a worker opts in with :func:`enable`.

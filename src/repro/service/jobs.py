@@ -23,11 +23,13 @@ The adapter table also gives the pool worker a uniform execution
 surface — ``build`` / ``step`` / ``history`` — plus the checkpoint
 payload used for preemption, migration and rank-failure recovery:
 :func:`job_checkpoint` captures the full restartable state (DSL dats,
-particle maps, RNG, scalar carries, history-so-far) and
-:func:`job_restore` rebuilds a simulation mid-trajectory, bit-exactly.
+particle maps, RNG, scalar carries, history-so-far),
+:func:`restore_job` puts it into a simulation built from the same spec
+and :func:`job_restore` rebuilds one mid-trajectory, bit-exactly.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -36,8 +38,8 @@ from typing import Callable, Dict, Optional, Tuple
 from ..util.checkpoint import CHECKPOINT_FORMAT, restore_state, state_payload
 
 __all__ = ["JobSpec", "JobValidationError", "validate_job", "build_sim",
-           "step_once", "run_steps", "job_checkpoint", "job_restore",
-           "describe_schemas", "APPS", "SERVICE_BACKENDS",
+           "step_once", "run_steps", "job_checkpoint", "restore_job",
+           "job_restore", "describe_schemas", "APPS", "SERVICE_BACKENDS",
            "MAX_PRIORITY"]
 
 #: on-node backends a tenant may request (accelerator names are declared
@@ -407,7 +409,10 @@ def run_steps(spec: JobSpec, sim, history, start: int, stop: int) -> None:
 
 
 def job_checkpoint(spec: JobSpec, sim, history, step: int) -> dict:
-    """Full restartable state of a running job as one picklable dict."""
+    """Full restartable state of a running job as one picklable dict.
+
+    Nothing in it aliases the live simulation: stepping on leaves the
+    checkpoint as it was taken."""
     if not spec.adapter.checkpointable:
         raise ValueError(f"app {spec.app!r} is not checkpointable")
     rng = getattr(sim, "rng", None)
@@ -417,18 +422,21 @@ def job_checkpoint(spec: JobSpec, sim, history, step: int) -> dict:
         "step": int(step),
         "state": state_payload(sim),
         "rng": None if rng is None else rng.bit_generator.state,
-        "extras": {name: getattr(sim, name)
+        "extras": {name: copy.deepcopy(getattr(sim, name))
                    for name in spec.adapter.extras},
         "history": {k: list(v) for k, v in history.items()},
     }
 
 
-def job_restore(spec: JobSpec, ckpt: dict):
-    """Rebuild a simulation mid-trajectory from :func:`job_checkpoint`.
+def restore_job(spec: JobSpec, sim, ckpt: dict):
+    """Put :func:`job_checkpoint`'s state into ``sim``, a simulation
+    built from the same spec (fresh, or stepped by another job).
 
-    Returns ``(sim, history, start_step)``; continuing the step loop
-    from ``start_step`` reproduces the uninterrupted trajectory
-    bit-for-bit.
+    Returns ``(history, start_step)``; continuing the step loop from
+    ``start_step`` reproduces the uninterrupted trajectory bit-for-bit.
+    The sim shares no mutable object with ``ckpt``, so the checkpoint
+    can be restored again.  The process-global constants are the
+    caller's: :func:`build_sim` declares them.
     """
     if ckpt.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format "
@@ -436,14 +444,23 @@ def job_restore(spec: JobSpec, ckpt: dict):
     if ckpt.get("app") != spec.app:
         raise ValueError(f"checkpoint is for app {ckpt.get('app')!r}, "
                          f"job is {spec.app!r}")
-    sim, history = build_sim(spec)
     restore_state(sim, ckpt["state"], source="service checkpoint")
     if ckpt["rng"] is not None:
         sim.rng.bit_generator.state = ckpt["rng"]
     for name, value in ckpt["extras"].items():
-        setattr(sim, name, value)
+        setattr(sim, name, copy.deepcopy(value))
     step = int(ckpt["step"])
     if hasattr(sim, "step_count"):
         sim.step_count = step
     sim.history = {k: list(v) for k, v in ckpt["history"].items()}
-    return sim, sim.history, step
+    return sim.history, step
+
+
+def job_restore(spec: JobSpec, ckpt: dict):
+    """Rebuild a simulation mid-trajectory from :func:`job_checkpoint`.
+
+    Returns ``(sim, history, start_step)`` (see :func:`restore_job`).
+    """
+    sim, _ = build_sim(spec)
+    history, step = restore_job(spec, sim, ckpt)
+    return sim, history, step

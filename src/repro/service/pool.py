@@ -13,6 +13,11 @@ worker runs **one job at a time**; between steps it polls its pipe for
 control frames, which is what makes preemption, cancellation and
 fault-injection (``PK_DIE``) responsive without threads in the worker.
 
+A worker also keeps the simulations it built (:class:`HeldSims`): a
+job whose app and parameters it has run before restores a state into
+that simulation — its step-0 snapshot, or the job's own checkpoint —
+instead of declaring the sets, maps, dats and loops again.
+
 Worker death (crash, kill-worker op, injected ``die_at_step``) surfaces
 as a clean EOF on the parent end, which :meth:`WarmPool.drain` turns
 into a synthetic ``PK_DOWN`` event; the server rescues the running job
@@ -24,9 +29,11 @@ worker's child pipe end — the EOF arrives the moment the worker dies.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import time
 import traceback
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -34,9 +41,12 @@ import multiprocessing as mp
 
 from ..dist.proc import (DEFAULT_MAX_FRAME, FrameError, _recv_control,
                          decode_frame, encode_frame, reap_procs)
-from .jobs import JobSpec, build_sim, job_checkpoint, job_restore, step_once
+from ..core.kernel import CONST
+from ..util.checkpoint import state_nbytes
+from .jobs import JobSpec, build_sim, job_checkpoint, restore_job, step_once
 
-__all__ = ["WarmPool", "WorkerHandle", "PoolEvent", "PK_RUN",
+__all__ = ["WarmPool", "WorkerHandle", "PoolEvent", "HeldSims",
+           "MAX_HELD_BYTES", "PK_RUN",
            "PK_PREEMPT", "PK_SHUTDOWN", "PK_DIE", "PK_CANCEL", "PK_UP",
            "PK_DIAG", "PK_CKPT", "PK_YIELD", "PK_DONE", "PK_FAIL",
            "PK_DOWN", "KIND_NAMES"]
@@ -68,8 +78,99 @@ KIND_NAMES = {PK_RUN: "run", PK_PREEMPT: "preempt",
 _EXIT_INJECTED = 17   # die_at_step fired
 _EXIT_KILLED = 13     # PK_DIE received
 
+#: bytes a worker's held simulations may keep alive — their dats and
+#: particle maps at capacity plus their step-0 snapshots; past it the
+#: least recently used are dropped
+MAX_HELD_BYTES = 64 << 20
+
 
 # -- worker process ----------------------------------------------------------------
+
+
+@dataclass
+class _Held:
+    sim: object
+    #: the job state at step 0 (:func:`job_checkpoint`) and the constants
+    #: the build declared (``decl_const`` is process-global, so another
+    #: app's build in between overwrites them)
+    step0: dict
+    consts: dict
+    nbytes: int = 0
+
+
+class HeldSims:
+    """The simulations a worker keeps between jobs, least recently used
+    first, keyed on the app and its canonical parameters.
+
+    OP-PIC declares a simulation once and loops over it many times; a
+    worker does the same across jobs.  A repeat of a checkpointable spec
+    restores a state into the simulation built for it — constants, DSL
+    state, RNG, extras, step count and a fresh history — so its sets,
+    dats, maps, context, solver, ``Arg`` memos and native bindings are
+    the ones the last job warmed.  Apps that cannot checkpoint build
+    every job afresh.
+    """
+
+    def __init__(self):
+        self.max_bytes = MAX_HELD_BYTES
+        self.clear()
+
+    def clear(self) -> None:
+        self._sims: "OrderedDict[tuple, _Held]" = OrderedDict()
+        self._key = None        # the last started job's, if it is held
+        self.hits = self.misses = 0
+
+    def start(self, spec: JobSpec, ckpt: Optional[dict]):
+        """``(sim, history, start_step)`` for a job that starts fresh
+        (``ckpt`` is None) or from its checkpoint."""
+        self._key = None
+        if not spec.adapter.checkpointable:
+            sim, history = build_sim(spec)
+            return sim, history, 0
+        key = self._key = (spec.app, json.dumps(spec.params, sort_keys=True))
+        held = self._sims.get(key)
+        if held is None:
+            self.misses += 1
+            sim, history = build_sim(spec)
+            held = self._sims[key] = _Held(
+                sim, job_checkpoint(spec, sim, history, 0), CONST.snapshot())
+            if ckpt is None:
+                return sim, history, 0
+        else:
+            self.hits += 1
+            self._sims.move_to_end(key)
+            CONST.restore(held.consts)
+        history, start = restore_job(spec, held.sim,
+                                     held.step0 if ckpt is None else ckpt)
+        return held.sim, history, start
+
+    def keep(self) -> None:
+        """The last started job left its sim between steps: the sim
+        stays held if the table's bytes allow."""
+        held = self._sims.get(self._key)
+        if held is None:
+            return
+        held.nbytes = state_nbytes(held.sim) + sum(
+            a.nbytes for a in held.step0["state"].values())
+        while self.nbytes > self.max_bytes:
+            self._sims.popitem(last=False)
+
+    def drop(self) -> None:
+        """The last started job raised: its sim may be anywhere in a
+        step."""
+        self._sims.pop(self._key, None)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(h.nbytes for h in self._sims.values())
+
+    def stats(self) -> dict:
+        return {"held": len(self._sims), "hits": self.hits,
+                "misses": self.misses}
+
+
+#: this worker process's table (a forked worker empties what it inherits)
+_HELD = HeldSims()
 
 
 class _Preempted(Exception):
@@ -111,11 +212,7 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
     ckpt = payload.get("checkpoint")
     try:
         t0 = time.perf_counter()
-        if ckpt is not None:
-            sim, history, start = job_restore(spec, ckpt)
-        else:
-            sim, history = build_sim(spec)
-            start = 0
+        sim, history, start = _HELD.start(spec, ckpt)
         n_steps = spec.n_steps
         step = start
         try:
@@ -145,19 +242,22 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
                 # it yields what it was started from (None: a fresh job)
                 out["checkpoint"] = ckpt if step == start else \
                     job_checkpoint(spec, sim, history, step)
+            _HELD.keep()
             _send(conn, PK_YIELD, worker_id, tag, out)
             return
+        _HELD.keep()
         _send(conn, PK_DONE, worker_id, tag,
               {"job_id": job_id, "steps": step,
                "resumed_from": start if ckpt is not None else None,
                "history": history,
                "elapsed": time.perf_counter() - t0,
-               "cache": objcache.stats()})
+               "cache": dict(objcache.stats(), sims=_HELD.stats())})
     except _ExitWorker:
         raise
     except BaseException as exc:  # noqa: BLE001 - shipped to the server
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
+        _HELD.drop()
         try:
             _send(conn, PK_FAIL, worker_id, tag,
                   {"job_id": job_id, "error": repr(exc),
@@ -170,6 +270,7 @@ def _worker_main(worker_id: int, conn) -> None:
     """Persistent worker: serve PK_RUN frames until told to exit."""
     from ..runtime import objcache
     objcache.enable()
+    _HELD.clear()
     try:
         _send(conn, PK_UP, worker_id, 0, {"pid": os.getpid()})
         while True:

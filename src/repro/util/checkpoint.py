@@ -28,8 +28,8 @@ from ..core.maps import Map
 from ..core.sets import ParticleSet, Set
 
 __all__ = ["save_checkpoint", "load_checkpoint", "state_payload",
-           "restore_state", "rng_state_array", "set_rng_state",
-           "CHECKPOINT_FORMAT"]
+           "restore_state", "state_nbytes", "rng_state_array",
+           "set_rng_state", "CHECKPOINT_FORMAT"]
 
 #: 2: RNG state is JSON (format 1 pickled it)
 CHECKPOINT_FORMAT = 2
@@ -85,6 +85,14 @@ def state_payload(sim) -> dict:
     for name, m in pmaps.items():
         payload[f"pmap__{name}"] = m.p2c.copy()
     return payload
+
+
+def state_nbytes(sim) -> int:
+    """Bytes the object's dats and particle maps allocate, capacity rows
+    included: the restartable state holding the object keeps alive."""
+    _, dats, pmaps = _handles(sim)
+    return sum(d.raw.nbytes for d in dats.values()) \
+        + sum(m.raw.nbytes for m in pmaps.values())
 
 
 def restore_state(sim, data, source: str = "checkpoint") -> None:

@@ -101,6 +101,26 @@ def test_global_move_relocates_to_owner(mesh, rng):
         assert (ranks == r).all()
 
 
+def test_local_cell_lookup_matches_a_dict(mesh):
+    """The dense global→local table answers as a dict of each rank's
+    cells would: the local id where the rank holds the cell, else -1."""
+    nranks = 3
+    owner = partition("principal_direction", nranks,
+                      centroids=mesh.centroids)
+    meshes, plan = build_rank_meshes(mesh.c2c, owner, nranks)
+    overlay = StructuredOverlay.build(mesh, 6).with_rank_map(owner)
+    mover = DirectHopGlobalMover(overlay, SimComm(nranks), plan, meshes)
+    every = np.arange(mesh.n_cells)
+    for r, rm in enumerate(meshes):
+        g2l = {int(g): loc for loc, g in enumerate(rm.cells_global)}
+        want = np.array([g2l.get(int(g), -1) for g in every])
+        assert (want >= 0).any() and (want < 0).any()
+        np.testing.assert_array_equal(mover._local_cells(r, every), want)
+        shuffled = every[::-1].copy()
+        np.testing.assert_array_equal(mover._local_cells(r, shuffled),
+                                      want[::-1])
+
+
 def test_overlay_memory_reported(mesh):
     comm = SimComm(4)
     owner = partition("principal_direction", 4, centroids=mesh.centroids)

@@ -172,6 +172,26 @@ def test_checkpoint_resume_is_bit_equal(payload, mid):
     assert hist2 == full
 
 
+def test_checkpoint_shares_no_list_with_the_sim():
+    """FemPIC's injection carry is a list the sim rewrites every step:
+    a checkpoint holds a copy, and a restored sim gets its own."""
+    spec = ok({"app": "fempic",
+               "params": dict(FEMPIC["params"], plasma_den=1234.5)})
+    sim, hist = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, hist, 0, 1)
+    ckpt = jobs.job_checkpoint(spec, sim, hist, 1)
+    carry = list(ckpt["extras"]["_inject_carry"])
+    jobs.run_steps(spec, sim, hist, 1, 3)
+    assert sim._inject_carry != carry
+    assert ckpt["extras"]["_inject_carry"] == carry
+
+    sim2, _, _ = jobs.job_restore(spec, ckpt)
+    assert sim2._inject_carry == carry
+    assert sim2._inject_carry is not ckpt["extras"]["_inject_carry"]
+    jobs.restore_job(spec, sim, ckpt)
+    assert sim._inject_carry is not ckpt["extras"]["_inject_carry"]
+
+
 def test_checkpoint_refuses_non_checkpointable_and_wrong_app():
     lspec = ok({"app": "landau", "params": {"nz": 24, "ppc": 30,
                                             "n_steps": 3}})

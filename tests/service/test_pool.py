@@ -72,7 +72,7 @@ def test_warm_reuse_hits_cache_and_is_bit_equal(pool):
         for h in others:
             h.state = "idle"
     assert wid2 == wid
-    assert second["cache"]["hits"] > first["cache"]["hits"]
+    assert second["cache"]["sims"]["hits"] > first["cache"]["sims"]["hits"]
     assert second["history"] == first["history"]
 
 
@@ -223,6 +223,10 @@ def test_preempt_before_the_first_step_yields_the_start(monkeypatch,
         sim, hist = jobs.build_sim(spec)
         jobs.run_steps(spec, sim, hist, 0, resume_at)
         start = jobs.job_checkpoint(spec, sim, hist, resume_at)
+    # the worker already holds this spec's sim: a miss would take its
+    # step-0 snapshot, which is not the checkpoint this test is about
+    monkeypatch.setattr(pool_mod, "_HELD", pool_mod.HeldSims())
+    pool_mod._HELD.start(spec, None)
     checkpoints = []
     real = pool_mod.job_checkpoint
     monkeypatch.setattr(pool_mod, "job_checkpoint",
