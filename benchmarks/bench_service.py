@@ -27,6 +27,9 @@ properties the ISSUE gates on:
 * **held-sim reuse** — a FemPIC job placed on a worker that ran the
   same spec before restores into the simulation that worker held (its
   held-sim hit count moves) and still reproduces the cold run.
+* **staged-job rescue** — a lone worker dies mid-job while it holds the
+  next job staged; both are requeued onto its replacement and each
+  ends bit-equal to its in-process oracle.
 """
 from __future__ import annotations
 
@@ -95,6 +98,29 @@ def _repeats_hit_held_sims(results: list, oracle: dict) -> bool:
                 return False
         last[worker] = hits
     return repeats > 0
+
+
+def _staged_kill_rescues_both() -> bool:
+    """One worker runs a FemPIC job that dies at step 8 while a tiny job
+    is staged behind it: both must end ``done`` and bit-equal."""
+    from repro.service import Client, start_server_thread
+
+    with start_server_thread(port=0, n_workers=1) as handle:
+        with Client(handle.host, handle.port) as client:
+            deadline = time.monotonic() + 60
+            while client.stats()["pool"]["states"].get("idle") != 1:
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.01)
+            doomed = client.submit(dict(RECOVERY_FEMPIC, die_at_step=8))
+            staged = client.submit(dict(TINY))
+            was_staged = client.stats()["pool"]["staged"] == 1
+            results = [client.result(j, timeout=300)
+                       for j in (doomed, staged)]
+    return bool(was_staged and all(
+        res["state"] == "done" and res["rescues"] >= 1
+        and res["result"]["history"] == _cold_history(payload)
+        for res, payload in zip(results, (RECOVERY_FEMPIC, TINY))))
 
 
 def _cold_latencies(n_jobs: int) -> list:
@@ -184,6 +210,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
                                      timeout=300)["state"] == "done"
             stats = client.stats()
 
+    staged_kill_rescues_both = _staged_kill_rescues_both()
     recovery_bit_equal = bool(
         recovered["state"] == "done"
         and recovered["result"]["history"]
@@ -217,6 +244,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
             "repeat_job_reuses_sim": repeat_job_reuses_sim,
             "recovered_after_kill": bool(recovered["rescues"] >= 1),
             "recovery_bit_equal": recovery_bit_equal,
+            "staged_kill_rescues_both": staged_kill_rescues_both,
             "pool_respawns": int(stats["pool"]["respawns"]),
             "jobs_failed": int(stats["counters"]["failed"]),
         },
@@ -231,6 +259,7 @@ def service_bench_payload(tiny_jobs: int = 20, cold_jobs: int = 4,
             {"metric": "repeat_job_reuses_sim", "direction": "bool"},
             {"metric": "recovered_after_kill", "direction": "bool"},
             {"metric": "recovery_bit_equal", "direction": "bool"},
+            {"metric": "staged_kill_rescues_both", "direction": "bool"},
             {"metric": "jobs_failed", "direction": "equal"},
             {"metric": "warm_over_cold", "direction": "min_ratio",
              "numerator": "metrics.cold_median_seconds",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -89,6 +90,22 @@ class AppAdapter:
     checkpointable: bool = True
     #: estimated cell/particle counts for the resource caps
     cost: Optional[Callable[[dict], Tuple[int, int]]] = None
+
+    @functools.cached_property
+    def schema(self) -> Dict[str, type]:
+        """Accepted parameter name → python type (derived once)."""
+        schema: Dict[str, type] = {}
+        for f in dataclasses.fields(self.config_cls):
+            if f.name in self.blocked:
+                continue
+            default = (f.default if f.default is not dataclasses.MISSING
+                       else None)
+            for t in (bool, int, float, str):   # bool first: bool < int
+                if isinstance(default, t):
+                    schema[f.name] = t
+                    break
+        schema.update(self.extra_params)
+        return schema
 
 
 def _build_advec(params: dict):
@@ -213,8 +230,8 @@ class JobSpec:
 
     @property
     def n_steps(self) -> int:
-        return int(self.params.get("n_steps",
-                                   self.adapter.config_cls().n_steps))
+        n = self.params.get("n_steps")
+        return int(self.adapter.config_cls().n_steps if n is None else n)
 
     @property
     def adapter(self) -> AppAdapter:
@@ -228,29 +245,13 @@ _JSON_TYPES = {int: "integer", float: "number", str: "string",
                bool: "boolean"}
 
 
-def _schema_for(adapter: AppAdapter) -> Dict[str, type]:
-    """Accepted parameter name → python type for one app."""
-    schema: Dict[str, type] = {}
-    for f in dataclasses.fields(adapter.config_cls):
-        if f.name in adapter.blocked:
-            continue
-        default = (f.default if f.default is not dataclasses.MISSING
-                   else None)
-        for t in (bool, int, float, str):   # bool first: bool < int
-            if isinstance(default, t):
-                schema[f.name] = t
-                break
-    schema.update(adapter.extra_params)
-    return schema
-
-
 def describe_schemas() -> dict:
     """Machine-readable per-app schema (served to clients)."""
     out = {}
     for name, adapter in sorted(APPS().items()):
         out[name] = {
             "params": {k: _JSON_TYPES[t]
-                       for k, t in sorted(_schema_for(adapter).items())},
+                       for k, t in sorted(adapter.schema.items())},
             "checkpointable": adapter.checkpointable,
         }
     return out
@@ -298,7 +299,7 @@ def validate_job(raw) -> JobSpec:
         params = {}
     clean: dict = {}
     if adapter is not None:
-        schema = _schema_for(adapter)
+        schema = adapter.schema
         for key in sorted(params):
             value = params[key]
             if key not in schema:

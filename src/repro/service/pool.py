@@ -9,9 +9,18 @@ inside every worker) is paid once per worker instead of once per job.
 Frames reuse the :mod:`repro.dist.proc` wire codec — same header, same
 numpy/pickle body encoding — with a disjoint kind range (32+), so a
 service frame can never be mistaken for an SPMD rank frame.  Each
-worker runs **one job at a time**; between steps it polls its pipe for
-control frames, which is what makes preemption, cancellation and
-fault-injection (``PK_DIE``) responsive without threads in the worker.
+worker runs one job at a time and may **hold one more, staged**: a
+``PK_RUN`` the server sent while the running job was still stepping.
+Between steps the worker polls its pipe for control frames, which is
+what makes preemption, cancellation and fault-injection (``PK_DIE``)
+responsive without threads in the worker; a ``PK_RUN`` it reads there
+is kept and run as soon as the running job has sent its terminal frame,
+so queued jobs run back to back instead of each waiting for the
+server's answer to the last one's ``PK_DONE``.  A ``PK_PREEMPT`` or
+``PK_CANCEL`` acts on the job whose tag it carries — the running one,
+or the staged one, which yields at once without starting — and a frame
+whose tag names neither (a late one for a job that already ended) is
+ignored.
 
 A worker also keeps the simulations it built (:class:`HeldSims`): a
 job whose app and parameters it has run before restores a state into
@@ -20,8 +29,9 @@ instead of declaring the sets, maps, dats and loops again.
 
 Worker death (crash, kill-worker op, injected ``die_at_step``) surfaces
 as a clean EOF on the parent end, which :meth:`WarmPool.drain` turns
-into a synthetic ``PK_DOWN`` event; the server rescues the running job
-from its last streamed checkpoint and :meth:`WarmPool.ensure_target`
+into a synthetic ``PK_DOWN`` event naming the running and the staged
+job; the server rescues the running job from its last checkpoint,
+requeues the staged one, and :meth:`WarmPool.ensure_target`
 respawns a replacement.  Workers are spawned strictly one at a time
 (pipe → fork → close child end) so no sibling ever inherits another
 worker's child pipe end — the EOF arrives the moment the worker dies.
@@ -53,10 +63,10 @@ __all__ = ["WarmPool", "WorkerHandle", "PoolEvent", "HeldSims",
 
 # parent -> worker
 PK_RUN = 32       # start (or resume) a job; body = {job_id, spec, checkpoint}
-PK_PREEMPT = 33   # yield the running job back with its resume point
+PK_PREEMPT = 33   # yield the tagged job back with its resume point
 PK_SHUTDOWN = 34  # finish up and exit cleanly
 PK_DIE = 35       # fault injection: hard-exit immediately, no goodbye
-PK_CANCEL = 36    # abandon the running job
+PK_CANCEL = 36    # abandon the tagged job
 
 # worker -> parent
 PK_UP = 40        # worker process is ready; body = {pid}
@@ -173,6 +183,19 @@ class HeldSims:
 _HELD = HeldSims()
 
 
+#: ``(tag, payload)`` of each PK_RUN read while another job ran, in the
+#: order they came; the worker loop runs them before it reads its pipe
+_STAGED: List[tuple] = []
+
+
+def _close_conns(handles) -> None:
+    for handle in handles:
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+
+
 class _Preempted(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -187,21 +210,45 @@ def _send(conn, kind: int, worker_id: int, tag: int, payload) -> None:
                                  DEFAULT_MAX_FRAME))
 
 
-def _check_control(conn, worker_id: int, tag: int) -> None:
-    """Between-steps control poll; raises to unwind the step loop."""
+def _yield_unstarted(conn, worker_id: int, tag: int, payload: dict,
+                     reason: str) -> None:
+    """A staged job withdrawn before it started: it yields what it was
+    started from (None for a fresh job), marked ``unstarted`` since no
+    step of it ran."""
+    ckpt = payload.get("checkpoint") if reason == "preempted" else None
+    _send(conn, PK_YIELD, worker_id, tag,
+          {"job_id": payload["job_id"], "reason": reason,
+           "step": 0 if ckpt is None else ckpt["step"],
+           "checkpoint": ckpt, "history": None, "unstarted": True})
+
+
+def _check_control(conn, worker_id: int, tag: Optional[int]) -> None:
+    """Between-steps control poll; raises to unwind the step loop of the
+    job tagged ``tag`` (None: no job is running).  A PK_RUN is staged; a
+    preempt or cancel for a staged job yields that job and leaves this
+    one running."""
     while conn.poll(0):
         blob = _recv_control(conn, DEFAULT_MAX_FRAME)
         if blob is None:                 # the parent is gone
             raise _ExitWorker
-        kind, _, _, _, _ = decode_frame(blob)
+        kind, _, _, frame_tag, payload = decode_frame(blob)
         if kind == PK_DIE:
             os._exit(_EXIT_KILLED)
-        if kind == PK_PREEMPT:
-            raise _Preempted("preempted")
-        if kind == PK_CANCEL:
-            raise _Preempted("cancelled")
         if kind == PK_SHUTDOWN:
             raise _ExitWorker
+        if kind == PK_RUN:
+            _STAGED.append((frame_tag, payload))
+        elif kind in (PK_PREEMPT, PK_CANCEL):
+            reason = "preempted" if kind == PK_PREEMPT else "cancelled"
+            if frame_tag == tag:
+                raise _Preempted(reason)
+            for i, (staged_tag, staged) in enumerate(_STAGED):
+                if staged_tag == frame_tag:
+                    del _STAGED[i]
+                    _yield_unstarted(conn, worker_id, staged_tag, staged,
+                                     reason)
+                    break
+            # else: late, for a job that already ended — ignored
 
 
 def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
@@ -266,28 +313,42 @@ def _run_job(conn, worker_id: int, tag: int, payload: dict) -> None:
             pass
 
 
+def _serve(conn, worker_id: int) -> None:
+    """Run jobs until told to exit: a staged one first, else the next
+    PK_RUN off the pipe."""
+    while True:
+        try:    # a withdrawal sent while the last job ran applies first
+            _check_control(conn, worker_id, None)
+        except _ExitWorker:
+            return
+        if _STAGED:
+            tag, payload = _STAGED.pop(0)
+        else:
+            blob = _recv_control(conn, DEFAULT_MAX_FRAME)
+            if blob is None:
+                return
+            kind, _, _, tag, payload = decode_frame(blob)
+            if kind == PK_SHUTDOWN:
+                return
+            if kind == PK_DIE:
+                os._exit(_EXIT_KILLED)
+            if kind != PK_RUN:
+                continue    # preempt/cancel for a job that already ended
+        try:
+            _run_job(conn, worker_id, tag, payload)
+        except _ExitWorker:
+            return
+
+
 def _worker_main(worker_id: int, conn) -> None:
-    """Persistent worker: serve PK_RUN frames until told to exit."""
+    """Persistent worker process: serve jobs, then exit."""
     from ..runtime import objcache
     objcache.enable()
     _HELD.clear()
+    _STAGED.clear()
     try:
         _send(conn, PK_UP, worker_id, 0, {"pid": os.getpid()})
-        while True:
-            blob = _recv_control(conn, DEFAULT_MAX_FRAME)
-            if blob is None:
-                break
-            kind, _, _, tag, payload = decode_frame(blob)
-            if kind == PK_SHUTDOWN:
-                break
-            if kind == PK_DIE:
-                os._exit(_EXIT_KILLED)
-            if kind == PK_RUN:
-                try:
-                    _run_job(conn, worker_id, tag, payload)
-                except _ExitWorker:
-                    break
-            # stray preempt/cancel for a job that already ended: ignore
+        _serve(conn, worker_id)
     finally:
         objcache.disable()
         try:
@@ -322,6 +383,9 @@ class WorkerHandle:
     state: str = "starting"      # starting | idle | busy | draining | dead
     job_id: Optional[str] = None
     tag: int = 0
+    #: the job sent to run next, while ``job_id`` still runs
+    staged_job_id: Optional[str] = None
+    staged_tag: int = 0
     jobs_done: int = 0
     spawned_at: float = field(default_factory=time.monotonic)
 
@@ -344,7 +408,8 @@ class WarmPool:
                                    else "spawn")
         self._ids = itertools.count()
         self.workers: Dict[int, WorkerHandle] = {}
-        self._dead_procs: List[object] = []
+        #: workers that died or were retired, not yet closed and reaped
+        self._dead: List[WorkerHandle] = []
         self.respawns = 0
 
     # -- lifecycle -----------------------------------------------------------------
@@ -386,7 +451,8 @@ class WarmPool:
 
     def resize(self, n_workers: int) -> List[WorkerHandle]:
         """Grow immediately; shrink by retiring idle workers first and
-        draining busy ones as their jobs finish."""
+        draining busy ones as their jobs finish (the server withdraws a
+        draining worker's staged job)."""
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.target_size = int(n_workers)
@@ -417,26 +483,34 @@ class WarmPool:
 
     def assign(self, worker_id: int, job_id: str, spec: JobSpec,
                checkpoint: Optional[dict], tag: int) -> bool:
+        """Run the job on an idle worker, or stage it on a busy one
+        whose staging slot is empty: the worker starts it as soon as
+        its running job has ended."""
         handle = self.workers[worker_id]
-        if handle.state not in ("idle",):
+        staging = handle.state == "busy" and handle.staged_job_id is None
+        if handle.state != "idle" and not staging:
             raise RuntimeError(f"worker {worker_id} is {handle.state}, "
                                "cannot assign")
         ok = self._post(handle, PK_RUN, tag,
                         {"job_id": job_id, "spec": spec,
                          "checkpoint": checkpoint})
-        if ok:
+        if ok and staging:
+            handle.staged_job_id, handle.staged_tag = job_id, tag
+        elif ok:
             handle.state = "busy"
-            handle.job_id = job_id
-            handle.tag = tag
+            handle.job_id, handle.tag = job_id, tag
         return ok
 
-    def preempt(self, worker_id: int) -> bool:
+    def preempt(self, worker_id: int, tag: Optional[int] = None) -> bool:
+        """Yield the job tagged ``tag`` (default: the running one)."""
         handle = self.workers[worker_id]
-        return self._post(handle, PK_PREEMPT, handle.tag, None)
+        return self._post(handle, PK_PREEMPT,
+                          handle.tag if tag is None else tag, None)
 
-    def cancel(self, worker_id: int) -> bool:
+    def cancel(self, worker_id: int, tag: Optional[int] = None) -> bool:
         handle = self.workers[worker_id]
-        return self._post(handle, PK_CANCEL, handle.tag, None)
+        return self._post(handle, PK_CANCEL,
+                          handle.tag if tag is None else tag, None)
 
     def kill_worker(self, worker_id: int) -> bool:
         """Fault injection: the worker hard-exits without a goodbye."""
@@ -467,31 +541,43 @@ class WarmPool:
             except (EOFError, OSError):
                 blob = None
             if blob is None:
-                events.append(PoolEvent(PK_DOWN, worker_id, handle.tag,
-                                        {"job_id": handle.job_id}))
-                handle.state = "dead"
-                self._forget(handle)
+                events.append(self._down(handle))
                 return events
             try:
                 kind, _, _, tag, payload = decode_frame(blob)
             except FrameError as exc:  # pragma: no cover - defensive
-                events.append(PoolEvent(PK_DOWN, worker_id, handle.tag,
-                                        {"job_id": handle.job_id,
-                                         "error": str(exc)}))
-                handle.state = "dead"
-                self._forget(handle)
+                events.append(self._down(handle, error=str(exc)))
                 return events
             if kind == PK_UP and handle.state == "starting":
                 handle.state = "idle"
             elif kind in (PK_DONE, PK_FAIL, PK_YIELD):
                 handle.jobs_done += kind == PK_DONE
-                handle.job_id = None
-                if handle.state == "draining":
+                if handle.staged_job_id is not None \
+                        and tag == handle.staged_tag:
+                    handle.staged_job_id = None   # withdrawn unstarted
+                elif handle.staged_job_id is not None:
+                    # the worker has started its staged job
+                    handle.job_id, handle.tag = (handle.staged_job_id,
+                                                 handle.staged_tag)
+                    handle.staged_job_id = None
+                elif handle.state == "draining":
+                    handle.job_id = None
                     self.retire(worker_id)
                 else:
+                    handle.job_id = None
                     handle.state = "idle"
             events.append(PoolEvent(kind, worker_id, tag, payload))
+            if handle.state == "dead":      # retired: its pipe is closed
+                return events
         return events
+
+    def _down(self, handle: WorkerHandle, **extra) -> PoolEvent:
+        """The worker is gone: one ``PK_DOWN`` naming both its jobs."""
+        handle.state = "dead"
+        self._forget(handle)
+        return PoolEvent(PK_DOWN, handle.worker_id, handle.tag,
+                         {"job_id": handle.job_id,
+                          "staged_job_id": handle.staged_job_id, **extra})
 
     def wait_event(self, timeout: float = 30.0) -> List[PoolEvent]:
         """Blocking drain across all workers (test/bench convenience —
@@ -509,21 +595,24 @@ class WarmPool:
         return events
 
     def _forget(self, handle: WorkerHandle) -> None:
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        self._dead_procs.append(handle.proc)
+        """Drop a worker that died or was retired.  Its pipe end stays
+        open until :meth:`reap_dead`, so an event loop can stop watching
+        the fd first: workers forked later hold copies of this end, so a
+        closed fd would stay in the loop's epoll set, readable at EOF
+        for as long as they live."""
+        self._dead.append(handle)
         self.workers.pop(handle.worker_id, None)
 
     # -- teardown ------------------------------------------------------------------
 
     def reap_dead(self) -> None:
-        """Join processes of retired/crashed workers (cheap, call
-        whenever a worker went away)."""
-        if self._dead_procs:
-            reap_procs(self._dead_procs, join_timeout=2.0)
-            self._dead_procs = []
+        """Close the pipes and join the processes of retired/crashed
+        workers (cheap, call whenever a worker went away, after no one
+        watches their pipes any more)."""
+        if self._dead:
+            dead, self._dead = self._dead, []
+            _close_conns(dead)
+            reap_procs([h.proc for h in dead], join_timeout=2.0)
 
     def shutdown(self) -> None:
         """Stop every worker and deterministically reap all processes."""
@@ -536,8 +625,9 @@ class WarmPool:
                 pass
             procs.append(handle.proc)
         self.workers.clear()
-        reap_procs(procs + self._dead_procs)
-        self._dead_procs = []
+        _close_conns(self._dead)
+        reap_procs(procs + [h.proc for h in self._dead])
+        self._dead = []
 
     def stats(self) -> dict:
         states = {}
@@ -547,6 +637,8 @@ class WarmPool:
                 "workers": {str(h.worker_id): h.state
                             for h in self.workers.values()},
                 "states": states,
+                "staged": sum(h.staged_job_id is not None
+                              for h in self.workers.values()),
                 "respawns": self.respawns,
                 "jobs_done": sum(h.jobs_done
                                  for h in self.workers.values())}

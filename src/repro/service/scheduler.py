@@ -13,10 +13,10 @@ a steady stream of higher-priority arrivals — while the usage term
 keeps one chatty tenant from starving everyone else on a shared pool.
 
 Preemption: when every worker is busy and the best queued job outscores
-a running preemptible job by at least ``preempt_margin``, the scheduler
-names that victim; the server checkpoints it, requeues it (resume
-checkpoint attached, so no work is lost), and hands the worker to the
-newcomer.
+a running (or staged) preemptible job by at least ``preempt_margin``,
+the scheduler names that victim; the server checkpoints it, requeues it
+(resume checkpoint attached, so no work is lost), and hands the worker
+to the newcomer.
 """
 from __future__ import annotations
 

@@ -96,6 +96,9 @@ class JobRecord:
     error: Optional[dict] = None
     cancel_requested: bool = False
     preempt_requested: bool = False
+    #: order of its staging, from staging until the server has seen its
+    #: worker start it (None for a job placed on an idle worker)
+    staged_no: Optional[int] = None
     preemptions: int = 0
     rescues: int = 0
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
@@ -144,11 +147,18 @@ class ServiceServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._registered_fds: Dict[int, int] = {}   # fd -> worker_id
+        self._stage_nos = itertools.count(1)
+        #: staged job pulled back -> the worker whose slot waits for it
+        self._pulls: Dict[str, int] = {}
+        #: worker -> the running job it held when its staged job was
+        #: pulled away (it takes no staged job while that one runs)
+        self._slow: Dict[int, str] = {}
         self._stopping = False
         self.stopped: Optional[asyncio.Event] = None
         self.counters = {"submitted": 0, "rejected": 0, "done": 0,
                          "failed": 0, "cancelled": 0, "preemptions": 0,
-                         "rescues": 0, "worker_deaths": 0}
+                         "rescues": 0, "worker_deaths": 0,
+                         "withdrawals": 0}
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -201,14 +211,23 @@ class ServiceServer:
         events = self.pool.drain(worker_id)
         for event in events:
             self._handle_event(event)
-        if any(e.kind == PK_DOWN for e in events):
-            self._loop.remove_reader(fd)
-            self._registered_fds.pop(fd, None)
-            self.pool.reap_dead()
+        if worker_id not in self.pool.workers:      # died or retired
+            self._reap_gone()
             if not self._stopping:
                 for handle in self.pool.ensure_target():
                     self._register(handle)
         self._schedule()
+
+    def _reap_gone(self) -> None:
+        """Stop watching the pipes of workers the pool let go, then
+        let the pool close and reap them (closing first would leave the
+        fd readable in the loop: see ``WarmPool._forget``)."""
+        for fd, worker_id in list(self._registered_fds.items()):
+            if worker_id not in self.pool.workers:
+                self._loop.remove_reader(fd)
+                del self._registered_fds[fd]
+                self._slow.pop(worker_id, None)
+        self.pool.reap_dead()
 
     # -- event handling ------------------------------------------------------------
 
@@ -252,42 +271,62 @@ class ServiceServer:
             if event.payload.get("reason") == "cancelled" \
                     or record.cancel_requested:
                 self._finish(record, "cancelled")
+            elif event.payload.get("unstarted"):
+                # a staged job withdrawn before it started: nothing ran,
+                # so it is no preemption and no restart
+                self.counters["withdrawals"] += 1
+                self._requeue(record, restart=False)
             else:
-                record.preempt_requested = False
                 record.preemptions += 1
                 self.counters["preemptions"] += 1
                 if event.payload.get("checkpoint") is not None:
                     record.item.checkpoint = event.payload["checkpoint"]
-                    record.steps_done = event.payload["step"]
                 self._requeue(record)
         elif event.kind == PK_DOWN:
             self.counters["worker_deaths"] += 1
-            if record is None or record.state in TERMINAL:
-                return
-            # rescue: resume from the last streamed checkpoint (or, for
-            # non-checkpointable apps, restart from scratch); the
-            # injected death must not re-fire on the retry
+            self._rescue(record, ran=True)
+            self._rescue(self.jobs.get(event.payload["staged_job_id"]
+                                       or ""), ran=False)
+
+    def _rescue(self, record: Optional[JobRecord], ran: bool) -> None:
+        """Requeue a job whose worker died: the running one resumes from
+        its last checkpoint (or, for non-checkpointable apps, restarts
+        from scratch); a staged one never started there, so it goes back
+        as it was sent."""
+        if record is None or record.state in TERMINAL:
+            return
+        if ran:     # the injected death must not re-fire on the retry
             record.item.spec.die_at_step = None
-            record.rescues += 1
-            self.counters["rescues"] += 1
-            if record.cancel_requested:
-                self._finish(record, "cancelled")
-            elif record.item.restarts >= self.max_restarts:
-                self._finish(record, "failed",
-                             error={"error": f"worker died "
-                                    f"{record.item.restarts + 1} times"})
-            else:
-                self._requeue(record)
+        record.rescues += 1
+        self.counters["rescues"] += 1
+        if record.cancel_requested:
+            self._finish(record, "cancelled")
+        elif ran and record.item.restarts >= self.max_restarts:
+            self._finish(record, "failed",
+                         error={"error": f"worker died "
+                                f"{record.item.restarts + 1} times"})
+        else:
+            self._requeue(record)
 
     def _charge(self, record: JobRecord, elapsed) -> None:
         if elapsed:
             self.scheduler.charge(record.item.spec.tenant,
                                   float(elapsed), time.monotonic())
 
-    def _requeue(self, record: JobRecord) -> None:
+    def _requeue(self, record: JobRecord, restart: bool = True) -> None:
+        """Back to the queue, to resume from the checkpoint the item
+        keeps (the newest one the job streamed or yielded)."""
+        ckpt = record.item.checkpoint
         record.state = "queued"
         record.worker_id = None
-        self.scheduler.requeue(record.item)
+        record.preempt_requested = False
+        record.staged_no = None
+        record.steps_done = 0 if ckpt is None else ckpt["step"]
+        self._pulls.pop(record.job_id, None)
+        if restart:
+            self.scheduler.requeue(record.item)
+        else:
+            self.scheduler.submit(record.item)
         self._publish(record, {"event": "requeued",
                                "job_id": record.job_id,
                                "restarts": record.item.restarts,
@@ -298,7 +337,9 @@ class ServiceServer:
         record.state = state
         record.error = error
         record.worker_id = None
+        record.staged_no = None
         record.finished_at = time.monotonic()
+        self._pulls.pop(record.job_id, None)
         self.counters[state] += 1
         event = {"event": state, "job_id": record.job_id}
         if error is not None:
@@ -318,52 +359,165 @@ class ServiceServer:
 
     # -- scheduling ----------------------------------------------------------------
 
+    def _movable(self, job_id: Optional[str]) -> Optional[JobRecord]:
+        """The record of a placed job no preempt or cancel is on its way
+        to, else None."""
+        rec = self.jobs.get(job_id or "")
+        if rec is not None and rec.state == "running" \
+                and not rec.preempt_requested and not rec.cancel_requested:
+            return rec
+        return None
+
     def _running_items(self) -> List[QueuedJob]:
-        out = []
-        for handle in self.pool.busy_workers():
-            rec = self.jobs.get(handle.job_id or "")
-            if rec is not None and rec.state == "running" \
-                    and not rec.preempt_requested \
-                    and not rec.cancel_requested:
-                out.append(rec.item)
-        return out
+        """Running and staged jobs that may still be preempted."""
+        return [rec.item for handle in self.pool.busy_workers()
+                for rec in (self._movable(handle.job_id),
+                            self._movable(handle.staged_job_id))
+                if rec is not None]
 
     def _schedule(self) -> None:
+        """Idle workers take the best picks; then, with every worker
+        busy, the best queued job may preempt a running or staged one;
+        then each busy worker with an empty staging slot is handed its
+        next pick, so it starts that job the moment its running one
+        ends — unless its running job has more steps left than another
+        busy worker has to run before it is free.  A worker that starts
+        a job picked after one still staged elsewhere pulls that one
+        back (:meth:`_pull_overtaken`).  A staged pick is made before
+        the running job's tenant is charged for it (the charge comes
+        with the job's DONE)."""
         if self._stopping:
             return
         now = time.monotonic()
+        for handle in self.pool.busy_workers():
+            rec = self.jobs.get(handle.job_id or "")
+            if rec is not None and rec.staged_no is not None:
+                # its worker has started it since the last pass
+                started, rec.staged_no = rec.staged_no, None
+                self._pull_overtaken(handle, started)
         for handle in self.pool.idle_workers():
-            item = self.scheduler.pop(now)
-            if item is None:
+            if handle.worker_id in self._pulls.values():
+                continue        # the job pulled back for it is on its way
+            if not self._place(handle, now):
                 break
-            record = self.jobs[item.job_id]
-            if record.cancel_requested:
-                self._finish(record, "cancelled")
+        if not len(self.scheduler):
+            self._withdraw_for_idle()
+            return
+        if self.pool.idle_workers():
+            return
+        victim = self.scheduler.pick_victim(self._running_items(), now)
+        if victim is not None:
+            self._preempt(self.jobs[victim.job_id])
+        busy = self.pool.busy_workers()
+        reserved = set(self._pulls.values())
+        slots = [h for h in busy
+                 if h.staged_job_id is None and h.worker_id not in reserved
+                 and self._slow.get(h.worker_id) != h.job_id]
+        # a worker whose running job is being preempted or cancelled first
+        slots.sort(key=lambda h: self._movable(h.job_id) is not None)
+        for handle in slots:
+            # not behind a job with more steps left than another worker
+            # has to run before it is free
+            others = [self._steps_left(h.job_id)
+                      + self._steps_left(h.staged_job_id)
+                      for h in busy if h is not handle]
+            if others and self._steps_left(handle.job_id) > min(others):
                 continue
-            ckpt, item.checkpoint = item.checkpoint, None
-            if self.pool.assign(handle.worker_id, item.job_id,
-                                item.spec, ckpt, tag=item.seq):
-                record.state = "running"
-                record.worker_id = handle.worker_id
-                record.placements.append(handle.worker_id)
-                if record.started_at is None:
-                    record.started_at = now
-                self._publish(record, {"event": "running",
-                                       "job_id": record.job_id,
-                                       "worker": handle.worker_id,
-                                       "resume_step": record.steps_done
-                                       if ckpt is not None else 0})
-            else:
-                item.checkpoint = ckpt
-                self.scheduler.submit(item)
-        if len(self.scheduler) and not self.pool.idle_workers():
-            victim = self.scheduler.pick_victim(self._running_items(),
-                                                now)
-            if victim is not None:
-                rec = self.jobs[victim.job_id]
-                if rec.worker_id is not None:
-                    rec.preempt_requested = True
-                    self.pool.preempt(rec.worker_id)
+            if not self._place(handle, now):
+                break
+
+    def _steps_left(self, job_id: Optional[str]) -> int:
+        """Steps a placed job has still to run, as far as the server
+        knows (0 once a preempt or cancel is on its way to it)."""
+        rec = self._movable(job_id)
+        return 0 if rec is None else rec.item.spec.n_steps - rec.steps_done
+
+    def _place(self, handle, now: float) -> bool:
+        """Send the scheduler's best pick to ``handle``: to run on an
+        idle worker, staged on a busy one.  False once the queue is
+        empty, or when the pick may not be staged: only a job a
+        withdrawal can move (preemptible and checkpointable) waits in a
+        staging slot, the rest wait in the queue for a free worker."""
+        item = self.scheduler.pop(now)
+        while item is not None and self.jobs[item.job_id].cancel_requested:
+            self._finish(self.jobs[item.job_id], "cancelled")
+            item = self.scheduler.pop(now)
+        if item is None:
+            return False
+        staging = handle.state == "busy"
+        if staging and not (item.spec.preemptible
+                            and item.spec.adapter.checkpointable):
+            self.scheduler.submit(item)     # ties break on seq, not place
+            return False
+        record = self.jobs[item.job_id]
+        # the item keeps its checkpoint until a newer one replaces it, so
+        # a rescue after this placement resumes from it too
+        ckpt = item.checkpoint
+        if not self.pool.assign(handle.worker_id, item.job_id, item.spec,
+                                ckpt, tag=item.seq):
+            self.scheduler.submit(item)
+            return True
+        record.state = "running"
+        record.worker_id = handle.worker_id
+        record.staged_no = next(self._stage_nos) if staging else None
+        if not staging:
+            self._pull_overtaken(handle)
+        record.placements.append(handle.worker_id)
+        if record.started_at is None:
+            record.started_at = now
+        self._publish(record, {"event": "running",
+                               "job_id": record.job_id,
+                               "worker": handle.worker_id,
+                               "resume_step": 0 if ckpt is None
+                               else ckpt["step"]})
+        return True
+
+    def _preempt(self, record: JobRecord) -> None:
+        record.preempt_requested = True
+        self.pool.preempt(record.worker_id, record.item.seq)
+
+    def _pull(self, source, for_worker: int) -> None:
+        """Withdraw ``source``'s staged job for ``for_worker``, whose
+        slot is kept for it until it is back in the queue.  ``source``
+        takes no staged job until its running job ends: that job has
+        outlasted another worker's."""
+        record = self.jobs[source.staged_job_id]
+        self._pulls[record.job_id] = for_worker
+        self._slow[source.worker_id] = source.job_id
+        self._preempt(record)
+
+    def _pull_overtaken(self, handle, started: Optional[int] = None) \
+            -> None:
+        """No pick waits behind a long job while another worker runs the
+        picks after it: a worker that starts a job picked after a job
+        still staged on another worker (a staged job numbered below
+        ``started``; any staged job when it starts a fresh pick on going
+        idle) pulls the oldest such job back into its own slot.  Workers
+        that free up in turn never trigger this.  Its own slot is then
+        empty: the check runs before any staging."""
+        if handle.worker_id in self._pulls.values():
+            return
+        older = [(rec.staged_no, h.worker_id)
+                 for h in self.pool.live_workers() if h is not handle
+                 for rec in (self._movable(h.staged_job_id),)
+                 if rec is not None
+                 and (started is None or rec.staged_no < started)]
+        if older:
+            self._pull(self.pool.workers[min(older)[1]], handle.worker_id)
+
+    def _withdraw_for_idle(self) -> None:
+        """With the queue empty, no job waits behind another while a
+        worker idles: each idle worker no withdrawal is already on its
+        way to pulls back one staged job, and takes it when it comes
+        back."""
+        reserved = set(self._pulls.values())
+        idle = [h.worker_id for h in self.pool.idle_workers()
+                if h.worker_id not in reserved]
+        for handle in self.pool.live_workers():
+            if not idle:
+                return
+            if self._movable(handle.staged_job_id) is not None:
+                self._pull(handle, idle.pop())
 
     # -- the NDJSON front end ------------------------------------------------------
 
@@ -534,7 +688,7 @@ class ServiceServer:
             return {"ok": True, "state": record.state}
         record.cancel_requested = True
         if record.worker_id is not None:
-            self.pool.cancel(record.worker_id)
+            self.pool.cancel(record.worker_id, record.item.seq)
         return {"ok": True, "state": "cancelling"}
 
     def _op_stats(self) -> dict:
@@ -572,6 +726,12 @@ class ServiceServer:
                     "error": "n_workers must be a positive integer"}
         for handle in self.pool.resize(n):
             self._register(handle)
+        self._reap_gone()       # the idle workers it retired
+        # a draining worker takes no next job: withdraw the one it holds
+        for handle in self.pool.live_workers():
+            rec = self._movable(handle.staged_job_id)
+            if handle.state == "draining" and rec is not None:
+                self._preempt(rec)
         self._schedule()
         return {"ok": True, "target_size": self.pool.target_size}
 

@@ -258,3 +258,23 @@ def test_preempt_before_the_first_step_yields_the_start(monkeypatch,
     assert kind == PK_DONE and done["steps"] == spec.n_steps
     assert done["resumed_from"] == resume_at
     assert done["history"] == history
+
+
+def test_draining_worker_retires_once(pool):
+    """A draining worker's last DONE retires it: no spurious ``PK_DOWN``
+    follows, and the process is reaped once."""
+    spec = jobs.validate_job(dict(ADVEC, params=dict(ADVEC["params"],
+                                                     n_steps=200)))
+    for tag, handle in enumerate(list(pool.idle_workers()), start=1):
+        assert pool.assign(handle.worker_id, f"j{tag}", spec, None, tag=tag)
+    pool.resize(1)
+    [draining] = [h.worker_id for h in pool.workers.values()
+                  if h.state == "draining"]
+    events = []
+    deadline = time.monotonic() + 60
+    while sum(e.kind == PK_DONE for e in events) < 2 \
+            and time.monotonic() < deadline:
+        events += pool.wait_event(10)
+    assert [e.kind for e in events if e.worker_id == draining] == [PK_DONE]
+    assert draining not in pool.workers
+    pool.reap_dead()
