@@ -79,6 +79,7 @@ class AdvecSimulation(RankedApp):
         rk.pos = decl_dat(rk.parts, 2, np.float64, None, "offsets")
         rk.disp = decl_dat(rk.parts, 2, np.float64, None, "displacement")
         rk.pushed = decl_dat(rk.parts, 1, np.float64, None, "push_flag")
+        rk.streams["rng"] = self.rng
 
     def _seed(self) -> None:
         """Deterministic uniform placement, each tracer on the rank that

@@ -31,7 +31,6 @@ from repro.mesh import StructuredOverlay, duct_mesh
 from repro.runtime.comm import SimComm
 from repro.runtime.objcache import get_or_build
 from repro.runtime.ranked import Rank, RankedApp
-from repro.util.checkpoint import rng_state_array, set_rng_state
 
 from . import kernels as k
 from .config import FemPicConfig
@@ -235,8 +234,10 @@ class FemPicSimulation(RankedApp):
                                mesh.tags["extent"][2])
 
         rk.inlet = self._rank_product(rk, "fempic_inlet", own_inlet)
+        rk.streams["rng"] = self.rngs[rk.r]
         rk.collisions = None
         if self._collision_rngs:
+            rk.streams["collision_rng"] = self._collision_rngs[rk.r]
             from repro.field.collisions import MCCollisions
             rk.collisions = MCCollisions(
                 rk.parts, rk.vel, self.cfg.collision_frequency,
@@ -470,24 +471,17 @@ class FemPicSimulation(RankedApp):
         self.history["injected"].append(int(n_injected))
         self.history["removed"].append(int(n_removed))
 
-    # -- snapshot extras (see repro.elastic.recover) -----------------------------
+    # -- snapshot extras (see repro.util.checkpoint) ---------------------------
 
     def _snapshot_extras(self, r: int) -> dict:
-        extras = {"rng": rng_state_array(self.rngs[r]),
-                  "carry": np.array([self._inject_carry[r]])}
-        if self._collision_rngs:
-            extras["collision_rng"] = rng_state_array(
-                self._collision_rngs[r])
-        if r == 0:
-            # rank 0's persistent Newton initial guess
-            extras["phi_global"] = self.solver.phi.data[:, 0].copy()
+        extras = {"carry": self._inject_carry[r]}
+        if r == 0 and self.nranks > 1:
+            # rank 0's persistent Newton initial guess (at one rank it
+            # is the rank's own node_potential dat)
+            extras["phi_global"] = self.solver.phi.data[:, 0]
         return extras
 
     def _restore_extras(self, r: int, extras: dict) -> None:
-        set_rng_state(self.rngs[r], extras["rng"], "snapshot")
-        if self._collision_rngs:
-            set_rng_state(self._collision_rngs[r], extras["collision_rng"],
-                          "snapshot")
-        self._inject_carry[r] = float(extras["carry"][0])
+        self._inject_carry[r] = float(extras["carry"])
         if "phi_global" in extras:
             self.solver.phi.data[:, 0] = extras["phi_global"]

@@ -116,6 +116,10 @@ class ElectrostaticSimulation:
 
         self.species: List[_Species] = [_Species(s, self.cells, cfg)
                                         for s in cfg.species]
+        # a one-rank app, its own rank record: what its snapshots cover
+        self.ranks = [self]
+        self.sets = (self.cells,) + tuple(sp.pset for sp in self.species)
+        self.streams = {}
         for sp in self.species:
             self._quiet_start(sp)
         self._half_step_back()

@@ -129,6 +129,7 @@ class TwoDSheetModel(RankedApp):
         rk.pos = decl_dat(rk.parts, 2, np.float64, None, "pos2d")
         rk.vel = decl_dat(rk.parts, 2, np.float64, None, "vel2d")
         rk.lc = decl_dat(rk.parts, 3, np.float64, None, "lc2d")
+        rk.streams["rng"] = self.rng
 
     def _seed_displaced_slab(self) -> None:
         cfg, mesh = self.cfg, self.mesh

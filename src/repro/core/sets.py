@@ -10,7 +10,8 @@ so that injection and hole-filling are O(moved) rather than O(n) per step.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 import numpy as np
 
@@ -18,18 +19,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dats import Dat
     from .maps import Map
 
-__all__ = ["Set", "ParticleSet"]
+__all__ = ["Set", "ParticleSet", "recording_sets"]
 
 
 class Set:
     """A set of mesh elements (e.g. cells or nodes) of fixed size."""
 
     _counter = 0
+    #: where :func:`recording_sets` collects the sets declared in its block
+    _recording: Optional[List["Set"]] = None
 
     def __init__(self, size: int, name: str = ""):
         if size < 0:
             raise ValueError(f"set size must be non-negative, got {size}")
         Set._counter += 1
+        if Set._recording is not None:
+            Set._recording.append(self)
         self.size = int(size)
         self.name = name or f"set_{Set._counter}"
         #: owner-compute split: rows past this are halo/ghost elements and
@@ -65,6 +70,17 @@ class Set:
 
     def __repr__(self) -> str:
         return f"<Set {self.name!r} size={self.size}>"
+
+
+@contextmanager
+def recording_sets() -> Iterator[List[Set]]:
+    """The list of every set declared inside the ``with`` block: what
+    one rank declared, and so what its snapshots cover."""
+    outer, Set._recording = Set._recording, []
+    try:
+        yield Set._recording
+    finally:
+        Set._recording = outer
 
 
 class ParticleSet(Set):

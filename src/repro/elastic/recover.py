@@ -4,7 +4,7 @@ Snapshot layout under a checkpoint directory::
 
     ckpt/
       step_000040/
-        rank00000.npz     per-rank DSL state (dats, p2c, set sizes, extras)
+        rank00000.npz     per-rank state (repro.util.checkpoint.state)
         rank00001.npz
         global.npz        cell_owner + replicated history
         manifest.json     written *last*, atomically — its presence marks
@@ -37,14 +37,15 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from ..util.checkpoint import restore_state, state_payload
+from ..util.checkpoint import restore, state, state_key
 from .migrate import rebuild_partition
 
 __all__ = ["write_snapshot", "restore_snapshot", "latest_snapshot",
            "snapshot_step_dir", "SNAPSHOT_FORMAT"]
 
-#: 2: RNG extras are JSON (format 1 pickled them)
-SNAPSHOT_FORMAT = 2
+#: 3: a rank file is the rank's declared state (format 2 walked its
+#: attributes; format 1 pickled the RNG extras)
+SNAPSHOT_FORMAT = 3
 _MANIFEST = "manifest.json"
 
 
@@ -64,12 +65,7 @@ def write_snapshot(app, step: int, ckpt_dir: Union[str, Path],
     snap = snapshot_step_dir(ckpt_dir, step)
     snap.mkdir(parents=True, exist_ok=True)
     for r in comm.local_ranks:
-        payload = state_payload(app.ranks[r])
-        extras = getattr(app, "_snapshot_extras", None)
-        if extras is not None:
-            for name, arr in extras(r).items():
-                payload[f"extra__{name}"] = np.asarray(arr)
-        np.savez_compressed(_rank_file(snap, r), **payload)
+        np.savez_compressed(_rank_file(snap, r), **state(app, r))
     comm.barrier()         # every rank file exists before the manifest
     if comm.is_local(0):
         gpayload = {"cell_owner": np.asarray(app.cell_owner,
@@ -100,21 +96,19 @@ def _prune(ckpt_dir: Path, keep: int) -> None:
 
 def _read_manifest(snap_dir: Path) -> Optional[dict]:
     try:
-        manifest = json.loads((snap_dir / _MANIFEST).read_text())
+        return json.loads((snap_dir / _MANIFEST).read_text())
     except (OSError, ValueError):
         return None
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        return None
-    return manifest
 
 
 def latest_snapshot(ckpt_dir: Union[str, Path]
                     ) -> Optional[Tuple[int, Path]]:
-    """The newest consistent snapshot under ``ckpt_dir``, or ``None``."""
+    """The newest consistent snapshot of this format under ``ckpt_dir``,
+    or ``None``."""
     best = None
     for d in Path(ckpt_dir).glob("step_*"):
         manifest = _read_manifest(d)
-        if manifest is None:
+        if manifest is None or manifest.get("format") != SNAPSHOT_FORMAT:
             continue
         step = int(manifest["step"])
         if best is None or step > best[0]:
@@ -133,6 +127,10 @@ def restore_snapshot(app, snap_dir: Union[str, Path]
     manifest = _read_manifest(snap_dir)
     if manifest is None:
         raise ValueError(f"{snap_dir}: no consistent snapshot manifest")
+    if manifest.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(f"{snap_dir}: snapshot manifest has format "
+                         f"{manifest.get('format')!r} (expected "
+                         f"{SNAPSHOT_FORMAT})")
     old_nranks = int(manifest["nranks"])
     comm = app.comm
     if comm.nranks > old_nranks:
@@ -149,21 +147,12 @@ def restore_snapshot(app, snap_dir: Union[str, Path]
             rebuild_partition(app, saved_owner)
         for r in comm.local_ranks:
             with np.load(_rank_file(snap_dir, r)) as data:
-                restore_state(app.ranks[r], data, source=str(snap_dir))
-                _restore_extras(app, r, data)
+                restore(app, data, r, source=str(snap_dir))
     else:
         _restore_resized(app, snap_dir, saved_owner, old_nranks)
 
     app.history = history
     return int(manifest["step"]), manifest.get("elastic")
-
-
-def _restore_extras(app, r: int, data) -> None:
-    extras = {k[len("extra__"):]: data[k]
-              for k in data.files if k.startswith("extra__")}
-    hook = getattr(app, "_restore_extras", None)
-    if extras and hook is not None:
-        hook(r, extras)
 
 
 def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
@@ -174,11 +163,18 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
     comm = app.comm
     spec = app._migration_spec()
     old_meshes, _ = app._build_partition(saved_owner, nranks=old_nranks)
+    # the spec names rank attributes; a rank file keys each entry on the
+    # declaration's name, which every rank shares
+    rk = app.ranks[comm.local_ranks[0]]
+
+    def key(name):
+        return state_key(getattr(rk, name))
+
     files = [np.load(_rank_file(snap_dir, rr))
              for rr in range(old_nranks)]
     try:
         gcell_dats = _assemble_rows(
-            files, spec.get("cell", ()), saved_owner.size,
+            files, key, spec.get("cell", ()), saved_owner.size,
             [m.cells_global[: m.n_owned_cells] for m in old_meshes],
             [m.n_owned_cells for m in old_meshes])
         for r in comm.local_ranks:
@@ -191,29 +187,30 @@ def _restore_resized(app, snap_dir: Path, saved_owner: np.ndarray,
             n_nodes = int(node_owners(spec["c2n"], saved_owner,
                                       old_nranks).size)
             gnode_dats = _assemble_rows(
-                files, node_names, n_nodes,
+                files, key, node_names, n_nodes,
                 [m.nodes_global[: m.n_owned_nodes] for m in old_meshes],
                 [m.n_owned_nodes for m in old_meshes])
             for r in comm.local_ranks:
                 ng = app.meshes[r].nodes_global
                 for name, g in gnode_dats.items():
                     getattr(app.ranks[r], name).data[:] = g[ng]
-        _scatter_particles(app, files, spec.get("part", ()), old_meshes)
-        for rr in range(old_nranks):
-            if comm.is_local(rr):
-                _restore_extras(app, rr, files[rr])
+        _scatter_particles(app, files, key, spec.get("part", ()),
+                           old_meshes)
+        for r in comm.local_ranks:       # streams, extras, step, constants
+            restore(app, files[r], r, source=str(snap_dir), rows=False)
     finally:
         for f in files:
             f.close()
 
 
-def _assemble_rows(files, names, n_global: int, owned_ids, owned_counts):
+def _assemble_rows(files, key, names, n_global: int, owned_ids,
+                   owned_counts):
     """Owned rows of every old rank scattered to global element ids."""
     out = {}
     for name in names:
         g = None
         for rr, f in enumerate(files):
-            arr = f[f"dat__{name}"]
+            arr = f[key(name)]
             if g is None:
                 g = np.zeros((n_global,) + arr.shape[1:], dtype=arr.dtype)
             n = owned_counts[rr]
@@ -222,18 +219,18 @@ def _assemble_rows(files, names, n_global: int, owned_ids, owned_counts):
     return out
 
 
-def _scatter_particles(app, files, names, old_meshes) -> None:
+def _scatter_particles(app, files, key, names, old_meshes) -> None:
     """Concatenate every old rank's particles (old-rank order) and
     re-append them onto the current partition's owners."""
     comm = app.comm
     all_rows = {name: [] for name in names}
     all_gcells = []
     for rr, f in enumerate(files):
-        n = int(f["set__parts"][0])
-        p2c = f["pmap__p2c"][:n]
+        n = int(f[key("parts")][0])
+        p2c = f[key("p2c")][:n]
         all_gcells.append(old_meshes[rr].cells_global[p2c])
         for name in names:
-            all_rows[name].append(f[f"dat__{name}"][:n])
+            all_rows[name].append(f[key(name)][:n])
     gcells = (np.concatenate(all_gcells) if all_gcells
               else np.empty(0, dtype=np.int64))
     dest = np.asarray(app.cell_owner)[gcells]

@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.dats import Dat
-from ..core.maps import Map
-from ..core.sets import ParticleSet
-
 __all__ = ["MemoryReport", "memory_report"]
 
 
@@ -43,27 +39,25 @@ class MemoryReport:
 
 
 def memory_report(sim) -> MemoryReport:
-    """Account every dat/map/overlay/plan reachable from a simulation
-    object's attributes (works for all four applications)."""
+    """Account every dat and map of the sets each resident rank declared
+    (the state :mod:`repro.util.checkpoint` snapshots), the DH overlay
+    and the loop plans (works for every application)."""
     rep = MemoryReport(rows=[])
-    seen = set()
-    for name in vars(sim):
-        obj = getattr(sim, name)
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Dat):
-            nbytes = obj._raw.nbytes
-            if isinstance(obj.set, ParticleSet):
-                rep.particle_dats += nbytes
-                rep.rows.append((name, "particle dat", nbytes))
-            else:
-                rep.mesh_dats += nbytes
-                rep.rows.append((name, "mesh dat", nbytes))
-        elif isinstance(obj, Map):
-            nbytes = obj._raw.nbytes
-            rep.maps += nbytes
-            rep.rows.append((name, "map", nbytes))
+    ranks = [rk for rk in sim.ranks if rk is not None]
+    for rk in ranks:
+        prefix = f"{rk.r}:" if len(sim.ranks) > 1 else ""
+        for s in rk.sets:
+            kind = "particle dat" if s.is_particle_set else "mesh dat"
+            for d in s.dats:
+                nbytes = d.raw.nbytes
+                if s.is_particle_set:
+                    rep.particle_dats += nbytes
+                else:
+                    rep.mesh_dats += nbytes
+                rep.rows.append((prefix + d.name, kind, nbytes))
+            for m in s.maps_from:
+                rep.maps += m.raw.nbytes
+                rep.rows.append((prefix + m.name, "map", m.raw.nbytes))
 
     overlay = getattr(sim, "overlay", None)
     if overlay is not None:
@@ -75,13 +69,11 @@ def memory_report(sim) -> MemoryReport:
         rep.rows.append(("dh_mover", "DH bookkeeping (RMA copies)",
                          dh.overlay_nbytes))
 
-    ctx = getattr(sim, "ctx", None)
-    if ctx is not None and hasattr(ctx.backend, "plan"):
-        nbytes = sum(rows.nbytes
-                     for rows in ctx.backend.plan._rows.values())
-        rep.plan_cache = nbytes
-        if nbytes:
-            rep.rows.append(("loop plans", "plan cache", nbytes))
+    rep.plan_cache = sum(rows.nbytes for rk in ranks
+                         if hasattr(rk.ctx.backend, "plan")
+                         for rows in rk.ctx.backend.plan._rows.values())
+    if rep.plan_cache:
+        rep.rows.append(("loop plans", "plan cache", rep.plan_cache))
 
     rep.rows.sort(key=lambda r: -r[2])
     return rep

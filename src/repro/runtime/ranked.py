@@ -46,6 +46,7 @@ import numpy as np
 from ..core.api import decl_dat, decl_set
 from ..core.context import Context, push_context
 from ..core.move import particle_move
+from ..core.sets import recording_sets
 from ..program import Program
 from .comm import CommStats
 from .dh import DirectHopGlobalMover, direct_hop_assign
@@ -64,8 +65,10 @@ _TAG_GATHER = 41
 class Rank:
     """One rank's declarations: its id ``r``, its
     :class:`~repro.runtime.halo.RankMesh` ``rm``, its backend
-    :class:`~repro.core.context.Context` ``ctx``, and whatever DSL
-    handles the app's ``_declare`` adds as attributes."""
+    :class:`~repro.core.context.Context` ``ctx``, whatever DSL
+    handles the app's ``_declare`` adds as attributes, the ``sets`` it
+    declared and the RNG ``streams`` (name → generator) it draws from:
+    what :mod:`repro.util.checkpoint` snapshots."""
 
 
 class RankedApp:
@@ -129,7 +132,10 @@ class RankedApp:
         # ``sim.ctx``, ``sim.phi`` are the declarations themselves
         rk = self if self.nranks == 1 else Rank()
         rk.r, rk.rm, rk.ctx = r, rm, ctx
-        self._declare(rk)
+        rk.streams = {}
+        with recording_sets() as sets:
+            self._declare(rk)
+        rk.sets = tuple(sets)
         return rk
 
     def _rank_product(self, rk: Rank, name: str, build: Callable):

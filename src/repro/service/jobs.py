@@ -16,32 +16,31 @@ once (:class:`JobValidationError`), so clients can fix a whole payload
 in one round trip.  Each app's parameter schema is derived from its
 config dataclass — a field is accepted iff it exists on the config,
 carries a JSON-simple type, and is not on the app's blocked list
-(mesh/file paths, nested option dicts, RNG-bearing physics the resume
-path cannot replay).
+(mesh/file paths, nested option dicts).
 
 The adapter table also gives the pool worker a uniform execution
 surface — ``build`` / ``step`` / ``history`` — plus the checkpoint
 payload used for preemption, migration and rank-failure recovery:
-:func:`job_checkpoint` captures the full restartable state (DSL dats,
-particle maps, RNG, scalar carries, history-so-far),
+:func:`job_checkpoint` captures the simulation's declared state
+(:func:`repro.util.checkpoint.state`) and the history so far,
 :func:`restore_job` puts it into a simulation built from the same spec
 and :func:`job_restore` rebuilds one mid-trajectory, bit-exactly.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from ..util.checkpoint import CHECKPOINT_FORMAT, restore_state, state_payload
+from ..util.checkpoint import CHECKPOINT_FORMAT, restore, state
 
 __all__ = ["JobSpec", "JobValidationError", "validate_job", "build_sim",
            "step_once", "run_steps", "job_checkpoint", "restore_job",
-           "job_restore", "describe_schemas", "APPS", "SERVICE_BACKENDS",
-           "MAX_PRIORITY"]
+           "job_restore", "describe_schemas", "APPS", "APP_NAMES",
+           "adapter_for", "SERVICE_BACKENDS", "MAX_PRIORITY"]
 
 #: on-node backends a tenant may request (accelerator names are declared
 #: in the DSL but not servable on a shared CPU pool)
@@ -80,14 +79,8 @@ class AppAdapter:
     config_cls: type
     #: params accepted on top of (or instead of) config fields
     extra_params: Dict[str, type] = field(default_factory=dict)
-    #: config fields tenants may not set (paths, nested dicts, physics
-    #: with un-checkpointable runtime state)
+    #: config fields tenants may not set (paths, nested option dicts)
     blocked: Tuple[str, ...] = ()
-    #: scalar attributes beyond rng/step_count the checkpoint must carry
-    extras: Tuple[str, ...] = ()
-    #: whether checkpoints capture the full trajectory (preemption and
-    #: kill-recovery are only offered for these apps)
-    checkpointable: bool = True
     #: estimated cell/particle counts for the resource caps
     cost: Optional[Callable[[dict], Tuple[int, int]]] = None
 
@@ -108,27 +101,8 @@ class AppAdapter:
         return schema
 
 
-def _build_advec(params: dict):
-    from ..apps.advec import AdvecConfig, AdvecSimulation
-    return AdvecSimulation(AdvecConfig(**params))
-
-
-def _build_fempic(params: dict):
-    from ..apps.fempic import FemPicConfig, FemPicSimulation
-    return FemPicSimulation(FemPicConfig(**params))
-
-
-def _build_cabana(params: dict):
-    from ..apps.cabana import CabanaConfig, CabanaSimulation
-    return CabanaSimulation(CabanaConfig(**params))
-
-
-def _build_twod(params: dict):
-    from ..apps.twod import TwoDConfig, TwoDSheetModel
-    return TwoDSheetModel(TwoDConfig(**params))
-
-
-def _build_landau(params: dict):
+def _landau(params: dict):
+    """Landau's config comes from its factory (``k_lambda_d``, ``ppc``)."""
     from ..apps.landau import ElectrostaticSimulation, landau_config
     factory_keys = ("k_lambda_d", "ppc", "dt", "perturbation")
     factory = {k: params[k] for k in factory_keys if k in params}
@@ -137,79 +111,65 @@ def _build_landau(params: dict):
     return ElectrostaticSimulation(landau_config(**factory, **overrides))
 
 
-def _cost_advec(p: dict):
-    from ..apps.advec import AdvecConfig
-    cfg = AdvecConfig(**p)
-    return cfg.n_cells, cfg.n_particles
+def _landau_cost(p: dict):
+    nz = int(p.get("nz", 64))
+    return nz, nz * int(p.get("ppc", 300))
 
 
-def _cost_fempic(p: dict):
-    from ..apps.fempic import FemPicConfig
-    cfg = FemPicConfig(**p)
+def _fempic_cost(cfg):
     # steady state holds roughly rate × transit steps particles
     transit = cfg.lz / (cfg.injection_velocity * cfg.dt)
     return cfg.n_cells, int(cfg.injection_rate * transit) + 1
 
 
-def _cost_cabana(p: dict):
-    from ..apps.cabana import CabanaConfig
-    cfg = CabanaConfig(**p)
+def _cost(cfg):
     return cfg.n_cells, cfg.n_particles
 
 
-def _cost_twod(p: dict):
-    from ..apps.twod import TwoDConfig
-    cfg = TwoDConfig(**p)
-    return cfg.n_cells, cfg.n_particles
+#: app → (simulation class, or a builder of params; config class; blocked
+#: fields; extra params; cost of the config, or of a builder's params).
+#: An app's module is imported when its adapter is first used.
+_TABLE = {
+    "advec": ("AdvecSimulation", "AdvecConfig", ("backend_options",), {},
+              _cost),
+    "cabana": ("CabanaSimulation", "CabanaConfig", ("backend_options",),
+               {}, _cost),
+    "fempic": ("FemPicSimulation", "FemPicConfig",
+               ("backend_options", "mesh_file"), {}, _fempic_cost),
+    "landau": (_landau, "LandauConfig",
+               ("backend_options", "species", "diagnostic_mode", "lz"),
+               {"k_lambda_d": float, "ppc": int}, _landau_cost),
+    "twod": ("TwoDSheetModel", "TwoDConfig", ("backend_options",), {},
+             _cost),
+}
+
+#: the servable apps (checking a submit's app imports none of them)
+APP_NAMES = tuple(_TABLE)
+
+_ADAPTERS: Dict[str, AppAdapter] = {}
 
 
-def _cost_landau(p: dict):
-    nz = int(p.get("nz", 64))
-    return nz, nz * int(p.get("ppc", 300))
-
-
-def _adapters() -> Dict[str, AppAdapter]:
-    from ..apps.advec import AdvecConfig
-    from ..apps.cabana import CabanaConfig
-    from ..apps.fempic import FemPicConfig
-    from ..apps.landau import LandauConfig
-    from ..apps.twod import TwoDConfig
-    return {
-        "advec": AppAdapter(
-            "advec", _build_advec, AdvecConfig,
-            blocked=("backend_options",), cost=_cost_advec),
-        "fempic": AppAdapter(
-            "fempic", _build_fempic, FemPicConfig,
-            blocked=("backend_options", "mesh_file",
-                     "collision_frequency"),
-            extras=("_inject_carry",), cost=_cost_fempic),
-        "cabana": AppAdapter(
-            "cabana", _build_cabana, CabanaConfig,
-            blocked=("backend_options",), cost=_cost_cabana),
-        "twod": AppAdapter(
-            "twod", _build_twod, TwoDConfig,
-            blocked=("backend_options",), cost=_cost_twod),
-        "landau": AppAdapter(
-            "landau", _build_landau, LandauConfig,
-            # species dats live on nested _Species objects the generic
-            # state discovery cannot see; landau jobs are short, so they
-            # rerun from scratch instead of resuming
-            blocked=("backend_options", "species", "diagnostic_mode",
-                     "lz"),
-            extra_params={"k_lambda_d": float, "ppc": int},
-            checkpointable=False, cost=_cost_landau),
-    }
-
-
-_APPS: Optional[Dict[str, AppAdapter]] = None
+def adapter_for(app: str) -> AppAdapter:
+    """The adapter of one app, built (and its app imported) on first
+    use."""
+    got = _ADAPTERS.get(app)
+    if got is None:
+        sim, config, blocked, extra, cost = _TABLE[app]
+        module = importlib.import_module(f"..apps.{app}", __package__)
+        config_cls = getattr(module, config)
+        build = sim
+        if isinstance(sim, str):    # the simulation takes its config
+            sim_cls, of_config = getattr(module, sim), cost
+            build = lambda p: sim_cls(config_cls(**p))
+            cost = lambda p: of_config(config_cls(**p))
+        got = _ADAPTERS[app] = AppAdapter(app, build, config_cls, extra,
+                                          blocked, cost)
+    return got
 
 
 def APPS() -> Dict[str, AppAdapter]:
-    """The adapter registry (lazy: app imports are deferred)."""
-    global _APPS
-    if _APPS is None:
-        _APPS = _adapters()
-    return _APPS
+    """Every app's adapter (imports every app)."""
+    return {name: adapter_for(name) for name in APP_NAMES}
 
 
 @dataclass
@@ -235,7 +195,7 @@ class JobSpec:
 
     @property
     def adapter(self) -> AppAdapter:
-        return APPS()[self.app]
+        return adapter_for(self.app)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -251,9 +211,7 @@ def describe_schemas() -> dict:
     for name, adapter in sorted(APPS().items()):
         out[name] = {
             "params": {k: _JSON_TYPES[t]
-                       for k, t in sorted(adapter.schema.items())},
-            "checkpointable": adapter.checkpointable,
-        }
+                       for k, t in sorted(adapter.schema.items())}}
     return out
 
 
@@ -285,12 +243,12 @@ def validate_job(raw) -> JobSpec:
 
     app = raw.get("app")
     adapter = None
-    if not isinstance(app, str) or app not in APPS():
+    if not isinstance(app, str) or app not in APP_NAMES:
         errors.append({"field": "app",
                        "error": f"unknown app {app!r}; expected one of "
-                                f"{sorted(APPS())}"})
+                                f"{sorted(APP_NAMES)}"})
     else:
-        adapter = APPS()[app]
+        adapter = adapter_for(app)
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -375,11 +333,6 @@ def validate_job(raw) -> JobSpec:
         errors.append({"field": "die_at_step",
                        "error": "must be a non-negative integer or null"})
         die_at = None
-    if adapter is not None and not adapter.checkpointable \
-            and intervals["checkpoint_every"]:
-        errors.append({"field": "checkpoint_every",
-                       "error": f"app {app!r} does not support "
-                                "checkpointed resume"})
     if errors:
         raise JobValidationError(errors)
     return JobSpec(app=app, params=clean, priority=priority,
@@ -410,23 +363,13 @@ def run_steps(spec: JobSpec, sim, history, start: int, stop: int) -> None:
 
 
 def job_checkpoint(spec: JobSpec, sim, history, step: int) -> dict:
-    """Full restartable state of a running job as one picklable dict.
-
-    Nothing in it aliases the live simulation: stepping on leaves the
-    checkpoint as it was taken."""
-    if not spec.adapter.checkpointable:
-        raise ValueError(f"app {spec.app!r} is not checkpointable")
-    rng = getattr(sim, "rng", None)
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "app": spec.app,
-        "step": int(step),
-        "state": state_payload(sim),
-        "rng": None if rng is None else rng.bit_generator.state,
-        "extras": {name: copy.deepcopy(getattr(sim, name))
-                   for name in spec.adapter.extras},
-        "history": {k: list(v) for k, v in history.items()},
-    }
+    """Full restartable state of a running job as one picklable dict:
+    the simulation's :func:`~repro.util.checkpoint.state` and the
+    history so far.  Nothing in it aliases the live simulation: stepping
+    on leaves the checkpoint as it was taken."""
+    return {"format": CHECKPOINT_FORMAT, "app": spec.app, "step": int(step),
+            "state": state(sim),
+            "history": {k: list(v) for k, v in history.items()}}
 
 
 def restore_job(spec: JobSpec, sim, ckpt: dict):
@@ -436,25 +379,18 @@ def restore_job(spec: JobSpec, sim, ckpt: dict):
     Returns ``(history, start_step)``; continuing the step loop from
     ``start_step`` reproduces the uninterrupted trajectory bit-for-bit.
     The sim shares no mutable object with ``ckpt``, so the checkpoint
-    can be restored again.  The process-global constants are the
-    caller's: :func:`build_sim` declares them.
+    can be restored again; the kernel constants are the checkpoint's.
     """
     if ckpt.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format "
-                         f"{ckpt.get('format')!r}")
+                         f"{ckpt.get('format')!r} (expected "
+                         f"{CHECKPOINT_FORMAT})")
     if ckpt.get("app") != spec.app:
         raise ValueError(f"checkpoint is for app {ckpt.get('app')!r}, "
                          f"job is {spec.app!r}")
-    restore_state(sim, ckpt["state"], source="service checkpoint")
-    if ckpt["rng"] is not None:
-        sim.rng.bit_generator.state = ckpt["rng"]
-    for name, value in ckpt["extras"].items():
-        setattr(sim, name, copy.deepcopy(value))
-    step = int(ckpt["step"])
-    if hasattr(sim, "step_count"):
-        sim.step_count = step
+    restore(sim, ckpt["state"], source="service checkpoint")
     sim.history = {k: list(v) for k, v in ckpt["history"].items()}
-    return sim.history, step
+    return sim.history, int(ckpt["step"])
 
 
 def job_restore(spec: JobSpec, ckpt: dict):

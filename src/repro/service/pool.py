@@ -51,7 +51,6 @@ import multiprocessing as mp
 
 from ..dist.proc import (DEFAULT_MAX_FRAME, FrameError, _recv_control,
                          decode_frame, encode_frame, reap_procs)
-from ..core.kernel import CONST
 from ..util.checkpoint import state_nbytes
 from .jobs import JobSpec, build_sim, job_checkpoint, restore_job, step_once
 
@@ -100,11 +99,9 @@ MAX_HELD_BYTES = 64 << 20
 @dataclass
 class _Held:
     sim: object
-    #: the job state at step 0 (:func:`job_checkpoint`) and the constants
-    #: the build declared (``decl_const`` is process-global, so another
-    #: app's build in between overwrites them)
+    #: the job state at step 0 (:func:`job_checkpoint`), the kernel
+    #: constants the build declared included
     step0: dict
-    consts: dict
     nbytes: int = 0
 
 
@@ -113,12 +110,11 @@ class HeldSims:
     first, keyed on the app and its canonical parameters.
 
     OP-PIC declares a simulation once and loops over it many times; a
-    worker does the same across jobs.  A repeat of a checkpointable spec
-    restores a state into the simulation built for it — constants, DSL
-    state, RNG, extras, step count and a fresh history — so its sets,
+    worker does the same across jobs.  A repeat spec restores a state
+    into the simulation built for it — its declared sets, RNG streams,
+    extras, step count, constants and a fresh history — so its sets,
     dats, maps, context, solver, ``Arg`` memos and native bindings are
-    the ones the last job warmed.  Apps that cannot checkpoint build
-    every job afresh.
+    the ones the last job warmed.
     """
 
     def __init__(self):
@@ -127,29 +123,24 @@ class HeldSims:
 
     def clear(self) -> None:
         self._sims: "OrderedDict[tuple, _Held]" = OrderedDict()
-        self._key = None        # the last started job's, if it is held
+        self._key = None        # the last started job's
         self.hits = self.misses = 0
 
     def start(self, spec: JobSpec, ckpt: Optional[dict]):
         """``(sim, history, start_step)`` for a job that starts fresh
         (``ckpt`` is None) or from its checkpoint."""
-        self._key = None
-        if not spec.adapter.checkpointable:
-            sim, history = build_sim(spec)
-            return sim, history, 0
         key = self._key = (spec.app, json.dumps(spec.params, sort_keys=True))
         held = self._sims.get(key)
         if held is None:
             self.misses += 1
             sim, history = build_sim(spec)
             held = self._sims[key] = _Held(
-                sim, job_checkpoint(spec, sim, history, 0), CONST.snapshot())
+                sim, job_checkpoint(spec, sim, history, 0))
             if ckpt is None:
                 return sim, history, 0
         else:
             self.hits += 1
             self._sims.move_to_end(key)
-            CONST.restore(held.consts)
         history, start = restore_job(spec, held.sim,
                                      held.step0 if ckpt is None else ckpt)
         return held.sim, history, start
@@ -606,13 +597,17 @@ class WarmPool:
     # -- teardown ------------------------------------------------------------------
 
     def reap_dead(self) -> None:
-        """Close the pipes and join the processes of retired/crashed
-        workers (cheap, call whenever a worker went away, after no one
-        watches their pipes any more)."""
-        if self._dead:
-            dead, self._dead = self._dead, []
-            _close_conns(dead)
-            reap_procs([h.proc for h in dead], join_timeout=2.0)
+        """Close the pipes of retired/crashed workers and reap those
+        whose process has exited (call whenever a worker went away,
+        after no one watches their pipes any more).  It never waits: a
+        retired worker still finishing up is reaped by a later call, or
+        by :meth:`shutdown`."""
+        _close_conns(self._dead)
+        running, gone = [], []
+        for h in self._dead:
+            (running if h.proc.exitcode is None else gone).append(h)
+        self._dead = running
+        reap_procs([h.proc for h in gone])
 
     def shutdown(self) -> None:
         """Stop every worker and deterministically reap all processes."""

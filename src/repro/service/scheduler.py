@@ -135,17 +135,15 @@ class FairShareScheduler:
         """With all workers busy, should the best queued job displace a
         running one?  Returns the victim, or None to keep waiting.
 
-        Only checkpointable, preemptible jobs are candidates, and the
-        displacement must be decisive: the queued job's score must beat
-        the victim's *static* priority by ``preempt_margin`` (running
-        jobs don't age — they are already making progress)."""
+        Only preemptible jobs are candidates, and the displacement must
+        be decisive: the queued job's score must beat the victim's
+        *static* priority by ``preempt_margin`` (running jobs don't age
+        — they are already making progress)."""
         best = self.peek(now)
         if best is None:
             return None
         candidates = [r for r in running
-                      if r.spec.preemptible
-                      and r.spec.adapter.checkpointable
-                      and r.job_id != best.job_id]
+                      if r.spec.preemptible and r.job_id != best.job_id]
         if not candidates:
             return None
         victim = min(candidates, key=lambda r: (r.spec.priority, -r.seq))

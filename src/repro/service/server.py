@@ -290,8 +290,8 @@ class ServiceServer:
 
     def _rescue(self, record: Optional[JobRecord], ran: bool) -> None:
         """Requeue a job whose worker died: the running one resumes from
-        its last checkpoint (or, for non-checkpointable apps, restarts
-        from scratch); a staged one never started there, so it goes back
+        its last checkpoint (or, with none streamed yet, restarts from
+        scratch); a staged one never started there, so it goes back
         as it was sent."""
         if record is None or record.state in TERMINAL:
             return
@@ -436,8 +436,8 @@ class ServiceServer:
         """Send the scheduler's best pick to ``handle``: to run on an
         idle worker, staged on a busy one.  False once the queue is
         empty, or when the pick may not be staged: only a job a
-        withdrawal can move (preemptible and checkpointable) waits in a
-        staging slot, the rest wait in the queue for a free worker."""
+        withdrawal can move (a preemptible one) waits in a staging slot,
+        the rest wait in the queue for a free worker."""
         item = self.scheduler.pop(now)
         while item is not None and self.jobs[item.job_id].cancel_requested:
             self._finish(self.jobs[item.job_id], "cancelled")
@@ -445,8 +445,7 @@ class ServiceServer:
         if item is None:
             return False
         staging = handle.state == "busy"
-        if staging and not (item.spec.preemptible
-                            and item.spec.adapter.checkpointable):
+        if staging and not item.spec.preemptible:
             self.scheduler.submit(item)     # ties break on seq, not place
             return False
         record = self.jobs[item.job_id]

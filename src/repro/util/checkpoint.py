@@ -1,45 +1,56 @@
-"""Checkpoint / restart for OP-PIC simulations.
+"""Simulation state: one contract for every snapshot.
 
-Long-running HPC PIC codes checkpoint their full state; here a checkpoint
-captures every dat, the particle-to-cell map, the particle set size and
-the RNG state of a simulation object, and restores them bit-exactly so a
-restarted run continues the original trajectory.
+OP-PIC declares everything a loop touches — ``opp_decl_set``,
+``opp_decl_dat``, ``opp_decl_map`` — so the declarations already say
+what a simulation's state is.  :func:`state` reads it off rank ``r``'s
+records as a flat name → array dict, and :func:`restore` writes it back
+bit-exactly, so a restored run continues the original trajectory:
 
-Works with any object that exposes its DSL handles as attributes — a
-single-rank simulation, or one rank record of a distributed app; the
-dats and maps are discovered automatically.  The payload/restore
-helpers are shared with the distributed per-rank snapshots of
-:mod:`repro.elastic.recover`.
+* every set the rank declared (``rk.sets``): its sizes, every dat in
+  ``Set.dats`` and, for a particle set, its ``p2c_map`` —
+  ``set__`` / ``dat__`` / ``pmap__`` + the declared name
+  (:func:`state_key`);
+* every RNG stream the rank draws from (``rk.streams``), as the JSON
+  text of ``bit_generator.state`` under ``__<name>__`` — a snapshot is
+  outside input, and nothing read from one is ever unpickled;
+* the app's one extras hook, ``_snapshot_extras(r)`` /
+  ``_restore_extras(r, extras)`` (scalar carries and the like), under
+  ``extra__<name>``;
+* ``__step__`` (``step_count``) and ``__const__`` (the kernel constants,
+  ``CONST.snapshot()`` as JSON text).
 
-RNG state travels as the JSON text of ``bit_generator.state`` — a
-checkpoint file is outside input, and nothing read from one is ever
-unpickled.
+Checkpoint files, service job checkpoints, a service worker's held
+simulations and the distributed rank files
+(:mod:`repro.elastic.recover`) are all this state.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Dict, Union
 
 import numpy as np
 
 from ..core.dats import Dat
+from ..core.kernel import CONST
 from ..core.maps import Map
-from ..core.sets import ParticleSet, Set
 
-__all__ = ["save_checkpoint", "load_checkpoint", "state_payload",
-           "restore_state", "state_nbytes", "rng_state_array",
+__all__ = ["state", "restore", "state_key", "state_nbytes",
+           "save_checkpoint", "load_checkpoint", "rng_state_array",
            "set_rng_state", "CHECKPOINT_FORMAT"]
 
-#: 2: RNG state is JSON (format 1 pickled it)
-CHECKPOINT_FORMAT = 2
-_FORMAT = CHECKPOINT_FORMAT
+#: 3: the state is the declared sets, RNG streams, extras and constants
+#: (format 2 walked the object's attributes; format 1 pickled the RNG)
+CHECKPOINT_FORMAT = 3
+
+
+def _json_array(obj) -> np.ndarray:
+    return np.frombuffer(json.dumps(obj).encode(), dtype=np.uint8)
 
 
 def rng_state_array(rng: np.random.Generator) -> np.ndarray:
     """A generator's state as uint8 JSON text (an npz-storable array)."""
-    return np.frombuffer(json.dumps(rng.bit_generator.state).encode(),
-                         dtype=np.uint8)
+    return _json_array(rng.bit_generator.state)
 
 
 def set_rng_state(rng: np.random.Generator, payload,
@@ -57,80 +68,116 @@ def set_rng_state(rng: np.random.Generator, payload,
                          f"({exc})") from None
 
 
-def _handles(sim):
-    """Discover the object's sets, dats and particle maps."""
-    sets, dats, pmaps = {}, {}, {}
-    for name, obj in vars(sim).items():
-        if isinstance(obj, Dat):
-            dats[name] = obj
-        elif isinstance(obj, Map) and obj.is_particle_map:
-            pmaps[name] = obj
-        elif isinstance(obj, Set):
-            sets[name] = obj
-    if not dats:
-        raise ValueError("object exposes no DSL dats; nothing to "
-                         "checkpoint")
-    return sets, dats, pmaps
+def state_key(obj) -> str:
+    """The state entry of a declared set (its sizes), dat (its rows) or
+    particle map (its cells)."""
+    kind = "dat" if isinstance(obj, Dat) else \
+        "pmap" if isinstance(obj, Map) else "set"
+    return f"{kind}__{obj.name}"
 
 
-def state_payload(sim) -> dict:
-    """The restartable state of one object's DSL handles as a flat
-    name → array dict (``set__``/``dat__``/``pmap__`` keys)."""
-    sets, dats, pmaps = _handles(sim)
-    payload = {}
-    for name, s in sets.items():
-        payload[f"set__{name}"] = np.array([s.size, s.owned_size])
-    for name, d in dats.items():
-        payload[f"dat__{name}"] = d.data.copy()
-    for name, m in pmaps.items():
-        payload[f"pmap__{name}"] = m.p2c.copy()
-    return payload
+def _rank(app, r: int):
+    ranks = getattr(app, "ranks", None) or [None]
+    rk = ranks[r] if r < len(ranks) else None
+    if rk is None or not getattr(rk, "sets", None):
+        raise ValueError(f"{type(app).__name__} has no declared sets on "
+                         f"rank {r}; nothing to snapshot")
+    return rk
 
 
-def state_nbytes(sim) -> int:
-    """Bytes the object's dats and particle maps allocate, capacity rows
-    included: the restartable state holding the object keeps alive."""
-    _, dats, pmaps = _handles(sim)
-    return sum(d.raw.nbytes for d in dats.values()) \
-        + sum(m.raw.nbytes for m in pmaps.values())
+def _arrays(rk):
+    """(key, array) of each declared set's sizes, dats and particle map;
+    the arrays are the live views."""
+    for s in rk.sets:
+        yield state_key(s), np.array([s.size, s.owned_size])
+        for d in s.dats:
+            yield state_key(d), d.data
+        pmap = getattr(s, "p2c_map", None)
+        if pmap is not None:
+            yield state_key(pmap), pmap.p2c
 
 
-def restore_state(sim, data, source: str = "checkpoint") -> None:
-    """Restore an object's DSL handles from a :func:`state_payload`-style
-    mapping (``data`` may be an open npz file or a plain dict)."""
-    sets, dats, pmaps = _handles(sim)
-    files = data.files if hasattr(data, "files") else data.keys()
-    # restore particle-set sizes first so dat views cover the rows
-    for name, s in sets.items():
-        key = f"set__{name}"
-        if key not in files:
-            raise ValueError(f"{source}: checkpoint lacks set {name!r} — "
+def state(app, r: int = 0) -> Dict[str, np.ndarray]:
+    """Rank ``r``'s restartable state as a flat name → array dict that
+    shares no memory with the simulation (see the module docstring)."""
+    rk = _rank(app, r)
+    out = {"__step__": np.array([getattr(app, "step_count", 0)]),
+           "__const__": _json_array(CONST.snapshot())}
+    for key, arr in _arrays(rk):
+        if key in out:
+            raise ValueError(f"two declarations on rank {r} share the "
+                             f"state entry {key!r}")
+        out[key] = arr.copy()
+    for name, rng in rk.streams.items():
+        out[f"__{name}__"] = rng_state_array(rng)
+    hook = getattr(app, "_snapshot_extras", None)
+    if hook is not None:
+        for name, value in hook(r).items():
+            out[f"extra__{name}"] = np.array(value)
+    return out
+
+
+def restore(app, data, r: int = 0, source: str = "checkpoint",
+            rows: bool = True) -> int:
+    """Put a :func:`state` of rank ``r`` back into ``app``, a simulation
+    built from the same configuration (fresh, or stepped on since);
+    ``data`` may be the dict or an open npz file.  ``rows=False``
+    leaves the declared sets alone (a resized restore scatters them
+    itself).  Returns the restored step count."""
+    rk = _rank(app, r)
+    keys = data.files if hasattr(data, "files") else data
+
+    def get(key):
+        if key not in keys:
+            raise ValueError(f"{source}: state lacks {key!r} — "
                              "configuration mismatch")
-        size, owned = (int(v) for v in data[key])
-        if isinstance(s, ParticleSet):
-            s.ensure_capacity(size)
-            s.size = size
-            s.injected_start = size
-        elif s.size != size:
-            raise ValueError(f"{source}: mesh set {name!r} has {s.size} "
-                             f"elements, checkpoint has {size}")
-    for name, d in dats.items():
-        arr = data[f"dat__{name}"]
-        d.data[:] = arr
-    for name, m in pmaps.items():
-        m.p2c[:] = data[f"pmap__{name}"]
+        return data[key]
+
+    if rows:
+        sizes = [(s, int(get(state_key(s))[0])) for s in rk.sets]
+        for s, size in sizes:   # every size checked before a row is written
+            if not s.is_particle_set and s.size != size:
+                raise ValueError(f"{source}: mesh set {s.name!r} has "
+                                 f"{s.size} elements, the state has {size}")
+        for s, size in sizes:
+            if s.is_particle_set:
+                s.ensure_capacity(size)
+                s.size = s.injected_start = size
+            for d in s.dats:
+                d.data[:] = get(state_key(d))
+            pmap = getattr(s, "p2c_map", None)
+            if pmap is not None:
+                pmap.p2c[:] = get(state_key(pmap))
+    for name, rng in rk.streams.items():
+        set_rng_state(rng, get(f"__{name}__"), source)
+    hook = getattr(app, "_restore_extras", None)
+    if hook is not None:
+        hook(r, {k[len("extra__"):]: data[k] for k in keys
+                 if k.startswith("extra__")})
+    CONST.restore(json.loads(get("__const__").tobytes()))
+    step = int(get("__step__")[0])
+    if hasattr(app, "step_count"):
+        app.step_count = step
+    return step
+
+
+def state_nbytes(app, r: int = 0) -> int:
+    """Bytes rank ``r``'s declared dats and particle maps allocate,
+    capacity rows included: what holding the simulation keeps alive."""
+    total = 0
+    for s in _rank(app, r).sets:
+        total += sum(d.raw.nbytes for d in s.dats)
+        pmap = getattr(s, "p2c_map", None)
+        if pmap is not None:
+            total += pmap.raw.nbytes
+    return total
 
 
 def save_checkpoint(sim, path: Union[str, Path]) -> Path:
     """Write the full restartable state of ``sim`` to ``path`` (.npz)."""
     path = Path(path)
-    payload = {"__format__": np.array([_FORMAT]),
-               "__step__": np.array([getattr(sim, "step_count", 0)])}
-    payload.update(state_payload(sim))
-    rng = getattr(sim, "rng", None)
-    if rng is not None:
-        payload["__rng__"] = rng_state_array(rng)
-    np.savez_compressed(path, **payload)
+    np.savez_compressed(path, __format__=np.array([CHECKPOINT_FORMAT]),
+                        **state(sim))
     return path
 
 
@@ -139,14 +186,8 @@ def load_checkpoint(sim, path: Union[str, Path]) -> int:
     configuration) from a checkpoint; returns the restored step count."""
     path = Path(path)
     with np.load(path) as data:
-        if int(data["__format__"][0]) != _FORMAT:
-            raise ValueError(f"{path}: unsupported checkpoint format "
-                             f"{int(data['__format__'][0])} (expected "
-                             f"{_FORMAT})")
-        restore_state(sim, data, source=str(path))
-        if "__rng__" in data.files and getattr(sim, "rng", None) is not None:
-            set_rng_state(sim.rng, data["__rng__"], source=str(path))
-        step = int(data["__step__"][0])
-    if hasattr(sim, "step_count"):
-        sim.step_count = step
-    return step
+        fmt = int(data["__format__"][0])
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: unsupported checkpoint format {fmt} "
+                             f"(expected {CHECKPOINT_FORMAT})")
+        return restore(sim, data, source=str(path))

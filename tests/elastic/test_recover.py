@@ -61,7 +61,7 @@ def test_manifest_format_mismatch_rejected(tmp_path):
 
 
 def test_pickled_rng_extra_is_rejected_not_unpickled(tmp_path):
-    """A rank file is outside input: an RNG extra that is not the JSON
+    """A rank file is outside input: an RNG stream that is not the JSON
     this version writes (here, format 1's pickle) is a ValueError."""
     import pickle
     cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2)
@@ -71,11 +71,23 @@ def test_pickled_rng_extra_is_rejected_not_unpickled(tmp_path):
     rank_file = snap / "rank00000.npz"
     with np.load(rank_file) as data:
         payload = {k: data[k] for k in data.files}
-    payload["extra__rng"] = np.frombuffer(
+    payload["__rng__"] = np.frombuffer(
         pickle.dumps(app.rngs[0].bit_generator.state), dtype=np.uint8)
     np.savez_compressed(rank_file, **payload)
     fresh = DistributedFemPic(cfg, comm=SimComm(2))
     with pytest.raises(ValueError, match="RNG state"):
+        restore_snapshot(fresh, snap)
+
+
+def test_format_2_snapshot_is_rejected_naming_its_format(tmp_path):
+    app = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    app.step()
+    snap = write_snapshot(app, 1, tmp_path)
+    manifest = json.loads((snap / "manifest.json").read_text())
+    manifest["format"] = 2
+    (snap / "manifest.json").write_text(json.dumps(manifest))
+    fresh = DistributedTwoD(TwoDConfig(n_steps=0), comm=SimComm(2))
+    with pytest.raises(ValueError, match="format 2"):
         restore_snapshot(fresh, snap)
 
 
@@ -120,6 +132,25 @@ def test_same_ranks_restore_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(
             resumed.ranks[r].pos.data,
             ref.ranks[r].pos.data)
+
+
+def test_collisional_same_ranks_restore_is_bit_exact(tmp_path):
+    """Each rank's collision stream and draw dat are in its rank file."""
+    cfg = CFG_FEM.scaled(collision_frequency=2.0)
+    ref = DistributedFemPic(cfg, comm=SimComm(2))
+    ref.run(8)
+    half = DistributedFemPic(cfg, comm=SimComm(2))
+    half.run(4)
+    write_snapshot(half, 4, tmp_path)
+
+    resumed = DistributedFemPic(cfg, comm=SimComm(2))
+    assert restore_snapshot(resumed, snapshot_step_dir(tmp_path, 4))[0] == 4
+    resumed.run(4)
+    assert resumed.history == ref.history
+    assert sum(rk.collisions.total_collisions for rk in ref.ranks) > 0
+    for r in range(2):
+        np.testing.assert_array_equal(resumed.ranks[r].vel.data,
+                                      ref.ranks[r].vel.data)
 
 
 def test_restore_onto_more_ranks_rejected(tmp_path):

@@ -27,7 +27,7 @@ def test_exact_dat_accounting():
     sim = FemPicSimulation(FemPicConfig.smoke())
     rep = memory_report(sim)
     # the 12-wide xform dat over all cells is 12*8 bytes per cell
-    xf = next(n for name, _, n in rep.rows if name == "xform")
+    xf = next(n for name, _, n in rep.rows if name == "cell_xform")
     assert xf == sim.mesh.n_cells * 12 * 8
     assert rep.overlay == 0          # MH run: no DH bookkeeping
 

@@ -3,6 +3,7 @@ a state into the simulation it built for a spec instead of building it
 again, and every such job must reproduce a cold build bit-for-bit."""
 import multiprocessing as mp
 
+import numpy as np
 import pytest
 
 from repro.dist.proc import DEFAULT_MAX_FRAME, _recv_control, decode_frame
@@ -130,9 +131,39 @@ def test_lru_evicts_past_its_byte_bound():
     assert held.stats() == {"held": 0, "hits": 2, "misses": 3}
 
 
-def test_uncheckpointable_apps_build_every_job():
+def test_landau_repeat_is_restored_into_its_held_sim():
+    """Landau's species are particle sets of their own: the repeat job
+    restores every one of them into the held sim."""
     spec = jobs.validate_job({"app": "landau", "params": {
         "nz": 24, "ppc": 30, "n_steps": 2}})
     held = HeldSims()
     assert run(held, spec) == run(held, spec) == cold(spec)
-    assert held.stats() == {"held": 0, "hits": 0, "misses": 0}
+    assert held.stats() == {"held": 1, "hits": 1, "misses": 1}
+
+
+def test_fempic_after_a_cabana_build_gets_its_constants_back():
+    """Both apps declare a kernel constant ``dt``; the held FemPIC sim's
+    state carries its own, so nothing but the restore puts it back."""
+    from repro.core.kernel import CONST
+    fem = spec_of("fempic", dt=0.3)
+    oracle = cold(fem)
+    held = HeldSims()
+    run(held, fem)
+    run(held, spec_of("cabana"))
+    assert CONST.dt != 0.3
+    assert run(held, fem) == oracle
+    assert CONST.dt == 0.3
+
+
+def test_a_corrupted_held_sim_is_restored_whole():
+    """NaN written between jobs into a static mesh dat and a particle
+    dat of the held sim: the next job restores every declared dat, so
+    it still matches the cold build."""
+    spec = spec_of("fempic")
+    oracle = cold(spec)
+    held = HeldSims()
+    assert run(held, spec) == oracle
+    (entry,) = held._sims.values()
+    entry.sim.xform.data[:] = np.nan
+    entry.sim.vel.raw[:] = np.nan
+    assert run(held, spec) == oracle

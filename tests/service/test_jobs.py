@@ -1,4 +1,8 @@
 """Job-spec validation and checkpoint payloads (repro.service.jobs)."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.service import jobs
@@ -133,21 +137,29 @@ def test_non_finite_floats_rejected_for_every_app():
     ok(fempic_with(newton_iters=100, ksp_rtol=0.5, kTe=0.1, eps0=2))
 
 
-def test_checkpoint_interval_rejected_for_non_checkpointable_app():
-    errs = errors_of({"app": "landau", "params": {"nz": 24},
-                      "checkpoint_every": 5})
-    assert "checkpoint_every" in errs
+def test_landau_takes_a_checkpoint_interval():
     spec = ok({"app": "landau",
                "params": {"nz": 24, "ppc": 30, "n_steps": 5,
-                          "k_lambda_d": 0.4}})
-    assert not spec.adapter.checkpointable
+                          "k_lambda_d": 0.4},
+               "checkpoint_every": 5})
+    assert spec.checkpoint_every == 5
+
+
+def test_validating_a_submit_imports_only_its_app():
+    code = ("import sys; from repro.service import jobs; "
+            "jobs.validate_job({'app': 'advec', 'params': {'nx': 6}}); "
+            "print(sorted({m.split('.')[2] for m in sys.modules "
+            "if m.startswith('repro.apps.')}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "['advec']"
 
 
 def test_describe_schemas_covers_all_apps():
     schemas = jobs.describe_schemas()
     assert set(schemas) == set(jobs.APPS())
     assert schemas["advec"]["params"]["nx"] == "integer"
-    assert schemas["landau"]["checkpointable"] is False
     for app, blocked in (("fempic", "mesh_file"),
                          ("landau", "species")):
         assert blocked not in schemas[app]["params"]
@@ -156,7 +168,11 @@ def test_describe_schemas_covers_all_apps():
 # -- checkpoint round trips --------------------------------------------------
 
 
-@pytest.mark.parametrize("payload,mid", [(ADVEC, 4), (FEMPIC, 3)])
+LANDAU = {"app": "landau", "params": {"nz": 24, "ppc": 30, "n_steps": 5}}
+
+
+@pytest.mark.parametrize("payload,mid", [(ADVEC, 4), (FEMPIC, 3),
+                                         (LANDAU, 2)])
 def test_checkpoint_resume_is_bit_equal(payload, mid):
     spec = ok(payload)
     n = spec.n_steps
@@ -180,32 +196,41 @@ def test_checkpoint_shares_no_list_with_the_sim():
     sim, hist = jobs.build_sim(spec)
     jobs.run_steps(spec, sim, hist, 0, 1)
     ckpt = jobs.job_checkpoint(spec, sim, hist, 1)
-    carry = list(ckpt["extras"]["_inject_carry"])
+    carry = list(sim._inject_carry)
     jobs.run_steps(spec, sim, hist, 1, 3)
     assert sim._inject_carry != carry
-    assert ckpt["extras"]["_inject_carry"] == carry
 
     sim2, _, _ = jobs.job_restore(spec, ckpt)
     assert sim2._inject_carry == carry
-    assert sim2._inject_carry is not ckpt["extras"]["_inject_carry"]
+    jobs.run_steps(spec, sim2, sim2.history, 1, 3)
     jobs.restore_job(spec, sim, ckpt)
-    assert sim._inject_carry is not ckpt["extras"]["_inject_carry"]
+    assert sim._inject_carry == carry
 
 
-def test_checkpoint_refuses_non_checkpointable_and_wrong_app():
-    lspec = ok({"app": "landau", "params": {"nz": 24, "ppc": 30,
-                                            "n_steps": 3}})
-    sim, hist = jobs.build_sim(lspec)
-    jobs.run_steps(lspec, sim, hist, 0, 1)
-    with pytest.raises(ValueError, match="not checkpointable"):
-        jobs.job_checkpoint(lspec, sim, hist, 1)
-
+def test_checkpoint_refuses_wrong_app_and_old_format():
     aspec = ok(ADVEC)
     asim, ahist = jobs.build_sim(aspec)
     ackpt = jobs.job_checkpoint(aspec, asim, ahist, 0)
     fspec = ok(FEMPIC)
     with pytest.raises(ValueError, match="checkpoint is for app"):
         jobs.job_restore(fspec, ackpt)
+    with pytest.raises(ValueError, match="format 2"):
+        jobs.job_restore(aspec, dict(ackpt, format=2))
+
+
+def test_collisional_fempic_is_servable_and_resumes_bit_equal():
+    spec = ok({"app": "fempic", "params": dict(
+        FEMPIC["params"], plasma_den=1234.5, collision_frequency=2.0)})
+    sim, hist = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, hist, 0, 3)
+    ckpt = jobs.job_checkpoint(spec, sim, hist, 3)
+    jobs.run_steps(spec, sim, hist, 3, spec.n_steps)
+    full = {k: list(v) for k, v in hist.items()}
+
+    sim2, hist2, start = jobs.job_restore(spec, ckpt)
+    jobs.run_steps(spec, sim2, hist2, start, spec.n_steps)
+    assert hist2 == full
+    assert sum(rk.collisions.total_collisions for rk in sim.ranks) > 0
 
 
 def test_advec_history_is_the_apps_own():

@@ -278,3 +278,93 @@ def test_draining_worker_retires_once(pool):
     assert [e.kind for e in events if e.worker_id == draining] == [PK_DONE]
     assert draining not in pool.workers
     pool.reap_dead()
+
+
+def _wait_for(pool, pred, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for e in pool.wait_event(10):
+            if pred(e):
+                return e.payload
+    raise AssertionError("the awaited event never came")
+
+
+def _cold(spec) -> dict:
+    sim, history = jobs.build_sim(spec)
+    jobs.run_steps(spec, sim, history, 0, spec.n_steps)
+    return history
+
+
+def test_landau_preempted_on_a_worker_resumes_bit_equal(pool):
+    """Landau's species sets are declared state like any other: a
+    preempted landau job yields a checkpoint and resumes from it."""
+    spec = jobs.validate_job({"app": "landau", "diag_every": 1, "params": {
+        "nz": 24, "ppc": 30, "n_steps": 2000}})
+    wid = pool.idle_workers()[0].worker_id
+    assert pool.assign(wid, "landau", spec, None, tag=5)
+    _wait_for(pool, lambda e: e.kind == PK_DIAG)
+    assert pool.preempt(wid)
+    yielded = _wait_for(pool, lambda e: e.kind == PK_YIELD)
+    assert yielded["reason"] == "preempted"
+    assert 0 < yielded["step"] < spec.n_steps
+    done, _, _ = run_to_done(pool, "landau-resumed", spec,
+                             yielded["checkpoint"], tag=6)
+    assert done["resumed_from"] == yielded["step"]
+    assert done["history"] == _cold(spec)
+
+
+def test_collisional_fempic_resumes_from_a_streamed_checkpoint(pool):
+    """The collision stream is part of the state: a collisional job
+    resumed on another worker from its step-2 checkpoint finishes with
+    the uninterrupted history."""
+    spec = jobs.validate_job({"app": "fempic", "checkpoint_every": 2,
+                              "params": {"nx": 2, "ny": 2, "nz": 6,
+                                         "plasma_den": 1234.5, "n0": 2000.0,
+                                         "n_steps": 6,
+                                         "collision_frequency": 2.0}})
+    baseline, events, wid = run_to_done(pool, "coll", spec)
+    assert baseline["history"] == _cold(spec)
+    ckpt = next(e.payload["checkpoint"] for e in events
+                if e.kind == PK_CKPT and e.payload["step"] == 2)
+    other = [h for h in pool.idle_workers() if h.worker_id != wid][0]
+    assert pool.assign(other.worker_id, "coll-resumed", spec, ckpt, tag=7)
+    done = _wait_for(pool, lambda e: e.kind == PK_DONE)
+    assert done["resumed_from"] == 2
+    assert done["history"] == baseline["history"]
+
+
+class _Proc:
+    """A worker process that has or has not exited yet."""
+
+    def __init__(self):
+        self.exitcode = None
+        self.joins = 0
+        self.closed = False
+
+    def join(self, timeout=None):
+        self.joins += 1
+
+    def is_alive(self):
+        return self.exitcode is None
+
+    def close(self):
+        self.closed = True
+
+
+class _Conn:
+    def close(self):
+        pass
+
+
+def test_reap_dead_waits_for_no_live_worker():
+    """A retired worker still finishing up is not joined on the
+    server's event loop: it stays in ``_dead`` until it has exited."""
+    p = WarmPool(1)
+    live = pool_mod.WorkerHandle(7, _Proc(), _Conn())
+    p._dead.append(live)
+    p.reap_dead()
+    assert live.proc.joins == 0 and not live.proc.closed
+    assert p._dead == [live]
+    live.proc.exitcode = 0
+    p.reap_dead()
+    assert live.proc.closed and p._dead == []

@@ -86,11 +86,10 @@ def test_pick_victim_rules():
     s2 = FairShareScheduler(preempt_margin=2.0)
     s2.submit(item("peer", t=0.0, priority=2))
     assert s2.pick_victim(running, now=0.0) is None
-    # non-preemptible and non-checkpointable jobs are never victims
+    # non-preemptible jobs are never victims
     s3 = FairShareScheduler(preempt_margin=2.0)
     s3.submit(item("urgent", t=0.0, priority=9))
-    protected = [item("pinned", priority=0, preemptible=False),
-                 item("landau", priority=0, app="landau")]
+    protected = [item("pinned", priority=0, preemptible=False)]
     assert s3.pick_victim(protected, now=0.0) is None
 
 

@@ -397,11 +397,12 @@ def test_a_pick_waits_in_the_queue_rather_than_behind_more_steps(serve):
 
 
 @pytest.mark.parametrize("job", [
-    {"app": "landau", "params": {"nz": 24, "ppc": 30, "n_steps": 3}},
+    {"app": "landau", "params": {"nz": 24, "ppc": 30, "n_steps": 3},
+     "preemptible": False},
     dict(short(7), preemptible=False)])
 def test_a_pick_no_withdrawal_can_move_is_not_staged(serve, job):
-    """A job that cannot be checkpointed or preempted is never staged:
-    it waits in the queue and starts on the first worker to go idle."""
+    """A job that may not be preempted is never staged: it waits in
+    the queue and starts on the first worker to go idle."""
     handle, client = serve(2)
     with client:
         long_id = client.submit(dict(LONG))

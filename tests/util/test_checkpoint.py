@@ -167,3 +167,50 @@ def test_rng_state_round_trips_as_json(tmp_path):
     fresh = FemPicSimulation(FemPicConfig.smoke())
     load_checkpoint(fresh, ckpt)
     assert np.array_equal(fresh.rng.random(3), want)
+
+
+def test_injection_carry_survives_a_checkpoint(tmp_path):
+    """A fractional injection count carries from step to step; a
+    restored run must inject exactly what the uninterrupted one does."""
+    cfg = FemPicConfig.smoke().scaled(n_steps=0, dt=0.2, plasma_den=1234.5)
+    ref = FemPicSimulation(cfg)
+    ref.run(8)
+
+    half = FemPicSimulation(cfg)
+    half.run(4)
+    assert half._inject_carry[0] != 0.0
+    ckpt = save_checkpoint(half, tmp_path / "carry.npz")
+    resumed = FemPicSimulation(cfg)
+    load_checkpoint(resumed, ckpt)
+    resumed.run(4)
+    assert half.history["injected"] + resumed.history["injected"] \
+        == ref.history["injected"]
+    for key in ref.history:
+        assert half.history[key] + resumed.history[key] == ref.history[key]
+
+
+def test_format_2_file_is_rejected(tmp_path):
+    sim = FemPicSimulation(FemPicConfig.smoke())
+    ckpt = save_checkpoint(sim, tmp_path / "v2.npz")
+    _rewrite(ckpt, __format__=np.array([2]))
+    with pytest.raises(ValueError, match="format 2"):
+        load_checkpoint(sim, ckpt)
+
+
+def test_landau_species_restart_continues_exactly(tmp_path):
+    """Every species is a particle set the app declared: all of them
+    are in the checkpoint."""
+    from repro.apps.landau import ElectrostaticSimulation, landau_config
+    cfg = landau_config(k_lambda_d=0.5, ppc=20, nz=16)
+    ref = ElectrostaticSimulation(cfg)
+    ref.run(6)
+    half = ElectrostaticSimulation(cfg)
+    half.run(3)
+    ckpt = save_checkpoint(half, tmp_path / "landau.npz")
+    resumed = ElectrostaticSimulation(cfg)
+    assert load_checkpoint(resumed, ckpt) == 3
+    resumed.run(3)
+    assert resumed.history["field_energy"] \
+        == ref.history["field_energy"][3:]
+    for sp, sp_ref in zip(resumed.species, ref.species):
+        np.testing.assert_array_equal(sp.vel.data, sp_ref.vel.data)
